@@ -28,10 +28,14 @@ from .driver import (
     shift_diagnostics,
     write_trace,
 )
-from .errors import DomainError, FormatError, ParameterError
+from .errors import DomainError, FormatError, ParameterError, ResourceError
 from .hamiltonian import format_edge_list, load_problem
 
 ORACLE_VARS = 30
+
+# Exit codes: bad input or parameters, and a request past a resource ceiling.
+EXIT_INPUT = 2
+EXIT_RESOURCE = 3
 
 _ROW_FIELDS = ("kind", "family", "n", "eta", "seed", "r", "alpha", "n_it", "n_q", "energy", "wall_ms")
 
@@ -187,19 +191,24 @@ def read_rows(path: str) -> list[dict]:
 # -- commands -----------------------------------------------------------------
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_solve(args) -> int:
     try:
         h = load_problem(args.problem)
     except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, EXIT_INPUT)
     try:
         cfg = _run_config(args.eta, args.seed, args.optimizer, args.padding,
                           args.chi == "full", args.max_iters)
         result = run(h, cfg)
     except (DomainError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, EXIT_INPUT)
+    except ResourceError as exc:
+        return _fail(exc, EXIT_RESOURCE)
     print(f"energy {result.best_energy!r}")
     print(f"config {''.join(str(b) for b in result.best_config)}")
     print(f"n_q {result.n_q}")
@@ -217,8 +226,7 @@ def _cmd_gen(args) -> int:
         spec = parse_spec_string(args.spec)
         h = generate(spec)
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, EXIT_INPUT)
     text = format_edge_list(h)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -252,8 +260,7 @@ def _cmd_sweep(args) -> int:
             out=args.out,
         )
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, EXIT_INPUT)
     rows = run_sweep(spec)
     if not args.out:
         writer = csv.writer(sys.stdout)
@@ -267,14 +274,18 @@ def _cmd_diagnostics(args) -> int:
     try:
         config = family_by_label(args.family)
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, EXIT_INPUT)
     records = []
     for i in range(args.instances):
         seed = args.seeds + i
         h = generate(config.spec_for(args.n, seed))
-        cfg = _run_config(args.eta, seed, args.optimizer, args.padding, True, args.max_iters)
-        result = run(h, cfg)
+        try:
+            cfg = _run_config(args.eta, seed, args.optimizer, args.padding, True, args.max_iters)
+            result = run(h, cfg)
+        except (DomainError, ParameterError) as exc:
+            return _fail(exc, EXIT_INPUT)
+        except ResourceError as exc:
+            return _fail(exc, EXIT_RESOURCE)
         for diag in shift_diagnostics(h, result):
             records.append((seed, diag))
     rows = diagnostics_rows(records, args.family, args.n, args.eta, args.bins)

@@ -6,12 +6,17 @@ objectives produced by the reduction stage. An objective exposes
 
   - ``n_vars``: number of binary variables,
   - ``energies_of(states)``: vectorized energies for packed state integers,
-  - ``walker(bits)``: an incremental single-bit-flip evaluator with
-    ``energy``, ``bits``, ``delta(j)`` and ``apply(j, delta)``.
+    used by the exhaustive scans and to re-check every spectrum,
+  - a batched replica interface for annealing, where a replica state is an
+    array with one row per replica in an objective-specific layout:
+    ``replicas(starts)`` builds it from Python-int start states,
+    ``flipped(states, j)`` returns a copy with variable ``j[r]`` of replica
+    r flipped, and ``replica_energies(states)`` evaluates every replica.
 
-The sampled enumerator stands in for a quantum optimizer: simulated
-annealing chains harvest low configurations, already-found states get
-additive energy penalties, and rounds continue until no new in-window
+One annealing kernel runs a round's chains in lockstep on that interface.
+The sampled enumerator stands in for a quantum optimizer: each round's
+chains harvest low configurations under fixed additive penalties on the
+states found in earlier rounds, and rounds continue until no new in-window
 state appears.
 """
 
@@ -29,12 +34,23 @@ from .hamiltonian import PolyHamiltonian, SpinConfig, bits_to_int, int_to_bits
 # Hard cap for exhaustive scans (2^n energy evaluations, chunked).
 SCAN_CEILING = 30
 
+# Packed state integers are int64; spectra and penalties need them.
+MAX_PACKED_VARS = 62
+
 _CHUNK = 1 << 20
 
 # Geometric cooling schedule shared by all annealing chains.
 _T_START = 2.0
 _T_END = 0.01
 _STEPS_PER_VAR = 50
+
+
+def _check_packable(objective, what: str) -> None:
+    if objective.n_vars > MAX_PACKED_VARS:
+        raise ResourceError(
+            f"{what} packs states into 64-bit integers; {objective.n_vars} variables "
+            f"exceed the {MAX_PACKED_VARS}-variable limit"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,9 +108,8 @@ def build_spectrum(objective, found: dict[int, float], win: Window, complete: bo
     """
     if not found:
         raise InternalError("empty spectrum: the window always contains the running minimum")
+    _check_packable(objective, "a spectrum")
     n = objective.n_vars
-    if n > 62:
-        raise ResourceError("spectra pack states into 64-bit integers; 62-variable limit")
     states_arr = np.fromiter(found.keys(), dtype=np.int64, count=len(found))
     recomputed = objective.energies_of(states_arr)
     entries: list[tuple[SpinConfig, float]] = []
@@ -112,24 +127,18 @@ def build_spectrum(objective, found: dict[int, float], win: Window, complete: bo
 
 
 class PolyObjective:
-    """Compiled view of a PolyHamiltonian for scanning and annealing."""
+    """Compiled view of a PolyHamiltonian for scanning and annealing.
+
+    Annealing replicas are packed state integers, shape (R,).
+    """
 
     def __init__(self, h: PolyHamiltonian):
-        if h.n_vars > 62:
-            raise ResourceError(
-                f"optimizer backends pack states into 64-bit integers; "
-                f"{h.n_vars} variables exceed the 62-variable limit"
-            )
+        _check_packable(h, "a polynomial objective")
         self.h = h
         self.n_vars = h.n_vars
         subsets = sorted(h.terms)
         self.coeffs = np.array([h.terms[s] for s in subsets], dtype=np.float64)
         self.masks = np.array([sum(1 << j for j in s) for s in subsets], dtype=np.int64)
-        incidence: list[list[int]] = [[] for _ in range(h.n_vars)]
-        for t, subset in enumerate(subsets):
-            for j in subset:
-                incidence[j].append(t)
-        self.incidence = [np.array(ids, dtype=np.intp) for ids in incidence]
 
     def energies_of(self, states: np.ndarray) -> np.ndarray:
         return self.h.energies(states)
@@ -137,31 +146,15 @@ class PolyObjective:
     def energy_of(self, bits_int: int) -> float:
         return float(self.h.energies(np.array([bits_int], dtype=np.int64))[0])
 
-    def walker(self, bits_int: int) -> "_PolyWalker":
-        return _PolyWalker(self, bits_int)
+    def replicas(self, starts) -> np.ndarray:
+        return np.array(starts, dtype=np.int64)
 
+    def flipped(self, states: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return states ^ (np.int64(1) << j)
 
-class _PolyWalker:
-    __slots__ = ("obj", "bits", "parities", "energy")
-
-    def __init__(self, obj: PolyObjective, bits_int: int):
-        self.obj = obj
-        self.bits = bits_int
-        counts = np.bitwise_count(np.int64(bits_int) & obj.masks) & 1
-        self.parities = 1.0 - 2.0 * counts.astype(np.float64)
-        self.energy = float(np.dot(obj.coeffs, self.parities))
-
-    def delta(self, j: int) -> float:
-        ids = self.obj.incidence[j]
-        if ids.size == 0:
-            return 0.0
-        return float(-2.0 * np.dot(self.obj.coeffs[ids], self.parities[ids]))
-
-    def apply(self, j: int, delta: float) -> None:
-        ids = self.obj.incidence[j]
-        self.parities[ids] = -self.parities[ids]
-        self.energy += delta
-        self.bits ^= 1 << j
+    def replica_energies(self, states: np.ndarray) -> np.ndarray:
+        odd = np.bitwise_count(states[:, None] & self.masks) & 1
+        return (1.0 - 2.0 * odd) @ self.coeffs
 
 
 def as_objective(h):
@@ -220,43 +213,95 @@ def enumerate_low_exhaustive(h, delta: float, eta: float, ceiling: int = SCAN_CE
     return enumerate_window_exhaustive(objective, make_window(e0, delta, eta), ceiling)
 
 
-# -- sampled enumeration ------------------------------------------------------
+# -- replica-batched annealing -------------------------------------------------
 
 
-def _sa_chain(objective, start_bits: int, steps: int, rng, penalties: dict[int, float]):
-    """One annealing chain; returns the visited (bits, base energy) list.
+def _draw_chains(rng, n: int, chains: int):
+    """Start states, flip variables and accept draws for one round.
 
-    Acceptance uses the penalized energy so already-found states repel the
-    walk, but recorded energies are the bare objective values.
+    Each chain draws its start, then its flips, then its accept draws, one
+    chain after the other. Returns the starts as Python ints and the flips
+    and draws as (steps, chains) arrays.
     """
-    walker = objective.walker(start_bits)
-    visited = [(walker.bits, walker.energy)]
-    if steps > 1:
-        cool = (_T_END / _T_START) ** (1.0 / (steps - 1))
-    else:
-        cool = 1.0
+    steps = _STEPS_PER_VAR * n
+    starts = []
+    flips = np.empty((chains, steps), dtype=np.int64)
+    draws = np.empty((chains, steps))
+    for c in range(chains):
+        if n <= MAX_PACKED_VARS:
+            starts.append(int(rng.integers(0, 1 << n)))
+        else:
+            starts.append(bits_to_int(rng.integers(0, 2, size=n).tolist()))
+        flips[c] = rng.integers(0, n, size=steps)
+        draws[c] = rng.random(size=steps)
+    return starts, np.ascontiguousarray(flips.T), np.ascontiguousarray(draws.T)
+
+
+def _penalty_of(keys: np.ndarray, values: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Penalty of each packed state; ``keys`` is sorted and absent states get 0."""
+    if keys.size == 0:
+        return np.zeros(states.shape)
+    pos = np.minimum(keys.searchsorted(states), keys.size - 1)
+    return values[pos] * (keys[pos] == states)
+
+
+def _anneal(objective, starts, flips: np.ndarray, draws: np.ndarray, penalties=None):
+    """Run one round's chains in lockstep, one replica per chain on axis 0.
+
+    Step s proposes flipping variable ``flips[s, r]`` of replica r and
+    accepts by the Metropolis rule on the penalized energy change at the
+    shared geometric temperature. ``penalties`` is a (sorted keys, values)
+    pair over packed states, or None. Returns the energies after every step,
+    shape (steps + 1, R) with the start in row 0; the accept mask, shape
+    (steps, R); and, when penalties are given, the packed states in the
+    energies' layout (else None). Recorded energies are bare objective values.
+    """
+    steps = flips.shape[0]
+    cool = (_T_END / _T_START) ** (1.0 / (steps - 1)) if steps > 1 else 1.0
     temperature = _T_START
-    flips = rng.integers(0, objective.n_vars, size=steps)
-    draws = rng.random(size=steps)
-    for step in range(steps):
-        j = int(flips[step])
-        delta = walker.delta(j)
-        neighbor = walker.bits ^ (1 << j)
-        delta_pen = delta + penalties.get(neighbor, 0.0) - penalties.get(walker.bits, 0.0)
-        if delta_pen <= 0.0 or draws[step] < math.exp(-delta_pen / temperature):
-            walker.apply(j, delta)
-            visited.append((walker.bits, walker.energy))
+    state = objective.replicas(starts)
+    accept_shape = (len(starts),) + (1,) * (state.ndim - 1)
+    energies = np.empty((steps + 1, len(starts)))
+    energies[0] = objective.replica_energies(state)
+    accepted = np.empty((steps, len(starts)), dtype=bool)
+    keys = None
+    if penalties is not None:
+        keys = np.empty((steps + 1, len(starts)), dtype=np.int64)
+        keys[0] = starts
+        masks = np.int64(1) << flips
+        penalty = _penalty_of(*penalties, keys[0])
+    for s in range(steps):
+        proposal = objective.flipped(state, flips[s])
+        proposed = objective.replica_energies(proposal)
+        delta = proposed - energies[s]
+        if keys is not None:
+            proposal_keys = keys[s] ^ masks[s]
+            proposal_penalty = _penalty_of(*penalties, proposal_keys)
+            delta = delta + proposal_penalty - penalty
+        # exp(-max(delta, 0) / T) is 1 for delta <= 0, and draws lie in [0, 1)
+        accept = draws[s] < np.exp(np.maximum(delta, 0.0) / -temperature)
+        np.copyto(state, proposal, where=accept.reshape(accept_shape))
+        energies[s + 1] = np.where(accept, proposed, energies[s])
+        accepted[s] = accept
+        if keys is not None:
+            keys[s + 1] = np.where(accept, proposal_keys, keys[s])
+            penalty = np.where(accept, proposal_penalty, penalty)
         temperature *= cool
-    return visited
+    return energies, accepted, keys
+
+
+# -- sampled enumeration ------------------------------------------------------
 
 
 def enumerate_window_sampled(h, win, budget: OptimizerBudget, veto=None) -> LocalSpectrum:
     """Penalty-iteration enumeration of a window of the given width.
 
-    ``win`` may be a Window (its width is used) or a bare width. The window
+    ``win`` may be a Window (its width is used) or a bare width. Each round
+    runs ``samples_per_round`` annealing chains against the penalties fixed
+    at the round's start, then harvests them in chain order. The window
     floor tracks the lowest energy measured so far; each state found inside
     the moving window receives an additive penalty
-    ``p = width + c1 * |E| + c2`` so later chains are pushed toward states
+    ``p = width + c1 * |E| + c2`` so later rounds are pushed toward states
     not seen yet. Rounds stop after ``stall_rounds`` rounds without a new
     in-window state. The result is best-effort (``complete=False``).
 
@@ -264,6 +309,7 @@ def enumerate_window_sampled(h, win, budget: OptimizerBudget, veto=None) -> Loca
     which exists to exercise the recover-in-a-later-round behaviour.
     """
     objective = as_objective(h)
+    _check_packable(objective, "sampled enumeration")
     if isinstance(win, Window):
         width = win.width
         tol = win.tol
@@ -273,23 +319,24 @@ def enumerate_window_sampled(h, win, budget: OptimizerBudget, veto=None) -> Loca
     if width < 0.0:
         raise DomainError("window width must be non-negative")
     rng = np.random.default_rng(budget.seed)
-    n = objective.n_vars
-    steps = _STEPS_PER_VAR * n
     pool: dict[int, float] = {}
-    penalties: dict[int, float] = {}
+    penalties = (np.empty(0, dtype=np.int64), np.empty(0))
     floor = math.inf
     rounds = 0
     stall = 0
     while rounds < budget.max_sweeps and stall < budget.stall_rounds:
-        new_states = 0
-        for _ in range(budget.samples_per_round):
-            start = int(rng.integers(0, 1 << n)) if n < 63 else _random_bits(rng, n)
-            measured = _sa_chain(objective, start, steps, rng, penalties)
-            for _, energy in measured:
-                if energy < floor:
-                    floor = energy
-            for bits_int, energy in measured:
-                if bits_int in pool or energy > floor + width + tol:
+        starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
+        energies, accepted, keys = _anneal(objective, starts, flips, draws, penalties)
+        new_keys: list[int] = []
+        new_values: list[float] = []
+        for c in range(len(starts)):
+            visited = np.concatenate(([0], 1 + np.flatnonzero(accepted[:, c])))
+            chain_energies = energies[visited, c]
+            chain_keys = keys[visited, c]
+            floor = min(floor, float(chain_energies.min()))
+            for i in np.flatnonzero(chain_energies <= floor + width + tol):
+                bits_int, energy = int(chain_keys[i]), float(chain_energies[i])
+                if bits_int in pool:
                     continue
                 if veto is not None and veto(rounds, bits_int):
                     continue
@@ -297,10 +344,14 @@ def enumerate_window_sampled(h, win, budget: OptimizerBudget, veto=None) -> Loca
                 penalty = width + budget.c1 * abs(energy) + budget.c2
                 if not energy + penalty > floor + width:
                     raise InternalError("penalty does not clear the window upper edge")
-                penalties[bits_int] = penalty
-                new_states += 1
+                new_keys.append(bits_int)
+                new_values.append(penalty)
+        if new_keys:
+            merged = np.concatenate((penalties[0], np.array(new_keys, dtype=np.int64)))
+            order = np.argsort(merged)
+            penalties = (merged[order], np.concatenate((penalties[1], new_values))[order])
         rounds += 1
-        stall = stall + 1 if new_states == 0 else 0
+        stall = stall + 1 if not new_keys else 0
     if not pool:
         raise InternalError("sampling harvested no in-window state")
     e0 = min(pool.values())
@@ -330,36 +381,41 @@ def enumerate_low_sampled(
 def solve_ground_objective(
     objective, budget: OptimizerBudget | None = None, ceiling: int = SCAN_CEILING
 ) -> tuple[int, float]:
-    """Lowest found state of any diagonal objective (exhaustive when it fits)."""
+    """Lowest found state of any diagonal objective (exhaustive when it fits).
+
+    Annealing visits the chains' states in chain order and keeps the first
+    one that undercuts the best so far by more than 1e-15.
+    """
     if objective.n_vars <= min(ceiling, SCAN_CEILING):
         return scan_minimum(objective)
     budget = budget or OptimizerBudget()
     rng = np.random.default_rng(budget.seed)
-    n = objective.n_vars
-    steps = _STEPS_PER_VAR * n
     best_bits, best_e = 0, math.inf
     rounds = 0
     stall = 0
-    no_penalties: dict[int, float] = {}
     while rounds < budget.max_sweeps and stall < budget.stall_rounds:
-        improved = False
-        for _ in range(budget.samples_per_round):
-            start = int(rng.integers(0, 1 << n)) if n < 63 else _random_bits(rng, n)
-            for bits_int, energy in _sa_chain(objective, start, steps, rng, no_penalties):
-                if energy < best_e - 1e-15:
-                    best_bits, best_e = bits_int, energy
-                    improved = True
+        starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
+        energies, accepted, _ = _anneal(objective, starts, flips, draws)
+        found = None
+        for c in range(len(starts)):
+            trace = energies[:, c]
+            step = 0
+            while True:
+                lower = np.flatnonzero(trace[step:] < best_e - 1e-15)
+                if lower.size == 0:
+                    break
+                step += int(lower[0])
+                best_e = float(trace[step])
+                found = (c, step)
+                step += 1
+        if found is not None:
+            c, step = found
+            best_bits = starts[c]
+            for j in flips[:step, c][accepted[:step, c]]:
+                best_bits ^= 1 << int(j)
         rounds += 1
-        stall = 0 if improved else stall + 1
+        stall = 0 if found is not None else stall + 1
     return best_bits, best_e
-
-
-def _random_bits(rng, n: int) -> int:
-    out = 0
-    for j in range(n):
-        if rng.integers(0, 2):
-            out |= 1 << j
-    return out
 
 
 def solve_ground(

@@ -109,7 +109,6 @@ class Coupling:
     ``values`` gathers entries for aligned (broadcastable) index arrays
     without materializing anything; ``table`` materializes and caches the
     full tensor, which only the exhaustive paths and exact norms need.
-    Scalar lookups are memoized so annealing walks stay cheap.
     """
 
     def __init__(self, footprint, bound, shape):
@@ -117,7 +116,6 @@ class Coupling:
         self.bound = float(bound)
         self.shape = tuple(shape)
         self._table: np.ndarray | None = None
-        self._memo: dict[tuple[int, ...], float] = {}
 
     @property
     def can_materialize(self) -> bool:
@@ -128,21 +126,10 @@ class Coupling:
             return self._table[tuple(idx_arrays)]
         return self._values(idx_arrays)
 
-    def entry(self, idx) -> float:
-        key = tuple(int(i) for i in idx)
-        if self._table is not None:
-            return float(self._table[key])
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = float(self._values([np.array([i]) for i in key])[0])
-            self._memo[key] = hit
-        return hit
-
     def table(self) -> np.ndarray:
         if self._table is None:
             _guard_table(self.shape)
             self._table = self._build_table()
-            self._memo.clear()
         return self._table
 
     def _values(self, idx_arrays) -> np.ndarray:
@@ -221,9 +208,6 @@ class _ArrayCoupling:
     def values(self, idx_arrays) -> np.ndarray:
         return self._table[tuple(idx_arrays)]
 
-    def entry(self, idx) -> float:
-        return float(self._table[tuple(idx)])
-
 
 # Tables at or below this entry count are materialized inside objectives
 # for fast lookups; larger couplings stay entry-evaluated.
@@ -236,7 +220,8 @@ class TableObjective:
     Implements the optimizer's objective interface via table lookups; this
     is the default execution path for reduced problems. Couplings small
     enough to materialize are; the rest are evaluated entry-wise from their
-    underlying structure.
+    underlying structure. Annealing replicas are register-index arrays of
+    shape (R, K), so the register may exceed 62 qubits.
     """
 
     def __init__(self, m_list, energy_tables, couplings):
@@ -255,13 +240,11 @@ class TableObjective:
             self.offsets.append(off)
             off += m
         self.n_vars = off
-        self.member_of_qubit = []
-        for k, m in enumerate(self.m_list):
-            self.member_of_qubit.extend([k] * m)
-        self.couplings_by_member: list[list] = [[] for _ in self.m_list]
-        for pos, provider in self.couplings:
-            for p in set(pos):
-                self.couplings_by_member[p].append((pos, provider))
+        self.qubit_register = np.repeat(np.arange(len(self.m_list)), self.m_list)
+        self.qubit_weight = np.int64(1) << (
+            np.arange(self.n_vars) - np.repeat(self.offsets, self.m_list)
+        )
+        self._gather = None
 
     def indices_of(self, states: np.ndarray) -> list[np.ndarray]:
         states = np.asarray(states, dtype=np.int64)
@@ -282,43 +265,48 @@ class TableObjective:
     def energy_of(self, bits_int: int) -> float:
         return float(self.energies_of(np.array([bits_int], dtype=np.int64))[0])
 
-    def walker(self, bits_int: int) -> "_TableWalker":
-        return _TableWalker(self, bits_int)
+    def replicas(self, starts) -> np.ndarray:
+        return np.array(
+            [[(s >> off) & ((1 << m) - 1) for off, m in zip(self.offsets, self.m_list)]
+             for s in starts],
+            dtype=np.int64,
+        )
 
+    def flipped(self, idx: np.ndarray, q: np.ndarray) -> np.ndarray:
+        out = idx.copy()
+        out[np.arange(len(q)), self.qubit_register[q]] ^= self.qubit_weight[q]
+        return out
 
-class _TableWalker:
-    __slots__ = ("obj", "bits", "idx", "energy")
+    def replica_energies(self, idx: np.ndarray) -> np.ndarray:
+        flat, strides, base, lazy = self._gather_plan()
+        out = flat[idx @ strides + base].sum(axis=1)
+        for pos, provider in lazy:
+            out += provider.values([idx[:, p] for p in pos])
+        return out
 
-    def __init__(self, obj: TableObjective, bits_int: int):
-        self.obj = obj
-        self.bits = bits_int
-        self.idx = [
-            (bits_int >> off) & ((1 << m) - 1)
-            for off, m in zip(obj.offsets, obj.m_list)
-        ]
-        energy = 0.0
-        for k, table in enumerate(obj.energy_tables):
-            energy += float(table[self.idx[k]])
-        for pos, provider in obj.couplings:
-            energy += provider.entry(tuple(self.idx[p] for p in pos))
-        self.energy = energy
-
-    def delta(self, q: int) -> float:
-        obj = self.obj
-        k = obj.member_of_qubit[q]
-        new_index = self.idx[k] ^ (1 << (q - obj.offsets[k]))
-        diff = float(obj.energy_tables[k][new_index]) - float(obj.energy_tables[k][self.idx[k]])
-        for pos, provider in obj.couplings_by_member[k]:
-            cur = tuple(self.idx[p] for p in pos)
-            new = tuple(new_index if p == k else self.idx[p] for p in pos)
-            diff += provider.entry(new) - provider.entry(cur)
-        return diff
-
-    def apply(self, q: int, delta: float) -> None:
-        k = self.obj.member_of_qubit[q]
-        self.idx[k] ^= 1 << (q - self.obj.offsets[k])
-        self.energy += delta
-        self.bits ^= 1 << q
+    def _gather_plan(self):
+        """Every materialized table raveled into one flat array, with the
+        per-register strides (K, T) and table offsets (T,) that turn an
+        (R, K) index array into flat positions; plus the lazy couplings."""
+        if self._gather is None:
+            tables = [((k,), table) for k, table in enumerate(self.energy_tables)]
+            lazy = []
+            for pos, provider in self.couplings:
+                if isinstance(provider, _ArrayCoupling):
+                    tables.append((pos, np.ascontiguousarray(provider._table)))
+                else:
+                    lazy.append((pos, provider))
+            strides = np.zeros((len(self.m_list), len(tables)), dtype=np.int64)
+            base = np.zeros(len(tables), dtype=np.int64)
+            offset = 0
+            for t, (pos, table) in enumerate(tables):
+                for p, stride in zip(pos, table.strides):
+                    strides[p, t] = stride // table.itemsize
+                base[t] = offset
+                offset += table.size
+            flat = np.concatenate([table.ravel() for _, table in tables])
+            self._gather = (flat, strides, base, lazy)
+        return self._gather
 
 
 class ReducedProblem:
@@ -376,7 +364,7 @@ class ReducedProblem:
         for c, enc in enumerate(self.encodings):
             total += enc.energies[idx[c]]
         for footprint, coupling in self.couplings.items():
-            total += coupling.entry(tuple(idx[c] for c in footprint))
+            total += float(coupling.values(tuple(idx[c] for c in footprint)))
         return total
 
     def indices_from_bits(self, bits_int: int) -> tuple[int, ...]:
@@ -535,13 +523,20 @@ def iteration_delta(
 
 
 def _coupling_range(rp: ReducedProblem, footprints, touched) -> float:
-    grids = np.meshgrid(*[rp.valid_indices(c) for c in touched], indexing="ij")
+    """Range of the summed couplings over the valid joint states of the
+    touched communities; each coupling is gathered on its own footprint
+    through broadcast views and the partial sums broadcast together."""
+    rank = len(touched)
     position = {c: i for i, c in enumerate(touched)}
-    total = np.zeros(grids[0].shape)
+    total = 0.0
     for footprint in footprints:
-        coupling = rp.couplings[tuple(footprint)]
-        total = total + coupling.values([grids[position[c]] for c in footprint])
-    return float(total.max() - total.min())
+        idx = []
+        for c in footprint:
+            view = [1] * rank
+            view[position[c]] = -1
+            idx.append(rp.valid_indices(c).reshape(view))
+        total = total + rp.couplings[tuple(footprint)].values(idx)
+    return float(np.max(total) - np.min(total))
 
 
 def build_reduced_iter(

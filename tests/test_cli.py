@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from dcreduce.cli import (
+    EXIT_INPUT,
+    EXIT_RESOURCE,
     SweepSpec,
     diagnostics_rows,
     main,
@@ -61,6 +63,15 @@ class TestSolveCommand:
         code = main(["solve", str(bad)])
         assert code != 0
         assert "error" in capsys.readouterr().err
+
+    def test_resource_ceiling_is_one_error_line(self, tmp_path, capsys):
+        instance = tmp_path / "er.txt"
+        assert main(["gen", "--spec", "er:m=160:n=40:seed=1", "--out", str(instance)]) == 0
+        code = main(["solve", str(instance), "--optimizer", "exhaustive"])
+        assert code == EXIT_RESOURCE
+        assert code not in (0, EXIT_INPUT)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_solve_edge_list_input(self, tmp_path, capsys):
         instance = tmp_path / "ring.txt"
@@ -174,6 +185,19 @@ class TestDiagnostics:
             ratio_a = float(row[10])
             assert abs(ratio_a) <= 1.0 + 1e-9
             assert float(row[6]) > 0.0  # delta > 0: interaction-free excluded
+
+    def test_run_errors_are_one_error_line(self, capsys):
+        code = main(["diagnostics", "--n", "8", "--eta", "1.5", "--instances", "1"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        code = main([
+            "diagnostics", "--family", "er_2n", "--n", "40", "--instances", "1",
+            "--optimizer", "exhaustive",
+        ])
+        assert code == EXIT_RESOURCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_diagnostics_rows_function(self):
         from dcreduce.driver import ShiftDiagnostics

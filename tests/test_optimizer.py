@@ -1,14 +1,21 @@
 """Exhaustive and sampled enumerator tests."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dcreduce.cutoff import Window, window
+import dcreduce.optimizer as optimizer_module
+import dcreduce.reduction as reduction_module
+from dcreduce.clustering import Partition
+from dcreduce.cutoff import Window, decompose, delta_two_body, window
 from dcreduce.errors import InternalError, ResourceError
 from dcreduce.hamiltonian import PolyHamiltonian, bits_to_int
 from dcreduce.optimizer import (
     LocalSpectrum,
     OptimizerBudget,
+    PolyObjective,
+    _penalty_of,
     build_spectrum,
     as_objective,
     enumerate_low_exhaustive,
@@ -16,7 +23,9 @@ from dcreduce.optimizer import (
     enumerate_window_exhaustive,
     enumerate_window_sampled,
     solve_ground,
+    solve_ground_objective,
 )
+from dcreduce.reduction import TableObjective, build_reduced, encode_community
 from helpers import random_quadratic, spin_energies
 
 
@@ -170,3 +179,139 @@ class TestSolveGround:
             OptimizerBudget(max_sweeps=0)
         with pytest.raises(Exception):
             OptimizerBudget(c1=1.5)
+
+
+# -- replica-batched annealing kernel ------------------------------------------
+
+
+def reference_ground(objective, budget):
+    """Scalar annealer with the kernel's draw order: per chain its start,
+    its flips, its accept draws; energies evaluated state by state."""
+    rng = np.random.default_rng(budget.seed)
+    n = objective.n_vars
+    steps = 50 * n
+    cool = (0.01 / 2.0) ** (1.0 / (steps - 1))
+    best_bits, best_e = 0, math.inf
+    rounds = stall = 0
+    while rounds < budget.max_sweeps and stall < budget.stall_rounds:
+        improved = False
+        for _ in range(budget.samples_per_round):
+            bits = int(rng.integers(0, 1 << n))
+            flips = rng.integers(0, n, size=steps)
+            draws = rng.random(size=steps)
+            energy = objective.energy_of(bits)
+            visited = [(bits, energy)]
+            temperature = 2.0
+            for step in range(steps):
+                neighbor = bits ^ (1 << int(flips[step]))
+                neighbor_e = objective.energy_of(neighbor)
+                delta = neighbor_e - energy
+                if delta <= 0.0 or draws[step] < math.exp(-delta / temperature):
+                    bits, energy = neighbor, neighbor_e
+                    visited.append((bits, energy))
+                temperature *= cool
+            for state, e in visited:
+                if e < best_e - 1e-15:
+                    best_bits, best_e = state, e
+                    improved = True
+        rounds += 1
+        stall = 0 if improved else stall + 1
+    return best_bits, best_e
+
+
+def random_table_objective(seed):
+    rng = np.random.default_rng(seed)
+    m_list = [int(m) for m in rng.integers(1, 4, size=4)]
+    tables = [rng.uniform(-1.0, 1.0, size=1 << m) for m in m_list]
+    couplings = []
+    for pos in ((0, 1), (1, 2), (0, 2, 3)):
+        shape = tuple(1 << m_list[p] for p in pos)
+        couplings.append((pos, rng.uniform(-1.0, 1.0, size=shape)))
+    return TableObjective(m_list, tables, couplings)
+
+
+def singleton_reduced_problem(n, seed):
+    """Ring of n variables, one community per variable: n one-qubit registers."""
+    rng = np.random.default_rng(seed)
+    h = PolyHamiltonian(n, {(i, (i + 1) % n) if i + 1 < n else (0, n - 1): float(rng.uniform(-1, 1))
+                            for i in range(n)})
+    d = decompose(h, Partition.from_labels(range(n)))
+    encodings = [
+        encode_community(enumerate_low_exhaustive(d.local_poly(i), delta_two_body(d, i), 1.0))
+        for i in range(n)
+    ]
+    return build_reduced(d, encodings)
+
+
+class TestAnnealKernel:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_scalar_reference_on_poly(self, seed):
+        objective = PolyObjective(random_quadratic(9, 16, seed + 200))
+        budget = OptimizerBudget(seed=seed, max_sweeps=3)
+        bits, energy = solve_ground_objective(objective, budget, ceiling=0)
+        ref_bits, ref_energy = reference_ground(objective, budget)
+        assert bits == ref_bits
+        assert energy == pytest.approx(ref_energy, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_scalar_reference_on_table(self, seed):
+        objective = random_table_objective(seed)
+        budget = OptimizerBudget(seed=seed, max_sweeps=3)
+        bits, energy = solve_ground_objective(objective, budget, ceiling=0)
+        ref_bits, ref_energy = reference_ground(objective, budget)
+        assert bits == ref_bits
+        assert energy == pytest.approx(ref_energy, abs=1e-12)
+
+    def test_sampled_window_on_reduced_objective_matches_exhaustive(self, monkeypatch):
+        h = random_quadratic(12, 20, 5)
+        d = decompose(h, Partition.from_labels([0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]))
+        encodings = [
+            encode_community(
+                enumerate_low_exhaustive(d.local_poly(i), delta_two_body(d, i), 1.0)
+            )
+            for i in range(d.n_communities)
+        ]
+        rp = build_reduced(d, encodings)
+        sizes = sorted(math.prod(c.shape) for c in rp.couplings.values())
+        assert sizes[0] < sizes[-1]
+        # the largest coupling stays lazy and is evaluated through values()
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", sizes[-1] - 1)
+        objective = rp.full_objective()
+        lazy = objective._gather_plan()[3]
+        assert 1 <= len(lazy) < len(rp.couplings)
+        for delta in (0.5, 1.5, 3.0):
+            exhaustive = enumerate_low_exhaustive(objective, delta, 1.0)
+            sampled = enumerate_low_sampled(objective, delta, 1.0, OptimizerBudget(seed=1))
+            assert set(sampled.configs()) == set(exhaustive.configs())
+            assert sampled.e0 == pytest.approx(exhaustive.e0, abs=1e-12)
+
+    def test_recombined_anneal_above_62_qubits(self):
+        rp = singleton_reduced_problem(70, 3)
+        objective = rp.full_objective()
+        assert objective.n_vars == 70
+        bits, energy = solve_ground_objective(
+            objective, OptimizerBudget(seed=0, max_sweeps=2), ceiling=0
+        )
+        assert 0 <= bits < 1 << 70
+        assert rp.energy_of_indices(rp.indices_from_bits(bits)) == pytest.approx(energy, abs=1e-9)
+
+    def test_sampled_window_above_62_variables_refused_before_chains(self, monkeypatch):
+        objective = singleton_reduced_problem(64, 4).full_objective()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(optimizer_module, "_anneal", fail)
+        monkeypatch.setattr(optimizer_module, "_draw_chains", fail)
+        with pytest.raises(ResourceError):
+            enumerate_window_sampled(objective, 1.0, OptimizerBudget())
+
+    def test_penalty_probe(self):
+        states = np.array([3, 10, 7, 40, 99], dtype=np.int64)
+        empty = _penalty_of(np.empty(0, dtype=np.int64), np.empty(0), states)
+        assert empty.tolist() == [0.0] * 5
+        keys = np.array([3, 7, 40], dtype=np.int64)
+        values = np.array([1.5, 2.5, 3.5])
+        # first key, missing between keys, middle key, last key, missing past the end
+        assert _penalty_of(keys, values, states).tolist() == [1.5, 0.0, 2.5, 3.5, 0.0]
+        assert _penalty_of(keys, values, np.array([0, 2], dtype=np.int64)).tolist() == [0.0, 0.0]

@@ -18,6 +18,7 @@ from dcreduce.hamiltonian import PolyHamiltonian
 from dcreduce.optimizer import enumerate_low_exhaustive
 from dcreduce.reduction import (
     ChainLevel,
+    _coupling_range,
     DecodeChain,
     build_reduced,
     build_reduced_iter,
@@ -471,3 +472,32 @@ class TestIteration:
                 if previous is not None:
                     assert best >= previous - 1e-12
                 previous = best
+
+
+def _meshgrid_range(rp, footprints, touched):
+    grids = np.meshgrid(*[rp.valid_indices(c) for c in touched], indexing="ij")
+    position = {c: i for i, c in enumerate(touched)}
+    total = np.zeros(grids[0].shape)
+    for footprint in footprints:
+        total = total + rp.couplings[footprint].values([grids[position[c]] for c in footprint])
+    return float(total.max() - total.min())
+
+
+class TestCouplingRange:
+    @pytest.mark.parametrize("compute_chi", [True, False])
+    def test_matches_meshgrid_reference(self, compute_chi):
+        hyper = padded = 0
+        for seed in range(8):
+            h = random_pubo(10, 22, seed + 400, max_arity=3)
+            labels = [0, 0, 0, 1, 1, 1, 2, 2, 3, 3]
+            _, rp, _ = _level_one(h, labels, eta=0.6, padding="penalty", compute_chi=compute_chi)
+            hyper += any(len(fp) == 3 for fp in rp.couplings)
+            padded += any(any(enc.is_padded) for enc in rp.encodings)
+            footprints = sorted(rp.couplings)
+            subsets = [footprints] + [[fp for fp in footprints if c in fp] for c in range(4)]
+            for subset in subsets:
+                if not subset:
+                    continue
+                touched = sorted({c for fp in subset for c in fp})
+                assert _coupling_range(rp, subset, touched) == _meshgrid_range(rp, subset, touched)
+        assert hyper and padded
