@@ -42,8 +42,6 @@ from .reduction import (
     EncodedCommunity,
     ReducedProblem,
     build_reduced,
-    contracted_graph,
-    decode_full,
     encode_community,
     reduced_as_poly,
 )
@@ -69,8 +67,6 @@ __all__ = [
     "approximation_ratio",
     "brute_force_reference",
     "build_reduced",
-    "contracted_graph",
-    "decode_full",
     "decompose",
     "delta_pubo",
     "delta_two_body",

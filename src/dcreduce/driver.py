@@ -37,7 +37,6 @@ from .reduction import (
     decompose_reduced,
     encode_community,
     iteration_delta,
-    local_iteration_objective,
 )
 
 _BACKENDS = ("auto", "exhaustive", "annealing")
@@ -201,10 +200,8 @@ def _sub_seed(base: int, *key: int) -> int:
 
 
 def _pick_backend(preference: str, n_vars: int, ceiling: int) -> str:
-    if preference == "annealing":
-        return "annealing"
-    if preference == "exhaustive":
-        return "exhaustive"
+    if preference != "auto":
+        return preference
     return "exhaustive" if n_vars <= ceiling else "annealing"
 
 
@@ -239,7 +236,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
         levels.append(
             LevelTrace(
                 partition.community_of,
-                tuple(tuple(c) for c in partition.communities),
+                partition.communities,
                 (0.0,), (reduced_energy,), (1,), (n_working,),
                 (n_working,), (True,),
             )
@@ -251,48 +248,18 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
 
     # -- first level: community windows on the original variables ----------
     decomp = decompose(working, partition)
-    spectra = []
-    deltas = []
-    for i in range(partition.n_communities):
-        local = decomp.local_poly(i)
-        if quadratic:
-            delta = delta_two_body(decomp, i)
-        else:
-            delta = delta_pubo(decomp, i, cfg.exact_delta_vars)
-        deltas.append(delta)
-        n_loc = local.n_vars
-        invocations.append(n_loc)
-        backend = _pick_backend(cfg.optimizer_o1, n_loc, cfg.brute_force_ceiling)
-        try:
-            if backend == "exhaustive":
-                spectrum = enumerate_low_exhaustive(local, delta, cfg.eta)
-            else:
-                budget = replace(cfg.budget_o1, seed=_sub_seed(cfg.seed, 1, i))
-                spectrum = enumerate_low_sampled(local, delta, cfg.eta, budget)
-        except ResourceError as exc:
-            raise ResourceError(f"community {i} ({n_loc} variables): {exc}") from exc
-        spectra.append(spectrum)
-    encodings = [
-        encode_community(spec, cfg.padding_mode, delta=deltas[i])
-        for i, spec in enumerate(spectra)
+    deltas = [
+        delta_two_body(decomp, i) if quadratic else delta_pubo(decomp, i, cfg.exact_delta_vars)
+        for i in range(partition.n_communities)
     ]
+    encodings, trace = _enumerate_and_encode(
+        (decomp.local_poly(i) for i in range(partition.n_communities)), deltas,
+        cfg.optimizer_o1, cfg.budget_o1, 1, partition, cfg,
+    )
     rp = build_reduced(decomp, encodings, cfg.compute_chi)
-    chain = DecodeChain(
-        n_vars=n_working,
-        levels=[ChainLevel(tuple(decomp.community_vars), tuple(encodings))],
-    )
-    levels.append(
-        LevelTrace(
-            partition.community_of,
-            tuple(decomp.community_vars),
-            tuple(deltas),
-            tuple(s.e0 for s in spectra),
-            tuple(s.d for s in spectra),
-            tuple(e.m_tilde for e in encodings),
-            tuple(s.n_vars for s in spectra),
-            tuple(s.complete for s in spectra),
-        )
-    )
+    chain = DecodeChain(n_vars=n_working, levels=[ChainLevel(trace.membership, encodings)])
+    invocations.extend(trace.invocation_sizes)
+    levels.append(trace)
     iterations = 1
 
     # -- iterate on the contracted problem ---------------------------------
@@ -310,44 +277,18 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
 
         iterations += 1
         rd = decompose_reduced(rp, next_partition)
-        spectra = []
-        deltas = []
-        for l in range(next_partition.n_communities):
-            objective = local_iteration_objective(rd, l)
-            delta = iteration_delta(rd, l, quadratic, cfg.exact_delta_vars)
-            deltas.append(delta)
-            invocations.append(objective.n_vars)
-            backend = _pick_backend(cfg.optimizer_o2, objective.n_vars, cfg.brute_force_ceiling)
-            try:
-                if backend == "exhaustive":
-                    spectrum = enumerate_low_exhaustive(objective, delta, cfg.eta)
-                else:
-                    budget = replace(cfg.budget_o2, seed=_sub_seed(cfg.seed, iterations, l))
-                    spectrum = enumerate_low_sampled(objective, delta, cfg.eta, budget)
-            except ResourceError as exc:
-                raise ResourceError(
-                    f"iteration {iterations}, community {l} "
-                    f"({objective.n_vars} qubits): {exc}"
-                ) from exc
-            spectra.append(spectrum)
-        encodings = [
-            encode_community(spec, cfg.padding_mode, delta=deltas[l])
-            for l, spec in enumerate(spectra)
+        deltas = [
+            iteration_delta(rd, l, quadratic, cfg.exact_delta_vars)
+            for l in range(next_partition.n_communities)
         ]
-        rp = build_reduced_iter(rd, encodings, cfg.compute_chi)
-        chain.levels.append(ChainLevel(tuple(rd.members), tuple(encodings)))
-        levels.append(
-            LevelTrace(
-                next_partition.community_of,
-                tuple(rd.members),
-                tuple(deltas),
-                tuple(s.e0 for s in spectra),
-                tuple(s.d for s in spectra),
-                tuple(e.m_tilde for e in encodings),
-                tuple(s.n_vars for s in spectra),
-                tuple(s.complete for s in spectra),
-            )
+        encodings, trace = _enumerate_and_encode(
+            (rp.local_objective(members) for members in rd.members), deltas,
+            cfg.optimizer_o2, cfg.budget_o2, iterations, next_partition, cfg,
         )
+        rp = build_reduced_iter(rd, encodings, cfg.compute_chi)
+        chain.levels.append(ChainLevel(trace.membership, encodings))
+        invocations.extend(trace.invocation_sizes)
+        levels.append(trace)
 
     # -- recombined solve ---------------------------------------------------
     final_objective = rp.full_objective()
@@ -361,6 +302,45 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
         h, working, quadratized, config_working, reduced_energy,
         invocations, iterations, criterion, cfg, constant, quadratic, levels, chain,
     )
+
+
+def _enumerate_and_encode(objectives, deltas, preference, budget, level, partition, cfg):
+    """Enumerate and encode the window of every community of one level.
+
+    ``objectives`` and ``deltas`` run over the partition's communities;
+    sampled windows draw their seeds from ``(cfg.seed, level, community)``.
+    Returns the encodings and the level's trace record.
+    """
+    spectra = []
+    for i, (objective, delta) in enumerate(zip(objectives, deltas)):
+        n_vars = objective.n_vars
+        backend = _pick_backend(preference, n_vars, cfg.brute_force_ceiling)
+        try:
+            if backend == "exhaustive":
+                spectrum = enumerate_low_exhaustive(objective, delta, cfg.eta)
+            else:
+                seeded = replace(budget, seed=_sub_seed(cfg.seed, level, i))
+                spectrum = enumerate_low_sampled(objective, delta, cfg.eta, seeded)
+        except ResourceError as exc:
+            raise ResourceError(
+                f"level {level}, community {i} ({n_vars} variables): {exc}"
+            ) from exc
+        spectra.append(spectrum)
+    encodings = tuple(
+        encode_community(spec, cfg.padding_mode, delta=delta)
+        for spec, delta in zip(spectra, deltas)
+    )
+    trace = LevelTrace(
+        partition.community_of,
+        partition.communities,
+        tuple(deltas),
+        tuple(s.e0 for s in spectra),
+        tuple(s.d for s in spectra),
+        tuple(e.m_tilde for e in encodings),
+        tuple(s.n_vars for s in spectra),
+        tuple(s.complete for s in spectra),
+    )
+    return encodings, trace
 
 
 def _solve_objective(objective, cfg, preference, budget, seed, context):
@@ -457,10 +437,10 @@ def shift_diagnostics(h: PolyHamiltonian, result: RunResult) -> list[ShiftDiagno
         delta = level.deltas[i]
         if delta <= 0.0:
             continue
-        local_energy = _terms_energy(decomp.local_terms[i], config)
-        interaction = _terms_energy(
-            {s: decomp.straddling_terms[s] for s in decomp.straddle_by_comm[i]}, config
-        )
+        local_energy = PolyHamiltonian(working.n_vars, decomp.local_terms[i]).evaluate(config)
+        interaction = PolyHamiltonian(
+            working.n_vars, {s: decomp.straddling_terms[s] for s in decomp.straddle_by_comm[i]}
+        ).evaluate(config)
         e0 = level.e0s[i]
         eta_bound = e0 + (result.eta - 1.0) * delta
         ratio_b = None
@@ -479,17 +459,6 @@ def shift_diagnostics(h: PolyHamiltonian, result: RunResult) -> list[ShiftDiagno
             )
         )
     return out
-
-
-def _terms_energy(terms, config) -> float:
-    total = 0.0
-    for subset in sorted(terms):
-        sign = 1
-        for j in subset:
-            if config[j]:
-                sign = -sign
-        total += terms[subset] * sign
-    return total
 
 
 def brute_force_reference(h: PolyHamiltonian) -> float:

@@ -3,11 +3,18 @@
 Each community's surviving states are written onto ceil(log2(d)) qubits in
 energy order. The reduced problem is then a sum of per-community diagonal
 energy tables and, for every set of communities jointly touched by
-straddling terms, a diagonal coupling whose entries are the signed sums of
-those terms evaluated on the decoded states. Small couplings materialize
-into cached tables; large ones evaluate entry-wise straight from the term
-structure, so only the entries a solver actually visits are ever computed.
-A parity-basis polynomial conversion is available for consumers that need
+straddling couplings, a diagonal coupling table.
+
+The input Hamiltonian is the trivial case of this encoding, level 0: every
+variable is its own 1-qubit register with decode ``((0,), (1,))`` and
+energies ``(field, -field)``, and every multi-variable term is a coupling
+whose table is its coefficient times the outer product of the Z eigenvalues
+``(1, -1)``. Every level, the first included, regroups the previous level's
+straddling couplings under a partition of its communities and composes
+them through the new decode tables. Small couplings materialize into
+cached tables; large ones evaluate entry-wise through the composition, so
+only the entries a solver actually visits are ever computed. A
+parity-basis polynomial conversion is available for consumers that need
 operator form.
 """
 
@@ -23,7 +30,7 @@ import numpy as np
 from .clustering import Partition, WeightedGraph
 from .cutoff import EXACT_RANGE_VARS, CommunityDecomposition
 from .errors import DimensionError, InternalError, ParameterError, ResourceError
-from .hamiltonian import PolyHamiltonian, SpinConfig
+from .hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, SpinConfig, bits_to_int
 from .optimizer import LocalSpectrum
 
 # Refuse to materialize coupling tables beyond this entry count.
@@ -88,34 +95,36 @@ def encode_community(
     )
 
 
-def term_sign_vector(subset, community_vars, decode) -> np.ndarray:
-    """Per-index product of Z eigenvalues of a term restricted to one community.
-
-    Entries are exactly +/-1: the term's sign contribution under each decoded
-    state of the community.
-    """
-    position = {v: i for i, v in enumerate(community_vars)}
-    cols = [position[v] for v in subset if v in position]
-    arr = np.array(decode, dtype=np.int64)
-    if not cols:
-        return np.ones(arr.shape[0])
-    spins = 1 - 2 * arr[:, cols]
-    return np.prod(spins, axis=1).astype(np.float64)
+# Z eigenvalues of bit 0 and bit 1: one axis of a level-0 coupling table.
+_SPINS = np.array([1.0, -1.0])
 
 
 class Coupling:
-    """Diagonal inter-community coupling, evaluable entry-wise on demand.
+    """Diagonal coupling among the registers of some communities (its
+    footprint, the key it is stored under in ``ReducedProblem.couplings``).
 
-    ``values`` gathers entries for aligned (broadcastable) index arrays
-    without materializing anything; ``table`` materializes and caches the
-    full tensor, which only the exhaustive paths and exact norms need.
+    A coupling either holds a given table or is composed of ``parts``:
+    ``(old coupling, gathers)`` pairs, one per coupling of the level below,
+    where each gather ``(axis, index array)`` maps this coupling's index on
+    ``axis`` to the old coupling's index on the matching old axis through
+    the new decode table. Level-0 couplings hold ``coeff`` times the outer
+    product of ``(1, -1)``; every later coupling, the first level's
+    included, is composed. ``values`` gathers entries for aligned
+    (broadcastable) index arrays without materializing anything; ``table``
+    materializes and caches the full tensor, which only the exhaustive
+    paths and exact norms need. ``bound`` is the propagated sum of |coeff|:
+    the largest |entry| of a given table, the sum of the parts' bounds for
+    a composed coupling.
     """
 
-    def __init__(self, footprint, bound, shape):
-        self.footprint = tuple(footprint)
-        self.bound = float(bound)
+    def __init__(self, shape, table=None, parts=()):
         self.shape = tuple(shape)
-        self._table: np.ndarray | None = None
+        self.parts = tuple(parts)
+        self._table = table
+        if table is None:
+            self.bound = float(sum(old.bound for old, _ in self.parts))
+        else:
+            self.bound = float(np.abs(table).max())
 
     @property
     def can_materialize(self) -> bool:
@@ -124,89 +133,17 @@ class Coupling:
     def values(self, idx_arrays) -> np.ndarray:
         if self._table is not None:
             return self._table[tuple(idx_arrays)]
-        return self._values(idx_arrays)
-
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            _guard_table(self.shape)
-            self._table = self._build_table()
-        return self._table
-
-    def _values(self, idx_arrays) -> np.ndarray:
-        raise NotImplementedError
-
-    def _build_table(self) -> np.ndarray:
-        raise NotImplementedError
-
-
-class TermCoupling(Coupling):
-    """First-level coupling: signed sums of straddling terms.
-
-    Per term and per footprint community, a +/-1 sign vector holds the
-    term's Z product under every decoded state of that community.
-    """
-
-    def __init__(self, footprint, coeffs, sign_vectors):
-        shape = tuple(vec.size for vec in sign_vectors[0])
-        super().__init__(footprint, float(np.abs(np.asarray(coeffs)).sum()), shape)
-        self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        self.sign_vectors = sign_vectors
-
-    def _values(self, idx_arrays) -> np.ndarray:
-        out = 0.0
-        for coeff, vectors in zip(self.coeffs, self.sign_vectors):
-            product = vectors[0][idx_arrays[0]]
-            for axis in range(1, len(vectors)):
-                product = product * vectors[axis][idx_arrays[axis]]
-            out = out + coeff * product
-        return out
-
-    def _build_table(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for coeff, vectors in zip(self.coeffs, self.sign_vectors):
-            out += coeff * functools_reduce(np.multiply.outer, vectors)
-        return out
-
-
-class ComposedCoupling(Coupling):
-    """Iteration-level coupling: previous-level couplings composed through
-    the new decode tables (one gather array per old footprint axis)."""
-
-    def __init__(self, footprint, parts, shape):
-        bound = sum(old.bound for old, _ in parts)
-        super().__init__(footprint, bound, shape)
-        self.parts = parts
-
-    def _values(self, idx_arrays) -> np.ndarray:
         out = 0.0
         for old, gathers in self.parts:
             old_idx = [gather[idx_arrays[axis]] for axis, gather in gathers]
             out = out + old.values(old_idx)
         return out
 
-    def _build_table(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        rank = len(self.shape)
-        for old, gathers in self.parts:
-            old_idx = []
-            for axis, gather in gathers:
-                view = [1] * rank
-                view[axis] = -1
-                old_idx.append(gather.reshape(view))
-            out = out + old.values(old_idx)
-        return out
-
-
-class _ArrayCoupling:
-    """Materialized-table provider with the same lookup surface as Coupling."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: np.ndarray):
-        self._table = table
-
-    def values(self, idx_arrays) -> np.ndarray:
-        return self._table[tuple(idx_arrays)]
+    def table(self) -> np.ndarray:
+        if self._table is None:
+            _guard_table(self.shape)
+            self._table = self.values(np.ix_(*map(np.arange, self.shape)))
+        return self._table
 
 
 # Tables at or below this entry count are materialized inside objectives
@@ -214,26 +151,32 @@ class _ArrayCoupling:
 MATERIALIZE_ENTRIES = 1 << 22
 
 
+def _gathered_flat(coupling: Coupling) -> bool:
+    return math.prod(coupling.shape) <= MATERIALIZE_ENTRIES
+
+
 class TableObjective:
     """Diagonal objective over the concatenated registers of some communities.
 
     Implements the optimizer's objective interface via table lookups; this
     is the default execution path for reduced problems. Couplings small
-    enough to materialize are; the rest are evaluated entry-wise from their
-    underlying structure. Annealing replicas are register-index arrays of
-    shape (R, K), so the register may exceed 62 qubits.
+    enough to materialize are, into one flat gather array; the rest are
+    evaluated entry-wise from their underlying structure. Plain ndarray
+    couplings are wrapped as given-table couplings. Annealing replicas are
+    register-index arrays of shape (R, K), so the register may exceed 62
+    qubits.
     """
 
     def __init__(self, m_list, energy_tables, couplings):
         self.m_list = list(m_list)
         self.energy_tables = [np.asarray(t, dtype=np.float64) for t in energy_tables]
         self.couplings = []
-        for pos, provider in couplings:
-            if isinstance(provider, np.ndarray):
-                provider = _ArrayCoupling(provider)
-            elif isinstance(provider, Coupling) and math.prod(provider.shape) <= MATERIALIZE_ENTRIES:
-                provider = _ArrayCoupling(provider.table())
-            self.couplings.append((tuple(pos), provider))
+        for pos, coupling in couplings:
+            if isinstance(coupling, np.ndarray):
+                coupling = Coupling(coupling.shape, table=coupling)
+            if _gathered_flat(coupling):
+                coupling.table()
+            self.couplings.append((tuple(pos), coupling))
         self.offsets = []
         off = 0
         for m in self.m_list:
@@ -258,8 +201,8 @@ class TableObjective:
         out = np.zeros(np.asarray(states).shape, dtype=np.float64)
         for k, table in enumerate(self.energy_tables):
             out += table[idx[k]]
-        for pos, provider in self.couplings:
-            out += provider.values([idx[p] for p in pos])
+        for pos, coupling in self.couplings:
+            out += coupling.values([idx[p] for p in pos])
         return out
 
     def energy_of(self, bits_int: int) -> float:
@@ -280,8 +223,8 @@ class TableObjective:
     def replica_energies(self, idx: np.ndarray) -> np.ndarray:
         flat, strides, base, lazy = self._gather_plan()
         out = flat[idx @ strides + base].sum(axis=1)
-        for pos, provider in lazy:
-            out += provider.values([idx[:, p] for p in pos])
+        for pos, coupling in lazy:
+            out += coupling.values([idx[:, p] for p in pos])
         return out
 
     def _gather_plan(self):
@@ -291,11 +234,11 @@ class TableObjective:
         if self._gather is None:
             tables = [((k,), table) for k, table in enumerate(self.energy_tables)]
             lazy = []
-            for pos, provider in self.couplings:
-                if isinstance(provider, _ArrayCoupling):
-                    tables.append((pos, np.ascontiguousarray(provider._table)))
+            for pos, coupling in self.couplings:
+                if _gathered_flat(coupling):
+                    tables.append((pos, np.ascontiguousarray(coupling.table())))
                 else:
-                    lazy.append((pos, provider))
+                    lazy.append((pos, coupling))
             strides = np.zeros((len(self.m_list), len(tables)), dtype=np.int64)
             base = np.zeros(len(tables), dtype=np.int64)
             offset = 0
@@ -326,17 +269,38 @@ class ReducedProblem:
         self.offsets = tuple(offsets)
         self.total_qubits = off
 
+    @classmethod
+    def from_hamiltonian(cls, h: PolyHamiltonian) -> ReducedProblem:
+        """Level 0: the input as the trivial encoding of itself.
+
+        Variable v is a 1-qubit identity register with energies
+        ``(field, -field)``; each multi-variable term is a coupling on its
+        own variables, whose table is the term's truth table and so falls
+        under the truth-table cap. The constant is left out, as at every
+        level.
+        """
+        fields = [0.0] * h.n_vars
+        couplings = {}
+        for subset, coeff in h.terms.items():
+            if len(subset) == 1:
+                fields[subset[0]] = coeff
+            elif len(subset) > MAX_TABLE_VARS:
+                raise ResourceError(
+                    f"term over {len(subset)} variables exceeds the "
+                    f"{MAX_TABLE_VARS}-variable truth-table cap"
+                )
+            elif subset:
+                table = coeff * functools_reduce(np.multiply.outer, [_SPINS] * len(subset))
+                couplings[subset] = Coupling(table.shape, table=table)
+        encodings = [
+            EncodedCommunity(1, ((0,), (1,)), (f, -f), (False, False), "repeat", 2, 1)
+            for f in fields
+        ]
+        return cls(encodings, couplings, True, 0)
+
     @property
     def n_communities(self) -> int:
         return len(self.encodings)
-
-    def valid_indices(self, c: int) -> np.ndarray:
-        enc = self.encodings[c]
-        if enc.padding_mode == "penalty":
-            return np.array(
-                [i for i in range(enc.d_tilde) if not enc.is_padded[i]], dtype=np.intp
-            )
-        return np.arange(enc.d_tilde, dtype=np.intp)
 
     def coupling_table(self, footprint) -> np.ndarray:
         return self.couplings[tuple(footprint)].table()
@@ -344,17 +308,16 @@ class ReducedProblem:
     def j_tilde(self, footprint) -> float:
         """Edge weight for the contracted graph.
 
-        With chi tables computed this is the exact diagonal operator norm
-        (the largest |entry| over non-penalty indices); otherwise, or when
+        With chi tables computed this is the exact diagonal operator norm,
+        the largest |entry| (padded indices repeat the entries of valid
+        ones, since they decode to ``decode[mu % d]``); otherwise, or when
         the table is too large to materialize, the propagated sum-of-|J|
         bound.
         """
         coupling = self.couplings[tuple(footprint)]
         if not self.compute_chi or not coupling.can_materialize:
             return coupling.bound
-        table = coupling.table()
-        sub = table[np.ix_(*[self.valid_indices(c) for c in coupling.footprint])]
-        return float(np.abs(sub).max())
+        return float(np.abs(coupling.table()).max())
 
     def energy_of_indices(self, idx) -> float:
         """Reduced energy of a joint index tuple (constant excluded)."""
@@ -421,37 +384,13 @@ def _guard_table(shape) -> None:
 def build_reduced(
     decomp: CommunityDecomposition, encodings, compute_chi: bool = True
 ) -> ReducedProblem:
-    """Reduced problem of the first level, straight from straddling terms.
-
-    Straddling terms with identical community footprints are merged by
-    summing their signed contributions. With ``compute_chi`` the coupling
-    tables that fit the materialization cap are built eagerly and the
-    chi-entry count is recorded; otherwise only the sum-of-|J| bounds are
-    produced up front and entries evaluate on demand.
-    """
-    encodings = tuple(encodings)
-    if len(encodings) != decomp.n_communities:
-        raise DimensionError("one encoding per community is required")
-    groups: dict[tuple[int, ...], list] = {}
-    for subset, coeff in decomp.straddling_terms.items():
-        groups.setdefault(decomp.footprint(subset), []).append((subset, coeff))
-    couplings = {}
-    n_chi = 0
-    for footprint in sorted(groups):
-        terms = sorted(groups[footprint])
-        sign_vectors = [
-            [
-                term_sign_vector(subset, decomp.community_vars[c], encodings[c].decode)
-                for c in footprint
-            ]
-            for subset, _ in terms
-        ]
-        coupling = TermCoupling(footprint, [c for _, c in terms], sign_vectors)
-        if compute_chi and coupling.can_materialize:
-            n_chi += len(terms) * math.prod(coupling.shape)
-            coupling.table()
-        couplings[footprint] = coupling
-    return ReducedProblem(encodings, couplings, compute_chi, n_chi)
+    """Reduced problem of the first level: the input's level-0 problem
+    regrouped under the decomposition's partition and composed through the
+    first-level encodings, exactly as every later level is built."""
+    level0 = ReducedProblem.from_hamiltonian(decomp.h)
+    return build_reduced_iter(
+        decompose_reduced(level0, decomp.partition), encodings, compute_chi
+    )
 
 
 # -- iteration levels ---------------------------------------------------------
@@ -464,7 +403,6 @@ class ReducedDecomposition:
     rp: ReducedProblem
     partition: Partition
     members: tuple[tuple[int, ...], ...]
-    local_footprints: tuple[tuple[tuple[int, ...], ...], ...]
     straddling_footprints: tuple[tuple[int, ...], ...]
     straddle_by_super: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -472,14 +410,11 @@ class ReducedDecomposition:
 def decompose_reduced(rp: ReducedProblem, p: Partition) -> ReducedDecomposition:
     if len(p.community_of) != rp.n_communities:
         raise DimensionError("partition must cover the reduced problem's communities")
-    local: list[list] = [[] for _ in range(p.n_communities)]
     straddling: list = []
     straddle_by: list[list] = [[] for _ in range(p.n_communities)]
     for footprint in sorted(rp.couplings):
         supers = {p.community_of[c] for c in footprint}
-        if len(supers) == 1:
-            local[next(iter(supers))].append(footprint)
-        else:
+        if len(supers) > 1:
             straddling.append(footprint)
             for s in supers:
                 straddle_by[s].append(footprint)
@@ -487,14 +422,9 @@ def decompose_reduced(rp: ReducedProblem, p: Partition) -> ReducedDecomposition:
         rp=rp,
         partition=p,
         members=tuple(tuple(c) for c in p.communities),
-        local_footprints=tuple(tuple(f) for f in local),
         straddling_footprints=tuple(straddling),
         straddle_by_super=tuple(tuple(f) for f in straddle_by),
     )
-
-
-def local_iteration_objective(rd: ReducedDecomposition, l: int) -> TableObjective:
-    return rd.rp.local_objective(rd.members[l])
 
 
 def iteration_delta(
@@ -523,19 +453,16 @@ def iteration_delta(
 
 
 def _coupling_range(rp: ReducedProblem, footprints, touched) -> float:
-    """Range of the summed couplings over the valid joint states of the
-    touched communities; each coupling is gathered on its own footprint
-    through broadcast views and the partial sums broadcast together."""
-    rank = len(touched)
-    position = {c: i for i, c in enumerate(touched)}
+    """Range of the summed couplings over the joint states of the touched
+    communities; each coupling is gathered on its own footprint through
+    broadcast views and the partial sums broadcast together. Padded indices
+    repeat valid entries, so they leave the range unchanged."""
+    grids = np.ix_(*[np.arange(rp.encodings[c].d_tilde) for c in touched])
+    axis = {c: i for i, c in enumerate(touched)}
     total = 0.0
     for footprint in footprints:
-        idx = []
-        for c in footprint:
-            view = [1] * rank
-            view[position[c]] = -1
-            idx.append(rp.valid_indices(c).reshape(view))
-        total = total + rp.couplings[tuple(footprint)].values(idx)
+        coupling = rp.couplings[tuple(footprint)]
+        total = total + coupling.values([grids[axis[c]] for c in footprint])
     return float(np.max(total) - np.min(total))
 
 
@@ -543,56 +470,49 @@ def build_reduced_iter(
     rd: ReducedDecomposition, encodings, compute_chi: bool = True
 ) -> ReducedProblem:
     """Next-level reduced problem: straddling couplings regrouped under the
-    new communities and composed through the new decode tables."""
+    new communities and composed through the new decode tables.
+
+    With ``compute_chi`` the coupling tables that fit the materialization
+    cap are built eagerly and their chi-entry count (entries times old
+    couplings) is recorded; otherwise entries evaluate on demand.
+    """
     encodings = tuple(encodings)
     if len(encodings) != rd.partition.n_communities:
         raise DimensionError("one encoding per super-community is required")
-    rp = rd.rp
+    community_of = rd.partition.community_of
+    gathers = _member_gathers(rd, encodings)
     groups: dict[tuple[int, ...], list] = {}
     for footprint in rd.straddling_footprints:
-        new_fp = tuple(sorted({rd.partition.community_of[c] for c in footprint}))
+        new_fp = tuple(sorted({community_of[c] for c in footprint}))
         groups.setdefault(new_fp, []).append(footprint)
     couplings = {}
     n_chi = 0
     for new_fp in sorted(groups):
-        old_fps = groups[new_fp]
-        position = {l: i for i, l in enumerate(new_fp)}
-        parts = []
-        for footprint in old_fps:
-            gathers = []
-            for c in footprint:
-                super_id = rd.partition.community_of[c]
-                gathers.append(
-                    (
-                        position[super_id],
-                        _member_index_array(
-                            encodings[super_id], rd.members[super_id], rp, c
-                        ),
-                    )
-                )
-            parts.append((rp.couplings[footprint], gathers))
+        axis = {l: i for i, l in enumerate(new_fp)}
+        parts = [
+            (rd.rp.couplings[fp], [(axis[community_of[c]], gathers[c]) for c in fp])
+            for fp in groups[new_fp]
+        ]
         shape = tuple(encodings[l].d_tilde for l in new_fp)
-        coupling = ComposedCoupling(new_fp, parts, shape)
+        coupling = Coupling(shape, parts=parts)
         if compute_chi and coupling.can_materialize:
-            n_chi += len(old_fps) * math.prod(shape)
+            n_chi += len(parts) * math.prod(shape)
             coupling.table()
         couplings[new_fp] = coupling
     return ReducedProblem(encodings, couplings, compute_chi, n_chi)
 
 
-def _member_index_array(enc: EncodedCommunity, member_ids, rp: ReducedProblem, target: int) -> np.ndarray:
-    """Reduced index of old community ``target`` under each decode entry of
-    the super-community encoding that contains it."""
-    offset = 0
-    for mid in member_ids:
-        if mid == target:
-            break
-        offset += rp.encodings[mid].m_tilde
-    m = rp.encodings[target].m_tilde
-    arr = np.array(enc.decode, dtype=np.intp)
-    out = np.zeros(arr.shape[0], dtype=np.intp)
-    for r in range(m):
-        out |= arr[:, offset + r] << r
+def _member_gathers(rd: ReducedDecomposition, encodings) -> dict[int, np.ndarray]:
+    """Reduced index of every old community under each decode entry of the
+    super-community encoding that contains it."""
+    out = {}
+    for enc, member_ids in zip(encodings, rd.members):
+        bits = np.array(enc.decode, dtype=np.intp)
+        offset = 0
+        for c in member_ids:
+            m = rd.rp.encodings[c].m_tilde
+            out[c] = bits[:, offset:offset + m] @ (1 << np.arange(m, dtype=np.intp))
+            offset += m
     return out
 
 
@@ -649,10 +569,7 @@ class DecodeChain:
                 off = 0
                 for mid in member_ids:
                     m = previous.encodings[mid].m_tilde
-                    value = 0
-                    for r in range(m):
-                        value |= bits[off + r] << r
-                    prev_idx[mid] = value
+                    prev_idx[mid] = bits_to_int(bits[off:off + m])
                     off += m
             idx = prev_idx
         first = self.levels[0]
@@ -683,11 +600,6 @@ class DecodeChain:
         }
 
 
-def decode_full(chain: DecodeChain, final_bits) -> SpinConfig:
-    """Function form of :meth:`DecodeChain.decode_full`."""
-    return chain.decode_full(final_bits)
-
-
 def reduced_as_poly(rp: ReducedProblem, max_qubits: int = 24) -> PolyHamiltonian:
     """Parity-basis polynomial equal to the reduced problem's table lookups.
 
@@ -716,7 +628,3 @@ def reduced_as_poly(rp: ReducedProblem, max_qubits: int = 24) -> PolyHamiltonian
             pieces.append((tuple(sorted(qubits[j] for j in subset)), coeff))
     return PolyHamiltonian.from_terms(rp.total_qubits, pieces)
 
-
-def contracted_graph(rp: ReducedProblem) -> WeightedGraph:
-    """Function form of :meth:`ReducedProblem.contracted_graph`."""
-    return rp.contracted_graph()

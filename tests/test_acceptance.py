@@ -31,7 +31,6 @@ from dcreduce.reduction import (
     decompose_reduced,
     encode_community,
     iteration_delta,
-    local_iteration_objective,
 )
 from helpers import (
     brute_min,
@@ -106,7 +105,7 @@ def _pipeline_levels(h, seed, eta):
         rd = decompose_reduced(rp, p2)
         spectra2, deltas2 = [], []
         for l in range(p2.n_communities):
-            objective = local_iteration_objective(rd, l)
+            objective = rd.rp.local_objective(rd.members[l])
             delta = iteration_delta(rd, l, quadratic)
             deltas2.append(delta)
             spectra2.append(enumerate_low_exhaustive(objective, delta, eta))

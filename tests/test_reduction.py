@@ -20,14 +20,13 @@ from dcreduce.reduction import (
     ChainLevel,
     _coupling_range,
     DecodeChain,
+    ReducedProblem,
     build_reduced,
     build_reduced_iter,
     decompose_reduced,
     encode_community,
     iteration_delta,
-    local_iteration_objective,
     reduced_as_poly,
-    term_sign_vector,
 )
 from helpers import random_pubo, random_quadratic, spin_energies
 
@@ -55,6 +54,44 @@ def _check_master_identity(h, rp, chain, constant):
         reduced = rp.energy_of_indices(idx) + constant
         decoded = chain.decode_full(joint)
         assert reduced == pytest.approx(h.evaluate(decoded), abs=1e-9)
+
+
+def _uses_padded_index(chain, joint):
+    """True when the joint state or any state it decodes to below the top
+    level sits on a padded index."""
+    idx = []
+    offset = 0
+    for enc in chain.levels[-1].encodings:
+        idx.append((joint >> offset) & (enc.d_tilde - 1))
+        offset += enc.m_tilde
+    for depth in range(len(chain.levels) - 1, -1, -1):
+        level = chain.levels[depth]
+        if any(enc.is_padded[i] for enc, i in zip(level.encodings, idx)):
+            return True
+        if depth == 0:
+            return False
+        below = chain.levels[depth - 1].encodings
+        lower = [0] * len(below)
+        for c, member_ids in enumerate(level.membership):
+            bits = level.encodings[c].decode[idx[c]]
+            off = 0
+            for mid in member_ids:
+                lower[mid] = sum(b << r for r, b in enumerate(bits[off:off + below[mid].m_tilde]))
+                off += below[mid].m_tilde
+        idx = lower
+
+
+def _check_penalty_identity(h, rp, chain, constant):
+    """Penalty padding prices padded indices above every real state, so the
+    reduced energy bounds the decoded one from above, with equality unless
+    the joint state reaches a padded index at some level."""
+    for joint in range(1 << rp.total_qubits):
+        reduced = rp.energy_of_indices(rp.indices_from_bits(joint)) + constant
+        direct = h.evaluate(chain.decode_full(joint))
+        if _uses_padded_index(chain, joint):
+            assert reduced > direct
+        else:
+            assert reduced == pytest.approx(direct, abs=1e-9)
 
 
 class TestEncode:
@@ -117,20 +154,38 @@ class TestEncode:
             encode_community(spec, "wrap")
 
 
+class TestLevelZero:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_objective_reproduces_energies(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 11))
+        base = random_pubo(n, 2 * n, seed, max_arity=3)
+        fields = [((v,), float(rng.uniform(-1.0, 1.0))) for v in range(0, n, 2)]
+        h = PolyHamiltonian.from_terms(n, [*base.terms.items(), *fields, ((), 0.37)])
+        rp = ReducedProblem.from_hamiltonian(h)
+        assert rp.m_tildes == (1,) * n
+        assert all(enc.decode == ((0,), (1,)) for enc in rp.encodings)
+        got = rp.full_objective().energies_of(np.arange(1 << n)) + h.constant
+        np.testing.assert_allclose(got, spin_energies(h), rtol=0, atol=1e-12)
+
+
 class TestSignVectors:
     def test_entries_are_unit(self):
+        # every first-level coupling entry is the signed sum of its
+        # straddling terms on the decoded states, sum coeff * prod(1 - 2 bit)
         h = random_pubo(8, 14, 2)
-        p = Partition.from_labels([0, 0, 0, 1, 1, 1, 2, 2])
-        d = decompose(h, p)
-        spectra = [
-            enumerate_low_exhaustive(d.local_poly(i), delta_pubo(d, i), 1.0)
-            for i in range(3)
-        ]
-        encodings = [encode_community(s) for s in spectra]
-        for subset in d.straddling_terms:
-            for c in d.footprint(subset):
-                signs = term_sign_vector(subset, d.community_vars[c], encodings[c].decode)
-                assert set(np.unique(signs)) <= {-1.0, 1.0}
+        d, rp, _ = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2])
+        assert rp.couplings
+        for footprint, coupling in rp.couplings.items():
+            expected = np.zeros(coupling.shape)
+            for joint in np.ndindex(*coupling.shape):
+                bits = {}
+                for c, mu in zip(footprint, joint):
+                    bits.update(zip(d.community_vars[c], rp.encodings[c].decode[mu]))
+                for subset, coeff in d.straddling_terms.items():
+                    if d.footprint(subset) == footprint:
+                        expected[joint] += coeff * np.prod([1 - 2 * bits[v] for v in subset])
+            np.testing.assert_allclose(coupling.table(), expected, rtol=0, atol=1e-12)
 
     def test_two_single_variable_communities(self):
         h = PolyHamiltonian(2, {(0, 1): 0.8})
@@ -293,7 +348,7 @@ def _two_level(h, seed=0, eta=1.0):
     quadratic = h.is_pure_quadratic()
     spectra, deltas = [], []
     for l in range(p2.n_communities):
-        objective = local_iteration_objective(rd, l)
+        objective = rd.rp.local_objective(rd.members[l])
         delta = iteration_delta(rd, l, quadratic)
         deltas.append(delta)
         spectra.append(enumerate_low_exhaustive(objective, delta, eta))
@@ -305,7 +360,7 @@ def _two_level(h, seed=0, eta=1.0):
     return rp2, chain
 
 
-def _iterate_once(h, rp, chain, labels, eta=1.0):
+def _iterate_once(h, rp, chain, labels, eta=1.0, padding="repeat", compute_chi=True):
     """One manual iteration level under an explicit community grouping."""
     p = Partition.from_labels(labels)
     if p.n_communities == rp.n_communities:
@@ -314,12 +369,14 @@ def _iterate_once(h, rp, chain, labels, eta=1.0):
     quadratic = h.is_pure_quadratic()
     spectra, deltas = [], []
     for l in range(p.n_communities):
-        objective = local_iteration_objective(rd, l)
+        objective = rd.rp.local_objective(rd.members[l])
         delta = iteration_delta(rd, l, quadratic)
         deltas.append(delta)
         spectra.append(enumerate_low_exhaustive(objective, delta, eta))
-    encodings = [encode_community(s, delta=deltas[l]) for l, s in enumerate(spectra)]
-    new_rp = build_reduced_iter(rd, encodings)
+    encodings = [
+        encode_community(s, padding, delta=deltas[l]) for l, s in enumerate(spectra)
+    ]
+    new_rp = build_reduced_iter(rd, encodings, compute_chi)
     chain.levels.append(ChainLevel(tuple(rd.members), tuple(encodings)))
     return new_rp
 
@@ -414,6 +471,29 @@ class TestIteration:
                     assert count >= previous
                     previous = count
 
+    @given(
+        seed=st.integers(0, 10**6),
+        pubo=st.booleans(),
+        padding=st.sampled_from(["repeat", "penalty"]),
+        compute_chi=st.booleans(),
+        eta=st.sampled_from([0.4, 1.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_master_identity_property(self, seed, pubo, padding, compute_chi, eta, data):
+        # level 1 and one iteration level under drawn partitions
+        n = 8
+        h = random_pubo(n, 12, seed, max_arity=3) if pubo else random_quadratic(n, 12, seed)
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        _, rp, chain = _level_one(h, labels, eta, padding, compute_chi)
+        check = _check_master_identity if padding == "repeat" else _check_penalty_identity
+        check(h, rp, chain, h.constant)
+        k = rp.n_communities
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+        rp2 = _iterate_once(h, rp, chain, labels, eta, padding, compute_chi)
+        if rp2 is not None:
+            check(h, rp2, chain, h.constant)
+
     @given(st.integers(0, 10**6), st.integers(0, 2**12 - 1))
     @settings(max_examples=40, deadline=None)
     def test_decode_identity_property(self, seed, joint_bits):
@@ -475,7 +555,9 @@ class TestIteration:
 
 
 def _meshgrid_range(rp, footprints, touched):
-    grids = np.meshgrid(*[rp.valid_indices(c) for c in touched], indexing="ij")
+    # only unpadded indices: the range must not depend on the padding
+    valid = [np.flatnonzero(~np.array(rp.encodings[c].is_padded)) for c in touched]
+    grids = np.meshgrid(*valid, indexing="ij")
     position = {c: i for i, c in enumerate(touched)}
     total = np.zeros(grids[0].shape)
     for footprint in footprints:
