@@ -21,7 +21,6 @@ from .cutoff import EXACT_RANGE_VARS, decompose, delta_pubo, delta_two_body
 from .errors import DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import PolyHamiltonian, SpinConfig, flip_all, int_to_bits
 from .optimizer import (
-    SCAN_CEILING,
     OptimizerBudget,
     as_objective,
     enumerate_low_exhaustive,
@@ -346,12 +345,10 @@ def _enumerate_and_encode(objectives, deltas, preference, budget, level, partiti
 def _solve_objective(objective, cfg, preference, budget, seed, context):
     backend = _pick_backend(preference, objective.n_vars, cfg.brute_force_ceiling)
     if backend == "exhaustive":
-        if objective.n_vars > SCAN_CEILING:
-            raise ResourceError(
-                f"{context}: exhaustive solve over {objective.n_vars} variables "
-                f"exceeds the {SCAN_CEILING}-variable scan ceiling"
-            )
-        return scan_minimum(objective)
+        try:
+            return scan_minimum(objective)
+        except ResourceError as exc:
+            raise ResourceError(f"{context}: {exc}") from exc
     return solve_ground_objective(
         objective, replace(budget, seed=seed), ceiling=0
     )

@@ -29,6 +29,11 @@ MAX_TABLE_VARS = 24
 # Bit-mask vectorization uses int64 state integers.
 _MASK_VARS = 62
 
+# Entries per block of vectorized work: energy slabs of exhaustive scans,
+# (terms, states) parity matrices, blocks of composed coupling tables. Small
+# enough that a block's temporaries stay in the L2 cache.
+SLAB_ENTRIES = 1 << 16
+
 
 def spin(bit: int) -> int:
     """Z eigenvalue of a bit value."""
@@ -136,16 +141,25 @@ class PolyHamiltonian:
         return masks, coeffs
 
     def energies(self, states: np.ndarray) -> np.ndarray:
-        """Vectorized energies for an array of packed state integers."""
+        """Vectorized energies for an array of packed state integers.
+
+        Each term's signed values for a block of states come from one
+        (terms, states) parity matrix of about ``SLAB_ENTRIES`` entries, and
+        are added onto zeros one term at a time, in sorted term order.
+        """
         if self.n_vars > _MASK_VARS:
             return np.array([self.evaluate(int_to_bits(int(s), self.n_vars)) for s in states])
         states = np.asarray(states, dtype=np.int64)
-        out = np.zeros(states.shape, dtype=np.float64)
+        flat = states.ravel()
+        out = np.zeros(flat.shape, dtype=np.float64)
         masks, coeffs = self._term_arrays
-        for mask, coeff in zip(masks, coeffs):
-            parity = np.bitwise_count(states & mask) & 1
-            out += coeff * (1.0 - 2.0 * parity)
-        return out
+        step = max(1, SLAB_ENTRIES // max(1, masks.size))
+        for lo in range(0, flat.size, step):
+            parity = np.bitwise_count(flat[lo:lo + step] & masks[:, None]) & 1
+            block = out[lo:lo + step]
+            for signed in coeffs[:, None] * (1.0 - 2.0 * parity):
+                block += signed
+        return out.reshape(states.shape)
 
     # -- conversions ------------------------------------------------------
 

@@ -5,13 +5,23 @@ interface: compiled polynomial Hamiltonians and the table-backed reduced
 objectives produced by the reduction stage. An objective exposes
 
   - ``n_vars``: number of binary variables,
+  - ``scan_chunks()``: energies of all 2^n packed states in index order, as
+    (first state, energies) chunks, which the exhaustive scans read,
   - ``energies_of(states)``: vectorized energies for packed state integers,
-    used by the exhaustive scans and to re-check every spectrum,
+    which re-check every spectrum independently of the scan,
   - a batched replica interface for annealing, where a replica state is an
     array with one row per replica in an objective-specific layout:
     ``replicas(starts)`` builds it from Python-int start states,
     ``flipped(states, j)`` returns a copy with variable ``j[r]`` of replica
     r flipped, and ``replica_energies(states)`` evaluates every replica.
+
+A polynomial objective's chunks evaluate its terms on blocks of states. A
+table objective's chunks are slabs of its register product grid: register k
+on axis K-1-k, so a grid point's C-order flat index is its packed state,
+and each energy or coupling table is broadcast-added onto the slab in the
+order ``energies_of`` adds it, so the two agree bit for bit. An exhaustive
+window is one pass: each chunk keeps its states inside the window of the
+running minimum, and the kept states are filtered against the final one.
 
 One annealing kernel runs a round's chains in lockstep on that interface.
 The sampled enumerator stands in for a quantum optimizer: each round's
@@ -29,15 +39,13 @@ import numpy as np
 
 from .cutoff import Window, window as make_window
 from .errors import DomainError, InternalError, ResourceError
-from .hamiltonian import PolyHamiltonian, SpinConfig, bits_to_int, int_to_bits
+from .hamiltonian import SLAB_ENTRIES, PolyHamiltonian, SpinConfig, bits_to_int, int_to_bits
 
 # Hard cap for exhaustive scans (2^n energy evaluations, chunked).
 SCAN_CEILING = 30
 
 # Packed state integers are int64; spectra and penalties need them.
 MAX_PACKED_VARS = 62
-
-_CHUNK = 1 << 20
 
 # Geometric cooling schedule shared by all annealing chains.
 _T_START = 2.0
@@ -103,24 +111,39 @@ class LocalSpectrum:
 def build_spectrum(objective, found: dict[int, float], win: Window, complete: bool) -> LocalSpectrum:
     """Validate, sort, and freeze an enumerated state set.
 
-    Every energy is re-checked against the objective and against the window
-    on construction; disagreement is a bug, not bad input.
+    Every energy is re-checked against the objective's ``energies_of`` and
+    against the window on construction; disagreement is a bug, not bad
+    input. States sort by energy, then by bit 0, bit 1, and so on.
     """
-    if not found:
+    states = np.fromiter(found.keys(), dtype=np.int64, count=len(found))
+    claimed = np.fromiter(found.values(), dtype=np.float64, count=len(found))
+    return _freeze(objective, states, claimed, win, complete)
+
+
+def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, complete: bool) -> LocalSpectrum:
+    """``build_spectrum`` on distinct packed states and their energies."""
+    if states.size == 0:
         raise InternalError("empty spectrum: the window always contains the running minimum")
     _check_packable(objective, "a spectrum")
     n = objective.n_vars
-    states_arr = np.fromiter(found.keys(), dtype=np.int64, count=len(found))
-    recomputed = objective.energies_of(states_arr)
-    entries: list[tuple[SpinConfig, float]] = []
-    for bits_int, claimed, actual in zip(found.keys(), found.values(), recomputed):
-        if abs(claimed - float(actual)) > 1e-9 * max(1.0, abs(claimed)):
-            raise InternalError(f"stored energy {claimed} disagrees with evaluation {actual}")
-        if not win.contains(claimed):
-            raise InternalError(f"state energy {claimed} lies outside the window {win}")
-        entries.append((int_to_bits(bits_int, n), claimed))
-    entries.sort(key=lambda item: (item[1], item[0]))
+    actual = objective.energies_of(states)
+    wrong = np.abs(claimed - actual) > 1e-9 * np.maximum(1.0, np.abs(claimed))
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise InternalError(f"stored energy {claimed[i]} disagrees with evaluation {actual[i]}")
+    outside = ~_inside(claimed, win)
+    if outside.any():
+        raise InternalError(f"state energy {claimed[np.argmax(outside)]} lies outside the window {win}")
+    bits = (states[:, None] >> np.arange(n)) & 1
+    # bit 0 is the most significant digit of the tie-break key
+    order = np.lexsort((bits @ (1 << np.arange(n - 1, -1, -1)), claimed))
+    entries = zip(map(tuple, bits[order].tolist()), claimed[order].tolist())
     return LocalSpectrum(tuple(entries), win, complete, n)
+
+
+def _inside(energies: np.ndarray, win: Window) -> np.ndarray:
+    """Vectorized ``Window.contains``."""
+    return (energies >= win.lo - win.tol) & (energies <= win.hi + win.tol)
 
 
 # -- objectives ------------------------------------------------------------
@@ -136,15 +159,21 @@ class PolyObjective:
         _check_packable(h, "a polynomial objective")
         self.h = h
         self.n_vars = h.n_vars
-        subsets = sorted(h.terms)
-        self.coeffs = np.array([h.terms[s] for s in subsets], dtype=np.float64)
-        self.masks = np.array([sum(1 << j for j in s) for s in subsets], dtype=np.int64)
+        self.masks, self.coeffs = h._term_arrays
 
     def energies_of(self, states: np.ndarray) -> np.ndarray:
         return self.h.energies(states)
 
     def energy_of(self, bits_int: int) -> float:
         return float(self.h.energies(np.array([bits_int], dtype=np.int64))[0])
+
+    def scan_chunks(self):
+        """Energies of all packed states in index order, as (first state,
+        energies) chunks of up to ``SLAB_ENTRIES`` consecutive states."""
+        total = 1 << self.n_vars
+        for start in range(0, total, SLAB_ENTRIES):
+            stop = min(start + SLAB_ENTRIES, total)
+            yield start, self.energies_of(np.arange(start, stop, dtype=np.int64))
 
     def replicas(self, starts) -> np.ndarray:
         return np.array(starts, dtype=np.int64)
@@ -175,21 +204,18 @@ def _check_scan(objective, ceiling: int) -> None:
         )
 
 
-def _scan_chunks(objective):
-    total = 1 << objective.n_vars
-    for start in range(0, total, _CHUNK):
-        states = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield states, objective.energies_of(states)
-
-
 def scan_minimum(objective) -> tuple[int, float]:
-    """Lowest-energy state by full enumeration (lowest index wins ties)."""
+    """Lowest-energy state by full enumeration (lowest index wins ties).
+
+    Refuses more than ``SCAN_CEILING`` variables with ResourceError.
+    """
+    _check_scan(objective, SCAN_CEILING)
     best_bits, best_e = 0, math.inf
-    for states, energies in _scan_chunks(objective):
+    for start, energies in objective.scan_chunks():
         pos = int(np.argmin(energies))
         if energies[pos] < best_e:
             best_e = float(energies[pos])
-            best_bits = int(states[pos])
+            best_bits = start + pos
     return best_bits, best_e
 
 
@@ -197,20 +223,40 @@ def enumerate_window_exhaustive(h, win: Window, ceiling: int = SCAN_CEILING) -> 
     """Every configuration whose energy lies in the given window."""
     objective = as_objective(h)
     _check_scan(objective, ceiling)
-    found: dict[int, float] = {}
-    for states, energies in _scan_chunks(objective):
-        inside = (energies >= win.lo - win.tol) & (energies <= win.hi + win.tol)
-        for bits_int, energy in zip(states[inside], energies[inside]):
-            found[int(bits_int)] = float(energy)
-    return build_spectrum(objective, found, win, complete=True)
+    kept_states, kept_energies = [], []
+    for start, energies in objective.scan_chunks():
+        inside = np.flatnonzero(_inside(energies, win))
+        kept_states.append(start + inside)
+        kept_energies.append(energies[inside])
+    return _freeze(objective, np.concatenate(kept_states), np.concatenate(kept_energies), win, True)
 
 
 def enumerate_low_exhaustive(h, delta: float, eta: float, ceiling: int = SCAN_CEILING) -> LocalSpectrum:
-    """Exhaustive [E0, E0 + eta * delta] enumeration; E0 found by the scan."""
+    """Exhaustive [E0, E0 + eta * delta] enumeration in one pass.
+
+    Each chunk keeps its states inside the window of the running minimum
+    (with doubled tolerance, which absorbs the rounding of its upper edge).
+    That window contains every state of the final one, because E0 is at most
+    the running minimum and the tolerance grows with |E0| by far less than
+    E0 falls below it. The kept states are then filtered against the final
+    window, so the result equals a scan for E0 followed by a window scan.
+    """
     objective = as_objective(h)
     _check_scan(objective, ceiling)
-    _, e0 = scan_minimum(objective)
-    return enumerate_window_exhaustive(objective, make_window(e0, delta, eta), ceiling)
+    e0 = math.inf
+    kept_states, kept_energies = [], []
+    for start, energies in objective.scan_chunks():
+        pos = int(np.argmin(energies))
+        if energies[pos] < e0:
+            e0 = float(energies[pos])
+        running = make_window(e0, delta, eta)
+        keep = np.flatnonzero(energies <= running.hi + 2.0 * running.tol)
+        kept_states.append(start + keep)
+        kept_energies.append(energies[keep])
+    win = make_window(e0, delta, eta)
+    states, energies = np.concatenate(kept_states), np.concatenate(kept_energies)
+    inside = _inside(energies, win)
+    return _freeze(objective, states[inside], energies[inside], win, True)
 
 
 # -- replica-batched annealing -------------------------------------------------

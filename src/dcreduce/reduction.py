@@ -13,7 +13,10 @@ whose table is its coefficient times the outer product of the Z eigenvalues
 straddling couplings under a partition of its communities and composes
 them through the new decode tables. Small couplings materialize into
 cached tables; large ones evaluate entry-wise through the composition, so
-only the entries a solver actually visits are ever computed. A
+only the entries a solver actually visits are ever computed. A table is
+composed in blocks of leading rows: each part's old table is gathered onto
+the new axes with one ``np.take`` per axis and added in place, in part
+order, so every entry equals its entry-wise value bit for bit. A
 parity-basis polynomial conversion is available for consumers that need
 operator form.
 """
@@ -23,14 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce as functools_reduce
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .clustering import Partition, WeightedGraph
 from .cutoff import EXACT_RANGE_VARS, CommunityDecomposition
 from .errors import DimensionError, InternalError, ParameterError, ResourceError
-from .hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, SpinConfig, bits_to_int
+from .hamiltonian import MAX_TABLE_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, bits_to_int
 from .optimizer import LocalSpectrum
 
 # Refuse to materialize coupling tables beyond this entry count.
@@ -112,7 +115,11 @@ class Coupling:
     included, is composed. ``values`` gathers entries for aligned
     (broadcastable) index arrays without materializing anything; ``table``
     materializes and caches the full tensor, which only the exhaustive
-    paths and exact norms need. ``bound`` is the propagated sum of |coeff|:
+    paths and exact norms need. It adds the parts onto one zero table in
+    part order, about ``SLAB_ENTRIES`` entries of leading rows at a time:
+    a materialized old table is gathered with ``np.take`` along each axis
+    (old axes on one new axis merged first), any other through ``values``
+    on the block's open grid. ``bound`` is the propagated sum of |coeff|:
     the largest |entry| of a given table, the sum of the parts' bounds for
     a composed coupling.
     """
@@ -142,8 +149,66 @@ class Coupling:
     def table(self) -> np.ndarray:
         if self._table is None:
             _guard_table(self.shape)
-            self._table = self.values(np.ix_(*map(np.arange, self.shape)))
+            self._table = self._compose()
         return self._table
+
+    def _compose(self) -> np.ndarray:
+        """The parts added in order onto one zero table, so each entry is
+        the sum ``values`` forms for it. Parts that vary along axis 0 are
+        added a block of about ``SLAB_ENTRIES`` leading rows at a time."""
+        out = np.zeros(self.shape)
+        rows = max(1, SLAB_ENTRIES // math.prod(self.shape[1:]))
+        for old, gathers in self.parts:
+            if old._table is None:
+                for r0 in range(0, self.shape[0], rows):
+                    grids = np.ix_(np.arange(r0, min(r0 + rows, self.shape[0])),
+                                   *map(np.arange, self.shape[1:]))
+                    out[r0:r0 + rows] += old.values([g[grids[axis]] for axis, g in gathers])
+                continue
+            gathered, row_of = _gather_part(old._table, gathers, len(self.shape))
+            if row_of is None:
+                out += gathered
+                continue
+            for r0 in range(0, self.shape[0], rows):
+                out[r0:r0 + rows] += gathered.take(row_of[r0:r0 + rows], axis=0)
+        return out
+
+
+def _gather_part(table: np.ndarray, gathers, ndim: int):
+    """One part's old table gathered onto every new axis but axis 0, which
+    keeps old rows: all of them, or only the used ones when they outnumber
+    the new rows, so the result is never larger than the new table.
+
+    The old table is transposed so that old axes mapping to the same new
+    axis are adjacent, and those axes are merged (their gathers through
+    ``ravel_multi_index``). Each new axis is then gathered with one
+    ``np.take``; new axes the part does not touch get length 1. Returns the
+    gathered array and, per new row, its row in that array (None when the
+    part does not touch axis 0 and broadcasts along it).
+    """
+    order = sorted(range(len(gathers)), key=lambda i: gathers[i][0])
+    merged: dict[int, list[int]] = {}
+    for i in order:
+        merged.setdefault(gathers[i][0], []).append(i)
+    out = table.transpose(order).reshape(
+        [math.prod(table.shape[i] for i in olds) for olds in merged.values()]
+    )
+    row_of = None
+    for j, (axis, olds) in enumerate(merged.items()):
+        if len(olds) == 1:
+            gather = gathers[olds[0]][1]
+        else:
+            gather = np.ravel_multi_index([gathers[i][1] for i in olds],
+                                          [table.shape[i] for i in olds])
+        if axis == 0:
+            if out.shape[0] <= gather.size:
+                row_of = gather
+                continue
+            gather, row_of = np.unique(gather, return_inverse=True)
+        out = out.take(gather, axis=j)
+    if len(merged) < ndim:
+        out = out[tuple(slice(None) if a in merged else None for a in range(ndim))]
+    return out, row_of
 
 
 # Tables at or below this entry count are materialized inside objectives
@@ -207,6 +272,56 @@ class TableObjective:
 
     def energy_of(self, bits_int: int) -> float:
         return float(self.energies_of(np.array([bits_int], dtype=np.int64))[0])
+
+    def scan_chunks(self):
+        """Energies of all packed states in index order, as (first state,
+        energies) slabs of up to ``SLAB_ENTRIES`` consecutive states.
+
+        The states form the product grid of the registers, register k on
+        axis K-1-k, so a grid point's C-order flat index is its packed
+        state. A slab fixes the registers above its low bits, may cut inside
+        one register's axis, and spans the ones below. Every energy table,
+        then every coupling, is broadcast-added onto zeros in the order of
+        ``energies_of``, so each entry is bit-identical to it. Materialized
+        tables are read through slices; other couplings through ``values``
+        on broadcast ``arange`` views of the slab.
+        """
+        total = 1 << self.n_vars
+        size = min(SLAB_ENTRIES, total)
+        low = size.bit_length() - 1
+        # bits of registers 0 .. ndim-1 that vary inside one slab
+        widths = [min(m, low - off) for off, m in zip(self.offsets, self.m_list) if off < low]
+        ndim = len(widths)
+        terms = [((k,), table) for k, table in enumerate(self.energy_tables)]
+        terms += [(pos, c if c._table is None else c._table) for pos, c in self.couplings]
+        plans = []
+        for pos, term in terms:
+            if isinstance(term, Coupling):
+                plans.append((term, pos))
+                continue
+            # Axes in descending register order: the fixed registers, then
+            # the slab's axes in order, with None for a slab axis not in pos.
+            order = sorted(range(len(pos)), key=lambda i: -pos[i])
+            slots = [pos[i] for i in order if pos[i] >= ndim]
+            slots += [ndim - 1 - a if ndim - 1 - a in pos else None for a in range(ndim)]
+            plans.append((term.transpose(order), slots))
+        lazy = any(isinstance(term, Coupling) for term, _ in plans)
+        for start in range(0, total, size):
+            first = [int(i) for i in self.indices_of(start)]
+            select = [slice(first[k], first[k] + (1 << w)) for k, w in enumerate(widths)]
+            if lazy:
+                grids = [
+                    np.arange(s.start, s.stop).reshape([-1 if a == ndim - 1 - k else 1 for a in range(ndim)])
+                    for k, s in enumerate(select)
+                ] + first[ndim:]
+            select += first[ndim:]
+            out = np.zeros([1 << w for w in reversed(widths)])
+            for term, slots in plans:
+                if isinstance(term, Coupling):
+                    out += term.values([grids[p] for p in slots])
+                else:
+                    out += term[tuple(None if r is None else select[r] for r in slots)]
+            yield start, out.ravel()
 
     def replicas(self, starts) -> np.ndarray:
         return np.array(
@@ -281,6 +396,7 @@ class ReducedProblem:
         """
         fields = [0.0] * h.n_vars
         couplings = {}
+        signs = {}
         for subset, coeff in h.terms.items():
             if len(subset) == 1:
                 fields[subset[0]] = coeff
@@ -290,7 +406,9 @@ class ReducedProblem:
                     f"{MAX_TABLE_VARS}-variable truth-table cap"
                 )
             elif subset:
-                table = coeff * functools_reduce(np.multiply.outer, [_SPINS] * len(subset))
+                if len(subset) not in signs:
+                    signs[len(subset)] = functools_reduce(np.multiply.outer, [_SPINS] * len(subset))
+                table = coeff * signs[len(subset)]
                 couplings[subset] = Coupling(table.shape, table=table)
         encodings = [
             EncodedCommunity(1, ((0,), (1,)), (f, -f), (False, False), "repeat", 2, 1)
@@ -317,7 +435,8 @@ class ReducedProblem:
         coupling = self.couplings[tuple(footprint)]
         if not self.compute_chi or not coupling.can_materialize:
             return coupling.bound
-        return float(np.abs(coupling.table()).max())
+        table = coupling.table()
+        return float(max(table.max(), -table.min()))  # no |table| temporary
 
     def energy_of_indices(self, idx) -> float:
         """Reduced energy of a joint index tuple (constant excluded)."""
@@ -507,7 +626,8 @@ def _member_gathers(rd: ReducedDecomposition, encodings) -> dict[int, np.ndarray
     super-community encoding that contains it."""
     out = {}
     for enc, member_ids in zip(encodings, rd.members):
-        bits = np.array(enc.decode, dtype=np.intp)
+        bits = np.frombuffer(bytes(chain.from_iterable(enc.decode)), dtype=np.uint8)
+        bits = bits.reshape(len(enc.decode), -1)
         offset = 0
         for c in member_ids:
             m = rd.rp.encodings[c].m_tilde

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcreduce.hamiltonian as hamiltonian_module
 from dcreduce.errors import DimensionError, DomainError, FormatError
 from dcreduce.hamiltonian import (
     PolyHamiltonian,
@@ -48,6 +49,20 @@ class TestEvaluate:
             h = random_pubo(9, 14, seed)
             states = np.arange(1 << 9)
             np.testing.assert_allclose(h.energies(states), spin_energies(h), atol=1e-12)
+
+    @pytest.mark.parametrize("slab", [1, 7, 1 << 16])
+    def test_energies_bit_identical_to_term_loop(self, monkeypatch, slab):
+        # blocked parity matrices add the terms in the order of the per-term loop
+        monkeypatch.setattr(hamiltonian_module, "SLAB_ENTRIES", slab)
+        for seed in range(4):
+            h = PolyHamiltonian.from_terms(10, [*random_pubo(10, 30, seed + 90).terms.items(), ((), 0.3)])
+            states = np.arange(1 << 10, dtype=np.int64).reshape(32, 32)
+            expected = np.zeros(states.shape)
+            for subset in sorted(h.terms):
+                parity = np.bitwise_count(states & sum(1 << j for j in subset)) & 1
+                expected += h.terms[subset] * (1.0 - 2.0 * parity)
+            got = h.energies(states)
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
     @given(st.integers(0, 2**6 - 1), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

@@ -9,9 +9,11 @@ import dcreduce.optimizer as optimizer_module
 import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition
 from dcreduce.cutoff import Window, decompose, delta_two_body, window
+from dcreduce.driver import RunConfig, _solve_objective, brute_force_reference
 from dcreduce.errors import InternalError, ResourceError
 from dcreduce.hamiltonian import PolyHamiltonian, bits_to_int
 from dcreduce.optimizer import (
+    SCAN_CEILING,
     LocalSpectrum,
     OptimizerBudget,
     PolyObjective,
@@ -68,6 +70,61 @@ class TestExhaustive:
         h = PolyHamiltonian(8, {(0, 1): 1.0})
         with pytest.raises(ResourceError):
             enumerate_window_exhaustive(h, Window(-1.0, 1.0, 1e-9), ceiling=6)
+
+    @pytest.mark.parametrize("slab", [4, 1 << 16])
+    def test_one_pass_matches_scan_then_window(self, monkeypatch, slab):
+        # small chunks: the running minimum falls from chunk to chunk, so
+        # early chunks keep states that the final window drops
+        monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
+        monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
+        d = decompose(random_quadratic(10, 18, 41), Partition.from_labels([0] * 5 + [1] * 5))
+        encodings = [
+            encode_community(enumerate_low_exhaustive(d.local_poly(i), delta_two_body(d, i), 1.0))
+            for i in range(2)
+        ]
+        objectives = [random_quadratic(10, 18, 40), build_reduced(d, encodings).full_objective()]
+        for objective in objectives:
+            for delta, eta in ((0.0, 1.0), (1.3, 0.5), (2.5, 1.0)):
+                _, e0 = optimizer_module.scan_minimum(as_objective(objective))
+                expected = enumerate_window_exhaustive(objective, window(e0, delta, eta))
+                assert enumerate_low_exhaustive(objective, delta, eta) == expected
+
+
+class _FixedScan:
+    """Objective of a given size with fixed chunks, or none that may be read."""
+
+    def __init__(self, n_vars, chunks=None):
+        self.n_vars = n_vars
+        self.chunks = chunks
+
+    def scan_chunks(self):
+        if self.chunks is None:
+            raise AssertionError("the scan started")
+        return iter(self.chunks)
+
+
+class TestScanCeiling:
+    def test_at_the_ceiling_the_scan_runs(self):
+        objective = _FixedScan(SCAN_CEILING, [(0, np.array([3.0, 1.0])), (2, np.array([1.0, -2.0]))])
+        assert optimizer_module.scan_minimum(objective) == (3, -2.0)
+
+    def test_above_the_ceiling_no_scan_starts(self):
+        with pytest.raises(ResourceError, match="31 variables"):
+            optimizer_module.scan_minimum(_FixedScan(SCAN_CEILING + 1))
+
+    def test_brute_force_reference_refuses(self):
+        h = PolyHamiltonian(SCAN_CEILING + 1, {(0, 1): 1.0})
+        with pytest.raises(ResourceError):
+            brute_force_reference(h)
+
+    def test_recombined_solve_adds_context(self):
+        def solve(objective):
+            cfg = RunConfig(brute_force_ceiling=40)
+            return _solve_objective(objective, cfg, "auto", OptimizerBudget(), 0, "recombined solve")
+
+        assert solve(_FixedScan(SCAN_CEILING, [(0, np.array([0.5, -0.5]))])) == (1, -0.5)
+        with pytest.raises(ResourceError, match="^recombined solve: exhaustive scan over 31"):
+            solve(_FixedScan(SCAN_CEILING + 1))
 
 
 class TestSpectrumValidation:

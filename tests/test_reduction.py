@@ -16,11 +16,15 @@ from dcreduce.cutoff import decompose, delta_pubo, delta_two_body
 from dcreduce.errors import ParameterError
 from dcreduce.hamiltonian import PolyHamiltonian
 from dcreduce.optimizer import enumerate_low_exhaustive
+import dcreduce.reduction as reduction_module
 from dcreduce.reduction import (
     ChainLevel,
     _coupling_range,
+    Coupling,
     DecodeChain,
+    EncodedCommunity,
     ReducedProblem,
+    TableObjective,
     build_reduced,
     build_reduced_iter,
     decompose_reduced,
@@ -583,3 +587,161 @@ class TestCouplingRange:
                 touched = sorted({c for fp in subset for c in fp})
                 assert _coupling_range(rp, subset, touched) == _meshgrid_range(rp, subset, touched)
         assert hyper and padded
+
+
+# -- grid kernels: slab scans and blocked coupling composition ------------------
+
+
+def _bits(values):
+    """Raw IEEE-754 bits: equal bits mean bit-identical, signed zeros included."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _assert_scan_matches(objective):
+    starts, slabs = zip(*objective.scan_chunks())
+    assert list(starts) == np.cumsum([0] + [len(s) for s in slabs[:-1]]).tolist()
+    states = np.arange(1 << objective.n_vars, dtype=np.int64)
+    np.testing.assert_array_equal(_bits(np.concatenate(slabs)), _bits(objective.energies_of(states)))
+
+
+def _assert_tables_match(rp):
+    """Every coupling's table equals ``values`` on the full open grid of a
+    fresh coupling with the same parts, bit for bit."""
+    for coupling in rp.couplings.values():
+        fresh = Coupling(coupling.shape, parts=coupling.parts)
+        expected = fresh.values(np.ix_(*map(np.arange, coupling.shape)))
+        np.testing.assert_array_equal(_bits(coupling.table()), _bits(expected))
+
+
+# Table entries: signed zeros, and values whose sums round, so that adding
+# in another order changes bits.
+_GRID_VALUES = np.array([-1.5, -0.3, -0.0, 0.0, 0.1, 0.7, 2.0 / 3.0])
+
+
+def _random_encoding(rng, width):
+    """Encoding of a random register whose decode entries have ``width`` bits."""
+    m = int(rng.integers(1, 4))
+    decode = tuple(tuple(rng.integers(0, 2, width).tolist()) for _ in range(1 << m))
+    energies = tuple(rng.choice(_GRID_VALUES, 1 << m).tolist())
+    return EncodedCommunity(m, decode, energies, (False,) * (1 << m), "repeat", 1 << m, width)
+
+
+def _random_reduced(rng, k):
+    encodings = [_random_encoding(rng, 1) for _ in range(k)]
+    couplings = {}
+    for _ in range(int(rng.integers(1, 2 * k + 1))):
+        size = int(rng.integers(2, min(k, 3) + 1))
+        footprint = tuple(sorted(rng.choice(k, size, replace=False).tolist()))
+        shape = tuple(encodings[c].d_tilde for c in footprint)
+        couplings[footprint] = Coupling(shape, table=rng.choice(_GRID_VALUES, shape))
+    return ReducedProblem(encodings, couplings, False, 0)
+
+
+def _random_next(rng, rp):
+    """The next level under a random coarser grouping, with random decode
+    tables; couplings stay unmaterialized."""
+    labels = rng.integers(0, max(1, rp.n_communities - 1), rp.n_communities).tolist()
+    rd = decompose_reduced(rp, Partition.from_labels(labels))
+    encodings = [
+        _random_encoding(rng, sum(rp.encodings[c].m_tilde for c in members))
+        for members in rd.members
+    ]
+    return build_reduced_iter(rd, encodings, compute_chi=False)
+
+
+class TestGridKernels:
+    """``TableObjective.scan_chunks`` equals ``energies_of`` and
+    ``Coupling.table`` equals ``values`` on the open grid, bit for bit."""
+
+    @pytest.mark.parametrize("slab", [2, 16, 1 << 16])
+    @pytest.mark.parametrize("padding", ["repeat", "penalty"])
+    def test_scan_matches_energies_of(self, monkeypatch, slab, padding):
+        # slab 2 cuts inside every register wider than one qubit
+        monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
+        padded = 0
+        for seed in range(3):
+            h = random_pubo(10, 22, seed + 600, max_arity=3)
+            _, rp, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.7, padding=padding)
+            _assert_scan_matches(rp.full_objective())
+            rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], eta=0.7, padding=padding)
+            _assert_scan_matches(rp2.full_objective())
+            padded += any(any(enc.is_padded) for enc in rp.encodings + rp2.encodings)
+        assert padded
+
+    @pytest.mark.parametrize("slab", [4, 1 << 16])
+    def test_scan_with_lazy_couplings(self, monkeypatch, slab):
+        monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
+        for seed in range(3):
+            h = random_quadratic(10, 18, seed + 620)
+            _, rp, _ = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2], compute_chi=False)
+            objective = rp.full_objective()
+            assert all(c._table is None for _, c in objective.couplings)
+            _assert_scan_matches(objective)
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_single_register(self, monkeypatch, m):
+        monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", 4)
+        rng = np.random.default_rng(m)
+        _assert_scan_matches(TableObjective([m], [rng.choice(_GRID_VALUES, 1 << m)], []))
+        # two registers, the low one wider than the slab, and a coupling
+        table = rng.choice(_GRID_VALUES, (1 << m, 4))
+        _assert_scan_matches(
+            TableObjective([m, 2], [rng.choice(_GRID_VALUES, 1 << m), np.zeros(4)], [((0, 1), table)])
+        )
+
+    @pytest.mark.parametrize("slab", [4, 1 << 16])
+    def test_table_merges_old_axes_of_one_community(self, monkeypatch, slab):
+        monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
+        merged = 0
+        for seed in range(4):
+            h = random_pubo(10, 24, seed + 640, max_arity=3)
+            _, rp, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.8, compute_chi=False)
+            for coupling in rp.couplings.values():
+                for _, gathers in coupling.parts:
+                    axes = [axis for axis, _ in gathers]
+                    merged += len(set(axes)) < len(axes)
+            _assert_tables_match(rp)
+            rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], eta=0.8)
+            _assert_tables_match(rp2)
+        assert merged
+
+    def test_table_from_unmaterialized_old_parts(self, monkeypatch):
+        lazy_parts = 0
+        for seed in range(4):
+            h = random_quadratic(12, 22, seed + 660)
+            with monkeypatch.context() as patch:
+                patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
+                _, rp, chain = _level_one(
+                    h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3], compute_chi=False
+                )
+                rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], compute_chi=False)
+            for coupling in rp2.couplings.values():
+                lazy_parts += sum(old._table is None for old, _ in coupling.parts)
+            _assert_tables_match(rp2)
+        assert lazy_parts
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(2, 5),
+        slab=st.sampled_from([1, 2, 8, 64, 1 << 16]),
+        materialize=st.sampled_from([0, 8, 1 << 22]),
+    )
+    def test_random_reduced_problems(self, seed, k, slab, materialize):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction_module, "SLAB_ENTRIES", slab)
+            patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", materialize)
+            rp = _random_reduced(rng, k)
+            rp2 = _random_next(rng, rp)
+            # materialize about half of the middle level, so the top level
+            # composes from both kinds of old part
+            for coupling in rp2.couplings.values():
+                if rng.random() < 0.5:
+                    coupling.table()
+            rp3 = _random_next(rng, rp2)
+            for level in (rp2, rp3):
+                _assert_tables_match(level)
+            for level in (rp, rp2, rp3):
+                _assert_scan_matches(level.full_objective())
