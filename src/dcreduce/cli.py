@@ -1,10 +1,12 @@
 """Command-line harness: solve, sweep, gen, and diagnostics.
 
 The sweep command reproduces the reduction/approximation experiments:
-one CSV row per (family, n, eta, seed) plus aggregate mean/std rows.
-Approximation ratios use the exhaustive oracle up to 30 variables and the
-eta = 1 run on the same instance beyond that. Sweep points are independent
-and seeded; DC_REDUCE_THREADS > 1 dispatches them to a process pool.
+one CSV row per (family, n, eta, seed) plus aggregate mean/std rows. A
+point that fails becomes one ``kind=error`` row per eta with its message in
+the ``error`` column. Approximation ratios use the exhaustive oracle up to
+30 variables and the eta = 1 run on the same instance beyond that. Sweep
+points are independent and seeded; DC_REDUCE_THREADS > 1 dispatches them to
+a process pool.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ ORACLE_VARS = 30
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
-_ROW_FIELDS = ("kind", "family", "n", "eta", "seed", "r", "alpha", "n_it", "n_q", "energy", "wall_ms")
+_ROW_FIELDS = (
+    "kind", "family", "n", "eta", "seed", "r", "alpha", "n_it", "n_q", "energy", "wall_ms", "error",
+)
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,36 @@ def _sweep_task(task: tuple) -> list[dict]:
     return rows
 
 
+def _error_rows(task: tuple, exc: Exception) -> list[dict]:
+    """One ``kind=error`` row per eta of a failed sweep point."""
+    label, n, seed, etas = task[:4]
+    message = f"{type(exc).__name__}: {exc}"
+    return [
+        {"kind": "error", "family": label, "n": n, "eta": eta, "seed": seed, "error": message}
+        for eta in etas
+    ]
+
+
+def _worker_count() -> int:
+    """DC_REDUCE_THREADS as a positive number of worker processes (1 if unset)."""
+    text = os.environ.get("DC_REDUCE_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ParameterError(f"DC_REDUCE_THREADS must be a positive integer, got {text!r}")
+    return workers
+
+
 def run_sweep(spec: SweepSpec, log=None) -> list[dict]:
-    """Execute a sweep; returns row dicts (aggregates included at the end)."""
+    """Execute a sweep; returns row dicts (aggregates included at the end).
+
+    A failed point is logged and becomes ``kind=error`` rows. Raises
+    ParameterError for a DC_REDUCE_THREADS that is not a positive integer.
+    """
     log = log if log is not None else (lambda msg: print(msg, file=sys.stderr))
+    workers = _worker_count()
     tasks = [
         (label, n, spec.seed0 + i, tuple(spec.etas), spec.optimizer,
          spec.padding, spec.compute_chi, spec.max_iterations)
@@ -124,7 +155,6 @@ def run_sweep(spec: SweepSpec, log=None) -> list[dict]:
         for n in spec.sizes
         for i in range(spec.instances)
     ]
-    workers = int(os.environ.get("DC_REDUCE_THREADS", "1"))
     rows: list[dict] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -134,12 +164,14 @@ def run_sweep(spec: SweepSpec, log=None) -> list[dict]:
                     rows.extend(future.result())
                 except Exception as exc:  # a failed point must not kill the sweep
                     log(f"sweep point {task[:3]} failed: {exc}")
+                    rows.extend(_error_rows(task, exc))
     else:
         for task in tasks:
             try:
                 rows.extend(_sweep_task(task))
             except Exception as exc:
                 log(f"sweep point {task[:3]} failed: {exc}")
+                rows.extend(_error_rows(task, exc))
     rows.extend(_aggregate(rows))
     if spec.out:
         write_rows(rows, spec.out)
@@ -259,9 +291,9 @@ def _cmd_sweep(args) -> int:
             max_iterations=args.max_iters,
             out=args.out,
         )
+        rows = run_sweep(spec)
     except ParameterError as exc:
         return _fail(exc, EXIT_INPUT)
-    rows = run_sweep(spec)
     if not args.out:
         writer = csv.writer(sys.stdout)
         writer.writerow(_ROW_FIELDS)

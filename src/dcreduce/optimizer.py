@@ -11,9 +11,11 @@ objectives produced by the reduction stage. An objective exposes
     which re-check every spectrum independently of the scan,
   - a batched replica interface for annealing, where a replica state is an
     array with one row per replica in an objective-specific layout:
-    ``replicas(starts)`` builds it from Python-int start states,
-    ``flipped(states, j)`` returns a copy with variable ``j[r]`` of replica
-    r flipped, and ``replica_energies(states)`` evaluates every replica.
+    ``replicas(starts)`` builds it from start states (Python ints, or an
+    int64 array when they fit), ``flipped(states, j)`` returns a copy with
+    variable ``j[r]`` of replica r flipped, ``replica_energies(states)``
+    evaluates every replica, and ``replica_terms`` counts the terms that
+    evaluation sums per replica.
 
 A polynomial objective's chunks evaluate its terms on blocks of states. A
 table objective's chunks are slabs of its register product grid: register k
@@ -23,11 +25,16 @@ order ``energies_of`` adds it, so the two agree bit for bit. An exhaustive
 window is one pass: each chunk keeps its states inside the window of the
 running minimum, and the kept states are filtered against the final one.
 
-One annealing kernel runs a round's chains in lockstep on that interface.
-The sampled enumerator stands in for a quantum optimizer: each round's
-chains harvest low configurations under fixed additive penalties on the
-states found in earlier rounds, and rounds continue until no new in-window
-state appears.
+One annealing kernel runs a round's chains in lockstep. An objective with
+2^n <= ``SLAB_ENTRIES`` states (n <= 16) anneals on a dense table: its 2^n
+energies are evaluated once per call through ``replica_energies``, a replica
+is its packed state, and each step is an XOR and a gather of the energy and
+penalty of every proposal. Larger objectives anneal through the replica
+interface. Both paths take the same Metropolis decisions on the same
+numbers, so they visit the same states. The sampled enumerator stands in
+for a quantum optimizer: each round's chains harvest low configurations
+under fixed additive penalties on the states found in earlier rounds, and
+rounds continue until no new in-window state appears.
 """
 
 from __future__ import annotations
@@ -108,20 +115,13 @@ class LocalSpectrum:
         return tuple(e for _, e in self.states)
 
 
-def build_spectrum(objective, found: dict[int, float], win: Window, complete: bool) -> LocalSpectrum:
-    """Validate, sort, and freeze an enumerated state set.
+def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, complete: bool) -> LocalSpectrum:
+    """Validate, sort, and freeze distinct packed states and their energies.
 
     Every energy is re-checked against the objective's ``energies_of`` and
     against the window on construction; disagreement is a bug, not bad
     input. States sort by energy, then by bit 0, bit 1, and so on.
     """
-    states = np.fromiter(found.keys(), dtype=np.int64, count=len(found))
-    claimed = np.fromiter(found.values(), dtype=np.float64, count=len(found))
-    return _freeze(objective, states, claimed, win, complete)
-
-
-def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, complete: bool) -> LocalSpectrum:
-    """``build_spectrum`` on distinct packed states and their energies."""
     if states.size == 0:
         raise InternalError("empty spectrum: the window always contains the running minimum")
     _check_packable(objective, "a spectrum")
@@ -160,6 +160,7 @@ class PolyObjective:
         self.h = h
         self.n_vars = h.n_vars
         self.masks, self.coeffs = h._term_arrays
+        self.replica_terms = self.masks.size
 
     def energies_of(self, states: np.ndarray) -> np.ndarray:
         return self.h.energies(states)
@@ -291,17 +292,46 @@ def _penalty_of(keys: np.ndarray, values: np.ndarray, states: np.ndarray) -> np.
     return values[pos] * (keys[pos] == states)
 
 
-def _anneal(objective, starts, flips: np.ndarray, draws: np.ndarray, penalties=None):
+def _dense_table(objective) -> np.ndarray | None:
+    """The objective's energies of all 2^n packed states, or None when 2^n
+    exceeds ``SLAB_ENTRIES``; the one place that picks the annealing path.
+
+    The table is evaluated through ``replica_energies`` in blocks of about
+    ``SLAB_ENTRIES`` temporary entries. Each block has a power-of-two number
+    of rows, at least four: a BLAS matrix-vector product may sum a trailing
+    group of fewer than four rows in another order than full groups, so
+    every entry equals what the replica path computes in a round of a
+    multiple of four replicas, such as the default 16.
+    """
+    total = 1 << objective.n_vars
+    if total > SLAB_ENTRIES:
+        return None
+    per_block = max(1, SLAB_ENTRIES // max(1, objective.replica_terms))
+    rows = min(total, max(4, 1 << (per_block.bit_length() - 1)))
+    table = np.empty(total)
+    for start in range(0, total, rows):
+        block = objective.replicas(np.arange(start, start + rows, dtype=np.int64))
+        table[start:start + rows] = objective.replica_energies(block)
+    return table
+
+
+def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, penalties=None):
     """Run one round's chains in lockstep, one replica per chain on axis 0.
 
     Step s proposes flipping variable ``flips[s, r]`` of replica r and
     accepts by the Metropolis rule on the penalized energy change at the
-    shared geometric temperature. ``penalties`` is a (sorted keys, values)
-    pair over packed states, or None. Returns the energies after every step,
-    shape (steps + 1, R) with the start in row 0; the accept mask, shape
-    (steps, R); and, when penalties are given, the packed states in the
-    energies' layout (else None). Recorded energies are bare objective values.
+    shared geometric temperature. ``table`` is ``_dense_table(objective)``;
+    when it is an array the round runs on it, and ``penalties``, if given,
+    is a dense array over all packed states. Otherwise the round runs
+    through the replica interface, and ``penalties`` is a (sorted keys,
+    values) pair over packed states, or None. Returns the energies after
+    every step, shape (steps + 1, R) with the start in row 0; the accept
+    mask, shape (steps, R); and the packed states in the energies' layout,
+    which the replica path records only when penalties are given (else
+    None). Recorded energies are bare objective values.
     """
+    if table is not None:
+        return _anneal_table(table, starts, flips, draws, penalties)
     steps = flips.shape[0]
     cool = (_T_END / _T_START) ** (1.0 / (steps - 1)) if steps > 1 else 1.0
     temperature = _T_START
@@ -336,43 +366,73 @@ def _anneal(objective, starts, flips: np.ndarray, draws: np.ndarray, penalties=N
     return energies, accepted, keys
 
 
+def _anneal_table(table: np.ndarray, starts, flips: np.ndarray, draws: np.ndarray, penalty=None):
+    """``_anneal`` on a dense energy table, taking the same decisions.
+
+    A replica is its packed state, and the trajectory is the (steps + 1, R)
+    array of states; the energies are gathered from it after the loop, and
+    a step was accepted exactly when it changed the state. The change is
+    ``((proposed - current) + p_new) - p_old`` as on the replica path. The
+    rule ``draw < exp(-delta / T)`` leaves out the ``max(delta, 0)`` of
+    ``_anneal``: for delta <= 0 the exponential is at least 1, or inf where
+    it overflows, so it accepts exactly when the clamped rule does.
+    """
+    steps, chains = flips.shape
+    cool = (_T_END / _T_START) ** (1.0 / (steps - 1)) if steps > 1 else 1.0
+    temperature = _T_START
+    keys = np.empty((steps + 1, chains), dtype=np.int64)
+    keys[0] = starts
+    key = keys[0]
+    masks = np.int64(1) << flips
+    current = table[key]
+    if penalty is not None:
+        current_penalty = penalty[key]
+    delta = np.empty(chains)
+    accept = np.empty(chains, dtype=bool)
+    with np.errstate(over="ignore"):
+        for mask, draw, following in zip(masks, draws, keys[1:]):
+            proposal = key ^ mask
+            np.subtract(table[proposal], current, out=delta)
+            if penalty is not None:
+                np.add(delta, penalty[proposal], out=delta)
+                np.subtract(delta, current_penalty, out=delta)
+            np.divide(delta, -temperature, out=delta)
+            np.less(draw, np.exp(delta, out=delta), out=accept)
+            following[...] = key
+            np.copyto(following, proposal, where=accept)
+            current = table[following]
+            if penalty is not None:
+                current_penalty = penalty[following]
+            key = following
+            temperature *= cool
+    return table[keys], keys[1:] != keys[:-1], keys
+
+
 # -- sampled enumeration ------------------------------------------------------
 
 
-def enumerate_window_sampled(h, win, budget: OptimizerBudget, veto=None) -> LocalSpectrum:
-    """Penalty-iteration enumeration of a window of the given width.
+def _sample_window(objective, width: float, tol: float, budget: OptimizerBudget, veto):
+    """Penalty-iteration sampling of the window of the given width.
 
-    ``win`` may be a Window (its width is used) or a bare width. Each round
-    runs ``samples_per_round`` annealing chains against the penalties fixed
-    at the round's start, then harvests them in chain order. The window
-    floor tracks the lowest energy measured so far; each state found inside
-    the moving window receives an additive penalty
-    ``p = width + c1 * |E| + c2`` so later rounds are pushed toward states
-    not seen yet. Rounds stop after ``stall_rounds`` rounds without a new
-    in-window state. The result is best-effort (``complete=False``).
-
-    ``veto(round_index, bits) -> bool`` optionally discards measured states,
-    which exists to exercise the recover-in-a-later-round behaviour.
+    Returns the distinct packed states and energies found inside the final
+    window, and that window, whose floor is the lowest energy found.
     """
-    objective = as_objective(h)
     _check_packable(objective, "sampled enumeration")
-    if isinstance(win, Window):
-        width = win.width
-        tol = win.tol
-    else:
-        width = float(win)
-        tol = 1e-9 * max(1.0, width)
     if width < 0.0:
         raise DomainError("window width must be non-negative")
     rng = np.random.default_rng(budget.seed)
+    table = _dense_table(objective)
+    if table is not None:
+        penalties = np.zeros(table.size)
+    else:
+        penalties = (np.empty(0, dtype=np.int64), np.empty(0))
     pool: dict[int, float] = {}
-    penalties = (np.empty(0, dtype=np.int64), np.empty(0))
     floor = math.inf
     rounds = 0
     stall = 0
     while rounds < budget.max_sweeps and stall < budget.stall_rounds:
         starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
-        energies, accepted, keys = _anneal(objective, starts, flips, draws, penalties)
+        energies, accepted, keys = _anneal(objective, table, starts, flips, draws, penalties)
         new_keys: list[int] = []
         new_values: list[float] = []
         for c in range(len(starts)):
@@ -392,7 +452,9 @@ def enumerate_window_sampled(h, win, budget: OptimizerBudget, veto=None) -> Loca
                     raise InternalError("penalty does not clear the window upper edge")
                 new_keys.append(bits_int)
                 new_values.append(penalty)
-        if new_keys:
+        if new_keys and table is not None:
+            penalties[new_keys] = new_values
+        elif new_keys:
             merged = np.concatenate((penalties[0], np.array(new_keys, dtype=np.int64)))
             order = np.argsort(merged)
             penalties = (merged[order], np.concatenate((penalties[1], new_values))[order])
@@ -401,24 +463,55 @@ def enumerate_window_sampled(h, win, budget: OptimizerBudget, veto=None) -> Loca
     if not pool:
         raise InternalError("sampling harvested no in-window state")
     e0 = min(pool.values())
+    states = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
+    found = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
     final = Window(e0, e0 + width, max(tol, 1e-9 * max(1.0, abs(e0) + width)))
-    kept = {b: e for b, e in pool.items() if final.contains(e)}
-    return build_spectrum(objective, kept, final, complete=False)
+    inside = _inside(found, final)
+    return states[inside], found[inside], final
+
+
+def enumerate_window_sampled(h, win, budget: OptimizerBudget, veto=None) -> LocalSpectrum:
+    """Penalty-iteration enumeration of a window of the given width.
+
+    ``win`` may be a Window (its width is used) or a bare width. Each round
+    runs ``samples_per_round`` annealing chains against the penalties fixed
+    at the round's start, then harvests them in chain order. The window
+    floor tracks the lowest energy measured so far; each state found inside
+    the moving window receives an additive penalty
+    ``p = width + c1 * |E| + c2`` so later rounds are pushed toward states
+    not seen yet. Rounds stop after ``stall_rounds`` rounds without a new
+    in-window state. The result is best-effort (``complete=False``).
+
+    ``veto(round_index, bits) -> bool`` optionally discards measured states,
+    which exists to exercise the recover-in-a-later-round behaviour.
+    """
+    if isinstance(win, Window):
+        width, tol = win.width, win.tol
+    else:
+        width = float(win)
+        tol = 1e-9 * max(1.0, width)
+    objective = as_objective(h)
+    states, energies, final = _sample_window(objective, width, tol, budget, veto)
+    return _freeze(objective, states, energies, final, complete=False)
 
 
 def enumerate_low_sampled(
     h, delta: float, eta: float, budget: OptimizerBudget, veto=None
 ) -> LocalSpectrum:
-    """Sampled [E0, E0 + eta * delta] enumeration with a floating floor."""
+    """Sampled [E0, E0 + eta * delta] enumeration with a floating floor.
+
+    The states are those ``enumerate_window_sampled`` keeps for the width
+    eta * delta; the spectrum carries the window ``window(E0, delta, eta)``,
+    whose tolerance contains that of the sampled window.
+    """
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
     if delta < 0.0:
         raise DomainError("delta must be non-negative")
     objective = as_objective(h)
-    spectrum = enumerate_window_sampled(objective, eta * delta, budget, veto)
-    final = make_window(spectrum.e0, delta, eta)
-    found = {bits_to_int(s): e for s, e in spectrum.states}
-    return build_spectrum(objective, found, final, complete=False)
+    width = eta * delta
+    states, energies, sampled = _sample_window(objective, width, 1e-9 * max(1.0, width), budget, veto)
+    return _freeze(objective, states, energies, make_window(sampled.lo, delta, eta), complete=False)
 
 
 # -- ground-state search -------------------------------------------------------
@@ -436,12 +529,13 @@ def solve_ground_objective(
         return scan_minimum(objective)
     budget = budget or OptimizerBudget()
     rng = np.random.default_rng(budget.seed)
+    table = _dense_table(objective)
     best_bits, best_e = 0, math.inf
     rounds = 0
     stall = 0
     while rounds < budget.max_sweeps and stall < budget.stall_rounds:
         starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
-        energies, accepted, _ = _anneal(objective, starts, flips, draws)
+        energies, accepted, _ = _anneal(objective, table, starts, flips, draws)
         found = None
         for c in range(len(starts)):
             trace = energies[:, c]

@@ -34,7 +34,7 @@ from .clustering import Partition, WeightedGraph
 from .cutoff import EXACT_RANGE_VARS, CommunityDecomposition
 from .errors import DimensionError, InternalError, ParameterError, ResourceError
 from .hamiltonian import MAX_TABLE_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, bits_to_int
-from .optimizer import LocalSpectrum
+from .optimizer import MAX_PACKED_VARS, LocalSpectrum
 
 # Refuse to materialize coupling tables beyond this entry count.
 MAX_TABLE_ENTRIES = 1 << 26
@@ -248,6 +248,7 @@ class TableObjective:
             self.offsets.append(off)
             off += m
         self.n_vars = off
+        self.replica_terms = len(self.energy_tables) + len(self.couplings)
         self.qubit_register = np.repeat(np.arange(len(self.m_list)), self.m_list)
         self.qubit_weight = np.int64(1) << (
             np.arange(self.n_vars) - np.repeat(self.offsets, self.m_list)
@@ -324,6 +325,8 @@ class TableObjective:
             yield start, out.ravel()
 
     def replicas(self, starts) -> np.ndarray:
+        if self.n_vars <= MAX_PACKED_VARS:
+            return np.stack(self.indices_of(starts), axis=1)
         return np.array(
             [[(s >> off) & ((1 << m) - 1) for off, m in zip(self.offsets, self.m_list)]
              for s in starts],

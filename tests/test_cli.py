@@ -142,6 +142,38 @@ class TestSweep:
         data = [r for r in rows if r["kind"] == "row"]
         assert {r["family"] for r in data} == {"ring_k2"}
 
+    def test_failed_points_become_error_rows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        spec = SweepSpec(
+            families=("ring_k4", "ring_k2"), sizes=(4,), etas=(1.0, 0.5), instances=2,
+            out=str(out),
+        )
+        rows = run_sweep(spec, log=lambda msg: None)
+        errors = [r for r in rows if r["kind"] == "error"]
+        assert [(r["family"], r["n"], r["seed"], r["eta"]) for r in errors] == [
+            ("ring_k4", 4, seed, eta) for seed in (0, 1) for eta in (1.0, 0.5)
+        ]
+        assert all(r["error"] for r in errors)
+        # aggregates are over the ring_k2 rows only
+        assert {r["family"] for r in rows if r["kind"] == "mean"} == {"ring_k2"}
+        persisted = [r for r in read_rows(str(out)) if r["kind"] == "error"]
+        assert [(r["family"], r["seed"], r["eta"]) for r in persisted] == [
+            ("ring_k4", str(seed), repr(eta)) for seed in (0, 1) for eta in (1.0, 0.5)
+        ]
+        assert all(r["error"] == e["error"] and r["r"] == "" for r, e in zip(persisted, errors))
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_thread_count_is_one_error_line(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("DC_REDUCE_THREADS", value)
+        code = main([
+            "sweep", "--family", "ring_k2", "--n", "8", "--eta", "1.0", "--instances", "1",
+        ])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "DC_REDUCE_THREADS" in err[0]
+        assert captured.out == ""
+
     def test_worker_pool_matches_serial(self, monkeypatch):
         spec = SweepSpec(families=("ring_k2",), sizes=(10,), etas=(1.0,), instances=3)
         serial = run_sweep(spec)
@@ -162,7 +194,7 @@ class TestSweep:
         header = out.splitlines()[0]
         assert header.split(",") == [
             "kind", "family", "n", "eta", "seed", "r", "alpha",
-            "n_it", "n_q", "energy", "wall_ms",
+            "n_it", "n_q", "energy", "wall_ms", "error",
         ]
 
 

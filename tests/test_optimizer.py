@@ -11,14 +11,15 @@ from dcreduce.clustering import Partition
 from dcreduce.cutoff import Window, decompose, delta_two_body, window
 from dcreduce.driver import RunConfig, _solve_objective, brute_force_reference
 from dcreduce.errors import InternalError, ResourceError
-from dcreduce.hamiltonian import PolyHamiltonian, bits_to_int
+from dcreduce.hamiltonian import SLAB_ENTRIES, PolyHamiltonian, bits_to_int
 from dcreduce.optimizer import (
     SCAN_CEILING,
     LocalSpectrum,
     OptimizerBudget,
     PolyObjective,
+    _dense_table,
+    _freeze,
     _penalty_of,
-    build_spectrum,
     as_objective,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
@@ -28,7 +29,7 @@ from dcreduce.optimizer import (
     solve_ground_objective,
 )
 from dcreduce.reduction import TableObjective, build_reduced, encode_community
-from helpers import random_quadratic, spin_energies
+from helpers import random_pubo, random_quadratic, spin_energies
 
 
 class TestExhaustive:
@@ -127,21 +128,26 @@ class TestScanCeiling:
             solve(_FixedScan(SCAN_CEILING + 1))
 
 
+def freeze(h, found, win):
+    states = np.array(list(found), dtype=np.int64)
+    return _freeze(as_objective(h), states, np.array(list(found.values()), dtype=float), win, True)
+
+
 class TestSpectrumValidation:
     def test_tampered_energy_rejected(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
         with pytest.raises(InternalError):
-            build_spectrum(as_objective(h), {1: -0.5}, Window(-1.0, 1.0, 1e-9), True)
+            freeze(h, {1: -0.5}, Window(-1.0, 1.0, 1e-9))
 
     def test_out_of_window_rejected(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
         with pytest.raises(InternalError):
-            build_spectrum(as_objective(h), {0: 1.0}, Window(-1.0, -1.0, 1e-9), True)
+            freeze(h, {0: 1.0}, Window(-1.0, -1.0, 1e-9))
 
     def test_empty_rejected(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
         with pytest.raises(InternalError):
-            build_spectrum(as_objective(h), {}, Window(-1.0, 1.0, 1e-9), True)
+            freeze(h, {}, Window(-1.0, 1.0, 1e-9))
 
 
 class TestSampled:
@@ -300,24 +306,130 @@ def singleton_reduced_problem(n, seed):
     return build_reduced(d, encodings)
 
 
+# Slab sizes that put an objective of up to 16 variables on the dense-table
+# path and on the replica path.
+PATHS = {"table": SLAB_ENTRIES, "replica": 1}
+
+
+def bits_of(spectrum):
+    """A spectrum's states and the raw bits of its energies."""
+    return spectrum.configs(), np.array(spectrum.energies()).view(np.int64).tolist()
+
+
 class TestAnnealKernel:
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_scalar_reference_on_poly(self, seed):
+    def test_matches_scalar_reference_on_poly(self, seed, monkeypatch):
         objective = PolyObjective(random_quadratic(9, 16, seed + 200))
         budget = OptimizerBudget(seed=seed, max_sweeps=3)
-        bits, energy = solve_ground_objective(objective, budget, ceiling=0)
         ref_bits, ref_energy = reference_ground(objective, budget)
-        assert bits == ref_bits
-        assert energy == pytest.approx(ref_energy, abs=1e-12)
+        for path, slab in PATHS.items():
+            monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
+            assert (_dense_table(objective) is None) == (path == "replica")
+            bits, energy = solve_ground_objective(objective, budget, ceiling=0)
+            assert bits == ref_bits
+            assert energy == pytest.approx(ref_energy, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_scalar_reference_on_table(self, seed):
+    def test_matches_scalar_reference_on_table(self, seed, monkeypatch):
         objective = random_table_objective(seed)
         budget = OptimizerBudget(seed=seed, max_sweeps=3)
-        bits, energy = solve_ground_objective(objective, budget, ceiling=0)
         ref_bits, ref_energy = reference_ground(objective, budget)
-        assert bits == ref_bits
-        assert energy == pytest.approx(ref_energy, abs=1e-12)
+        for path, slab in PATHS.items():
+            monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
+            assert (_dense_table(objective) is None) == (path == "replica")
+            bits, energy = solve_ground_objective(objective, budget, ceiling=0)
+            assert bits == ref_bits
+            assert energy == pytest.approx(ref_energy, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["poly", "pubo", "table"])
+    @pytest.mark.parametrize("terms", [None, SLAB_ENTRIES])
+    def test_dense_table_is_replica_energies_bit_for_bit(self, kind, terms):
+        # terms = SLAB_ENTRIES forces blocks of four rows, so the table is
+        # built in many blocks; the replica path evaluates a default round's
+        # 16 replicas per call
+        objective = {
+            "poly": lambda: PolyObjective(random_quadratic(12, 40, 3)),
+            "pubo": lambda: PolyObjective(random_pubo(10, 60, 4)),
+            "table": lambda: random_table_objective(5),
+        }[kind]()
+        if terms is not None:
+            objective.replica_terms = terms
+        table = _dense_table(objective)
+        assert table.shape == (1 << objective.n_vars,)
+        rng = np.random.default_rng(7)
+        for _ in range(64):
+            starts = rng.integers(0, 1 << objective.n_vars, size=16).tolist()
+            energies = objective.replica_energies(objective.replicas(starts))
+            assert table[starts].view(np.int64).tolist() == energies.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("kind", ["poly", "table"])
+    def test_round_identical_on_both_paths(self, kind):
+        objective = {
+            "poly": lambda: PolyObjective(random_pubo(10, 40, 8)),
+            "table": lambda: random_table_objective(6),
+        }[kind]()
+        n = objective.n_vars
+        rng = np.random.default_rng(3)
+        keys = np.sort(rng.choice(1 << n, size=(1 << n) // 2, replace=False)).astype(np.int64)
+        values = rng.uniform(0.0, 2.0, size=keys.size)
+        dense = np.zeros(1 << n)
+        dense[keys] = values
+        table = _dense_table(objective)
+        starts, flips, draws = optimizer_module._draw_chains(rng, n, 16)
+        accepts = {}
+        for name, dense_penalties, sparse_penalties in (
+            ("penalized", dense, (keys, values)), ("bare", None, None)
+        ):
+            on_table = optimizer_module._anneal(objective, table, starts, flips, draws, dense_penalties)
+            on_replicas = optimizer_module._anneal(objective, None, starts, flips, draws, sparse_penalties)
+            assert on_table[0].view(np.int64).tolist() == on_replicas[0].view(np.int64).tolist()
+            np.testing.assert_array_equal(on_table[1], on_replicas[1])
+            if sparse_penalties is not None:
+                np.testing.assert_array_equal(on_table[2], on_replicas[2])
+            accepts[name] = on_table[1]
+        # the penalties changed some decisions
+        assert (accepts["penalized"] != accepts["bare"]).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_spectra_identical_on_both_paths(self, seed, monkeypatch):
+        objectives = [
+            random_quadratic(11, 20, seed + 60),
+            random_pubo(9, 30, seed + 70),
+            random_table_objective(seed + 10),
+        ]
+        # default rounds, and three short rounds over a wide window, whose
+        # later rounds find states only under the earlier rounds' penalties;
+        # both run a multiple of four replicas (see _dense_table)
+        budgets = [
+            (2.0, OptimizerBudget(seed=seed)),
+            (6.0, OptimizerBudget(seed=seed, max_sweeps=3, samples_per_round=8)),
+        ]
+        for objective in objectives:
+            for delta, budget in budgets:
+                spectra = {}
+                for path, slab in PATHS.items():
+                    monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
+                    spectra[path] = enumerate_low_sampled(objective, delta, 1.0, budget)
+                assert spectra["table"].d > 1
+                assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
+                assert spectra["table"] == spectra["replica"]
+
+    def test_dense_limit_is_sixteen_variables(self, monkeypatch):
+        ran = []
+        dense = optimizer_module._anneal_table
+        monkeypatch.setattr(
+            optimizer_module, "_anneal_table", lambda *args: ran.append(1) or dense(*args)
+        )
+        budget = OptimizerBudget(seed=1, max_sweeps=1)
+        for n in (16, 17):
+            objective = PolyObjective(random_quadratic(n, 2 * n, n))
+            ran.clear()
+            found = solve_ground_objective(objective, budget, ceiling=0)
+            assert (_dense_table(objective) is not None) == (n == 16)
+            assert bool(ran) == (n == 16)
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer_module, "SLAB_ENTRIES", 1)
+                assert solve_ground_objective(objective, budget, ceiling=0) == found
 
     def test_sampled_window_on_reduced_objective_matches_exhaustive(self, monkeypatch):
         h = random_quadratic(12, 20, 5)
