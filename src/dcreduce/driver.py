@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clustering import LouvainConfig, Partition, hypergraph_to_graph, louvain
-from .cutoff import EXACT_RANGE_VARS, decompose, delta_pubo, delta_two_body
+from .cutoff import decompose, delta_pubo, delta_two_body
 from .errors import DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import PolyHamiltonian, SpinConfig, flip_all, int_to_bits
 from .optimizer import (
@@ -59,8 +59,6 @@ class RunConfig:
     # Hamiltonians with linear terms: treat natively as PUBO, or absorb the
     # fields into couplings with one ancilla for the tighter two-body cut-off.
     linear_terms: str = "pubo"
-    exact_delta_vars: int = EXACT_RANGE_VARS
-    louvain_resolution: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -216,9 +214,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     constant = working.constant
     n_working = working.n_vars
 
-    louvain_cfg = LouvainConfig(
-        resolution=cfg.louvain_resolution, max_community_size=cfg.max_community_size
-    )
+    louvain_cfg = LouvainConfig(max_community_size=cfg.max_community_size)
     graph = hypergraph_to_graph(working)
     partition = louvain(graph, seed=_sub_seed(cfg.seed, 0), config=louvain_cfg)
 
@@ -248,7 +244,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     # -- first level: community windows on the original variables ----------
     decomp = decompose(working, partition)
     deltas = [
-        delta_two_body(decomp, i) if quadratic else delta_pubo(decomp, i, cfg.exact_delta_vars)
+        delta_two_body(decomp, i) if quadratic else delta_pubo(decomp, i)
         for i in range(partition.n_communities)
     ]
     encodings, trace = _enumerate_and_encode(
@@ -276,10 +272,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
 
         iterations += 1
         rd = decompose_reduced(rp, next_partition)
-        deltas = [
-            iteration_delta(rd, l, quadratic, cfg.exact_delta_vars)
-            for l in range(next_partition.n_communities)
-        ]
+        deltas = [iteration_delta(rd, l, quadratic) for l in range(next_partition.n_communities)]
         encodings, trace = _enumerate_and_encode(
             (rp.local_objective(members) for members in rd.members), deltas,
             cfg.optimizer_o2, cfg.budget_o2, iterations, next_partition, cfg,

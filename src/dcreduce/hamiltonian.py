@@ -26,8 +26,8 @@ COEFF_PRUNE = 1e-12
 # Truth-table conversions allocate 2^n floats; desk-scale cap.
 MAX_TABLE_VARS = 24
 
-# Bit-mask vectorization uses int64 state integers.
-_MASK_VARS = 62
+# States pack into int64 integers, variable j on bit j, up to this many.
+MAX_PACKED_VARS = 62
 
 # Entries per block of vectorized work: energy slabs of exhaustive scans,
 # (terms, states) parity matrices, blocks of composed coupling tables. Small
@@ -57,6 +57,13 @@ def bits_to_int(x: SpinConfig) -> int:
 def int_to_bits(state: int, n_vars: int) -> SpinConfig:
     """Unpack a state integer into a bit tuple of length n_vars."""
     return tuple((state >> j) & 1 for j in range(n_vars))
+
+
+def readonly_array(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of the given dtype."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,7 @@ class PolyHamiltonian:
         (terms, states) parity matrix of about ``SLAB_ENTRIES`` entries, and
         are added onto zeros one term at a time, in sorted term order.
         """
-        if self.n_vars > _MASK_VARS:
+        if self.n_vars > MAX_PACKED_VARS:
             return np.array([self.evaluate(int_to_bits(int(s), self.n_vars)) for s in states])
         states = np.asarray(states, dtype=np.int64)
         flat = states.ravel()

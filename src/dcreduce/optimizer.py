@@ -17,6 +17,9 @@ objectives produced by the reduction stage. An objective exposes
     evaluates every replica, and ``replica_terms`` counts the terms that
     evaluation sums per replica.
 
+Every scan, annealer and spectrum holds states packed into int64 integers,
+variable j on bit j.
+
 A polynomial objective's chunks evaluate its terms on blocks of states. A
 table objective's chunks are slabs of its register product grid: register k
 on axis K-1-k, so a grid point's C-order flat index is its packed state,
@@ -46,13 +49,12 @@ import numpy as np
 
 from .cutoff import Window, window as make_window
 from .errors import DomainError, InternalError, ResourceError
-from .hamiltonian import SLAB_ENTRIES, PolyHamiltonian, SpinConfig, bits_to_int, int_to_bits
+from .hamiltonian import (
+    MAX_PACKED_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, bits_to_int, int_to_bits, readonly_array,
+)
 
 # Hard cap for exhaustive scans (2^n energy evaluations, chunked).
 SCAN_CEILING = 30
-
-# Packed state integers are int64; spectra and penalties need them.
-MAX_PACKED_VARS = 62
 
 # Geometric cooling schedule shared by all annealing chains.
 _T_START = 2.0
@@ -86,33 +88,40 @@ class OptimizerBudget:
             raise DomainError("penalty constants c1, c2 must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalSpectrum:
     """States of a community inside an energy window.
 
-    ``states`` is sorted ascending by energy, ties broken lexicographically
-    by bit string. ``complete`` is True only when the enumeration was
-    exhaustive within the window.
+    ``packed`` holds the states as read-only int64 integers, variable j on
+    bit j, and ``energies`` their energies as read-only float64. They are
+    sorted ascending by energy, ties broken lexicographically by bit string
+    (bit 0 first). ``complete`` is True only when the enumeration was
+    exhaustive within the window. ``states`` is a derived view of
+    (bit tuple, energy) pairs for readers outside the package.
     """
 
-    states: tuple[tuple[SpinConfig, float], ...]
+    packed: np.ndarray
+    energies: np.ndarray
     window: Window
     complete: bool
     n_vars: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "packed", readonly_array(self.packed, np.int64))
+        object.__setattr__(self, "energies", readonly_array(self.energies, np.float64))
+
     @property
     def d(self) -> int:
-        return len(self.states)
+        return self.packed.size
 
     @property
     def e0(self) -> float:
-        return self.states[0][1]
+        return float(self.energies[0])
 
-    def configs(self) -> tuple[SpinConfig, ...]:
-        return tuple(s for s, _ in self.states)
-
-    def energies(self) -> tuple[float, ...]:
-        return tuple(e for _, e in self.states)
+    @property
+    def states(self) -> tuple[tuple[SpinConfig, float], ...]:
+        configs = (int_to_bits(s, self.n_vars) for s in self.packed.tolist())
+        return tuple(zip(configs, self.energies.tolist()))
 
 
 def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, complete: bool) -> LocalSpectrum:
@@ -137,8 +146,7 @@ def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, com
     bits = (states[:, None] >> np.arange(n)) & 1
     # bit 0 is the most significant digit of the tie-break key
     order = np.lexsort((bits @ (1 << np.arange(n - 1, -1, -1)), claimed))
-    entries = zip(map(tuple, bits[order].tolist()), claimed[order].tolist())
-    return LocalSpectrum(tuple(entries), win, complete, n)
+    return LocalSpectrum(states[order], claimed[order], win, complete, n)
 
 
 def _inside(energies: np.ndarray, win: Window) -> np.ndarray:

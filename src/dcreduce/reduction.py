@@ -1,13 +1,15 @@
 """Low-energy state re-encoding and the reduced optimization problem.
 
 Each community's surviving states are written onto ceil(log2(d)) qubits in
-energy order. The reduced problem is then a sum of per-community diagonal
-energy tables and, for every set of communities jointly touched by
-straddling couplings, a diagonal coupling table.
+energy order; its decode table is the int64 array of their packed states,
+from which the registers of the level below are read with shifts. The
+reduced problem is then a sum of per-community diagonal energy tables and,
+for every set of communities jointly touched by straddling couplings, a
+diagonal coupling table.
 
 The input Hamiltonian is the trivial case of this encoding, level 0: every
-variable is its own 1-qubit register with decode ``((0,), (1,))`` and
-energies ``(field, -field)``, and every multi-variable term is a coupling
+variable is its own 1-qubit register with decode ``[0, 1]`` and energies
+``[field, -field]``, and every multi-variable term is a coupling
 whose table is its coefficient times the outer product of the Z eigenvalues
 ``(1, -1)``. Every level, the first included, regroups the previous level's
 straddling couplings under a partition of its communities and composes
@@ -26,50 +28,63 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce as functools_reduce
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .clustering import Partition, WeightedGraph
 from .cutoff import EXACT_RANGE_VARS, CommunityDecomposition
 from .errors import DimensionError, InternalError, ParameterError, ResourceError
-from .hamiltonian import MAX_TABLE_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, bits_to_int
-from .optimizer import MAX_PACKED_VARS, LocalSpectrum
+from .hamiltonian import (
+    MAX_PACKED_VARS, MAX_TABLE_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, readonly_array,
+)
+from .optimizer import LocalSpectrum
 
 # Refuse to materialize coupling tables beyond this entry count.
 MAX_TABLE_ENTRIES = 1 << 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedCommunity:
     """Binary encoding of a community's retained states, energy-ordered.
 
-    ``decode[mu]`` is the community bit string for reduced index ``mu``.
-    Indices past the true dimension d are filled by repeating the lowest
-    states (``mu mod d``) or, in penalty mode, flagged and priced at
-    ``e0 + delta + p_pad`` in the energy table.
+    ``decode[mu]`` is the packed community state (local variable j on bit j)
+    for reduced index ``mu``, and ``energies[mu]`` its energy-table entry;
+    both are read-only arrays of length ``d_tilde``. Indices past the true
+    dimension d are padded: they decode to ``decode[mu % d]`` and repeat
+    its energy or, in penalty mode, are priced at ``e0 + delta + (delta + 1)``.
     """
 
     m_tilde: int
-    decode: tuple[SpinConfig, ...]
-    energies: tuple[float, ...]
-    is_padded: tuple[bool, ...]
+    decode: np.ndarray
+    energies: np.ndarray
     padding_mode: str
     d: int
     n_local_vars: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "decode", readonly_array(self.decode, np.int64))
+        object.__setattr__(self, "energies", readonly_array(self.energies, np.float64))
 
     @property
     def d_tilde(self) -> int:
         return 1 << self.m_tilde
 
+    @property
+    def is_padded(self) -> np.ndarray:
+        return np.arange(self.d_tilde) >= self.d
+
 
 def encode_community(
-    spectrum: LocalSpectrum,
-    padding_mode: str = "repeat",
-    delta: float | None = None,
-    p_pad: float | None = None,
+    spectrum: LocalSpectrum, padding_mode: str = "repeat", delta: float | None = None
 ) -> EncodedCommunity:
-    """Encode a local spectrum on ceil(log2(d)) qubits (1 qubit when d = 1)."""
+    """Encode a local spectrum on ceil(log2(d)) qubits (1 qubit when d = 1).
+
+    Reduced index ``mu`` takes the spectrum's state ``mu % d``, so the
+    decode and energy tables are one gather of its packed states and their
+    energies; penalty padding then overwrites the padded energies with
+    ``e0 + width + (width + 1)``, width being ``delta`` or the window's.
+    """
     if padding_mode not in ("repeat", "penalty"):
         raise ParameterError(f"unknown padding mode {padding_mode!r}")
     d = spectrum.d
@@ -77,24 +92,13 @@ def encode_community(
         raise InternalError("cannot encode an empty spectrum")
     # ceil(log2(d)) in exact integer arithmetic; one qubit when d = 1
     m_tilde = max(1, (d - 1).bit_length())
-    d_tilde = 1 << m_tilde
-    width = delta if delta is not None else spectrum.window.width
-    pad_energy = spectrum.e0 + width + (p_pad if p_pad is not None else width + 1.0)
-    decode: list[SpinConfig] = []
-    energies: list[float] = []
-    padded: list[bool] = []
-    for mu in range(d_tilde):
-        config, energy = spectrum.states[mu % d]
-        decode.append(config)
-        if mu < d:
-            energies.append(energy)
-            padded.append(False)
-        else:
-            energies.append(energy if padding_mode == "repeat" else pad_energy)
-            padded.append(True)
+    source = np.arange(1 << m_tilde) % d
+    energies = spectrum.energies[source]
+    if padding_mode == "penalty":
+        width = delta if delta is not None else spectrum.window.width
+        energies[d:] = spectrum.e0 + width + (width + 1.0)
     return EncodedCommunity(
-        m_tilde, tuple(decode), tuple(energies), tuple(padded),
-        padding_mode, d, spectrum.n_vars,
+        m_tilde, spectrum.packed[source], energies, padding_mode, d, spectrum.n_vars
     )
 
 
@@ -413,10 +417,7 @@ class ReducedProblem:
                     signs[len(subset)] = functools_reduce(np.multiply.outer, [_SPINS] * len(subset))
                 table = coeff * signs[len(subset)]
                 couplings[subset] = Coupling(table.shape, table=table)
-        encodings = [
-            EncodedCommunity(1, ((0,), (1,)), (f, -f), (False, False), "repeat", 2, 1)
-            for f in fields
-        ]
+        encodings = [EncodedCommunity(1, [0, 1], [f, -f], "repeat", 2, 1) for f in fields]
         return cls(encodings, couplings, True, 0)
 
     @property
@@ -447,7 +448,7 @@ class ReducedProblem:
             raise DimensionError("index tuple length must equal the community count")
         total = 0.0
         for c, enc in enumerate(self.encodings):
-            total += enc.energies[idx[c]]
+            total += float(enc.energies[idx[c]])
         for footprint, coupling in self.couplings.items():
             total += float(coupling.values(tuple(idx[c] for c in footprint)))
         return total
@@ -624,19 +625,24 @@ def build_reduced_iter(
     return ReducedProblem(encodings, couplings, compute_chi, n_chi)
 
 
-def _member_gathers(rd: ReducedDecomposition, encodings) -> dict[int, np.ndarray]:
+def _split_registers(states, groups, widths) -> list:
+    """Register of every member out of packed states: ``states[g]`` holds
+    the registers of the members ``groups[g]`` in order from bit 0, member
+    ``c`` on ``widths[c]`` bits. A state is an int or an int64 array."""
+    out = [0] * len(widths)
+    for state, members in zip(states, groups):
+        offset = 0
+        for c in members:
+            out[c] = (state >> offset) & ((1 << widths[c]) - 1)
+            offset += widths[c]
+    return out
+
+
+def _member_gathers(rd: ReducedDecomposition, encodings) -> list[np.ndarray]:
     """Reduced index of every old community under each decode entry of the
     super-community encoding that contains it."""
-    out = {}
-    for enc, member_ids in zip(encodings, rd.members):
-        bits = np.frombuffer(bytes(chain.from_iterable(enc.decode)), dtype=np.uint8)
-        bits = bits.reshape(len(enc.decode), -1)
-        offset = 0
-        for c in member_ids:
-            m = rd.rp.encodings[c].m_tilde
-            out[c] = bits[:, offset:offset + m] @ (1 << np.arange(m, dtype=np.intp))
-            offset += m
-    return out
+    widths = [enc.m_tilde for enc in rd.rp.encodings]
+    return _split_registers([enc.decode for enc in encodings], rd.members, widths)
 
 
 # -- decode chain ---------------------------------------------------------------
@@ -665,43 +671,28 @@ class DecodeChain:
     def total_qubits(self, level: int = -1) -> int:
         return sum(enc.m_tilde for enc in self.levels[level].encodings)
 
-    def decode_full(self, final_bits) -> SpinConfig:
-        """Expand a final-level configuration into original variable bits."""
+    def decode_full(self, bits_int: int) -> SpinConfig:
+        """Expand a packed final-level state into original variable bits.
+
+        The final state packs the top level's registers as a decode entry
+        packs its members' registers (one bit per variable at the first
+        level), so each level is one ``_split_registers``.
+        """
         if not self.levels:
             raise InternalError("decode chain has no levels")
-        top = self.levels[-1]
-        if isinstance(final_bits, int):
-            bits_int = final_bits
-        else:
-            if len(final_bits) != self.total_qubits():
-                raise InternalError("final configuration length does not match the last level")
-            bits_int = sum(1 << i for i, b in enumerate(final_bits) if b)
         if bits_int >> self.total_qubits():
             raise InternalError("final configuration has bits beyond the last level's register")
-        idx = []
-        offset = 0
-        for enc in top.encodings:
-            idx.append((bits_int >> offset) & (enc.d_tilde - 1))
-            offset += enc.m_tilde
-        for level in range(len(self.levels) - 1, 0, -1):
-            current = self.levels[level]
-            previous = self.levels[level - 1]
-            prev_idx = [0] * len(previous.encodings)
-            for c, member_ids in enumerate(current.membership):
-                bits = current.encodings[c].decode[idx[c]]
-                off = 0
-                for mid in member_ids:
-                    m = previous.encodings[mid].m_tilde
-                    prev_idx[mid] = bits_to_int(bits[off:off + m])
-                    off += m
-            idx = prev_idx
-        first = self.levels[0]
-        out = [0] * self.n_vars
-        for c, variables in enumerate(first.membership):
-            decoded = first.encodings[c].decode[idx[c]]
-            for pos, v in enumerate(variables):
-                out[v] = decoded[pos]
-        return tuple(out)
+        top = self.levels[-1].encodings
+        idx = _split_registers([bits_int], [range(len(top))], [enc.m_tilde for enc in top])
+        for depth in range(len(self.levels) - 1, -1, -1):
+            level = self.levels[depth]
+            if depth:
+                widths = [enc.m_tilde for enc in self.levels[depth - 1].encodings]
+            else:
+                widths = [1] * self.n_vars
+            states = [int(enc.decode[i]) for enc, i in zip(level.encodings, idx)]
+            idx = _split_registers(states, level.membership, widths)
+        return tuple(idx)
 
     def to_json_dict(self) -> dict:
         return {
@@ -713,10 +704,10 @@ class DecodeChain:
                     "d": [enc.d for enc in level.encodings],
                     "padding_mode": [enc.padding_mode for enc in level.encodings],
                     "decode": [
-                        ["".join(str(b) for b in state) for state in enc.decode]
+                        [format(state, f"0{enc.n_local_vars}b")[::-1] for state in enc.decode.tolist()]
                         for enc in level.encodings
                     ],
-                    "energies": [list(enc.energies) for enc in level.encodings],
+                    "energies": [enc.energies.tolist() for enc in level.encodings],
                 }
                 for level in self.levels
             ],
@@ -733,7 +724,7 @@ def reduced_as_poly(rp: ReducedProblem, max_qubits: int = 24) -> PolyHamiltonian
     for c, enc in enumerate(rp.encodings):
         if enc.m_tilde > max_qubits:
             raise ResourceError(f"community register of {enc.m_tilde} qubits exceeds {max_qubits}")
-        block = PolyHamiltonian.from_boolean_table(list(enc.energies))
+        block = PolyHamiltonian.from_boolean_table(enc.energies)
         for subset, coeff in block.terms.items():
             pieces.append((tuple(rp.offsets[c] + j for j in subset), coeff))
     for footprint in sorted(rp.couplings):

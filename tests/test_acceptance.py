@@ -238,12 +238,12 @@ def test_criterion_08_sampled_enumerator_fidelity():
         delta = 2.0
         exhaustive = enumerate_low_exhaustive(h, delta, 1.0)
         sampled = enumerate_low_sampled(h, delta, 1.0, OptimizerBudget(seed=10_000 + trial))
-        configs = sampled.configs()
-        if len(set(configs)) != len(configs):
+        states = sampled.packed.tolist()
+        if len(set(states)) != len(states):
             violations += 1
-        if any(not sampled.window.contains(e) for e in sampled.energies()):
+        if any(not sampled.window.contains(e) for e in sampled.energies.tolist()):
             violations += 1
-        if set(configs) == set(exhaustive.configs()):
+        if set(states) == set(exhaustive.packed.tolist()):
             exact_matches += 1
     _report(8, exact_matches >= 95 and violations == 0,
             f"sampled enumerator exact on {exact_matches}/100 communities "

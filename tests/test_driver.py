@@ -15,7 +15,7 @@ from dcreduce.driver import (
     write_trace,
 )
 from dcreduce.errors import DomainError, ParameterError
-from dcreduce.hamiltonian import PolyHamiltonian
+from dcreduce.hamiltonian import PolyHamiltonian, int_to_bits
 from helpers import brute_min, random_pubo, random_quadratic
 
 
@@ -178,6 +178,40 @@ class TestTrace:
             assert isinstance(level["partition"], list)
             assert all(isinstance(x, int) for x in level["partition"])
             assert len(level["deltas"]) == len(level["m_tilde"])
+
+    @pytest.mark.parametrize("padding", ["repeat", "penalty"])
+    @pytest.mark.parametrize("kind", ["quadratic", "pubo"])
+    def test_chain_section(self, kind, padding):
+        # both instances iterate once and pad some encoding
+        if kind == "quadratic":
+            h, seed = random_quadratic(16, 30, 3), 3
+        else:
+            h, seed = random_pubo(14, 22, 2), 2
+        result = run(h, RunConfig(eta=0.5, seed=seed, padding_mode=padding))
+        data = result.to_json_dict()
+        json.dumps(data)
+        chain = data["chain"]
+        assert chain["n_vars"] == h.n_vars
+        assert len(chain["levels"]) == len(result.chain.levels) == 2
+        padded = 0
+        for depth, (level, stored) in enumerate(zip(chain["levels"], result.chain.levels)):
+            for c, enc in enumerate(stored.encodings):
+                if depth == 0:
+                    width = len(level["membership"][c])
+                else:
+                    below = chain["levels"][depth - 1]["m_tilde"]
+                    width = sum(below[mid] for mid in level["membership"][c])
+                decode = level["decode"][c]
+                assert len(decode) == enc.d_tilde == 1 << level["m_tilde"][c]
+                for mu, state in enumerate(enc.decode.tolist()):
+                    assert decode[mu] == "".join(str(b) for b in int_to_bits(state, width))
+                    assert decode[mu] == decode[mu % level["d"][c]]
+                padded += enc.d_tilde - level["d"][c]
+                energies = level["energies"][c]
+                assert all(type(e) is float for e in energies)
+                assert energies == [float(e) for e in enc.energies]
+                assert level["padding_mode"][c] == padding
+        assert padded
 
     def test_best_config_roundtrip(self):
         h = random_quadratic(10, 18, 12)

@@ -11,7 +11,7 @@ from dcreduce.clustering import Partition
 from dcreduce.cutoff import Window, decompose, delta_two_body, window
 from dcreduce.driver import RunConfig, _solve_objective, brute_force_reference
 from dcreduce.errors import InternalError, ResourceError
-from dcreduce.hamiltonian import SLAB_ENTRIES, PolyHamiltonian, bits_to_int
+from dcreduce.hamiltonian import SLAB_ENTRIES, PolyHamiltonian, int_to_bits
 from dcreduce.optimizer import (
     SCAN_CEILING,
     LocalSpectrum,
@@ -32,12 +32,22 @@ from dcreduce.reduction import TableObjective, build_reduced, encode_community
 from helpers import random_pubo, random_quadratic, spin_energies
 
 
+def bits_of(spectrum):
+    """Every field of a spectrum, its energies as raw bits."""
+    return (
+        spectrum.packed.tolist(), spectrum.energies.view(np.int64).tolist(),
+        spectrum.window, spectrum.complete, spectrum.n_vars,
+    )
+
+
 class TestExhaustive:
     def test_degenerate_pair(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
         spectrum = enumerate_window_exhaustive(h, Window(-1.0, -1.0, 1e-9))
-        assert spectrum.configs() == ((0, 1), (1, 0))
-        assert spectrum.energies() == (-1.0, -1.0)
+        # bits (0, 1) pack to 2 and sort before (1, 0), packed 1
+        assert spectrum.packed.tolist() == [2, 1]
+        assert spectrum.energies.tolist() == [-1.0, -1.0]
+        assert spectrum.states == (((0, 1), -1.0), ((1, 0), -1.0))
         assert spectrum.complete
 
     def test_full_window(self):
@@ -58,14 +68,18 @@ class TestExhaustive:
                     (energies >= w.lo - w.tol) & (energies <= w.hi + w.tol)
                 )[0]
             }
-            assert {bits_to_int(c) for c in spectrum.configs()} == expected
+            assert set(spectrum.packed.tolist()) == expected
             assert spectrum.complete
 
     def test_sorted_by_energy_then_bits(self):
         h = random_quadratic(8, 12, 3)
         spectrum = enumerate_low_exhaustive(h, 3.0, 1.0)
-        entries = list(spectrum.states)
-        assert entries == sorted(entries, key=lambda se: (se[1], se[0]))
+        assert spectrum.packed.dtype == np.int64 and spectrum.energies.dtype == np.float64
+        keys = [
+            (energy, int_to_bits(state, spectrum.n_vars))
+            for state, energy in zip(spectrum.packed.tolist(), spectrum.energies.tolist())
+        ]
+        assert keys == sorted(keys)
 
     def test_ceiling(self):
         h = PolyHamiltonian(8, {(0, 1): 1.0})
@@ -88,7 +102,7 @@ class TestExhaustive:
             for delta, eta in ((0.0, 1.0), (1.3, 0.5), (2.5, 1.0)):
                 _, e0 = optimizer_module.scan_minimum(as_objective(objective))
                 expected = enumerate_window_exhaustive(objective, window(e0, delta, eta))
-                assert enumerate_low_exhaustive(objective, delta, eta) == expected
+                assert bits_of(enumerate_low_exhaustive(objective, delta, eta)) == bits_of(expected)
 
 
 class _FixedScan:
@@ -158,7 +172,7 @@ class TestSampled:
             exhaustive = enumerate_low_exhaustive(h, 2.0, 1.0)
             sampled = enumerate_low_sampled(h, 2.0, 1.0, OptimizerBudget(seed=seed))
             assert not sampled.complete
-            hits += set(sampled.configs()) == set(exhaustive.configs())
+            hits += set(sampled.packed.tolist()) == set(exhaustive.packed.tolist())
         assert hits >= 18
 
     def test_degenerate_window_single_ground_state(self):
@@ -174,9 +188,9 @@ class TestSampled:
         for seed in range(10):
             h = random_quadratic(11, 20, seed + 50)
             spectrum = enumerate_low_sampled(h, 1.5, 1.0, OptimizerBudget(seed=seed))
-            configs = spectrum.configs()
-            assert len(set(configs)) == len(configs)
-            for _, energy in spectrum.states:
+            states = spectrum.packed.tolist()
+            assert len(set(states)) == len(states)
+            for energy in spectrum.energies.tolist():
                 assert spectrum.window.contains(energy)
 
     def test_penalized_energy_clears_window(self):
@@ -185,31 +199,31 @@ class TestSampled:
         h = random_quadratic(10, 18, 77)
         spectrum = enumerate_low_sampled(h, 2.0, 1.0, budget)
         width = spectrum.window.width
-        for _, energy in spectrum.states:
+        for energy in spectrum.energies.tolist():
             penalty = width + budget.c1 * abs(energy) + budget.c2
             assert energy + penalty > spectrum.e0 + width
 
     def test_recovers_states_vetoed_in_round_one(self):
         h = random_quadratic(10, 18, 21)
         exhaustive = enumerate_low_exhaustive(h, 2.0, 1.0)
-        ground_bits = bits_to_int(exhaustive.configs()[0])
+        ground_bits = int(exhaustive.packed[0])
 
         def veto(round_index, bits):
             return round_index == 0 and bits == ground_bits
 
         sampled = enumerate_low_sampled(h, 2.0, 1.0, OptimizerBudget(seed=5), veto=veto)
-        assert exhaustive.configs()[0] in sampled.configs()
+        assert ground_bits in sampled.packed.tolist()
 
     def test_explicit_window_signature(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
         spectrum = enumerate_window_sampled(h, window(-1.0, 2.0, 1.0), OptimizerBudget(seed=0))
-        assert set(spectrum.configs()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert set(spectrum.packed.tolist()) == {0, 1, 2, 3}
 
     def test_determinism(self):
         h = random_quadratic(10, 18, 8)
         a = enumerate_low_sampled(h, 1.0, 1.0, OptimizerBudget(seed=3))
         b = enumerate_low_sampled(h, 1.0, 1.0, OptimizerBudget(seed=3))
-        assert a.states == b.states
+        assert bits_of(a) == bits_of(b)
 
 
 class TestSolveGround:
@@ -311,11 +325,6 @@ def singleton_reduced_problem(n, seed):
 PATHS = {"table": SLAB_ENTRIES, "replica": 1}
 
 
-def bits_of(spectrum):
-    """A spectrum's states and the raw bits of its energies."""
-    return spectrum.configs(), np.array(spectrum.energies()).view(np.int64).tolist()
-
-
 class TestAnnealKernel:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_reference_on_poly(self, seed, monkeypatch):
@@ -412,7 +421,6 @@ class TestAnnealKernel:
                     spectra[path] = enumerate_low_sampled(objective, delta, 1.0, budget)
                 assert spectra["table"].d > 1
                 assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
-                assert spectra["table"] == spectra["replica"]
 
     def test_dense_limit_is_sixteen_variables(self, monkeypatch):
         ran = []
@@ -451,7 +459,7 @@ class TestAnnealKernel:
         for delta in (0.5, 1.5, 3.0):
             exhaustive = enumerate_low_exhaustive(objective, delta, 1.0)
             sampled = enumerate_low_sampled(objective, delta, 1.0, OptimizerBudget(seed=1))
-            assert set(sampled.configs()) == set(exhaustive.configs())
+            assert set(sampled.packed.tolist()) == set(exhaustive.packed.tolist())
             assert sampled.e0 == pytest.approx(exhaustive.e0, abs=1e-12)
 
     def test_recombined_anneal_above_62_qubits(self):

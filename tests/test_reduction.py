@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcreduce.clustering import Partition, hypergraph_to_graph, louvain
-from dcreduce.cutoff import decompose, delta_pubo, delta_two_body
-from dcreduce.errors import ParameterError
-from dcreduce.hamiltonian import PolyHamiltonian
-from dcreduce.optimizer import enumerate_low_exhaustive
+from dcreduce.cutoff import Window, decompose, delta_pubo, delta_two_body
+from dcreduce.errors import ParameterError, ResourceError
+from dcreduce.hamiltonian import MAX_PACKED_VARS, PolyHamiltonian, bits_to_int, int_to_bits
+from dcreduce.optimizer import _check_packable, _freeze, as_objective, enumerate_low_exhaustive
 import dcreduce.reduction as reduction_module
 from dcreduce.reduction import (
     ChainLevel,
     _coupling_range,
+    _member_gathers,
     Coupling,
     DecodeChain,
     EncodedCommunity,
@@ -77,7 +78,8 @@ def _uses_padded_index(chain, joint):
         below = chain.levels[depth - 1].encodings
         lower = [0] * len(below)
         for c, member_ids in enumerate(level.membership):
-            bits = level.encodings[c].decode[idx[c]]
+            enc = level.encodings[c]
+            bits = int_to_bits(int(enc.decode[idx[c]]), enc.n_local_vars)
             off = 0
             for mid in member_ids:
                 lower[mid] = sum(b << r for r, b in enumerate(bits[off:off + below[mid].m_tilde]))
@@ -114,11 +116,10 @@ class TestEncode:
         assert spec.d == 5  # chosen instance: exactly five states in window
         enc = encode_community(spec)
         assert enc.m_tilde == 3
-        assert enc.decode[5] == enc.decode[0]
-        assert enc.decode[6] == enc.decode[1]
-        assert enc.decode[7] == enc.decode[2]
-        assert enc.energies[5] == enc.energies[0]
-        assert enc.is_padded == (False,) * 5 + (True,) * 3
+        assert enc.decode[:5].tolist() == spec.packed.tolist()
+        assert enc.decode[5:].tolist() == spec.packed[:3].tolist()
+        assert enc.energies.tolist() == spec.energies.tolist() + spec.energies[:3].tolist()
+        assert enc.is_padded.tolist() == [False] * 5 + [True] * 3
 
     def test_single_state_gets_one_qubit(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0, (0,): -0.3})
@@ -158,6 +159,56 @@ class TestEncode:
             encode_community(spec, "wrap")
 
 
+class TestPackedStates:
+    def test_arrays_are_read_only(self):
+        h = PolyHamiltonian(3, {(0,): -0.1, (0, 1): 1.0, (1, 2): 0.5, (0, 2): 0.25})
+        spec = enumerate_low_exhaustive(h, 1.6, 1.0)
+        enc = encode_community(spec, "penalty", delta=1.6)
+        for array in (spec.packed, spec.energies, enc.decode, enc.energies):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_bit_61_through_gathers_and_decode(self):
+        # 31 two-qubit registers under one super-community fill all 62
+        # packable bits, and every retained state sets bit 61
+        n = MAX_PACKED_VARS
+        rng = np.random.default_rng(61)
+        h = PolyHamiltonian.from_terms(n, [((n - 1,), -1.0), ((0, n - 1), 0.5), ((29, 30), 0.25)])
+        objective = as_objective(h)
+        states = np.unique(rng.integers(0, 1 << n, size=5, dtype=np.int64) | (1 << (n - 1)))
+        energies = objective.energies_of(states)
+        win = Window(float(energies.min()), float(energies.max()), 1e-9)
+        spectrum = _freeze(objective, states, energies, win, True)
+        assert ((spectrum.packed >> (n - 1)) == 1).all()
+        assert [bits for bits, _ in spectrum.states] == [int_to_bits(s, n) for s in spectrum.packed.tolist()]
+        enc = encode_community(spectrum)
+        assert enc.is_padded.any()
+
+        old = [EncodedCommunity(2, rng.permutation(4), np.zeros(4), "repeat", 4, 2) for _ in range(31)]
+        rd = decompose_reduced(ReducedProblem(old, {}, False, 0), Partition.from_labels([0] * 31))
+        gathers = _member_gathers(rd, [enc])
+        for c in range(31):
+            expected = [bits_to_int(int_to_bits(s, n)[2 * c:2 * c + 2]) for s in enc.decode.tolist()]
+            assert gathers[c].tolist() == expected
+        assert (gathers[30] >> 1 == 1).all()
+
+        chain = DecodeChain(n, [
+            ChainLevel(tuple((2 * c, 2 * c + 1) for c in range(31)), tuple(old)),
+            ChainLevel((tuple(range(31)),), (enc,)),
+        ])
+        for mu, state in enumerate(enc.decode.tolist()):
+            bits = int_to_bits(state, n)
+            expected = ()
+            for c in range(31):
+                index = bits_to_int(bits[2 * c:2 * c + 2])
+                expected += int_to_bits(int(old[c].decode[index]), 2)
+            assert chain.decode_full(mu) == expected
+
+        _check_packable(objective, "a spectrum")
+        with pytest.raises(ResourceError, match="63 variables"):
+            _check_packable(PolyHamiltonian(n + 1, {(0, n): 1.0}), "a spectrum")
+
+
 class TestLevelZero:
     @pytest.mark.parametrize("seed", range(6))
     def test_full_objective_reproduces_energies(self, seed):
@@ -168,7 +219,7 @@ class TestLevelZero:
         h = PolyHamiltonian.from_terms(n, [*base.terms.items(), *fields, ((), 0.37)])
         rp = ReducedProblem.from_hamiltonian(h)
         assert rp.m_tildes == (1,) * n
-        assert all(enc.decode == ((0,), (1,)) for enc in rp.encodings)
+        assert all(enc.decode.tolist() == [0, 1] for enc in rp.encodings)
         got = rp.full_objective().energies_of(np.arange(1 << n)) + h.constant
         np.testing.assert_allclose(got, spin_energies(h), rtol=0, atol=1e-12)
 
@@ -185,7 +236,8 @@ class TestSignVectors:
             for joint in np.ndindex(*coupling.shape):
                 bits = {}
                 for c, mu in zip(footprint, joint):
-                    bits.update(zip(d.community_vars[c], rp.encodings[c].decode[mu]))
+                    state = int(rp.encodings[c].decode[mu])
+                    bits.update(zip(d.community_vars[c], int_to_bits(state, len(d.community_vars[c]))))
                 for subset, coeff in d.straddling_terms.items():
                     if d.footprint(subset) == footprint:
                         expected[joint] += coeff * np.prod([1 - 2 * bits[v] for v in subset])
@@ -621,9 +673,9 @@ _GRID_VALUES = np.array([-1.5, -0.3, -0.0, 0.0, 0.1, 0.7, 2.0 / 3.0])
 def _random_encoding(rng, width):
     """Encoding of a random register whose decode entries have ``width`` bits."""
     m = int(rng.integers(1, 4))
-    decode = tuple(tuple(rng.integers(0, 2, width).tolist()) for _ in range(1 << m))
-    energies = tuple(rng.choice(_GRID_VALUES, 1 << m).tolist())
-    return EncodedCommunity(m, decode, energies, (False,) * (1 << m), "repeat", 1 << m, width)
+    decode = [bits_to_int(rng.integers(0, 2, width).tolist()) for _ in range(1 << m)]
+    energies = rng.choice(_GRID_VALUES, 1 << m)
+    return EncodedCommunity(m, decode, energies, "repeat", 1 << m, width)
 
 
 def _random_reduced(rng, k):
