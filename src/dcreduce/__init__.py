@@ -10,14 +10,7 @@ from .clustering import (
     louvain,
     modularity,
 )
-from .cutoff import (
-    CommunityDecomposition,
-    Window,
-    decompose,
-    delta_pubo,
-    delta_two_body,
-    window,
-)
+from .cutoff import Window, window
 from .driver import (
     RunConfig,
     RunResult,
@@ -42,12 +35,14 @@ from .reduction import (
     EncodedCommunity,
     ReducedProblem,
     build_reduced,
+    decompose,
+    delta_pubo,
+    delta_two_body,
     encode_community,
     reduced_as_poly,
 )
 
 __all__ = [
-    "CommunityDecomposition",
     "DecodeChain",
     "EncodedCommunity",
     "FamilyConfig",

@@ -268,12 +268,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _parse_list(text: str, kind, flag: str) -> tuple:
+    """Comma-separated values of ``kind``; ParameterError names ``flag``."""
+    try:
+        return tuple(kind(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise ParameterError(f"{flag} takes comma-separated {kind.__name__} values, got {text!r}") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -281,8 +281,8 @@ def _cmd_sweep(args) -> int:
     try:
         spec = SweepSpec(
             families=families,
-            sizes=_parse_int_list(args.n),
-            etas=_parse_float_list(args.eta),
+            sizes=_parse_list(args.n, int, "--n"),
+            etas=_parse_list(args.eta, float, "--eta"),
             instances=args.instances,
             seed0=args.seeds,
             optimizer=args.optimizer,
@@ -305,13 +305,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_diagnostics(args) -> int:
     try:
         config = family_by_label(args.family)
+        if args.bins < 1:
+            raise ParameterError(f"--bins must be at least 1, got {args.bins}")
     except ParameterError as exc:
         return _fail(exc, EXIT_INPUT)
     records = []
     for i in range(args.instances):
         seed = args.seeds + i
-        h = generate(config.spec_for(args.n, seed))
         try:
+            h = generate(config.spec_for(args.n, seed))
             cfg = _run_config(args.eta, seed, args.optimizer, args.padding, True, args.max_iters)
             result = run(h, cfg)
         except (DomainError, ParameterError) as exc:

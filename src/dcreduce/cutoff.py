@@ -1,27 +1,17 @@
-"""Community decomposition of a Hamiltonian and certified local energy windows.
+"""Certified local energy windows.
 
 A local state can only take part in the global optimum when its community
-energy lies within delta of the community ground energy, where delta is a
-bound on the interaction strength with the rest of the system. For
-pure-quadratic problems the sum of absolute straddling couplings certifies
-the window directly; in general twice that sum does, with an exact
-eigenvalue range used instead when the straddling terms touch few enough
-variables to enumerate.
+energy lies within delta of the community ground energy, where delta bounds
+the community's interactions with the rest of the system. The cut-offs that
+compute delta live with the decomposition they read, in ``reduction``; this
+module holds the window they define.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .clustering import Partition
-from .errors import DimensionError, DomainError
-from .hamiltonian import PolyHamiltonian, Subset
-
-# Exact interaction ranges are enumerated when the straddling terms touch
-# at most this many variables.
-EXACT_RANGE_VARS = 20
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -48,110 +38,3 @@ def window(e0: float, delta: float, eta: float) -> Window:
         raise DomainError(f"delta must be non-negative, got {delta}")
     tol = 1e-9 * max(1.0, abs(e0) + delta)
     return Window(e0, e0 + eta * delta, tol)
-
-
-@dataclass(frozen=True)
-class CommunityDecomposition:
-    """Terms of a Hamiltonian split by a partition of its variables.
-
-    Every non-constant term lands either in exactly one community's local
-    list or in the straddling set; straddling terms are additionally indexed
-    by every community they touch. The constant is kept aside and re-added
-    only in final reported energies.
-    """
-
-    h: PolyHamiltonian
-    partition: Partition
-    constant: float
-    community_vars: tuple[tuple[int, ...], ...]
-    local_terms: tuple[dict[Subset, float], ...]
-    straddling_terms: dict[Subset, float]
-    straddle_by_comm: tuple[tuple[Subset, ...], ...]
-
-    @property
-    def n_communities(self) -> int:
-        return self.partition.n_communities
-
-    def footprint(self, subset: Subset) -> tuple[int, ...]:
-        """Ascending ids of the communities a term touches."""
-        return tuple(sorted({self.partition.community_of[v] for v in subset}))
-
-    def local_poly(self, i: int) -> PolyHamiltonian:
-        """Community-local Hamiltonian re-indexed to 0..len(community)-1."""
-        mapping = {v: pos for pos, v in enumerate(self.community_vars[i])}
-        terms = {
-            tuple(mapping[v] for v in subset): coeff
-            for subset, coeff in self.local_terms[i].items()
-        }
-        return PolyHamiltonian(len(self.community_vars[i]), terms)
-
-
-def decompose(h: PolyHamiltonian, p: Partition) -> CommunityDecomposition:
-    """Split terms into per-community locals, straddlers, and the constant."""
-    if len(p.community_of) != h.n_vars:
-        raise DimensionError(
-            f"partition covers {len(p.community_of)} vertices, Hamiltonian has {h.n_vars}"
-        )
-    constant = 0.0
-    local: list[dict[Subset, float]] = [dict() for _ in range(p.n_communities)]
-    straddling: dict[Subset, float] = {}
-    straddle_by: list[list[Subset]] = [[] for _ in range(p.n_communities)]
-    for subset, coeff in h.terms.items():
-        if not subset:
-            constant += coeff
-            continue
-        touched = {p.community_of[v] for v in subset}
-        if len(touched) == 1:
-            local[next(iter(touched))][subset] = coeff
-        else:
-            straddling[subset] = coeff
-            for c in touched:
-                straddle_by[c].append(subset)
-    return CommunityDecomposition(
-        h=h,
-        partition=p,
-        constant=constant,
-        community_vars=tuple(tuple(c) for c in p.communities),
-        local_terms=tuple(local),
-        straddling_terms=straddling,
-        straddle_by_comm=tuple(tuple(sorted(s)) for s in straddle_by),
-    )
-
-
-def delta_two_body(d: CommunityDecomposition, i: int) -> float:
-    """Certified window width for pure-quadratic parents: sum of |J| over
-    straddling pairs. The exact interaction norm is not attempted."""
-    if not d.h.is_pure_quadratic():
-        raise DomainError("two-body cut-off requires a pure-quadratic Hamiltonian; use delta_pubo")
-    return float(sum(abs(d.straddling_terms[s]) for s in d.straddle_by_comm[i]))
-
-
-def delta_pubo(
-    d: CommunityDecomposition, i: int, exact_threshold: int = EXACT_RANGE_VARS
-) -> float:
-    """Certified window width for arbitrary-degree parents.
-
-    Returns the exact eigenvalue range of the community's interaction terms
-    when they touch at most ``exact_threshold`` variables (tighter), and
-    2 * sum |J| otherwise. Passing ``exact_threshold=0`` forces the bound.
-    """
-    subsets = d.straddle_by_comm[i]
-    if not subsets:
-        return 0.0
-    touched = sorted({v for s in subsets for v in s})
-    if len(touched) <= exact_threshold:
-        return _interaction_range(
-            [(s, d.straddling_terms[s]) for s in subsets], touched
-        )
-    return 2.0 * float(sum(abs(d.straddling_terms[s]) for s in subsets))
-
-
-def _interaction_range(terms: list[tuple[Subset, float]], touched: list[int]) -> float:
-    position = {v: pos for pos, v in enumerate(touched)}
-    states = np.arange(1 << len(touched), dtype=np.int64)
-    energies = np.zeros(states.size)
-    for subset, coeff in terms:
-        mask = np.int64(sum(1 << position[v] for v in subset))
-        parity = np.bitwise_count(states & mask) & 1
-        energies += coeff * (1.0 - 2.0 * parity)
-    return float(energies.max() - energies.min())

@@ -1,12 +1,14 @@
 """End-to-end orchestration: cluster, cut off, solve, encode, iterate, recombine.
 
-The run loop clusters the problem graph, enumerates each community's
-certified low-energy window, re-encodes the survivors on fewer qubits,
-and repeats on the contracted problem until one of the recombination
-criteria fires, at which point the remaining reduced system is solved in
-one step and decoded back to original variables. ``n_q`` is the maximum
-variable count over every optimizer invocation, including the final
-recombined solve.
+The run loop clusters the problem graph and, unless that yields one
+community, builds the level-0 reduced problem once. Every level then
+decomposes the reduced problem below it under the current partition, cuts
+off each community's window from its straddling couplings, enumerates and
+re-encodes the survivors on fewer qubits, and clusters the contracted
+problem, until one of the recombination criteria fires; the remaining
+reduced system is then solved in one step and decoded back to original
+variables. ``n_q`` is the maximum variable count over every optimizer
+invocation, including the final recombined solve.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clustering import LouvainConfig, Partition, hypergraph_to_graph, louvain
-from .cutoff import decompose, delta_pubo, delta_two_body
 from .errors import DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import PolyHamiltonian, SpinConfig, flip_all, int_to_bits
 from .optimizer import (
@@ -28,12 +29,18 @@ from .optimizer import (
     scan_minimum,
     solve_ground_objective,
 )
+# Level 1 calls delta_two_body, delta_pubo and build_reduced where later levels
+# call iteration_delta and build_reduced_iter, the same routines: the benchmark's
+# layer trace times each of these names as bound here and reports any absent.
 from .reduction import (
     ChainLevel,
     DecodeChain,
+    ReducedProblem,
     build_reduced,
     build_reduced_iter,
-    decompose_reduced,
+    decompose,
+    delta_pubo,
+    delta_two_body,
     encode_community,
     iteration_delta,
 )
@@ -210,8 +217,6 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     if cfg.linear_terms == "quadratize" and h.max_degree() <= 2 and not h.is_pure_quadratic():
         working = h.quadratize_fields()
         quadratized = working.n_vars != h.n_vars
-    quadratic = working.is_pure_quadratic()
-    constant = working.constant
     n_working = working.n_vars
 
     louvain_cfg = LouvainConfig(max_community_size=cfg.max_community_size)
@@ -237,50 +242,44 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
             )
         )
         return _finish(
-            h, working, quadratized, config_working, reduced_energy - constant,
-            invocations, 1, 3, cfg, constant, quadratic, levels, chain=None,
+            h, working, quadratized, config_working, reduced_energy - working.constant,
+            invocations, 1, 3, cfg, levels, chain=None,
         )
 
-    # -- first level: community windows on the original variables ----------
-    decomp = decompose(working, partition)
-    deltas = [
-        delta_two_body(decomp, i) if quadratic else delta_pubo(decomp, i)
-        for i in range(partition.n_communities)
-    ]
-    encodings, trace = _enumerate_and_encode(
-        (decomp.local_poly(i) for i in range(partition.n_communities)), deltas,
-        cfg.optimizer_o1, cfg.budget_o1, 1, partition, cfg,
-    )
-    rp = build_reduced(decomp, encodings, cfg.compute_chi)
-    chain = DecodeChain(n_vars=n_working, levels=[ChainLevel(trace.membership, encodings)])
-    invocations.extend(trace.invocation_sizes)
-    levels.append(trace)
-    iterations = 1
-
-    # -- iterate on the contracted problem ---------------------------------
+    # -- every level: decompose the previous one, cut off, enumerate, encode --
+    rp = ReducedProblem.from_hamiltonian(working)
+    chain = DecodeChain(n_vars=n_working, levels=[])
+    iterations = 0
     while True:
-        total_reduced = rp.total_qubits
-        contracted = rp.contracted_graph()
-        next_partition = louvain(
-            contracted, seed=_sub_seed(cfg.seed, 10 + iterations), config=louvain_cfg
+        iterations += 1
+        rd = decompose(rp, partition)
+        if iterations == 1:
+            deltas = [
+                delta_two_body(rd, i) if rp.quadratic else delta_pubo(rd, i)
+                for i in range(partition.n_communities)
+            ]
+            objectives = (working.restrict(members) for members in rd.members)
+            preference, budget, build = cfg.optimizer_o1, cfg.budget_o1, build_reduced
+        else:
+            deltas = [iteration_delta(rd, l) for l in range(partition.n_communities)]
+            objectives = (rd.rp.local_objective(members) for members in rd.members)
+            preference, budget, build = cfg.optimizer_o2, cfg.budget_o2, build_reduced_iter
+        encodings, trace = _enumerate_and_encode(
+            objectives, deltas, preference, budget, iterations, partition, cfg
         )
-        criterion = should_recombine(total_reduced, max(invocations), next_partition)
+        rp = build(rd, encodings, cfg.compute_chi)
+        chain.levels.append(ChainLevel(trace.membership, encodings))
+        invocations.extend(trace.invocation_sizes)
+        levels.append(trace)
+
+        partition = louvain(
+            rp.contracted_graph(), seed=_sub_seed(cfg.seed, 10 + iterations), config=louvain_cfg
+        )
+        criterion = should_recombine(rp.total_qubits, max(invocations), partition)
         if criterion is None and iterations >= cfg.max_iterations:
             criterion = 0
         if criterion is not None:
             break
-
-        iterations += 1
-        rd = decompose_reduced(rp, next_partition)
-        deltas = [iteration_delta(rd, l, quadratic) for l in range(next_partition.n_communities)]
-        encodings, trace = _enumerate_and_encode(
-            (rp.local_objective(members) for members in rd.members), deltas,
-            cfg.optimizer_o2, cfg.budget_o2, iterations, next_partition, cfg,
-        )
-        rp = build_reduced_iter(rd, encodings, cfg.compute_chi)
-        chain.levels.append(ChainLevel(trace.membership, encodings))
-        invocations.extend(trace.invocation_sizes)
-        levels.append(trace)
 
     # -- recombined solve ---------------------------------------------------
     final_objective = rp.full_objective()
@@ -292,7 +291,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     config_working = chain.decode_full(bits_int)
     return _finish(
         h, working, quadratized, config_working, reduced_energy,
-        invocations, iterations, criterion, cfg, constant, quadratic, levels, chain,
+        invocations, iterations, criterion, cfg, levels, chain,
     )
 
 
@@ -349,7 +348,7 @@ def _solve_objective(objective, cfg, preference, budget, seed, context):
 
 def _finish(
     h, working, quadratized, config_working, reduced_energy,
-    invocations, iterations, criterion, cfg, constant, quadratic, levels, chain,
+    invocations, iterations, criterion, cfg, levels, chain,
 ):
     if quadratized:
         # Ancilla bit 1 selects the global-flip image; normalize back.
@@ -358,6 +357,7 @@ def _finish(
     else:
         config = tuple(config_working)
     best_energy = h.evaluate(config)
+    constant = working.constant
     expected = reduced_energy + constant
     if abs(best_energy - expected) > 1e-6 * max(1.0, abs(best_energy)):
         raise InternalError(
@@ -369,7 +369,7 @@ def _finish(
         n_original=h.n_vars,
         n_working=working.n_vars,
         constant=constant,
-        quadratic=quadratic,
+        quadratic=working.is_pure_quadratic(),
         quadratized=quadratized,
         levels=tuple(levels),
         invocations=tuple(invocations),
@@ -413,6 +413,8 @@ def shift_diagnostics(h: PolyHamiltonian, result: RunResult) -> list[ShiftDiagno
     Communities without interactions (delta = 0) are excluded. ``ratio_b``
     is None when the window lower bound is zero.
     """
+    if result.chain is None:
+        return []  # one community: no interactions
     trace = result.trace
     working = h
     config = result.best_config
@@ -420,16 +422,15 @@ def shift_diagnostics(h: PolyHamiltonian, result: RunResult) -> list[ShiftDiagno
         working = h.quadratize_fields()
         config = tuple(config) + (0,)
     level = trace.levels[0]
-    partition = Partition.from_labels(level.partition)
-    decomp = decompose(working, partition)
+    rd = decompose(ReducedProblem.from_hamiltonian(working), Partition.from_labels(level.partition))
     out: list[ShiftDiagnostics] = []
-    for i in range(partition.n_communities):
+    for i, members in enumerate(rd.members):
         delta = level.deltas[i]
         if delta <= 0.0:
             continue
-        local_energy = PolyHamiltonian(working.n_vars, decomp.local_terms[i]).evaluate(config)
+        local_energy = working.restrict(members).evaluate(tuple(config[v] for v in members))
         interaction = PolyHamiltonian(
-            working.n_vars, {s: decomp.straddling_terms[s] for s in decomp.straddle_by_comm[i]}
+            working.n_vars, {s: working.terms[s] for s in rd.straddle_by_super[i]}
         ).evaluate(config)
         e0 = level.e0s[i]
         eta_bound = e0 + (result.eta - 1.0) * delta

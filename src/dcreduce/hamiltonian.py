@@ -121,6 +121,17 @@ class PolyHamiltonian:
         """True iff every non-constant term acts on exactly two variables."""
         return all(len(s) == 2 for s in self.terms if s)
 
+    def restrict(self, members) -> "PolyHamiltonian":
+        """The terms on ascending variables ``members``, variable
+        ``members[j]`` re-indexed to j; the constant and every term reaching
+        outside ``members`` are dropped."""
+        position = {v: j for j, v in enumerate(members)}
+        return PolyHamiltonian(len(position), {
+            tuple(position[v] for v in subset): coeff
+            for subset, coeff in self.terms.items()
+            if subset and all(v in position for v in subset)
+        })
+
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, x: SpinConfig) -> float:

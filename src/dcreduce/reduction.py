@@ -11,9 +11,10 @@ The input Hamiltonian is the trivial case of this encoding, level 0: every
 variable is its own 1-qubit register with decode ``[0, 1]`` and energies
 ``[field, -field]``, and every multi-variable term is a coupling
 whose table is its coefficient times the outer product of the Z eigenvalues
-``(1, -1)``. Every level, the first included, regroups the previous level's
-straddling couplings under a partition of its communities and composes
-them through the new decode tables. Small couplings materialize into
+``(1, -1)``. Every level, the first included, decomposes the previous
+level under a partition of its communities, bounds each new community's
+window by the couplings that straddle it, and composes those couplings
+through the new decode tables. Small couplings materialize into
 cached tables; large ones evaluate entry-wise through the composition, so
 only the entries a solver actually visits are ever computed. A table is
 composed in blocks of leading rows: each part's old table is gathered onto
@@ -33,8 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from .clustering import Partition, WeightedGraph
-from .cutoff import EXACT_RANGE_VARS, CommunityDecomposition
-from .errors import DimensionError, InternalError, ParameterError, ResourceError
+from .errors import DimensionError, DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import (
     MAX_PACKED_VARS, MAX_TABLE_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, readonly_array,
 )
@@ -375,13 +375,15 @@ class TableObjective:
 
 
 class ReducedProblem:
-    """Per-community energy tables plus inter-community coupling tables."""
+    """Per-community energy tables plus inter-community coupling tables;
+    ``quadratic`` when the input was pure quadratic (two-body cut-offs apply)."""
 
-    def __init__(self, encodings, couplings, compute_chi: bool, n_chi: int):
+    def __init__(self, encodings, couplings, compute_chi: bool, n_chi: int, quadratic: bool = False):
         self.encodings: tuple[EncodedCommunity, ...] = tuple(encodings)
         self.couplings: dict[tuple[int, ...], Coupling] = dict(couplings)
         self.compute_chi = compute_chi
         self.n_chi = n_chi
+        self.quadratic = quadratic
         self.m_tildes = tuple(enc.m_tilde for enc in self.encodings)
         offsets = []
         off = 0
@@ -418,7 +420,7 @@ class ReducedProblem:
                 table = coeff * signs[len(subset)]
                 couplings[subset] = Coupling(table.shape, table=table)
         encodings = [EncodedCommunity(1, [0, 1], [f, -f], "repeat", 2, 1) for f in fields]
-        return cls(encodings, couplings, True, 0)
+        return cls(encodings, couplings, True, 0, h.is_pure_quadratic())
 
     @property
     def n_communities(self) -> int:
@@ -434,10 +436,10 @@ class ReducedProblem:
         the largest |entry| (padded indices repeat the entries of valid
         ones, since they decode to ``decode[mu % d]``); otherwise, or when
         the table is too large to materialize, the propagated sum-of-|J|
-        bound.
+        bound. For a given table, as at level 0, the bound is that norm.
         """
         coupling = self.couplings[tuple(footprint)]
-        if not self.compute_chi or not coupling.can_materialize:
+        if not coupling.parts or not self.compute_chi or not coupling.can_materialize:
             return coupling.bound
         table = coupling.table()
         return float(max(table.max(), -table.min()))  # no |table| temporary
@@ -504,24 +506,17 @@ def _guard_table(shape) -> None:
         )
 
 
-def build_reduced(
-    decomp: CommunityDecomposition, encodings, compute_chi: bool = True
-) -> ReducedProblem:
-    """Reduced problem of the first level: the input's level-0 problem
-    regrouped under the decomposition's partition and composed through the
-    first-level encodings, exactly as every later level is built."""
-    level0 = ReducedProblem.from_hamiltonian(decomp.h)
-    return build_reduced_iter(
-        decompose_reduced(level0, decomp.partition), encodings, compute_chi
-    )
+# -- decomposition and cut-offs, the same at every level -------------------------
 
-
-# -- iteration levels ---------------------------------------------------------
+# Exact cut-offs are enumerated when the straddling couplings touch at most
+# this many qubits.
+EXACT_RANGE_VARS = 20
 
 
 @dataclass(frozen=True)
 class ReducedDecomposition:
-    """A reduced problem regrouped under a partition of its communities."""
+    """A reduced problem regrouped under a partition of its communities (at
+    level 0, the input's variables; its straddling footprints are terms)."""
 
     rp: ReducedProblem
     partition: Partition
@@ -530,9 +525,11 @@ class ReducedDecomposition:
     straddle_by_super: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def decompose_reduced(rp: ReducedProblem, p: Partition) -> ReducedDecomposition:
+def decompose(rp: ReducedProblem, p: Partition) -> ReducedDecomposition:
+    """Group the communities under ``p`` and index, in footprint order, the
+    couplings that straddle the new communities."""
     if len(p.community_of) != rp.n_communities:
-        raise DimensionError("partition must cover the reduced problem's communities")
+        raise DimensionError(f"partition covers {len(p.community_of)} vertices, not {rp.n_communities}")
     straddling: list = []
     straddle_by: list[list] = [[] for _ in range(p.n_communities)]
     for footprint in sorted(rp.couplings):
@@ -550,29 +547,36 @@ def decompose_reduced(rp: ReducedProblem, p: Partition) -> ReducedDecomposition:
     )
 
 
-def iteration_delta(
-    rd: ReducedDecomposition,
-    l: int,
-    quadratic: bool = True,
-    exact_threshold: int = EXACT_RANGE_VARS,
-) -> float:
-    """Certified window width for a super-community at an iteration level.
+def delta_two_body(rd: ReducedDecomposition, l: int) -> float:
+    """Certified window width for pure-quadratic inputs: the summed norms
+    of the straddling couplings (sum of |J| over straddling pairs at level 1)."""
+    if not rd.rp.quadratic:
+        raise DomainError("two-body cut-off requires a pure-quadratic Hamiltonian; use delta_pubo")
+    return float(sum(rd.rp.j_tilde(fp) for fp in rd.straddle_by_super[l]))
 
-    Quadratic parents carry their tighter cut-off through iterations: the
-    sum of straddling coupling norms. Otherwise the exact eigenvalue range
-    of the straddling couplings is enumerated when their joint register is
-    small enough, falling back to twice the summed norms.
+
+def delta_pubo(
+    rd: ReducedDecomposition, l: int, exact_threshold: int = EXACT_RANGE_VARS
+) -> float:
+    """Certified window width for inputs of any degree.
+
+    The exact range of the summed straddling couplings when their joint
+    register has at most ``exact_threshold`` qubits, and twice the summed
+    norms otherwise; ``exact_threshold=0`` forces the bound.
     """
     footprints = rd.straddle_by_super[l]
     if not footprints:
         return 0.0
     rp = rd.rp
-    if quadratic:
-        return float(sum(rp.j_tilde(fp) for fp in footprints))
     touched = sorted({c for fp in footprints for c in fp})
     if sum(rp.encodings[c].m_tilde for c in touched) <= exact_threshold:
         return _coupling_range(rp, footprints, touched)
     return 2.0 * float(sum(rp.j_tilde(fp) for fp in footprints))
+
+
+def iteration_delta(rd: ReducedDecomposition, l: int) -> float:
+    """The two-body cut-off for pure-quadratic inputs, the general one otherwise."""
+    return delta_two_body(rd, l) if rd.rp.quadratic else delta_pubo(rd, l)
 
 
 def _coupling_range(rp: ReducedProblem, footprints, touched) -> float:
@@ -587,6 +591,11 @@ def _coupling_range(rp: ReducedProblem, footprints, touched) -> float:
         coupling = rp.couplings[tuple(footprint)]
         total = total + coupling.values([grids[axis[c]] for c in footprint])
     return float(np.max(total) - np.min(total))
+
+
+def build_reduced(rd: ReducedDecomposition, encodings, compute_chi: bool = True) -> ReducedProblem:
+    """The first level's reduced problem, built like every later level's."""
+    return build_reduced_iter(rd, encodings, compute_chi)
 
 
 def build_reduced_iter(
@@ -622,7 +631,7 @@ def build_reduced_iter(
             n_chi += len(parts) * math.prod(shape)
             coupling.table()
         couplings[new_fp] = coupling
-    return ReducedProblem(encodings, couplings, compute_chi, n_chi)
+    return ReducedProblem(encodings, couplings, compute_chi, n_chi, rd.rp.quadratic)
 
 
 def _split_registers(states, groups, widths) -> list:

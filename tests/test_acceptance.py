@@ -15,7 +15,6 @@ from dcreduce.clustering import (
     louvain_with_history,
     modularity,
 )
-from dcreduce.cutoff import decompose, delta_pubo, delta_two_body
 from dcreduce.driver import RunConfig, approximation_ratio, run, shift_diagnostics
 from dcreduce.hamiltonian import PolyHamiltonian, flip_all
 from dcreduce.optimizer import (
@@ -26,9 +25,12 @@ from dcreduce.optimizer import (
 from dcreduce.reduction import (
     ChainLevel,
     DecodeChain,
+    ReducedProblem,
     build_reduced,
     build_reduced_iter,
-    decompose_reduced,
+    decompose,
+    delta_pubo,
+    delta_two_body,
     encode_community,
     iteration_delta,
 )
@@ -88,25 +90,24 @@ def _pipeline_levels(h, seed, eta):
     p1 = louvain(hypergraph_to_graph(h), seed=seed)
     if p1.n_communities < 2:
         return []
-    quadratic = h.is_pure_quadratic()
-    d = decompose(h, p1)
+    d = decompose(ReducedProblem.from_hamiltonian(h), p1)
     spectra, deltas = [], []
-    for i in range(p1.n_communities):
-        delta = delta_two_body(d, i) if quadratic else delta_pubo(d, i)
+    for i, members in enumerate(d.members):
+        delta = delta_two_body(d, i) if h.is_pure_quadratic() else delta_pubo(d, i)
         deltas.append(delta)
-        spectra.append(enumerate_low_exhaustive(d.local_poly(i), delta, eta))
+        spectra.append(enumerate_low_exhaustive(h.restrict(members), delta, eta))
     encodings = [encode_community(s, delta=deltas[i]) for i, s in enumerate(spectra)]
     rp = build_reduced(d, encodings)
-    chain = DecodeChain(h.n_vars, [ChainLevel(tuple(d.community_vars), tuple(encodings))])
+    chain = DecodeChain(h.n_vars, [ChainLevel(d.members, tuple(encodings))])
     levels = [(rp, DecodeChain(h.n_vars, list(chain.levels)))]
     labels = [i // 2 for i in range(rp.n_communities)]
     p2 = Partition.from_labels(labels)
     if p2.n_communities < rp.n_communities:
-        rd = decompose_reduced(rp, p2)
+        rd = decompose(rp, p2)
         spectra2, deltas2 = [], []
         for l in range(p2.n_communities):
             objective = rd.rp.local_objective(rd.members[l])
-            delta = iteration_delta(rd, l, quadratic)
+            delta = iteration_delta(rd, l)
             deltas2.append(delta)
             spectra2.append(enumerate_low_exhaustive(objective, delta, eta))
         encodings2 = [encode_community(s, delta=deltas2[l]) for l, s in enumerate(spectra2)]
@@ -185,10 +186,10 @@ def test_criterion_06_window_population_monotone_in_eta():
         n = int(rng.integers(8, 13))
         h = random_quadratic(n, 2 * n, seed)
         p = louvain(hypergraph_to_graph(h), seed=seed)
-        d = decompose(h, p)
-        for i in range(p.n_communities):
+        d = decompose(ReducedProblem.from_hamiltonian(h), p)
+        for i, members in enumerate(d.members):
             delta = delta_two_body(d, i)
-            local = d.local_poly(i)
+            local = h.restrict(members)
             previous = 0
             for eta in ETA_GRID:
                 count = enumerate_low_exhaustive(local, delta, eta).d

@@ -198,6 +198,21 @@ class TestSweep:
         ]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "ring_k2", "--n", "abc", "--instances", "1"],
+    ["sweep", "--family", "ring_k2", "--n", "8", "--eta", "x", "--instances", "1"],
+    ["diagnostics", "--n", "1", "--instances", "1"],
+    ["diagnostics", "--family", "3reg", "--n", "5", "--instances", "1"],
+    ["diagnostics", "--n", "8", "--instances", "1", "--bins", "0"],
+])
+def test_bad_input_is_one_error_line(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
 class TestDiagnostics:
     def test_rows_schema_and_medians(self, tmp_path):
         out = tmp_path / "diag.csv"

@@ -1,141 +1,243 @@
 """Decomposition and certified-window tests.
 
-The certification suites check the load-bearing guarantee: the global
-ground state's restriction to any community always lands inside that
-community's window, for both the two-body and the general cut-off.
+Every level decomposes the reduced problem of the level below; the first
+level decomposes level 0, the input as the trivial encoding of itself, so
+the tests below decompose level 0 under explicit partitions. The
+certification suites check the load-bearing guarantee: the global ground
+state's restriction to any community always lands inside that community's
+window, for both the two-body and the general cut-off.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from dcreduce.clustering import Partition, hypergraph_to_graph, louvain
-from dcreduce.cutoff import decompose, delta_pubo, delta_two_body, window
+from dcreduce.cutoff import window
 from dcreduce.errors import DimensionError, DomainError
 from dcreduce.hamiltonian import PolyHamiltonian
-from helpers import brute_argmin, random_pubo, random_quadratic, spin_energies
+from dcreduce.optimizer import enumerate_low_exhaustive
+from dcreduce.reduction import (
+    EXACT_RANGE_VARS,
+    ReducedProblem,
+    build_reduced,
+    decompose,
+    delta_pubo,
+    delta_two_body,
+    encode_community,
+)
+from helpers import brute_argmin, naive_evaluate, random_pubo, random_quadratic, spin_energies
+
+
+def _level0(h, labels):
+    """The input's level-0 problem decomposed under a partition of its variables."""
+    return decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels))
+
+
+def _sign(subset, x):
+    sign = 1
+    for j in subset:
+        if x[j]:
+            sign = -sign
+    return sign
 
 
 class TestDecompose:
     def test_single_community(self):
         h = PolyHamiltonian(3, {(): 1.0, (0, 1): 0.5, (1, 2): -0.25})
-        d = decompose(h, Partition.from_labels([0, 0, 0]))
-        assert d.local_terms[0] == {(0, 1): 0.5, (1, 2): -0.25}
-        assert d.straddling_terms == {}
-        assert d.constant == 1.0
+        rd = _level0(h, [0, 0, 0])
+        assert h.restrict(rd.members[0]).terms == {(0, 1): 0.5, (1, 2): -0.25}
+        assert rd.straddling_footprints == ()
+        # the constant stays out of every level
+        assert rd.rp.energy_of_indices((0, 0, 0)) == h.evaluate((0, 0, 0)) - 1.0
 
     def test_path_graph_bridge(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0})
-        d = decompose(h, Partition.from_labels([0, 0, 1]))
-        assert d.local_terms[0] == {(0, 1): 1.0}
-        assert d.local_terms[1] == {}
-        assert d.straddle_by_comm[0] == ((1, 2),)
-        assert d.straddle_by_comm[1] == ((1, 2),)
+        rd = _level0(h, [0, 0, 1])
+        assert h.restrict(rd.members[0]).terms == {(0, 1): 1.0}
+        assert h.restrict(rd.members[1]).terms == {}
+        assert rd.straddle_by_super[0] == ((1, 2),)
+        assert rd.straddle_by_super[1] == ((1, 2),)
 
     def test_hyperedge_touches_three_communities(self):
         h = PolyHamiltonian(3, {(0, 1, 2): 0.7})
-        d = decompose(h, Partition.from_labels([0, 1, 2]))
+        rd = _level0(h, [0, 1, 2])
         for i in range(3):
-            assert d.straddle_by_comm[i] == ((0, 1, 2),)
-        assert d.footprint((0, 1, 2)) == (0, 1, 2)
+            assert rd.straddle_by_super[i] == ((0, 1, 2),)
+        assert rd.straddling_footprints == ((0, 1, 2),)
 
     def test_partition_mismatch(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0})
         with pytest.raises(DimensionError):
-            decompose(h, Partition.from_labels([0, 0]))
+            _level0(h, [0, 0])
 
     def test_term_accounting(self):
         for seed in range(10):
             h = random_pubo(10, 16, seed)
             p = louvain(hypergraph_to_graph(h), seed=seed)
-            d = decompose(h, p)
+            rd = _level0(h, p.community_of)
             n_constant = 1 if () in h.terms else 0
-            counted = sum(len(t) for t in d.local_terms) + len(d.straddling_terms)
-            assert counted + n_constant == len(h.terms)
+            counted = sum(len(h.restrict(m).terms) for m in rd.members)
+            assert counted + len(rd.straddling_footprints) + n_constant == len(h.terms)
 
     def test_energy_conservation(self):
         for seed in range(10):
             h = random_pubo(9, 14, seed)
             rng = np.random.default_rng(seed)
-            p = Partition.from_labels(rng.integers(0, 3, size=9).tolist())
-            d = decompose(h, p)
+            rd = _level0(h, rng.integers(0, 3, size=9).tolist())
             x = tuple(int(b) for b in rng.integers(0, 2, size=9))
-            total = d.constant
-            for terms in list(d.local_terms) + [d.straddling_terms]:
-                for subset, coeff in terms.items():
-                    sign = 1
-                    for j in subset:
-                        if x[j]:
-                            sign = -sign
-                    total += coeff * sign
+            total = h.constant
+            for members in rd.members:
+                total += h.restrict(members).evaluate(tuple(x[v] for v in members))
+            for subset in rd.straddling_footprints:
+                total += h.terms[subset] * _sign(subset, x)
             assert total == pytest.approx(h.evaluate(x), abs=1e-9)
 
-    def test_local_poly_reindexing(self):
+    def test_restrict_reindexing(self):
         h = PolyHamiltonian(4, {(1, 3): 0.5, (0, 2): -1.0})
-        d = decompose(h, Partition.from_labels([0, 1, 0, 1]))
-        assert d.local_poly(0).terms == {(0, 1): -1.0}
-        assert d.local_poly(1).terms == {(0, 1): 0.5}
+        rd = _level0(h, [0, 1, 0, 1])
+        assert h.restrict(rd.members[0]).terms == {(0, 1): -1.0}
+        assert h.restrict(rd.members[1]).terms == {(0, 1): 0.5}
 
 
 class TestDeltaTwoBody:
     def test_sum_of_absolutes(self):
         h = PolyHamiltonian(4, {(0, 2): 0.5, (0, 3): -0.25, (1, 2): 0.25})
-        d = decompose(h, Partition.from_labels([0, 0, 1, 1]))
-        assert delta_two_body(d, 0) == pytest.approx(1.0, abs=1e-12)
+        rd = _level0(h, [0, 0, 1, 1])
+        assert delta_two_body(rd, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_interactions(self):
         h = PolyHamiltonian(4, {(0, 1): 1.0, (2, 3): 1.0})
-        d = decompose(h, Partition.from_labels([0, 0, 1, 1]))
-        assert delta_two_body(d, 0) == 0.0
+        rd = _level0(h, [0, 0, 1, 1])
+        assert delta_two_body(rd, 0) == 0.0
 
     def test_single_edge(self):
         h = PolyHamiltonian(2, {(0, 1): -2.0})
-        d = decompose(h, Partition.from_labels([0, 1]))
-        assert delta_two_body(d, 0) == pytest.approx(2.0)
+        rd = _level0(h, [0, 1])
+        assert delta_two_body(rd, 0) == pytest.approx(2.0)
 
     def test_rejects_non_quadratic(self):
         h = PolyHamiltonian(3, {(0,): 1.0, (0, 1, 2): 1.0})
-        d = decompose(h, Partition.from_labels([0, 0, 1]))
+        rd = _level0(h, [0, 0, 1])
         with pytest.raises(DomainError):
-            delta_two_body(d, 0)
+            delta_two_body(rd, 0)
+
+    def test_rejects_non_quadratic_at_iteration_level(self):
+        # the flag travels with the reduced problem to every later level
+        h = PolyHamiltonian(4, {(0, 1): 0.5, (1, 2): -1.0, (1, 2, 3): 0.25, (0, 3): 0.75})
+        rd = _level0(h, [0, 0, 1, 1])
+        encodings = [
+            encode_community(enumerate_low_exhaustive(h.restrict(m), delta_pubo(rd, i), 1.0))
+            for i, m in enumerate(rd.members)
+        ]
+        rp = build_reduced(rd, encodings)
+        assert not rp.quadratic and rp.couplings
+        with pytest.raises(DomainError):
+            delta_two_body(decompose(rp, Partition.from_labels([0, 1])), 0)
+
+    def test_quadratic_flag_reaches_the_next_level(self):
+        h = random_quadratic(6, 9, 4)
+        rd = _level0(h, [0, 0, 0, 1, 1, 1])
+        encodings = [
+            encode_community(enumerate_low_exhaustive(h.restrict(m), delta_two_body(rd, i), 1.0))
+            for i, m in enumerate(rd.members)
+        ]
+        rp = build_reduced(rd, encodings)
+        assert rd.rp.quadratic and rp.quadratic
+        rd2 = decompose(rp, Partition.from_labels([0, 1]))
+        assert delta_two_body(rd2, 0) == pytest.approx(rp.j_tilde((0, 1)))
+
+
+def _straddling_range(h, labels, community):
+    """Oracle: max - min of the terms straddling ``community``, over all
+    assignments of the variables they touch, read off ``h`` and the labels."""
+    terms = {
+        s: c for s, c in h.terms.items()
+        if community in {labels[v] for v in s} and len({labels[v] for v in s}) > 1
+    }
+    touched = sorted({v for s in terms for v in s})
+    part = PolyHamiltonian(h.n_vars, terms)
+    energies = []
+    for values in itertools.product((0, 1), repeat=len(touched)):
+        bits = [0] * h.n_vars
+        for v, b in zip(touched, values):
+            bits[v] = b
+        energies.append(naive_evaluate(part, bits))
+    return max(energies) - min(energies), len(touched), sum(abs(c) for c in terms.values())
+
+
+# A = {0, 1}, B = {2}, C = {3}: the straddling products of A multiply to the
+# identity, so they cannot all be -1 at once; the range is 4, the bound 6.
+_DEPENDENT = {(0, 2): 1.0, (1, 3): 1.0, (0, 1, 2, 3): 1.0}
 
 
 class TestDeltaPubo:
     def test_bound_is_twice_two_body(self):
         for seed in range(8):
             h = random_quadratic(8, 12, seed)
-            p = Partition.from_labels([0, 0, 0, 0, 1, 1, 1, 1])
-            d = decompose(h, p)
+            rd = _level0(h, [0, 0, 0, 0, 1, 1, 1, 1])
             for i in range(2):
-                assert delta_pubo(d, i, exact_threshold=0) == pytest.approx(
-                    2.0 * delta_two_body(d, i), abs=1e-12
+                assert delta_pubo(rd, i, exact_threshold=0) == pytest.approx(
+                    2.0 * delta_two_body(rd, i), abs=1e-12
                 )
 
     def test_single_hyperedge_exact_range(self):
         h = PolyHamiltonian(4, {(0, 1, 2): 0.5, (0, 1): 0.1})
-        d = decompose(h, Partition.from_labels([0, 0, 1, 1]))
+        rd = _level0(h, [0, 0, 1, 1])
         # only (0,1,2) straddles; its exact range is 1.0
-        assert delta_pubo(d, 0) == pytest.approx(1.0, abs=1e-12)
+        assert delta_pubo(rd, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_hyperedges_exact_range(self):
         h = PolyHamiltonian(6, {(0, 3, 4): 0.3, (1, 5): -0.4, (0, 1): 0.2})
-        d = decompose(h, Partition.from_labels([0, 0, 0, 1, 1, 1]))
-        assert delta_pubo(d, 0) == pytest.approx(1.4, abs=1e-12)
+        rd = _level0(h, [0, 0, 0, 1, 1, 1])
+        assert delta_pubo(rd, 0) == pytest.approx(1.4, abs=1e-12)
 
     def test_exact_never_exceeds_bound(self):
         for seed in range(12):
             h = random_pubo(10, 15, seed)
             rng = np.random.default_rng(seed)
-            p = Partition.from_labels(rng.integers(0, 3, size=10).tolist())
-            d = decompose(h, p)
-            for i in range(p.n_communities):
-                exact = delta_pubo(d, i, exact_threshold=20)
-                bound = delta_pubo(d, i, exact_threshold=0)
+            rd = _level0(h, rng.integers(0, 3, size=10).tolist())
+            for i in range(rd.partition.n_communities):
+                exact = delta_pubo(rd, i, exact_threshold=20)
+                bound = delta_pubo(rd, i, exact_threshold=0)
                 assert exact <= bound + 1e-12
 
     def test_no_interactions(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
-        d = decompose(h, Partition.from_labels([0, 0]))
-        assert delta_pubo(d, 0) == 0.0
+        rd = _level0(h, [0, 0])
+        assert delta_pubo(rd, 0) == 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exact_range_matches_naive_oracle(self, seed):
+        rng = np.random.default_rng(seed + 900)
+        n = int(rng.integers(6, 12))
+        h = random_pubo(n, 2 * n, seed + 900)
+        labels = Partition.from_labels(rng.integers(0, 3, size=n).tolist()).community_of
+        rd = _level0(h, labels)
+        for i in range(rd.partition.n_communities):
+            expected, k, _ = _straddling_range(h, labels, i)
+            assert k <= EXACT_RANGE_VARS
+            assert delta_pubo(rd, i) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_threshold_edge(self):
+        h = PolyHamiltonian(4, _DEPENDENT)
+        labels = [0, 0, 1, 2]
+        expected, k, total = _straddling_range(h, labels, 0)
+        assert (expected, k, total) == (4.0, 4, 3.0)
+        rd = _level0(h, labels)
+        assert delta_pubo(rd, 0, exact_threshold=k) == expected
+        assert delta_pubo(rd, 0, exact_threshold=k - 1) == 2.0 * total
+
+    @pytest.mark.parametrize("extra", [EXACT_RANGE_VARS - 4, EXACT_RANGE_VARS - 3])
+    def test_threshold_edge_at_default(self, extra):
+        # the dependent triple plus free pairs (0, v): k = 4 + extra touched
+        # variables, exact range 4 + 2 * extra, bound 6 + 2 * extra
+        n = 4 + extra
+        h = PolyHamiltonian(n, {**_DEPENDENT, **{(0, v): 1.0 for v in range(4, n)}})
+        rd = _level0(h, [0, 0] + list(range(1, n - 1)))
+        exact = n <= EXACT_RANGE_VARS
+        assert delta_pubo(rd, 0) == (4.0 if exact else 6.0) + 2.0 * extra
 
 
 class TestWindow:
@@ -168,17 +270,6 @@ class TestWindow:
         assert w.contains(-50.0 + 1e-8)  # tol = 1e-9 * 150
 
 
-def _local_energy(h, community_vars, local_terms, config):
-    total = 0.0
-    for subset, coeff in local_terms.items():
-        sign = 1
-        for j in subset:
-            if config[j]:
-                sign = -sign
-        total += coeff * sign
-    return total
-
-
 class TestCertification:
     """Global ground state's local energies always fall inside the windows."""
 
@@ -188,13 +279,12 @@ class TestCertification:
         n = int(rng.integers(8, 17))
         h = random_quadratic(n, 2 * n, seed)
         ground, _ = brute_argmin(h)
-        p = Partition.from_labels(rng.integers(0, max(2, n // 4), size=n).tolist())
-        d = decompose(h, p)
-        for i in range(p.n_communities):
-            delta = delta_two_body(d, i)
-            local = d.local_poly(i)
+        rd = _level0(h, rng.integers(0, max(2, n // 4), size=n).tolist())
+        for i, members in enumerate(rd.members):
+            delta = delta_two_body(rd, i)
+            local = h.restrict(members)
             spectrum_min = float(spin_energies(local).min())
-            restricted = tuple(ground[v] for v in d.community_vars[i])
+            restricted = tuple(ground[v] for v in members)
             local_energy = local.evaluate(restricted)
             w = window(spectrum_min, delta, 1.0)
             assert w.contains(local_energy)
@@ -205,13 +295,12 @@ class TestCertification:
         n = int(rng.integers(8, 15))
         h = random_pubo(n, 2 * n, seed)
         ground, _ = brute_argmin(h)
-        p = Partition.from_labels(rng.integers(0, max(2, n // 4), size=n).tolist())
-        d = decompose(h, p)
-        for i in range(p.n_communities):
+        rd = _level0(h, rng.integers(0, max(2, n // 4), size=n).tolist())
+        for i, members in enumerate(rd.members):
             for threshold in (0, 20):
-                delta = delta_pubo(d, i, exact_threshold=threshold)
-                local = d.local_poly(i)
+                delta = delta_pubo(rd, i, exact_threshold=threshold)
+                local = h.restrict(members)
                 spectrum_min = float(spin_energies(local).min())
-                restricted = tuple(ground[v] for v in d.community_vars[i])
+                restricted = tuple(ground[v] for v in members)
                 w = window(spectrum_min, delta, 1.0)
                 assert w.contains(local.evaluate(restricted))

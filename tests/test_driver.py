@@ -19,6 +19,15 @@ from dcreduce.hamiltonian import PolyHamiltonian, int_to_bits
 from helpers import brute_min, random_pubo, random_quadratic
 
 
+def test_public_names_resolve_sorted_and_unique():
+    import dcreduce
+
+    names = dcreduce.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(dcreduce, name)] == []
+
+
 class TestShouldRecombine:
     def test_fewer_qubits_fires_first(self):
         p = Partition.from_labels([0, 0, 1])
@@ -250,14 +259,11 @@ class TestShiftDiagnostics:
         total_inter = sum(d.interaction_energy for d in diags)
         level0 = result.trace.levels[0]
         # add locals of delta-0 communities that were excluded
-        from dcreduce.cutoff import decompose
         p = Partition.from_labels(level0.partition)
-        dec = decompose(h, p)
-        for i in range(p.n_communities):
+        for i, members in enumerate(p.communities):
             if level0.deltas[i] <= 0.0:
-                local = dec.local_poly(i)
-                restricted = tuple(result.best_config[v] for v in dec.community_vars[i])
-                total_local += local.evaluate(restricted)
+                restricted = tuple(result.best_config[v] for v in members)
+                total_local += h.restrict(members).evaluate(restricted)
         assert total_local + total_inter / 2.0 + h.constant == pytest.approx(
             result.best_energy, abs=1e-9
         )

@@ -196,6 +196,31 @@ class TestQuadratize:
         assert extended.min() == pytest.approx(original.min(), abs=1e-12)
 
 
+class TestRestrict:
+    def test_reindexes_by_position(self):
+        h = PolyHamiltonian(6, {
+            (): 0.3, (1,): 0.5, (4,): -0.25, (2,): 0.75,
+            (1, 4): -1.0, (1, 2): 0.125, (1, 4, 5): 0.625, (0, 3): 2.0,
+        })
+        local = h.restrict((1, 4, 5))
+        # fields kept, constant and the crossing terms (2,), (1, 2), (0, 3) dropped
+        assert local.n_vars == 3
+        assert local.terms == {(0,): 0.5, (1,): -0.25, (0, 1): -1.0, (0, 1, 2): 0.625}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_local_energy_matches_restricted_terms(self, seed):
+        rng = np.random.default_rng(seed)
+        h = random_pubo(9, 18, seed)
+        members = tuple(sorted(rng.choice(9, size=4, replace=False).tolist()))
+        local = h.restrict(members)
+        inside = {s: c for s, c in h.terms.items() if s and set(s) <= set(members)}
+        for _ in range(8):
+            x = tuple(int(b) for b in rng.integers(0, 2, size=9))
+            expected = naive_evaluate(PolyHamiltonian(9, inside), x)
+            got = local.evaluate(tuple(x[v] for v in members))
+            assert got == pytest.approx(expected, abs=1e-12)
+
+
 class TestSymmetry:
     def test_flip_all(self):
         assert flip_all((0, 1, 1)) == (1, 0, 0)

@@ -8,7 +8,7 @@ import pytest
 import dcreduce.optimizer as optimizer_module
 import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition
-from dcreduce.cutoff import Window, decompose, delta_two_body, window
+from dcreduce.cutoff import Window, window
 from dcreduce.driver import RunConfig, _solve_objective, brute_force_reference
 from dcreduce.errors import InternalError, ResourceError
 from dcreduce.hamiltonian import SLAB_ENTRIES, PolyHamiltonian, int_to_bits
@@ -28,7 +28,9 @@ from dcreduce.optimizer import (
     solve_ground,
     solve_ground_objective,
 )
-from dcreduce.reduction import TableObjective, build_reduced, encode_community
+from dcreduce.reduction import (
+    ReducedProblem, TableObjective, build_reduced, decompose, delta_two_body, encode_community,
+)
 from helpers import random_pubo, random_quadratic, spin_energies
 
 
@@ -92,12 +94,8 @@ class TestExhaustive:
         # early chunks keep states that the final window drops
         monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
         monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
-        d = decompose(random_quadratic(10, 18, 41), Partition.from_labels([0] * 5 + [1] * 5))
-        encodings = [
-            encode_community(enumerate_low_exhaustive(d.local_poly(i), delta_two_body(d, i), 1.0))
-            for i in range(2)
-        ]
-        objectives = [random_quadratic(10, 18, 40), build_reduced(d, encodings).full_objective()]
+        reduced = first_level(random_quadratic(10, 18, 41), [0] * 5 + [1] * 5)
+        objectives = [random_quadratic(10, 18, 40), reduced.full_objective()]
         for objective in objectives:
             for delta, eta in ((0.0, 1.0), (1.3, 0.5), (2.5, 1.0)):
                 _, e0 = optimizer_module.scan_minimum(as_objective(objective))
@@ -312,10 +310,15 @@ def singleton_reduced_problem(n, seed):
     rng = np.random.default_rng(seed)
     h = PolyHamiltonian(n, {(i, (i + 1) % n) if i + 1 < n else (0, n - 1): float(rng.uniform(-1, 1))
                             for i in range(n)})
-    d = decompose(h, Partition.from_labels(range(n)))
+    return first_level(h, range(n))
+
+
+def first_level(h, labels):
+    """First-level reduced problem of a quadratic h under a partition, at eta 1."""
+    d = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels))
     encodings = [
-        encode_community(enumerate_low_exhaustive(d.local_poly(i), delta_two_body(d, i), 1.0))
-        for i in range(n)
+        encode_community(enumerate_low_exhaustive(h.restrict(m), delta_two_body(d, i), 1.0))
+        for i, m in enumerate(d.members)
     ]
     return build_reduced(d, encodings)
 
@@ -441,14 +444,7 @@ class TestAnnealKernel:
 
     def test_sampled_window_on_reduced_objective_matches_exhaustive(self, monkeypatch):
         h = random_quadratic(12, 20, 5)
-        d = decompose(h, Partition.from_labels([0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]))
-        encodings = [
-            encode_community(
-                enumerate_low_exhaustive(d.local_poly(i), delta_two_body(d, i), 1.0)
-            )
-            for i in range(d.n_communities)
-        ]
-        rp = build_reduced(d, encodings)
+        rp = first_level(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3])
         sizes = sorted(math.prod(c.shape) for c in rp.couplings.values())
         assert sizes[0] < sizes[-1]
         # the largest coupling stays lazy and is evaluated through values()

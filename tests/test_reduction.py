@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcreduce.clustering import Partition, hypergraph_to_graph, louvain
-from dcreduce.cutoff import Window, decompose, delta_pubo, delta_two_body
+from dcreduce.cutoff import Window
 from dcreduce.errors import ParameterError, ResourceError
 from dcreduce.hamiltonian import MAX_PACKED_VARS, PolyHamiltonian, bits_to_int, int_to_bits
 from dcreduce.optimizer import _check_packable, _freeze, as_objective, enumerate_low_exhaustive
@@ -28,7 +28,9 @@ from dcreduce.reduction import (
     TableObjective,
     build_reduced,
     build_reduced_iter,
-    decompose_reduced,
+    decompose,
+    delta_pubo,
+    delta_two_body,
     encode_community,
     iteration_delta,
     reduced_as_poly,
@@ -37,20 +39,23 @@ from helpers import random_pubo, random_quadratic, spin_energies
 
 
 def _level_one(h, labels, eta=1.0, padding="repeat", compute_chi=True):
-    p = Partition.from_labels(labels)
-    d = decompose(h, p)
-    quadratic = h.is_pure_quadratic()
+    d = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels))
     spectra, deltas = [], []
-    for i in range(p.n_communities):
-        delta = delta_two_body(d, i) if quadratic else delta_pubo(d, i)
+    for i, members in enumerate(d.members):
+        delta = delta_two_body(d, i) if d.rp.quadratic else delta_pubo(d, i)
         deltas.append(delta)
-        spectra.append(enumerate_low_exhaustive(d.local_poly(i), delta, eta))
+        spectra.append(enumerate_low_exhaustive(h.restrict(members), delta, eta))
     encodings = [
         encode_community(spec, padding, delta=deltas[i]) for i, spec in enumerate(spectra)
     ]
     rp = build_reduced(d, encodings, compute_chi)
-    chain = DecodeChain(h.n_vars, [ChainLevel(tuple(d.community_vars), tuple(encodings))])
+    chain = DecodeChain(h.n_vars, [ChainLevel(d.members, tuple(encodings))])
     return d, rp, chain
+
+
+def _footprint(d, subset):
+    """Ascending ids of the communities a level-0 term touches."""
+    return tuple(sorted({d.partition.community_of[v] for v in subset}))
 
 
 def _check_master_identity(h, rp, chain, constant):
@@ -185,7 +190,7 @@ class TestPackedStates:
         assert enc.is_padded.any()
 
         old = [EncodedCommunity(2, rng.permutation(4), np.zeros(4), "repeat", 4, 2) for _ in range(31)]
-        rd = decompose_reduced(ReducedProblem(old, {}, False, 0), Partition.from_labels([0] * 31))
+        rd = decompose(ReducedProblem(old, {}, False, 0), Partition.from_labels([0] * 31))
         gathers = _member_gathers(rd, [enc])
         for c in range(31):
             expected = [bits_to_int(int_to_bits(s, n)[2 * c:2 * c + 2]) for s in enc.decode.tolist()]
@@ -224,6 +229,16 @@ class TestLevelZero:
         np.testing.assert_allclose(got, spin_energies(h), rtol=0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("compute_chi", [True, False])
+    def test_j_tilde_is_abs_coeff(self, compute_chi):
+        h = random_pubo(10, 24, 7, max_arity=4)
+        level0 = ReducedProblem.from_hamiltonian(h)
+        rp = ReducedProblem(level0.encodings, level0.couplings, compute_chi, 0)
+        assert rp.couplings
+        for subset, coupling in rp.couplings.items():
+            assert _bits(rp.j_tilde(subset)) == _bits(abs(h.terms[subset]))
+
+
 class TestSignVectors:
     def test_entries_are_unit(self):
         # every first-level coupling entry is the signed sum of its
@@ -237,10 +252,10 @@ class TestSignVectors:
                 bits = {}
                 for c, mu in zip(footprint, joint):
                     state = int(rp.encodings[c].decode[mu])
-                    bits.update(zip(d.community_vars[c], int_to_bits(state, len(d.community_vars[c]))))
-                for subset, coeff in d.straddling_terms.items():
-                    if d.footprint(subset) == footprint:
-                        expected[joint] += coeff * np.prod([1 - 2 * bits[v] for v in subset])
+                    bits.update(zip(d.members[c], int_to_bits(state, len(d.members[c]))))
+                for subset in d.straddling_footprints:
+                    if _footprint(d, subset) == footprint:
+                        expected[joint] += h.terms[subset] * np.prod([1 - 2 * bits[v] for v in subset])
             np.testing.assert_allclose(coupling.table(), expected, rtol=0, atol=1e-12)
 
     def test_two_single_variable_communities(self):
@@ -292,7 +307,7 @@ class TestBuildReduced:
             for i in range(p.n_communities):
                 for j in range(i + 1, p.n_communities):
                     n_edges = sum(
-                        1 for s in d.straddling_terms if d.footprint(s) == (i, j)
+                        1 for s in d.straddling_footprints if _footprint(d, s) == (i, j)
                     )
                     expected += (
                         rp.encodings[i].d_tilde * rp.encodings[j].d_tilde * n_edges
@@ -400,12 +415,11 @@ def _two_level(h, seed=0, eta=1.0):
     p2 = Partition.from_labels(labels)
     if p2.n_communities == rp.n_communities:
         return None
-    rd = decompose_reduced(rp, p2)
-    quadratic = h.is_pure_quadratic()
+    rd = decompose(rp, p2)
     spectra, deltas = [], []
     for l in range(p2.n_communities):
         objective = rd.rp.local_objective(rd.members[l])
-        delta = iteration_delta(rd, l, quadratic)
+        delta = iteration_delta(rd, l)
         deltas.append(delta)
         spectra.append(enumerate_low_exhaustive(objective, delta, eta))
     encodings = [
@@ -421,12 +435,11 @@ def _iterate_once(h, rp, chain, labels, eta=1.0, padding="repeat", compute_chi=T
     p = Partition.from_labels(labels)
     if p.n_communities == rp.n_communities:
         return None
-    rd = decompose_reduced(rp, p)
-    quadratic = h.is_pure_quadratic()
+    rd = decompose(rp, p)
     spectra, deltas = [], []
     for l in range(p.n_communities):
         objective = rd.rp.local_objective(rd.members[l])
-        delta = iteration_delta(rd, l, quadratic)
+        delta = iteration_delta(rd, l)
         deltas.append(delta)
         spectra.append(enumerate_low_exhaustive(objective, delta, eta))
     encodings = [
@@ -516,11 +529,10 @@ class TestIteration:
         for seed in range(10):
             h = random_quadratic(10, 16, seed)
             p = louvain(hypergraph_to_graph(h), seed=seed)
-            d = decompose(h, p)
-            quadratic = h.is_pure_quadratic()
-            for i in range(p.n_communities):
-                delta = delta_two_body(d, i) if quadratic else delta_pubo(d, i)
-                local = d.local_poly(i)
+            d = decompose(ReducedProblem.from_hamiltonian(h), p)
+            for i, members in enumerate(d.members):
+                delta = delta_two_body(d, i)
+                local = h.restrict(members)
                 previous = 0
                 for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
                     count = enumerate_low_exhaustive(local, delta, eta).d
@@ -693,7 +705,7 @@ def _random_next(rng, rp):
     """The next level under a random coarser grouping, with random decode
     tables; couplings stay unmaterialized."""
     labels = rng.integers(0, max(1, rp.n_communities - 1), rp.n_communities).tolist()
-    rd = decompose_reduced(rp, Partition.from_labels(labels))
+    rd = decompose(rp, Partition.from_labels(labels))
     encodings = [
         _random_encoding(rng, sum(rp.encodings[c].m_tilde for c in members))
         for members in rd.members
