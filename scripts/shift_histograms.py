@@ -10,7 +10,7 @@ floor. See the CSV header for the sign conventions.
 import argparse
 
 from dcreduce.benchgen import family_by_label, generate
-from dcreduce.cli import diagnostics_rows
+from dcreduce.cli import _write_diagnostics, diagnostics_rows
 from dcreduce.driver import RunConfig, run, shift_diagnostics
 
 
@@ -35,12 +35,7 @@ def main() -> int:
         rows = diagnostics_rows(records, args.family, n, args.eta, args.bins)
         path = f"{args.out_prefix}_{args.family}_n{n}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# ratio_a signed; histograms over -ratio_a; ratio_b > 1 means deeper than the window floor\n")
-            import csv
-
-            writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow(row)
+            _write_diagnostics(rows, fh)
         medians = [r for r in rows if str(r[0]).startswith("median")]
         print(f"n={n}: {len(records)} communities, medians: "
               + ", ".join(f"{r[0]}={float(r[6]):.3f}" for r in medians)

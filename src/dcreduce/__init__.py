@@ -10,7 +10,6 @@ from .clustering import (
     louvain,
     modularity,
 )
-from .cutoff import Window, window
 from .driver import (
     RunConfig,
     RunResult,
@@ -24,11 +23,10 @@ from .hamiltonian import PolyHamiltonian, SpinConfig, flip_all, load_problem
 from .optimizer import (
     LocalSpectrum,
     OptimizerBudget,
+    Window,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
-    enumerate_window_exhaustive,
-    enumerate_window_sampled,
-    solve_ground,
+    window,
 )
 from .reduction import (
     DecodeChain,
@@ -68,8 +66,6 @@ __all__ = [
     "encode_community",
     "enumerate_low_exhaustive",
     "enumerate_low_sampled",
-    "enumerate_window_exhaustive",
-    "enumerate_window_sampled",
     "family_matrix",
     "flip_all",
     "generate",
@@ -81,7 +77,6 @@ __all__ = [
     "run",
     "shift_diagnostics",
     "should_recombine",
-    "solve_ground",
     "window",
 ]
 

@@ -4,9 +4,10 @@ The sweep command reproduces the reduction/approximation experiments:
 one CSV row per (family, n, eta, seed) plus aggregate mean/std rows. A
 point that fails becomes one ``kind=error`` row per eta with its message in
 the ``error`` column. Approximation ratios use the exhaustive oracle up to
-30 variables and the eta = 1 run on the same instance beyond that. Sweep
-points are independent and seeded; DC_REDUCE_THREADS > 1 dispatches them to
-a process pool.
+the 30-variable scan ceiling and the eta = 1 run on the same instance
+beyond that. Sweep points are independent and seeded; DC_REDUCE_THREADS > 1
+dispatches them to a process pool. Bad input is refused before any point
+runs.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .driver import (
 )
 from .errors import DomainError, FormatError, ParameterError, ResourceError
 from .hamiltonian import format_edge_list, load_problem
-
-ORACLE_VARS = 30
+from .optimizer import SCAN_CEILING
 
 # Exit codes: bad input or parameters, and a request past a resource ceiling.
 EXIT_INPUT = 2
@@ -58,8 +58,18 @@ class SweepSpec:
     out: str | None = None
 
     def __post_init__(self):
+        """Refuse bad input before any point runs: empty lists, unknown
+        family labels, and run settings that ``RunConfig`` refuses. Sizes a
+        family cannot generate still fail per point, as error rows."""
         if self.instances < 1:
             raise ParameterError("instances_per_point must be at least 1")
+        for name, values in (("family", self.families), ("size", self.sizes), ("eta", self.etas)):
+            if not values:
+                raise ParameterError(f"a sweep needs at least one {name}")
+        for label in self.families:
+            family_by_label(label)
+        for eta in self.etas:
+            _run_config(eta, self.seed0, self.optimizer, self.padding, self.compute_chi, self.max_iterations)
 
 
 def _run_config(eta: float, seed: int, optimizer: str, padding: str, chi: bool, max_iters: int) -> RunConfig:
@@ -87,7 +97,7 @@ def _sweep_task(task: tuple) -> list[dict]:
         result = run(h, cfg)
         wall_ms = 1000.0 * (time.perf_counter() - start)
         results[eta] = (result, wall_ms)
-    if n <= ORACLE_VARS:
+    if n <= SCAN_CEILING:
         reference = brute_force_reference(h)
     elif 1.0 in results:
         reference = results[1.0][0].best_energy
@@ -292,7 +302,7 @@ def _cmd_sweep(args) -> int:
             out=args.out,
         )
         rows = run_sweep(spec)
-    except ParameterError as exc:
+    except (DomainError, ParameterError) as exc:
         return _fail(exc, EXIT_INPUT)
     if not args.out:
         writer = csv.writer(sys.stdout)

@@ -20,6 +20,12 @@ import numpy as np
 from .errors import DomainError, FormatError, InternalError
 from .hamiltonian import PolyHamiltonian
 
+# Modularity resolution; the cycles stop once a cycle gains at most _CYCLE_TOL.
+_RESOLUTION = 1.0
+_CYCLE_TOL = 1e-9
+# Moves below this gain are treated as floating-point churn.
+_MIN_GAIN = 1e-12
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -114,17 +120,10 @@ class Partition:
     def n_vertices(self) -> int:
         return len(self.community_of)
 
-    def to_json_list(self) -> list[int]:
-        return list(self.community_of)
-
 
 @dataclass(frozen=True)
 class LouvainConfig:
-    resolution: float = 1.0
-    tol: float = 1e-9
     max_community_size: int | None = None
-    # Moves below this gain are treated as floating-point churn.
-    min_gain: float = 1e-12
 
 
 def modularity(g: WeightedGraph, p: Partition) -> float:
@@ -211,11 +210,11 @@ def louvain_with_history(
         tot = k[:]
         comm_size = sizes[:]
         moved_any = _phase_one(adj, k, m, labels, tot, comm_size, sizes, cfg, rng)
-        q = _aggregate_modularity(adj, loops, k, labels, m, cfg.resolution)
+        q = _aggregate_modularity(adj, loops, k, labels, m)
         if prev_q is not None and q < prev_q - 1e-9:
             raise InternalError(f"modularity decreased across a cycle: {prev_q} -> {q}")
         history.append(q)
-        if not moved_any or (prev_q is not None and q - prev_q <= cfg.tol):
+        if not moved_any or (prev_q is not None and q - prev_q <= _CYCLE_TOL):
             break
         prev_q = q
         adj, loops, sizes, members = _contract(adj, loops, sizes, members, labels)
@@ -238,7 +237,6 @@ def _require_nonnegative(g: WeightedGraph) -> None:
 def _phase_one(adj, k, m, labels, tot, comm_size, sizes, cfg, rng) -> bool:
     """Sequential single-node moves until no move improves modularity."""
     n = len(adj)
-    gamma = cfg.resolution
     cap = cfg.max_community_size
     moved_any = False
     while True:
@@ -252,14 +250,14 @@ def _phase_one(adj, k, m, labels, tot, comm_size, sizes, cfg, rng) -> bool:
                 links[c] = links.get(c, 0.0) + w
             k_home = links.get(home, 0.0)
             tot_home = tot[home] - k[v]
-            best_gain = cfg.min_gain
+            best_gain = _MIN_GAIN
             best_comm = home
             for c in sorted(links):
                 if c == home:
                     continue
                 if cap is not None and comm_size[c] + sizes[v] > cap:
                     continue
-                gain = (links[c] - k_home) / m - gamma * k[v] * (tot[c] - tot_home) / (2.0 * m * m)
+                gain = (links[c] - k_home) / m - _RESOLUTION * k[v] * (tot[c] - tot_home) / (2.0 * m * m)
                 if gain > best_gain:
                     best_gain = gain
                     best_comm = c
@@ -275,7 +273,7 @@ def _phase_one(adj, k, m, labels, tot, comm_size, sizes, cfg, rng) -> bool:
         moved_any = True
 
 
-def _aggregate_modularity(adj, loops, k, labels, m, gamma) -> float:
+def _aggregate_modularity(adj, loops, k, labels, m) -> float:
     groups: dict[int, list[int]] = {}
     for v, lab in enumerate(labels):
         groups.setdefault(lab, []).append(v)
@@ -289,7 +287,7 @@ def _aggregate_modularity(adj, loops, k, labels, m, gamma) -> float:
             for u, w in adj[v].items():
                 if u in node_set:
                     sigma_in += w
-        q += sigma_in / two_m - gamma * (sigma_tot / two_m) ** 2
+        q += sigma_in / two_m - _RESOLUTION * (sigma_tot / two_m) ** 2
     return q
 
 

@@ -204,6 +204,7 @@ def _sub_seed(base: int, *key: int) -> int:
 
 
 def _pick_backend(preference: str, n_vars: int, ceiling: int) -> str:
+    """The one place that chooses between an exhaustive scan and annealing."""
     if preference != "auto":
         return preference
     return "exhaustive" if n_vars <= ceiling else "annealing"
@@ -229,8 +230,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     if partition.n_communities == 1:
         invocations.append(n_working)
         bits_int, reduced_energy = _solve_objective(
-            as_objective(working), cfg, cfg.optimizer_o2, cfg.budget_o2,
-            _sub_seed(cfg.seed, 999), context="recombined solve",
+            as_objective(working), cfg, cfg.optimizer_o2, cfg.budget_o2, _sub_seed(cfg.seed, 999)
         )
         config_working = int_to_bits(bits_int, n_working)
         levels.append(
@@ -285,8 +285,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     final_objective = rp.full_objective()
     invocations.append(final_objective.n_vars)
     bits_int, reduced_energy = _solve_objective(
-        final_objective, cfg, cfg.optimizer_o2, cfg.budget_o2,
-        _sub_seed(cfg.seed, 1000), context="recombined solve",
+        final_objective, cfg, cfg.optimizer_o2, cfg.budget_o2, _sub_seed(cfg.seed, 1000)
     )
     config_working = chain.decode_full(bits_int)
     return _finish(
@@ -334,16 +333,14 @@ def _enumerate_and_encode(objectives, deltas, preference, budget, level, partiti
     return encodings, trace
 
 
-def _solve_objective(objective, cfg, preference, budget, seed, context):
-    backend = _pick_backend(preference, objective.n_vars, cfg.brute_force_ceiling)
-    if backend == "exhaustive":
+def _solve_objective(objective, cfg, preference, budget, seed):
+    """The recombined solve: a scan or annealing, as ``_pick_backend`` says."""
+    if _pick_backend(preference, objective.n_vars, cfg.brute_force_ceiling) == "exhaustive":
         try:
             return scan_minimum(objective)
         except ResourceError as exc:
-            raise ResourceError(f"{context}: {exc}") from exc
-    return solve_ground_objective(
-        objective, replace(budget, seed=seed), ceiling=0
-    )
+            raise ResourceError(f"recombined solve: {exc}") from exc
+    return solve_ground_objective(objective, replace(budget, seed=seed))
 
 
 def _finish(

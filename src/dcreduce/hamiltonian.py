@@ -35,11 +35,6 @@ MAX_PACKED_VARS = 62
 SLAB_ENTRIES = 1 << 16
 
 
-def spin(bit: int) -> int:
-    """Z eigenvalue of a bit value."""
-    return 1 - 2 * bit
-
-
 def flip_all(x: SpinConfig) -> SpinConfig:
     """Flip every bit of a configuration."""
     return tuple(1 - b for b in x)
@@ -112,10 +107,6 @@ class PolyHamiltonian:
     @property
     def constant(self) -> float:
         return self.terms.get((), 0.0)
-
-    def is_pure_even(self) -> bool:
-        """True iff every subset has even cardinality >= 2."""
-        return all(len(s) >= 2 and len(s) % 2 == 0 for s in self.terms)
 
     def is_pure_quadratic(self) -> bool:
         """True iff every non-constant term acts on exactly two variables."""

@@ -1,4 +1,12 @@
-"""Optimizer backends: exhaustive scans and penalty-iteration sampling.
+"""Optimizer backends: certified windows, exhaustive scans and
+penalty-iteration sampling.
+
+A local state can only take part in the global optimum when its community
+energy lies within delta of the community ground energy, where delta bounds
+the community's interactions with the rest of the system. The cut-offs that
+compute delta live with the decomposition they read, in ``reduction``; the
+window they define, [E0, E0 + eta * delta] with a scale-relative tolerance,
+is ``window`` here, and every spectrum carries one.
 
 Two kinds of diagonal objective are supported behind one duck-typed
 interface: compiled polynomial Hamiltonians and the table-backed reduced
@@ -14,8 +22,9 @@ objectives produced by the reduction stage. An objective exposes
     ``replicas(starts)`` builds it from start states (Python ints, or an
     int64 array when they fit), ``flipped(states, j)`` returns a copy with
     variable ``j[r]`` of replica r flipped, ``replica_energies(states)``
-    evaluates every replica, and ``replica_terms`` counts the terms that
-    evaluation sums per replica.
+    evaluates every replica, each row on its own so that a state's energy
+    does not depend on the batch it sits in, and ``replica_terms`` counts
+    the terms that evaluation sums per replica.
 
 Every scan, annealer and spectrum holds states packed into int64 integers,
 variable j on bit j.
@@ -27,6 +36,8 @@ and each energy or coupling table is broadcast-added onto the slab in the
 order ``energies_of`` adds it, so the two agree bit for bit. An exhaustive
 window is one pass: each chunk keeps its states inside the window of the
 running minimum, and the kept states are filtered against the final one.
+The scans refuse more than ``SCAN_CEILING`` variables; which backend a
+subproblem gets is the driver's choice.
 
 One annealing kernel runs a round's chains in lockstep. An objective with
 2^n <= ``SLAB_ENTRIES`` states (n <= 16) anneals on a dense table: its 2^n
@@ -47,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import Window, window as make_window
 from .errors import DomainError, InternalError, ResourceError
 from .hamiltonian import (
     MAX_PACKED_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, bits_to_int, int_to_bits, readonly_array,
@@ -60,6 +70,32 @@ SCAN_CEILING = 30
 _T_START = 2.0
 _T_END = 0.01
 _STEPS_PER_VAR = 50
+
+
+@dataclass(frozen=True)
+class Window:
+    """Closed energy interval with a scale-relative inclusion tolerance."""
+
+    lo: float
+    hi: float
+    tol: float
+
+    def contains(self, energy: float) -> bool:
+        return self.lo - self.tol <= energy <= self.hi + self.tol
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+
+def window(e0: float, delta: float, eta: float) -> Window:
+    """The retained interval [e0, e0 + eta * delta]."""
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"eta must lie in [0, 1], got {eta}")
+    if delta < 0.0:
+        raise DomainError(f"delta must be non-negative, got {delta}")
+    tol = 1e-9 * max(1.0, abs(e0) + delta)
+    return Window(e0, e0 + eta * delta, tol)
 
 
 def _check_packable(objective, what: str) -> None:
@@ -173,9 +209,6 @@ class PolyObjective:
     def energies_of(self, states: np.ndarray) -> np.ndarray:
         return self.h.energies(states)
 
-    def energy_of(self, bits_int: int) -> float:
-        return float(self.h.energies(np.array([bits_int], dtype=np.int64))[0])
-
     def scan_chunks(self):
         """Energies of all packed states in index order, as (first state,
         energies) chunks of up to ``SLAB_ENTRIES`` consecutive states."""
@@ -192,7 +225,7 @@ class PolyObjective:
 
     def replica_energies(self, states: np.ndarray) -> np.ndarray:
         odd = np.bitwise_count(states[:, None] & self.masks) & 1
-        return (1.0 - 2.0 * odd) @ self.coeffs
+        return np.where(odd, -self.coeffs, self.coeffs).sum(axis=1)
 
 
 def as_objective(h):
@@ -205,11 +238,11 @@ def as_objective(h):
 # -- exhaustive enumeration --------------------------------------------------
 
 
-def _check_scan(objective, ceiling: int) -> None:
-    if objective.n_vars > min(ceiling, SCAN_CEILING):
+def _check_scan(objective) -> None:
+    if objective.n_vars > SCAN_CEILING:
         raise ResourceError(
             f"exhaustive scan over {objective.n_vars} variables exceeds the "
-            f"{min(ceiling, SCAN_CEILING)}-variable ceiling; lower eta or cap the community size"
+            f"{SCAN_CEILING}-variable ceiling; lower eta or cap the community size"
         )
 
 
@@ -218,7 +251,7 @@ def scan_minimum(objective) -> tuple[int, float]:
 
     Refuses more than ``SCAN_CEILING`` variables with ResourceError.
     """
-    _check_scan(objective, SCAN_CEILING)
+    _check_scan(objective)
     best_bits, best_e = 0, math.inf
     for start, energies in objective.scan_chunks():
         pos = int(np.argmin(energies))
@@ -228,19 +261,7 @@ def scan_minimum(objective) -> tuple[int, float]:
     return best_bits, best_e
 
 
-def enumerate_window_exhaustive(h, win: Window, ceiling: int = SCAN_CEILING) -> LocalSpectrum:
-    """Every configuration whose energy lies in the given window."""
-    objective = as_objective(h)
-    _check_scan(objective, ceiling)
-    kept_states, kept_energies = [], []
-    for start, energies in objective.scan_chunks():
-        inside = np.flatnonzero(_inside(energies, win))
-        kept_states.append(start + inside)
-        kept_energies.append(energies[inside])
-    return _freeze(objective, np.concatenate(kept_states), np.concatenate(kept_energies), win, True)
-
-
-def enumerate_low_exhaustive(h, delta: float, eta: float, ceiling: int = SCAN_CEILING) -> LocalSpectrum:
+def enumerate_low_exhaustive(h, delta: float, eta: float) -> LocalSpectrum:
     """Exhaustive [E0, E0 + eta * delta] enumeration in one pass.
 
     Each chunk keeps its states inside the window of the running minimum
@@ -251,18 +272,18 @@ def enumerate_low_exhaustive(h, delta: float, eta: float, ceiling: int = SCAN_CE
     window, so the result equals a scan for E0 followed by a window scan.
     """
     objective = as_objective(h)
-    _check_scan(objective, ceiling)
+    _check_scan(objective)
     e0 = math.inf
     kept_states, kept_energies = [], []
     for start, energies in objective.scan_chunks():
         pos = int(np.argmin(energies))
         if energies[pos] < e0:
             e0 = float(energies[pos])
-        running = make_window(e0, delta, eta)
+        running = window(e0, delta, eta)
         keep = np.flatnonzero(energies <= running.hi + 2.0 * running.tol)
         kept_states.append(start + keep)
         kept_energies.append(energies[keep])
-    win = make_window(e0, delta, eta)
+    win = window(e0, delta, eta)
     states, energies = np.concatenate(kept_states), np.concatenate(kept_energies)
     inside = _inside(energies, win)
     return _freeze(objective, states[inside], energies[inside], win, True)
@@ -305,21 +326,18 @@ def _dense_table(objective) -> np.ndarray | None:
     exceeds ``SLAB_ENTRIES``; the one place that picks the annealing path.
 
     The table is evaluated through ``replica_energies`` in blocks of about
-    ``SLAB_ENTRIES`` temporary entries. Each block has a power-of-two number
-    of rows, at least four: a BLAS matrix-vector product may sum a trailing
-    group of fewer than four rows in another order than full groups, so
-    every entry equals what the replica path computes in a round of a
-    multiple of four replicas, such as the default 16.
+    ``SLAB_ENTRIES`` temporary entries; a replica's energy does not depend
+    on its batch, so every entry equals what the replica path computes.
     """
     total = 1 << objective.n_vars
     if total > SLAB_ENTRIES:
         return None
-    per_block = max(1, SLAB_ENTRIES // max(1, objective.replica_terms))
-    rows = min(total, max(4, 1 << (per_block.bit_length() - 1)))
+    rows = max(1, SLAB_ENTRIES // max(1, objective.replica_terms))
     table = np.empty(total)
     for start in range(0, total, rows):
-        block = objective.replicas(np.arange(start, start + rows, dtype=np.int64))
-        table[start:start + rows] = objective.replica_energies(block)
+        stop = min(start + rows, total)
+        block = objective.replicas(np.arange(start, stop, dtype=np.int64))
+        table[start:stop] = objective.replica_energies(block)
     return table
 
 
@@ -419,15 +437,14 @@ def _anneal_table(table: np.ndarray, starts, flips: np.ndarray, draws: np.ndarra
 # -- sampled enumeration ------------------------------------------------------
 
 
-def _sample_window(objective, width: float, tol: float, budget: OptimizerBudget, veto):
+def _sample_window(objective, width: float, budget: OptimizerBudget, veto):
     """Penalty-iteration sampling of the window of the given width.
 
     Returns the distinct packed states and energies found inside the final
-    window, and that window, whose floor is the lowest energy found.
+    window, and its floor, the lowest energy found.
     """
     _check_packable(objective, "sampled enumeration")
-    if width < 0.0:
-        raise DomainError("window width must be non-negative")
+    tol = 1e-9 * max(1.0, width)
     rng = np.random.default_rng(budget.seed)
     table = _dense_table(objective)
     if table is not None:
@@ -473,34 +490,8 @@ def _sample_window(objective, width: float, tol: float, budget: OptimizerBudget,
     e0 = min(pool.values())
     states = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
     found = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
-    final = Window(e0, e0 + width, max(tol, 1e-9 * max(1.0, abs(e0) + width)))
-    inside = _inside(found, final)
-    return states[inside], found[inside], final
-
-
-def enumerate_window_sampled(h, win, budget: OptimizerBudget, veto=None) -> LocalSpectrum:
-    """Penalty-iteration enumeration of a window of the given width.
-
-    ``win`` may be a Window (its width is used) or a bare width. Each round
-    runs ``samples_per_round`` annealing chains against the penalties fixed
-    at the round's start, then harvests them in chain order. The window
-    floor tracks the lowest energy measured so far; each state found inside
-    the moving window receives an additive penalty
-    ``p = width + c1 * |E| + c2`` so later rounds are pushed toward states
-    not seen yet. Rounds stop after ``stall_rounds`` rounds without a new
-    in-window state. The result is best-effort (``complete=False``).
-
-    ``veto(round_index, bits) -> bool`` optionally discards measured states,
-    which exists to exercise the recover-in-a-later-round behaviour.
-    """
-    if isinstance(win, Window):
-        width, tol = win.width, win.tol
-    else:
-        width = float(win)
-        tol = 1e-9 * max(1.0, width)
-    objective = as_objective(h)
-    states, energies, final = _sample_window(objective, width, tol, budget, veto)
-    return _freeze(objective, states, energies, final, complete=False)
+    inside = _inside(found, Window(e0, e0 + width, 1e-9 * max(1.0, abs(e0) + width)))
+    return states[inside], found[inside], e0
 
 
 def enumerate_low_sampled(
@@ -508,34 +499,41 @@ def enumerate_low_sampled(
 ) -> LocalSpectrum:
     """Sampled [E0, E0 + eta * delta] enumeration with a floating floor.
 
-    The states are those ``enumerate_window_sampled`` keeps for the width
-    eta * delta; the spectrum carries the window ``window(E0, delta, eta)``,
-    whose tolerance contains that of the sampled window.
+    Each round runs ``samples_per_round`` annealing chains against the
+    penalties fixed at the round's start, then harvests them in chain order.
+    The window floor tracks the lowest energy measured so far; each state
+    found inside the moving window of width eta * delta receives an additive
+    penalty ``p = width + c1 * |E| + c2`` so later rounds are pushed toward
+    states not seen yet. Rounds stop after ``stall_rounds`` rounds without a
+    new in-window state, or after ``max_sweeps`` rounds. The states kept are
+    those inside the final window of that width above the lowest energy
+    found, E0; the spectrum carries ``window(E0, delta, eta)``, whose
+    tolerance contains that window's. The result is best-effort
+    (``complete=False``).
+
+    ``veto(round_index, bits) -> bool`` optionally discards measured states,
+    which exists to exercise the recover-in-a-later-round behaviour.
     """
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
     if delta < 0.0:
         raise DomainError("delta must be non-negative")
     objective = as_objective(h)
-    width = eta * delta
-    states, energies, sampled = _sample_window(objective, width, 1e-9 * max(1.0, width), budget, veto)
-    return _freeze(objective, states, energies, make_window(sampled.lo, delta, eta), complete=False)
+    states, energies, e0 = _sample_window(objective, eta * delta, budget, veto)
+    return _freeze(objective, states, energies, window(e0, delta, eta), complete=False)
 
 
 # -- ground-state search -------------------------------------------------------
 
 
-def solve_ground_objective(
-    objective, budget: OptimizerBudget | None = None, ceiling: int = SCAN_CEILING
-) -> tuple[int, float]:
-    """Lowest found state of any diagonal objective (exhaustive when it fits).
+def solve_ground_objective(objective, budget: OptimizerBudget) -> tuple[int, float]:
+    """Lowest state of any diagonal objective found by annealing.
 
-    Annealing visits the chains' states in chain order and keeps the first
-    one that undercuts the best so far by more than 1e-15.
+    The rounds visit the chains' states in chain order and keep the first
+    one that undercuts the best so far by more than 1e-15. Rounds stop
+    after ``stall_rounds`` rounds without a new best, or after
+    ``max_sweeps`` rounds.
     """
-    if objective.n_vars <= min(ceiling, SCAN_CEILING):
-        return scan_minimum(objective)
-    budget = budget or OptimizerBudget()
     rng = np.random.default_rng(budget.seed)
     table = _dense_table(objective)
     best_bits, best_e = 0, math.inf
@@ -564,11 +562,3 @@ def solve_ground_objective(
         rounds += 1
         stall = 0 if found is not None else stall + 1
     return best_bits, best_e
-
-
-def solve_ground(
-    h: PolyHamiltonian, budget: OptimizerBudget | None = None, ceiling: int = SCAN_CEILING
-) -> tuple[SpinConfig, float]:
-    """Best configuration and energy of a Hamiltonian."""
-    bits_int, energy = solve_ground_objective(as_objective(h), budget, ceiling)
-    return int_to_bits(bits_int, h.n_vars), energy

@@ -275,9 +275,6 @@ class TableObjective:
             out += coupling.values([idx[p] for p in pos])
         return out
 
-    def energy_of(self, bits_int: int) -> float:
-        return float(self.energies_of(np.array([bits_int], dtype=np.int64))[0])
-
     def scan_chunks(self):
         """Energies of all packed states in index order, as (first state,
         energies) slabs of up to ``SLAB_ENTRIES`` consecutive states.
@@ -677,8 +674,8 @@ class DecodeChain:
     n_vars: int
     levels: list[ChainLevel]
 
-    def total_qubits(self, level: int = -1) -> int:
-        return sum(enc.m_tilde for enc in self.levels[level].encodings)
+    def total_qubits(self) -> int:
+        return sum(enc.m_tilde for enc in self.levels[-1].encodings)
 
     def decode_full(self, bits_int: int) -> SpinConfig:
         """Expand a packed final-level state into original variable bits.

@@ -204,6 +204,12 @@ class TestSweep:
     ["diagnostics", "--n", "1", "--instances", "1"],
     ["diagnostics", "--family", "3reg", "--n", "5", "--instances", "1"],
     ["diagnostics", "--n", "8", "--instances", "1", "--bins", "0"],
+    ["sweep", "--family", "nope", "--n", "8", "--instances", "1"],
+    ["sweep", "--family", ",", "--n", "8", "--instances", "1"],
+    ["sweep", "--family", "ring_k2", "--n", ",", "--instances", "1"],
+    ["sweep", "--family", "ring_k2", "--n", "8", "--eta", "2", "--instances", "1"],
+    ["sweep", "--family", "ring_k2", "--n", "8", "--eta", ",", "--instances", "1"],
+    ["sweep", "--family", "ring_k2", "--n", "8", "--max-iters", "0", "--instances", "1"],
 ])
 def test_bad_input_is_one_error_line(argv, capsys):
     assert main(argv) == EXIT_INPUT

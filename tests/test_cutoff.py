@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from dcreduce.clustering import Partition, hypergraph_to_graph, louvain
-from dcreduce.cutoff import window
 from dcreduce.errors import DimensionError, DomainError
 from dcreduce.hamiltonian import PolyHamiltonian
-from dcreduce.optimizer import enumerate_low_exhaustive
+from dcreduce.optimizer import enumerate_low_exhaustive, window
 from dcreduce.reduction import (
     EXACT_RANGE_VARS,
     ReducedProblem,

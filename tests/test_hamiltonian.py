@@ -232,11 +232,6 @@ class TestSymmetry:
             x = tuple(int(b) for b in rng.integers(0, 2, size=8))
             assert h.evaluate(x) == pytest.approx(h.evaluate(flip_all(x)), abs=1e-12)
 
-    def test_is_pure_even(self):
-        assert PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): -0.5}).is_pure_even()
-        assert not PolyHamiltonian(2, {(0,): 1.0, (0, 1): 1.0}).is_pure_even()
-        assert not PolyHamiltonian(2, {(): 1.0, (0, 1): 1.0}).is_pure_even()
-
     def test_odd_terms_change_sign(self):
         h = PolyHamiltonian(3, {(0, 1, 2): 0.7})
         assert h.evaluate((0, 0, 0)) == pytest.approx(-h.evaluate((1, 1, 1)), abs=1e-12)

@@ -8,7 +8,6 @@ import pytest
 import dcreduce.optimizer as optimizer_module
 import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition
-from dcreduce.cutoff import Window, window
 from dcreduce.driver import RunConfig, _solve_objective, brute_force_reference
 from dcreduce.errors import InternalError, ResourceError
 from dcreduce.hamiltonian import SLAB_ENTRIES, PolyHamiltonian, int_to_bits
@@ -17,16 +16,15 @@ from dcreduce.optimizer import (
     LocalSpectrum,
     OptimizerBudget,
     PolyObjective,
+    Window,
     _dense_table,
     _freeze,
     _penalty_of,
     as_objective,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
-    enumerate_window_exhaustive,
-    enumerate_window_sampled,
-    solve_ground,
     solve_ground_objective,
+    window,
 )
 from dcreduce.reduction import (
     ReducedProblem, TableObjective, build_reduced, decompose, delta_two_body, encode_community,
@@ -45,7 +43,8 @@ def bits_of(spectrum):
 class TestExhaustive:
     def test_degenerate_pair(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
-        spectrum = enumerate_window_exhaustive(h, Window(-1.0, -1.0, 1e-9))
+        spectrum = enumerate_low_exhaustive(h, 0.0, 1.0)
+        assert spectrum.window == Window(-1.0, -1.0, 1e-9)
         # bits (0, 1) pack to 2 and sort before (1, 0), packed 1
         assert spectrum.packed.tolist() == [2, 1]
         assert spectrum.energies.tolist() == [-1.0, -1.0]
@@ -54,7 +53,8 @@ class TestExhaustive:
 
     def test_full_window(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
-        spectrum = enumerate_window_exhaustive(h, Window(-1.0, 1.0, 1e-9))
+        spectrum = enumerate_low_exhaustive(h, 2.0, 1.0)
+        assert (spectrum.window.lo, spectrum.window.hi) == (-1.0, 1.0)
         assert spectrum.d == 4
 
     def test_matches_full_spectrum_filter(self):
@@ -84,9 +84,8 @@ class TestExhaustive:
         assert keys == sorted(keys)
 
     def test_ceiling(self):
-        h = PolyHamiltonian(8, {(0, 1): 1.0})
-        with pytest.raises(ResourceError):
-            enumerate_window_exhaustive(h, Window(-1.0, 1.0, 1e-9), ceiling=6)
+        with pytest.raises(ResourceError, match="31 variables"):
+            enumerate_low_exhaustive(_FixedScan(SCAN_CEILING + 1), 1.0, 1.0)
 
     @pytest.mark.parametrize("slab", [4, 1 << 16])
     def test_one_pass_matches_scan_then_window(self, monkeypatch, slab):
@@ -98,9 +97,21 @@ class TestExhaustive:
         objectives = [random_quadratic(10, 18, 40), reduced.full_objective()]
         for objective in objectives:
             for delta, eta in ((0.0, 1.0), (1.3, 0.5), (2.5, 1.0)):
-                _, e0 = optimizer_module.scan_minimum(as_objective(objective))
-                expected = enumerate_window_exhaustive(objective, window(e0, delta, eta))
+                expected = scan_then_window(as_objective(objective), delta, eta)
                 assert bits_of(enumerate_low_exhaustive(objective, delta, eta)) == bits_of(expected)
+
+
+def scan_then_window(objective, delta, eta):
+    """Reference window: a scan for E0, then a second scan that keeps every
+    state inside ``window(E0, delta, eta)``."""
+    _, e0 = optimizer_module.scan_minimum(objective)
+    win = window(e0, delta, eta)
+    kept_states, kept_energies = [], []
+    for start, energies in objective.scan_chunks():
+        inside = np.flatnonzero([win.contains(e) for e in energies.tolist()])
+        kept_states.append(start + inside)
+        kept_energies.append(energies[inside])
+    return _freeze(objective, np.concatenate(kept_states), np.concatenate(kept_energies), win, True)
 
 
 class _FixedScan:
@@ -133,7 +144,7 @@ class TestScanCeiling:
     def test_recombined_solve_adds_context(self):
         def solve(objective):
             cfg = RunConfig(brute_force_ceiling=40)
-            return _solve_objective(objective, cfg, "auto", OptimizerBudget(), 0, "recombined solve")
+            return _solve_objective(objective, cfg, "auto", OptimizerBudget(), 0)
 
         assert solve(_FixedScan(SCAN_CEILING, [(0, np.array([0.5, -0.5]))])) == (1, -0.5)
         with pytest.raises(ResourceError, match="^recombined solve: exhaustive scan over 31"):
@@ -214,7 +225,8 @@ class TestSampled:
 
     def test_explicit_window_signature(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
-        spectrum = enumerate_window_sampled(h, window(-1.0, 2.0, 1.0), OptimizerBudget(seed=0))
+        spectrum = enumerate_low_sampled(h, 2.0, 1.0, OptimizerBudget(seed=0))
+        assert spectrum.window == window(-1.0, 2.0, 1.0)
         assert set(spectrum.packed.tolist()) == {0, 1, 2, 3}
 
     def test_determinism(self):
@@ -227,26 +239,30 @@ class TestSampled:
 class TestSolveGround:
     def test_chain_of_two_couplings(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0})
-        config, energy = solve_ground(h)
+        bits, energy = solve_ground_objective(as_objective(h), OptimizerBudget())
         assert energy == pytest.approx(-2.0)
-        assert h.evaluate(config) == pytest.approx(-2.0)
+        assert h.evaluate(int_to_bits(bits, 3)) == pytest.approx(-2.0)
+        assert brute_force_reference(h) == pytest.approx(-2.0)
 
     def test_constant_only(self):
         h = PolyHamiltonian(2, {(): 3.5})
-        _, energy = solve_ground(h)
+        _, energy = solve_ground_objective(as_objective(h), OptimizerBudget())
         assert energy == pytest.approx(3.5)
+        assert brute_force_reference(h) == pytest.approx(3.5)
 
     def test_frustrated_triangle(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
-        config, energy = solve_ground(h)
+        bits, energy = solve_ground_objective(as_objective(h), OptimizerBudget())
         assert energy == pytest.approx(-1.0)
+        assert h.evaluate(int_to_bits(bits, 3)) == pytest.approx(-1.0)
+        assert brute_force_reference(h) == pytest.approx(-1.0)
         degenerate = np.isclose(spin_energies(h), -1.0).sum()
         assert degenerate == 6
 
     def test_annealing_path_matches_scan(self):
         h = random_quadratic(12, 24, 13)
-        _, exact = solve_ground(h)
-        _, sampled = solve_ground(h, OptimizerBudget(seed=2), ceiling=0)
+        exact = brute_force_reference(h)
+        _, sampled = solve_ground_objective(as_objective(h), OptimizerBudget(seed=2))
         assert sampled == pytest.approx(exact, abs=1e-9)
 
     def test_budget_validation(self):
@@ -265,6 +281,10 @@ def reference_ground(objective, budget):
     rng = np.random.default_rng(budget.seed)
     n = objective.n_vars
     steps = 50 * n
+
+    def energy_of(state):
+        return float(objective.energies_of(np.array([state], dtype=np.int64))[0])
+
     cool = (0.01 / 2.0) ** (1.0 / (steps - 1))
     best_bits, best_e = 0, math.inf
     rounds = stall = 0
@@ -274,12 +294,12 @@ def reference_ground(objective, budget):
             bits = int(rng.integers(0, 1 << n))
             flips = rng.integers(0, n, size=steps)
             draws = rng.random(size=steps)
-            energy = objective.energy_of(bits)
+            energy = energy_of(bits)
             visited = [(bits, energy)]
             temperature = 2.0
             for step in range(steps):
                 neighbor = bits ^ (1 << int(flips[step]))
-                neighbor_e = objective.energy_of(neighbor)
+                neighbor_e = energy_of(neighbor)
                 delta = neighbor_e - energy
                 if delta <= 0.0 or draws[step] < math.exp(-delta / temperature):
                     bits, energy = neighbor, neighbor_e
@@ -337,7 +357,7 @@ class TestAnnealKernel:
         for path, slab in PATHS.items():
             monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
             assert (_dense_table(objective) is None) == (path == "replica")
-            bits, energy = solve_ground_objective(objective, budget, ceiling=0)
+            bits, energy = solve_ground_objective(objective, budget)
             assert bits == ref_bits
             assert energy == pytest.approx(ref_energy, abs=1e-12)
 
@@ -349,14 +369,14 @@ class TestAnnealKernel:
         for path, slab in PATHS.items():
             monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
             assert (_dense_table(objective) is None) == (path == "replica")
-            bits, energy = solve_ground_objective(objective, budget, ceiling=0)
+            bits, energy = solve_ground_objective(objective, budget)
             assert bits == ref_bits
             assert energy == pytest.approx(ref_energy, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["poly", "pubo", "table"])
     @pytest.mark.parametrize("terms", [None, SLAB_ENTRIES])
     def test_dense_table_is_replica_energies_bit_for_bit(self, kind, terms):
-        # terms = SLAB_ENTRIES forces blocks of four rows, so the table is
+        # terms = SLAB_ENTRIES forces blocks of one row, so the table is
         # built in many blocks; the replica path evaluates a default round's
         # 16 replicas per call
         objective = {
@@ -373,6 +393,19 @@ class TestAnnealKernel:
             starts = rng.integers(0, 1 << objective.n_vars, size=16).tolist()
             energies = objective.replica_energies(objective.replicas(starts))
             assert table[starts].view(np.int64).tolist() == energies.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("terms", [40, 200, 1000])
+    def test_replica_energy_does_not_depend_on_the_batch(self, terms):
+        # a state's energy must not depend on the row it sits in, or on how
+        # many rows its batch has
+        objective = PolyObjective(random_pubo(12, terms, terms))
+        states = np.arange(1 << 12, dtype=np.int64)
+        by_rows = {}
+        for rows in (1, 2, 3, 16):
+            batches = [states[i:i + rows] for i in range(0, states.size, rows)]
+            energies = np.concatenate([objective.replica_energies(objective.replicas(b)) for b in batches])
+            by_rows[rows] = energies.view(np.int64).tolist()
+        assert by_rows[1] == by_rows[2] == by_rows[3] == by_rows[16]
 
     @pytest.mark.parametrize("kind", ["poly", "table"])
     def test_round_identical_on_both_paths(self, kind):
@@ -409,12 +442,14 @@ class TestAnnealKernel:
             random_pubo(9, 30, seed + 70),
             random_table_objective(seed + 10),
         ]
-        # default rounds, and three short rounds over a wide window, whose
+        # default rounds; three short rounds over a wide window, whose
         # later rounds find states only under the earlier rounds' penalties;
-        # both run a multiple of four replicas (see _dense_table)
+        # and rounds of six replicas, a batch size the replica energies must
+        # not depend on
         budgets = [
             (2.0, OptimizerBudget(seed=seed)),
             (6.0, OptimizerBudget(seed=seed, max_sweeps=3, samples_per_round=8)),
+            (2.0, OptimizerBudget(seed=seed, samples_per_round=6)),
         ]
         for objective in objectives:
             for delta, budget in budgets:
@@ -435,12 +470,12 @@ class TestAnnealKernel:
         for n in (16, 17):
             objective = PolyObjective(random_quadratic(n, 2 * n, n))
             ran.clear()
-            found = solve_ground_objective(objective, budget, ceiling=0)
+            found = solve_ground_objective(objective, budget)
             assert (_dense_table(objective) is not None) == (n == 16)
             assert bool(ran) == (n == 16)
             with monkeypatch.context() as patch:
                 patch.setattr(optimizer_module, "SLAB_ENTRIES", 1)
-                assert solve_ground_objective(objective, budget, ceiling=0) == found
+                assert solve_ground_objective(objective, budget) == found
 
     def test_sampled_window_on_reduced_objective_matches_exhaustive(self, monkeypatch):
         h = random_quadratic(12, 20, 5)
@@ -462,9 +497,7 @@ class TestAnnealKernel:
         rp = singleton_reduced_problem(70, 3)
         objective = rp.full_objective()
         assert objective.n_vars == 70
-        bits, energy = solve_ground_objective(
-            objective, OptimizerBudget(seed=0, max_sweeps=2), ceiling=0
-        )
+        bits, energy = solve_ground_objective(objective, OptimizerBudget(seed=0, max_sweeps=2))
         assert 0 <= bits < 1 << 70
         assert rp.energy_of_indices(rp.indices_from_bits(bits)) == pytest.approx(energy, abs=1e-9)
 
@@ -477,7 +510,7 @@ class TestAnnealKernel:
         monkeypatch.setattr(optimizer_module, "_anneal", fail)
         monkeypatch.setattr(optimizer_module, "_draw_chains", fail)
         with pytest.raises(ResourceError):
-            enumerate_window_sampled(objective, 1.0, OptimizerBudget())
+            enumerate_low_sampled(objective, 1.0, 1.0, OptimizerBudget())
 
     def test_penalty_probe(self):
         states = np.array([3, 10, 7, 40, 99], dtype=np.int64)

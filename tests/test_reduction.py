@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcreduce.clustering import Partition, hypergraph_to_graph, louvain
-from dcreduce.cutoff import Window
 from dcreduce.errors import ParameterError, ResourceError
 from dcreduce.hamiltonian import MAX_PACKED_VARS, PolyHamiltonian, bits_to_int, int_to_bits
-from dcreduce.optimizer import _check_packable, _freeze, as_objective, enumerate_low_exhaustive
+from dcreduce.optimizer import Window, _check_packable, _freeze, as_objective, enumerate_low_exhaustive
 import dcreduce.reduction as reduction_module
 from dcreduce.reduction import (
     ChainLevel,
@@ -360,12 +359,9 @@ class TestContractedGraph:
 
 class TestReducedAsPoly:
     def test_single_qubit_table(self):
-        from dcreduce.cutoff import Window
-        from dcreduce.optimizer import enumerate_window_exhaustive
-        from dcreduce.reduction import ReducedProblem
-
         h = PolyHamiltonian(1, {(): 0.3, (0,): 0.7})
-        spec = enumerate_window_exhaustive(h, Window(-1.0, 1.5, 1e-9))
+        # energies 1.0 and -0.4; the window [-0.4, 1.6] keeps both
+        spec = enumerate_low_exhaustive(h, 2.0, 1.0)
         assert spec.d == 2
         enc = encode_community(spec)
         rp = ReducedProblem((enc,), {}, True, 0)
