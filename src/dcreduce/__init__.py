@@ -2,7 +2,6 @@
 
 from .benchgen import FamilyConfig, GraphSpec, family_matrix, generate
 from .clustering import (
-    LouvainConfig,
     Partition,
     WeightedGraph,
     abs_weights,
@@ -46,7 +45,6 @@ __all__ = [
     "FamilyConfig",
     "GraphSpec",
     "LocalSpectrum",
-    "LouvainConfig",
     "OptimizerBudget",
     "Partition",
     "PolyHamiltonian",

@@ -18,7 +18,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -46,21 +48,20 @@ _ROW_FIELDS = (
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """Each point runs ``config`` with its own eta and instance seed."""
+
     families: tuple[str, ...]
     sizes: tuple[int, ...]
     etas: tuple[float, ...]
     instances: int = 32
     seed0: int = 0
-    optimizer: str = "auto"
-    padding: str = "repeat"
-    compute_chi: bool = True
-    max_iterations: int = 10
+    config: RunConfig = RunConfig()
     out: str | None = None
 
     def __post_init__(self):
         """Refuse bad input before any point runs: empty lists, unknown
-        family labels, and run settings that ``RunConfig`` refuses. Sizes a
-        family cannot generate still fail per point, as error rows."""
+        family labels, and etas that ``RunConfig`` refuses. Sizes a family
+        cannot generate still fail per point, as error rows."""
         if self.instances < 1:
             raise ParameterError("instances_per_point must be at least 1")
         for name, values in (("family", self.families), ("size", self.sizes), ("eta", self.etas)):
@@ -69,32 +70,18 @@ class SweepSpec:
         for label in self.families:
             family_by_label(label)
         for eta in self.etas:
-            _run_config(eta, self.seed0, self.optimizer, self.padding, self.compute_chi, self.max_iterations)
-
-
-def _run_config(eta: float, seed: int, optimizer: str, padding: str, chi: bool, max_iters: int) -> RunConfig:
-    return RunConfig(
-        eta=eta,
-        seed=seed,
-        optimizer_o1=optimizer,
-        optimizer_o2=optimizer,
-        padding_mode=padding,
-        compute_chi=chi,
-        max_iterations=max_iters,
-    )
+            replace(self.config, eta=eta)
 
 
 def _sweep_task(task: tuple) -> list[dict]:
     """All rows for one (family, n, seed) instance across the eta grid."""
-    label, n, seed, etas, optimizer, padding, chi, max_iters = task
-    config = family_by_label(label)
-    h = generate(config.spec_for(n, seed))
+    label, n, seed, etas, config = task
+    h = generate(family_by_label(label).spec_for(n, seed))
     rows: list[dict] = []
     results: dict[float, tuple] = {}
     for eta in etas:
-        cfg = _run_config(eta, seed, optimizer, padding, chi, max_iters)
         start = time.perf_counter()
-        result = run(h, cfg)
+        result = run(h, replace(config, eta=eta, seed=seed))
         wall_ms = 1000.0 * (time.perf_counter() - start)
         results[eta] = (result, wall_ms)
     if n <= SCAN_CEILING:
@@ -102,8 +89,7 @@ def _sweep_task(task: tuple) -> list[dict]:
     elif 1.0 in results:
         reference = results[1.0][0].best_energy
     else:
-        cfg = _run_config(1.0, seed, optimizer, padding, chi, max_iters)
-        reference = run(h, cfg).best_energy
+        reference = run(h, replace(config, eta=1.0, seed=seed)).best_energy
     for eta in etas:
         result, wall_ms = results[eta]
         try:
@@ -159,32 +145,28 @@ def run_sweep(spec: SweepSpec, log=None) -> list[dict]:
     log = log if log is not None else (lambda msg: print(msg, file=sys.stderr))
     workers = _worker_count()
     tasks = [
-        (label, n, spec.seed0 + i, tuple(spec.etas), spec.optimizer,
-         spec.padding, spec.compute_chi, spec.max_iterations)
+        (label, n, spec.seed0 + i, tuple(spec.etas), spec.config)
         for label in spec.families
         for n in spec.sizes
         for i in range(spec.instances)
     ]
     rows: list[dict] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_task, task) for task in tasks]
-            for task, future in zip(tasks, futures):
-                try:
-                    rows.extend(future.result())
-                except Exception as exc:  # a failed point must not kill the sweep
-                    log(f"sweep point {task[:3]} failed: {exc}")
-                    rows.extend(_error_rows(task, exc))
-    else:
-        for task in tasks:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # Each point's rows, computed here on demand or read from its future.
+        if pool is None:
+            outcomes = [partial(_sweep_task, task) for task in tasks]
+        else:
+            outcomes = [pool.submit(_sweep_task, task).result for task in tasks]
+        for task, outcome in zip(tasks, outcomes):
             try:
-                rows.extend(_sweep_task(task))
-            except Exception as exc:
+                rows.extend(outcome())
+            except Exception as exc:  # a failed point must not kill the sweep
                 log(f"sweep point {task[:3]} failed: {exc}")
                 rows.extend(_error_rows(task, exc))
     rows.extend(_aggregate(rows))
     if spec.out:
-        write_rows(rows, spec.out)
+        with open(spec.out, "w", encoding="utf-8", newline="") as fh:
+            write_rows(rows, fh)
     return rows
 
 
@@ -216,18 +198,12 @@ def _aggregate(rows: list[dict]) -> list[dict]:
     return out
 
 
-def write_rows(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ROW_FIELDS)
-        for row in rows:
-            writer.writerow(["" if row.get(f) is None else repr(row[f]) if isinstance(row[f], float) else row[f] for f in _ROW_FIELDS])
-
-
-def read_rows(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [dict(r) for r in reader]
+def write_rows(rows: list[dict], fh) -> None:
+    """Sweep rows as CSV onto an open text file, floats in ``repr`` form."""
+    writer = csv.writer(fh)
+    writer.writerow(_ROW_FIELDS)
+    for row in rows:
+        writer.writerow(["" if row.get(f) is None else repr(row[f]) if isinstance(row[f], float) else row[f] for f in _ROW_FIELDS])
 
 
 # -- commands -----------------------------------------------------------------
@@ -238,19 +214,22 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+def _run_config_of(args, **fields) -> RunConfig:
+    """The RunConfig of the run flags that ``common_opt`` registers, plus
+    ``fields``; one backend serves both optimizer slots."""
+    return RunConfig(
+        optimizer_o1=args.optimizer,
+        optimizer_o2=args.optimizer,
+        padding_mode=args.padding,
+        compute_chi=args.chi == "full",
+        max_iterations=args.max_iters,
+        **fields,
+    )
+
+
 def _cmd_solve(args) -> int:
-    try:
-        h = load_problem(args.problem)
-    except (FormatError, OSError) as exc:
-        return _fail(exc, EXIT_INPUT)
-    try:
-        cfg = _run_config(args.eta, args.seed, args.optimizer, args.padding,
-                          args.chi == "full", args.max_iters)
-        result = run(h, cfg)
-    except (DomainError, ParameterError) as exc:
-        return _fail(exc, EXIT_INPUT)
-    except ResourceError as exc:
-        return _fail(exc, EXIT_RESOURCE)
+    h = load_problem(args.problem)
+    result = run(h, _run_config_of(args, eta=args.eta, seed=args.seed))
     print(f"energy {result.best_energy!r}")
     print(f"config {''.join(str(b) for b in result.best_config)}")
     print(f"n_q {result.n_q}")
@@ -264,11 +243,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = parse_spec_string(args.spec)
-        h = generate(spec)
-    except ParameterError as exc:
-        return _fail(exc, EXIT_INPUT)
+    h = generate(parse_spec_string(args.spec))
     text = format_edge_list(h)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -288,48 +263,31 @@ def _parse_list(text: str, kind, flag: str) -> tuple:
 
 def _cmd_sweep(args) -> int:
     families = tuple(x.strip() for x in args.family.split(",") if x.strip())
-    try:
-        spec = SweepSpec(
-            families=families,
-            sizes=_parse_list(args.n, int, "--n"),
-            etas=_parse_list(args.eta, float, "--eta"),
-            instances=args.instances,
-            seed0=args.seeds,
-            optimizer=args.optimizer,
-            padding=args.padding,
-            compute_chi=args.chi == "full",
-            max_iterations=args.max_iters,
-            out=args.out,
-        )
-        rows = run_sweep(spec)
-    except (DomainError, ParameterError) as exc:
-        return _fail(exc, EXIT_INPUT)
+    spec = SweepSpec(
+        families=families,
+        sizes=_parse_list(args.n, int, "--n"),
+        etas=_parse_list(args.eta, float, "--eta"),
+        instances=args.instances,
+        seed0=args.seeds,
+        config=_run_config_of(args),
+        out=args.out,
+    )
+    rows = run_sweep(spec)
     if not args.out:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_ROW_FIELDS)
-        for row in rows:
-            writer.writerow([row.get(f) for f in _ROW_FIELDS])
+        write_rows(rows, sys.stdout)
     return 0
 
 
 def _cmd_diagnostics(args) -> int:
-    try:
-        config = family_by_label(args.family)
-        if args.bins < 1:
-            raise ParameterError(f"--bins must be at least 1, got {args.bins}")
-    except ParameterError as exc:
-        return _fail(exc, EXIT_INPUT)
+    family = family_by_label(args.family)
+    if args.bins < 1:
+        raise ParameterError(f"--bins must be at least 1, got {args.bins}")
+    config = _run_config_of(args, eta=args.eta)
     records = []
     for i in range(args.instances):
         seed = args.seeds + i
-        try:
-            h = generate(config.spec_for(args.n, seed))
-            cfg = _run_config(args.eta, seed, args.optimizer, args.padding, True, args.max_iters)
-            result = run(h, cfg)
-        except (DomainError, ParameterError) as exc:
-            return _fail(exc, EXIT_INPUT)
-        except ResourceError as exc:
-            return _fail(exc, EXIT_RESOURCE)
+        h = generate(family.spec_for(args.n, seed))
+        result = run(h, replace(config, seed=seed))
         for diag in shift_diagnostics(h, result):
             records.append((seed, diag))
     rows = diagnostics_rows(records, args.family, args.n, args.eta, args.bins)
@@ -395,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_opt(p):
-        p.add_argument("--eta", type=float, default=1.0, help="retained fraction of the certified window")
+        """The run flags that ``_run_config_of`` reads."""
         p.add_argument("--optimizer", choices=("auto", "exhaustive", "annealing"), default="auto")
         p.add_argument("--padding", choices=("repeat", "penalty"), default="repeat")
         p.add_argument("--chi", choices=("full", "bound"), default="full")
@@ -403,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one problem file (.json or edge list)")
     p_solve.add_argument("problem")
+    p_solve.add_argument("--eta", type=float, default=1.0, help="retained fraction of the certified window")
     common_opt(p_solve)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", default=None, help="write the JSON run trace here")
@@ -419,16 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--eta", default="1.0", help="comma-separated eta values")
     p_sweep.add_argument("--instances", type=int, default=32)
     p_sweep.add_argument("--seeds", type=int, default=0, help="first instance seed")
-    p_sweep.add_argument("--optimizer", choices=("auto", "exhaustive", "annealing"), default="auto")
-    p_sweep.add_argument("--padding", choices=("repeat", "penalty"), default="repeat")
-    p_sweep.add_argument("--chi", choices=("full", "bound"), default="full")
-    p_sweep.add_argument("--max-iters", type=int, default=10, dest="max_iters")
+    common_opt(p_sweep)
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_diag = sub.add_parser("diagnostics", help="first-iteration interaction-shift histograms")
     p_diag.add_argument("--family", default="3reg")
     p_diag.add_argument("--n", type=int, default=24)
+    p_diag.add_argument("--eta", type=float, default=1.0, help="retained fraction of the certified window")
     common_opt(p_diag)
     p_diag.add_argument("--instances", type=int, default=8)
     p_diag.add_argument("--seeds", type=int, default=0)
@@ -439,8 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a typed error becomes one ``error:`` line and its exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DomainError, FormatError, OSError, ParameterError) as exc:
+        return _fail(exc, EXIT_INPUT)
+    except ResourceError as exc:
+        return _fail(exc, EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

@@ -121,11 +121,6 @@ class Partition:
         return len(self.community_of)
 
 
-@dataclass(frozen=True)
-class LouvainConfig:
-    max_community_size: int | None = None
-
-
 def modularity(g: WeightedGraph, p: Partition) -> float:
     """Weighted modularity Q of a partition.
 
@@ -179,17 +174,17 @@ def hypergraph_to_graph(h: PolyHamiltonian) -> WeightedGraph:
     return WeightedGraph(h.n_vars, edges)
 
 
-def louvain(g: WeightedGraph, seed: int = 0, config: LouvainConfig | None = None) -> Partition:
-    """Louvain community detection; deterministic for a fixed (graph, seed)."""
-    part, _ = louvain_with_history(g, seed, config)
+def louvain(g: WeightedGraph, seed: int = 0, max_community_size: int | None = None) -> Partition:
+    """Louvain community detection; deterministic for a fixed (graph, seed).
+    ``max_community_size`` caps the summed vertex sizes of a community."""
+    part, _ = louvain_with_history(g, seed, max_community_size)
     return part
 
 
 def louvain_with_history(
-    g: WeightedGraph, seed: int = 0, config: LouvainConfig | None = None
+    g: WeightedGraph, seed: int = 0, max_community_size: int | None = None
 ) -> tuple[Partition, list[float]]:
     """Louvain returning the partition and the modularity after each cycle."""
-    cfg = config or LouvainConfig()
     _require_nonnegative(g)
     m = g.total_weight()
     if m <= 0.0:
@@ -209,7 +204,7 @@ def louvain_with_history(
         labels = list(range(n))
         tot = k[:]
         comm_size = sizes[:]
-        moved_any = _phase_one(adj, k, m, labels, tot, comm_size, sizes, cfg, rng)
+        moved_any = _phase_one(adj, k, m, labels, tot, comm_size, sizes, max_community_size, rng)
         q = _aggregate_modularity(adj, loops, k, labels, m)
         if prev_q is not None and q < prev_q - 1e-9:
             raise InternalError(f"modularity decreased across a cycle: {prev_q} -> {q}")
@@ -234,10 +229,9 @@ def _require_nonnegative(g: WeightedGraph) -> None:
         raise DomainError("weights must be non-negative; apply abs_weights first")
 
 
-def _phase_one(adj, k, m, labels, tot, comm_size, sizes, cfg, rng) -> bool:
+def _phase_one(adj, k, m, labels, tot, comm_size, sizes, cap, rng) -> bool:
     """Sequential single-node moves until no move improves modularity."""
     n = len(adj)
-    cap = cfg.max_community_size
     moved_any = False
     while True:
         moves = 0

@@ -14,11 +14,11 @@ invocation, including the final recombined solve.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import LouvainConfig, Partition, hypergraph_to_graph, louvain
+from .clustering import Partition, hypergraph_to_graph, louvain
 from .errors import DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import PolyHamiltonian, SpinConfig, flip_all, int_to_bits
 from .optimizer import (
@@ -47,6 +47,9 @@ from .reduction import (
 
 _BACKENDS = ("auto", "exhaustive", "annealing")
 
+# Every sampled window and annealed solve runs with this budget, seeded per call.
+_BUDGET = OptimizerBudget()
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,8 +59,6 @@ class RunConfig:
     seed: int = 0
     optimizer_o1: str = "auto"
     optimizer_o2: str = "auto"
-    budget_o1: OptimizerBudget = field(default_factory=OptimizerBudget)
-    budget_o2: OptimizerBudget = field(default_factory=OptimizerBudget)
     padding_mode: str = "repeat"
     compute_chi: bool = True
     max_iterations: int = 10
@@ -220,9 +221,8 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
         quadratized = working.n_vars != h.n_vars
     n_working = working.n_vars
 
-    louvain_cfg = LouvainConfig(max_community_size=cfg.max_community_size)
     graph = hypergraph_to_graph(working)
-    partition = louvain(graph, seed=_sub_seed(cfg.seed, 0), config=louvain_cfg)
+    partition = louvain(graph, seed=_sub_seed(cfg.seed, 0), max_community_size=cfg.max_community_size)
 
     invocations: list[int] = []
     levels: list[LevelTrace] = []
@@ -230,7 +230,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     if partition.n_communities == 1:
         invocations.append(n_working)
         bits_int, reduced_energy = _solve_objective(
-            as_objective(working), cfg, cfg.optimizer_o2, cfg.budget_o2, _sub_seed(cfg.seed, 999)
+            as_objective(working), cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 999)
         )
         config_working = int_to_bits(bits_int, n_working)
         levels.append(
@@ -259,13 +259,13 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
                 for i in range(partition.n_communities)
             ]
             objectives = (working.restrict(members) for members in rd.members)
-            preference, budget, build = cfg.optimizer_o1, cfg.budget_o1, build_reduced
+            preference, build = cfg.optimizer_o1, build_reduced
         else:
             deltas = [iteration_delta(rd, l) for l in range(partition.n_communities)]
             objectives = (rd.rp.local_objective(members) for members in rd.members)
-            preference, budget, build = cfg.optimizer_o2, cfg.budget_o2, build_reduced_iter
+            preference, build = cfg.optimizer_o2, build_reduced_iter
         encodings, trace = _enumerate_and_encode(
-            objectives, deltas, preference, budget, iterations, partition, cfg
+            objectives, deltas, preference, iterations, partition, cfg
         )
         rp = build(rd, encodings, cfg.compute_chi)
         chain.levels.append(ChainLevel(trace.membership, encodings))
@@ -273,7 +273,8 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
         levels.append(trace)
 
         partition = louvain(
-            rp.contracted_graph(), seed=_sub_seed(cfg.seed, 10 + iterations), config=louvain_cfg
+            rp.contracted_graph(), seed=_sub_seed(cfg.seed, 10 + iterations),
+            max_community_size=cfg.max_community_size,
         )
         criterion = should_recombine(rp.total_qubits, max(invocations), partition)
         if criterion is None and iterations >= cfg.max_iterations:
@@ -285,7 +286,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     final_objective = rp.full_objective()
     invocations.append(final_objective.n_vars)
     bits_int, reduced_energy = _solve_objective(
-        final_objective, cfg, cfg.optimizer_o2, cfg.budget_o2, _sub_seed(cfg.seed, 1000)
+        final_objective, cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 1000)
     )
     config_working = chain.decode_full(bits_int)
     return _finish(
@@ -294,7 +295,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     )
 
 
-def _enumerate_and_encode(objectives, deltas, preference, budget, level, partition, cfg):
+def _enumerate_and_encode(objectives, deltas, preference, level, partition, cfg):
     """Enumerate and encode the window of every community of one level.
 
     ``objectives`` and ``deltas`` run over the partition's communities;
@@ -309,7 +310,7 @@ def _enumerate_and_encode(objectives, deltas, preference, budget, level, partiti
             if backend == "exhaustive":
                 spectrum = enumerate_low_exhaustive(objective, delta, cfg.eta)
             else:
-                seeded = replace(budget, seed=_sub_seed(cfg.seed, level, i))
+                seeded = replace(_BUDGET, seed=_sub_seed(cfg.seed, level, i))
                 spectrum = enumerate_low_sampled(objective, delta, cfg.eta, seeded)
         except ResourceError as exc:
             raise ResourceError(
@@ -333,14 +334,14 @@ def _enumerate_and_encode(objectives, deltas, preference, budget, level, partiti
     return encodings, trace
 
 
-def _solve_objective(objective, cfg, preference, budget, seed):
+def _solve_objective(objective, cfg, preference, seed):
     """The recombined solve: a scan or annealing, as ``_pick_backend`` says."""
     if _pick_backend(preference, objective.n_vars, cfg.brute_force_ceiling) == "exhaustive":
         try:
             return scan_minimum(objective)
         except ResourceError as exc:
             raise ResourceError(f"recombined solve: {exc}") from exc
-    return solve_ground_objective(objective, replace(budget, seed=seed))
+    return solve_ground_objective(objective, replace(_BUDGET, seed=seed))
 
 
 def _finish(

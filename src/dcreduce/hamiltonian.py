@@ -35,6 +35,14 @@ MAX_PACKED_VARS = 62
 SLAB_ENTRIES = 1 << 16
 
 
+def _check_packable(objective, what: str) -> None:
+    if objective.n_vars > MAX_PACKED_VARS:
+        raise ResourceError(
+            f"{what} packs states into 64-bit integers; {objective.n_vars} variables "
+            f"exceed the {MAX_PACKED_VARS}-variable limit"
+        )
+
+
 def flip_all(x: SpinConfig) -> SpinConfig:
     """Flip every bit of a configuration."""
     return tuple(1 - b for b in x)
@@ -155,9 +163,10 @@ class PolyHamiltonian:
         Each term's signed values for a block of states come from one
         (terms, states) parity matrix of about ``SLAB_ENTRIES`` entries, and
         are added onto zeros one term at a time, in sorted term order.
+        Refuses more than ``MAX_PACKED_VARS`` variables, which int64 states
+        cannot name.
         """
-        if self.n_vars > MAX_PACKED_VARS:
-            return np.array([self.evaluate(int_to_bits(int(s), self.n_vars)) for s in states])
+        _check_packable(self, "energies")
         states = np.asarray(states, dtype=np.int64)
         flat = states.ravel()
         out = np.zeros(flat.shape, dtype=np.float64)

@@ -60,7 +60,8 @@ import numpy as np
 
 from .errors import DomainError, InternalError, ResourceError
 from .hamiltonian import (
-    MAX_PACKED_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, bits_to_int, int_to_bits, readonly_array,
+    MAX_PACKED_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, _check_packable, bits_to_int, int_to_bits,
+    readonly_array,
 )
 
 # Hard cap for exhaustive scans (2^n energy evaluations, chunked).
@@ -88,22 +89,19 @@ class Window:
         return self.hi - self.lo
 
 
-def window(e0: float, delta: float, eta: float) -> Window:
-    """The retained interval [e0, e0 + eta * delta]."""
+def _check_window_args(delta: float, eta: float) -> None:
+    """The rules on delta and eta that every window obeys."""
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
     if delta < 0.0:
         raise DomainError(f"delta must be non-negative, got {delta}")
+
+
+def window(e0: float, delta: float, eta: float) -> Window:
+    """The retained interval [e0, e0 + eta * delta]."""
+    _check_window_args(delta, eta)
     tol = 1e-9 * max(1.0, abs(e0) + delta)
     return Window(e0, e0 + eta * delta, tol)
-
-
-def _check_packable(objective, what: str) -> None:
-    if objective.n_vars > MAX_PACKED_VARS:
-        raise ResourceError(
-            f"{what} packs states into 64-bit integers; {objective.n_vars} variables "
-            f"exceed the {MAX_PACKED_VARS}-variable limit"
-        )
 
 
 @dataclass(frozen=True)
@@ -514,10 +512,7 @@ def enumerate_low_sampled(
     ``veto(round_index, bits) -> bool`` optionally discards measured states,
     which exists to exercise the recover-in-a-later-round behaviour.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    if delta < 0.0:
-        raise DomainError("delta must be non-negative")
+    _check_window_args(delta, eta)
     objective = as_objective(h)
     states, energies, e0 = _sample_window(objective, eta * delta, budget, veto)
     return _freeze(objective, states, energies, window(e0, delta, eta), complete=False)

@@ -114,8 +114,10 @@ class Coupling:
     ``(old coupling, gathers)`` pairs, one per coupling of the level below,
     where each gather ``(axis, index array)`` maps this coupling's index on
     ``axis`` to the old coupling's index on the matching old axis through
-    the new decode table. Level-0 couplings hold ``coeff`` times the outer
-    product of ``(1, -1)``; every later coupling, the first level's
+    the new decode table. ``build_reduced_iter`` groups old couplings by
+    exactly the set of new communities they touch, so every part maps onto
+    every axis, axis 0 included. Level-0 couplings hold ``coeff`` times the
+    outer product of ``(1, -1)``; every later coupling, the first level's
     included, is composed. ``values`` gathers entries for aligned
     (broadcastable) index arrays without materializing anything; ``table``
     materializes and caches the full tensor, which only the exhaustive
@@ -158,8 +160,8 @@ class Coupling:
 
     def _compose(self) -> np.ndarray:
         """The parts added in order onto one zero table, so each entry is
-        the sum ``values`` forms for it. Parts that vary along axis 0 are
-        added a block of about ``SLAB_ENTRIES`` leading rows at a time."""
+        the sum ``values`` forms for it, a block of about ``SLAB_ENTRIES``
+        leading rows at a time."""
         out = np.zeros(self.shape)
         rows = max(1, SLAB_ENTRIES // math.prod(self.shape[1:]))
         for old, gathers in self.parts:
@@ -169,16 +171,13 @@ class Coupling:
                                    *map(np.arange, self.shape[1:]))
                     out[r0:r0 + rows] += old.values([g[grids[axis]] for axis, g in gathers])
                 continue
-            gathered, row_of = _gather_part(old._table, gathers, len(self.shape))
-            if row_of is None:
-                out += gathered
-                continue
+            gathered, row_of = _gather_part(old._table, gathers)
             for r0 in range(0, self.shape[0], rows):
                 out[r0:r0 + rows] += gathered.take(row_of[r0:r0 + rows], axis=0)
         return out
 
 
-def _gather_part(table: np.ndarray, gathers, ndim: int):
+def _gather_part(table: np.ndarray, gathers):
     """One part's old table gathered onto every new axis but axis 0, which
     keeps old rows: all of them, or only the used ones when they outnumber
     the new rows, so the result is never larger than the new table.
@@ -186,9 +185,8 @@ def _gather_part(table: np.ndarray, gathers, ndim: int):
     The old table is transposed so that old axes mapping to the same new
     axis are adjacent, and those axes are merged (their gathers through
     ``ravel_multi_index``). Each new axis is then gathered with one
-    ``np.take``; new axes the part does not touch get length 1. Returns the
-    gathered array and, per new row, its row in that array (None when the
-    part does not touch axis 0 and broadcasts along it).
+    ``np.take``. Returns the gathered array and, per new row, its row in
+    that array.
     """
     order = sorted(range(len(gathers)), key=lambda i: gathers[i][0])
     merged: dict[int, list[int]] = {}
@@ -197,7 +195,6 @@ def _gather_part(table: np.ndarray, gathers, ndim: int):
     out = table.transpose(order).reshape(
         [math.prod(table.shape[i] for i in olds) for olds in merged.values()]
     )
-    row_of = None
     for j, (axis, olds) in enumerate(merged.items()):
         if len(olds) == 1:
             gather = gathers[olds[0]][1]
@@ -210,8 +207,6 @@ def _gather_part(table: np.ndarray, gathers, ndim: int):
                 continue
             gather, row_of = np.unique(gather, return_inverse=True)
         out = out.take(gather, axis=j)
-    if len(merged) < ndim:
-        out = out[tuple(slice(None) if a in merged else None for a in range(ndim))]
     return out, row_of
 
 

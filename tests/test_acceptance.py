@@ -5,7 +5,6 @@ lines; the whole suite is sized for a few minutes of desk runtime.
 """
 
 import numpy as np
-import pytest
 
 from dcreduce.benchgen import GraphSpec, family_matrix, generate
 from dcreduce.clustering import (

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dcreduce.benchgen import (
-    FamilyConfig,
     GraphSpec,
     family_by_label,
     family_matrix,

@@ -6,18 +6,25 @@ import json
 import numpy as np
 import pytest
 
+import dcreduce.cli as cli_module
+from dcreduce.benchgen import family_by_label, generate
 from dcreduce.cli import (
     EXIT_INPUT,
     EXIT_RESOURCE,
     SweepSpec,
     diagnostics_rows,
     main,
-    read_rows,
     run_sweep,
-    write_rows,
 )
+from dcreduce.driver import RunConfig, run
+from dcreduce.errors import ParameterError
 from dcreduce.hamiltonian import PolyHamiltonian, load_problem
 from helpers import brute_min
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture()
@@ -83,6 +90,29 @@ class TestSolveCommand:
         assert energy == pytest.approx(brute_min(load_problem(str(instance))), abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "diagnostics"])
+def test_run_flags_reach_run_config(command, path_problem, monkeypatch):
+    seen = []
+
+    def fake_run(h, cfg):
+        seen.append(cfg)
+        raise ParameterError("stopped once the config was read")
+
+    monkeypatch.setattr(cli_module, "run", fake_run)
+    monkeypatch.delenv("DC_REDUCE_THREADS", raising=False)
+    argv = {
+        "solve": ["solve", path_problem[1]],
+        "sweep": ["sweep", "--family", "ring_k2", "--n", "8", "--instances", "1"],
+        "diagnostics": ["diagnostics", "--n", "8", "--instances", "1"],
+    }[command]
+    main(argv + ["--chi", "bound", "--padding", "penalty", "--optimizer", "annealing", "--max-iters", "3"])
+    assert len(seen) == 1
+    cfg = seen[0]
+    assert (cfg.compute_chi, cfg.padding_mode, cfg.optimizer_o1, cfg.optimizer_o2, cfg.max_iterations) == (
+        False, "penalty", "annealing", "annealing", 3,
+    )
+
+
 class TestGenCommand:
     def test_writes_edge_list(self, tmp_path):
         out = tmp_path / "instance.txt"
@@ -94,6 +124,12 @@ class TestGenCommand:
 
     def test_bad_spec(self, capsys):
         assert main(["gen", "--spec", "nope:n=4"]) != 0
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        code = main(["gen", "--spec", "3reg:n=10:seed=7", "--out", str(tmp_path / "missing" / "x.txt")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestSweep:
@@ -110,7 +146,7 @@ class TestSweep:
         assert len(mean_rows) == 2
 
         # aggregate means must be recomputable from the persisted rows
-        persisted = read_rows(str(out))
+        persisted = read_csv(out)
         for eta in ("1.0", "0.5"):
             rs = [float(r["r"]) for r in persisted if r["kind"] == "row" and r["eta"] == eta]
             mean = [float(r["r"]) for r in persisted if r["kind"] == "mean" and r["eta"] == eta]
@@ -156,7 +192,7 @@ class TestSweep:
         assert all(r["error"] for r in errors)
         # aggregates are over the ring_k2 rows only
         assert {r["family"] for r in rows if r["kind"] == "mean"} == {"ring_k2"}
-        persisted = [r for r in read_rows(str(out)) if r["kind"] == "error"]
+        persisted = [r for r in read_csv(out) if r["kind"] == "error"]
         assert [(r["family"], r["seed"], r["eta"]) for r in persisted] == [
             ("ring_k4", str(seed), repr(eta)) for seed in (0, 1) for eta in (1.0, 0.5)
         ]
@@ -175,14 +211,25 @@ class TestSweep:
         assert captured.out == ""
 
     def test_worker_pool_matches_serial(self, monkeypatch):
-        spec = SweepSpec(families=("ring_k2",), sizes=(10,), etas=(1.0,), instances=3)
-        serial = run_sweep(spec)
+        # ring_k4 fails at n = 4, so the error rows are compared as well
+        spec = SweepSpec(families=("ring_k4", "ring_k2"), sizes=(4,), etas=(1.0,), instances=3)
+        serial = run_sweep(spec, log=lambda msg: None)
         monkeypatch.setenv("DC_REDUCE_THREADS", "2")
-        pooled = run_sweep(spec)
+        pooled = run_sweep(spec, log=lambda msg: None)
         strip = lambda rows: [
             {k: v for k, v in r.items() if k != "wall_ms"} for r in rows
         ]
+        assert {r["kind"] for r in serial} == {"row", "error", "mean", "std"}
         assert strip(serial) == strip(pooled)
+
+    def test_alpha_past_the_scan_ceiling_is_against_eta_one(self):
+        spec = SweepSpec(families=("3reg",), sizes=(32,), etas=(0.5,), instances=2)
+        rows = [r for r in run_sweep(spec) if r["kind"] == "row"]
+        assert [r["seed"] for r in rows] == [0, 1]
+        for row in rows:
+            h = generate(family_by_label("3reg").spec_for(32, row["seed"]))
+            reference = run(h, RunConfig(eta=1.0, seed=row["seed"])).best_energy
+            assert row["alpha"] == row["energy"] / reference
 
     def test_cli_sweep_stdout(self, capsys):
         code = main([

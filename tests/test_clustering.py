@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcreduce.clustering import (
-    LouvainConfig,
     Partition,
     WeightedGraph,
     abs_weights,
@@ -185,13 +184,13 @@ class TestLouvain:
 
     def test_community_size_cap(self):
         g = _triangle_pair()
-        capped = louvain(g, seed=0, config=LouvainConfig(max_community_size=2))
+        capped = louvain(g, seed=0, max_community_size=2)
         for community in capped.communities:
             assert len(community) <= 2
 
     def test_vertex_sizes_respected_by_cap(self):
         g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0}, vertex_sizes=(3, 3, 3))
-        capped = louvain(g, seed=0, config=LouvainConfig(max_community_size=4))
+        capped = louvain(g, seed=0, max_community_size=4)
         assert capped.n_communities == 3
 
     @given(st.integers(0, 10**6), st.integers(4, 10), st.integers(3, 16))

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcreduce.hamiltonian as hamiltonian_module
-from dcreduce.errors import DimensionError, DomainError, FormatError
+from dcreduce.errors import DimensionError, DomainError, FormatError, ResourceError
 from dcreduce.hamiltonian import (
+    MAX_PACKED_VARS,
     PolyHamiltonian,
     flip_all,
     format_edge_list,
@@ -63,6 +64,11 @@ class TestEvaluate:
                 expected += h.terms[subset] * (1.0 - 2.0 * parity)
             got = h.energies(states)
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_energies_refuse_states_past_the_packing_limit(self):
+        h = PolyHamiltonian(MAX_PACKED_VARS + 1, {(0, MAX_PACKED_VARS): 1.0})
+        with pytest.raises(ResourceError, match="63 variables exceed the 62-variable limit"):
+            h.energies(np.zeros(1, dtype=np.int64))
 
     @given(st.integers(0, 2**6 - 1), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

@@ -9,11 +9,10 @@ import dcreduce.optimizer as optimizer_module
 import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition
 from dcreduce.driver import RunConfig, _solve_objective, brute_force_reference
-from dcreduce.errors import InternalError, ResourceError
+from dcreduce.errors import DomainError, InternalError, ResourceError
 from dcreduce.hamiltonian import SLAB_ENTRIES, PolyHamiltonian, int_to_bits
 from dcreduce.optimizer import (
     SCAN_CEILING,
-    LocalSpectrum,
     OptimizerBudget,
     PolyObjective,
     Window,
@@ -144,7 +143,7 @@ class TestScanCeiling:
     def test_recombined_solve_adds_context(self):
         def solve(objective):
             cfg = RunConfig(brute_force_ceiling=40)
-            return _solve_objective(objective, cfg, "auto", OptimizerBudget(), 0)
+            return _solve_objective(objective, cfg, "auto", 0)
 
         assert solve(_FixedScan(SCAN_CEILING, [(0, np.array([0.5, -0.5]))])) == (1, -0.5)
         with pytest.raises(ResourceError, match="^recombined solve: exhaustive scan over 31"):
@@ -223,11 +222,23 @@ class TestSampled:
         sampled = enumerate_low_sampled(h, 2.0, 1.0, OptimizerBudget(seed=5), veto=veto)
         assert ground_bits in sampled.packed.tolist()
 
-    def test_explicit_window_signature(self):
+    def test_explicit_window_signature(self, monkeypatch):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
         spectrum = enumerate_low_sampled(h, 2.0, 1.0, OptimizerBudget(seed=0))
         assert spectrum.window == window(-1.0, 2.0, 1.0)
         assert set(spectrum.packed.tolist()) == {0, 1, 2, 3}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        # a bad delta or eta gets one message from both enumerators, before any chain
+        monkeypatch.setattr(optimizer_module, "_draw_chains", fail)
+        for delta, eta in ((-1.0, 1.0), (1.0, 1.5)):
+            with pytest.raises(DomainError) as exhaustive:
+                enumerate_low_exhaustive(h, delta, eta)
+            with pytest.raises(DomainError) as sampled:
+                enumerate_low_sampled(h, delta, eta, OptimizerBudget())
+            assert str(sampled.value) == str(exhaustive.value)
 
     def test_determinism(self):
         h = random_quadratic(10, 18, 8)
