@@ -3,9 +3,11 @@
 The run loop clusters the problem graph and, unless that yields one
 community, builds the level-0 reduced problem once. Every level then
 decomposes the reduced problem below it under the current partition, cuts
-off each community's window from its straddling couplings, enumerates and
-re-encodes the survivors on fewer qubits, and clusters the contracted
-problem, until one of the recombination criteria fires; the remaining
+off each community's window from its straddling couplings, enumerates it,
+drops the states another retained state beats under every boundary
+(``RunConfig.prune_dominated``), re-encodes the survivors on fewer qubits,
+and clusters the contracted problem, until one of the recombination
+criteria fires; the remaining
 reduced system is then solved in one step and decoded back to original
 variables. ``n_q`` is the maximum variable count over every optimizer
 invocation, including the final recombined solve.
@@ -43,6 +45,7 @@ from .reduction import (
     delta_two_body,
     encode_community,
     iteration_delta,
+    prune_dominated,
 )
 
 _BACKENDS = ("auto", "exhaustive", "annealing")
@@ -67,6 +70,9 @@ class RunConfig:
     # Hamiltonians with linear terms: treat natively as PUBO, or absorb the
     # fields into couplings with one ancilla for the tighter two-body cut-off.
     linear_terms: str = "pubo"
+    # Drop the window states that another retained state beats under every
+    # boundary (``reduction.prune_dominated``); off keeps the paper's windows.
+    prune_dominated: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -85,13 +91,18 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """Per-iteration record: partition, windows, and encoding sizes."""
+    """Per-iteration record: partition, windows, and encoding sizes.
+
+    ``e0s`` and ``d_window`` describe each community's window as
+    enumerated, ``d_list`` the states encoded after dead-end pruning.
+    """
 
     partition: tuple[int, ...]
     membership: tuple[tuple[int, ...], ...]
     deltas: tuple[float, ...]
     e0s: tuple[float, ...]
     d_list: tuple[int, ...]
+    d_window: tuple[int, ...]
     m_list: tuple[int, ...]
     invocation_sizes: tuple[int, ...]
     complete: tuple[bool, ...]
@@ -156,6 +167,7 @@ class RunResult:
                         "deltas": list(lv.deltas),
                         "e0s": list(lv.e0s),
                         "d": list(lv.d_list),
+                        "d_window": list(lv.d_window),
                         "m_tilde": list(lv.m_list),
                         "invocation_sizes": list(lv.invocation_sizes),
                         "complete": list(lv.complete),
@@ -237,7 +249,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
             LevelTrace(
                 partition.community_of,
                 partition.communities,
-                (0.0,), (reduced_energy,), (1,), (n_working,),
+                (0.0,), (reduced_energy,), (1,), (1,), (n_working,),
                 (n_working,), (True,),
             )
         )
@@ -258,15 +270,13 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
                 delta_two_body(rd, i) if rp.quadratic else delta_pubo(rd, i)
                 for i in range(partition.n_communities)
             ]
-            objectives = (working.restrict(members) for members in rd.members)
+            objectives = working.split(rd.members)
             preference, build = cfg.optimizer_o1, build_reduced
         else:
             deltas = [iteration_delta(rd, l) for l in range(partition.n_communities)]
             objectives = (rd.rp.local_objective(members) for members in rd.members)
             preference, build = cfg.optimizer_o2, build_reduced_iter
-        encodings, trace = _enumerate_and_encode(
-            objectives, deltas, preference, iterations, partition, cfg
-        )
+        encodings, trace = _enumerate_and_encode(rd, objectives, deltas, preference, iterations, cfg)
         rp = build(rd, encodings, cfg.compute_chi)
         chain.levels.append(ChainLevel(trace.membership, encodings))
         invocations.extend(trace.invocation_sizes)
@@ -295,10 +305,10 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     )
 
 
-def _enumerate_and_encode(objectives, deltas, preference, level, partition, cfg):
-    """Enumerate and encode the window of every community of one level.
+def _enumerate_and_encode(rd, objectives, deltas, preference, level, cfg):
+    """Enumerate, prune and encode the window of every community of one level.
 
-    ``objectives`` and ``deltas`` run over the partition's communities;
+    ``objectives`` and ``deltas`` run over the communities of ``rd``;
     sampled windows draw their seeds from ``(cfg.seed, level, community)``.
     Returns the encodings and the level's trace record.
     """
@@ -317,15 +327,19 @@ def _enumerate_and_encode(objectives, deltas, preference, level, partition, cfg)
                 f"level {level}, community {i} ({n_vars} variables): {exc}"
             ) from exc
         spectra.append(spectrum)
+    kept = spectra
+    if cfg.prune_dominated:
+        kept = [prune_dominated(rd, i, spectrum) for i, spectrum in enumerate(spectra)]
     encodings = tuple(
         encode_community(spec, cfg.padding_mode, delta=delta)
-        for spec, delta in zip(spectra, deltas)
+        for spec, delta in zip(kept, deltas)
     )
     trace = LevelTrace(
-        partition.community_of,
-        partition.communities,
+        rd.partition.community_of,
+        rd.partition.communities,
         tuple(deltas),
         tuple(s.e0 for s in spectra),
+        tuple(s.d for s in kept),
         tuple(s.d for s in spectra),
         tuple(e.m_tilde for e in encodings),
         tuple(s.n_vars for s in spectra),
@@ -422,11 +436,11 @@ def shift_diagnostics(h: PolyHamiltonian, result: RunResult) -> list[ShiftDiagno
     level = trace.levels[0]
     rd = decompose(ReducedProblem.from_hamiltonian(working), Partition.from_labels(level.partition))
     out: list[ShiftDiagnostics] = []
-    for i, members in enumerate(rd.members):
+    for i, (members, local) in enumerate(zip(rd.members, working.split(rd.members))):
         delta = level.deltas[i]
         if delta <= 0.0:
             continue
-        local_energy = working.restrict(members).evaluate(tuple(config[v] for v in members))
+        local_energy = local.evaluate(tuple(config[v] for v in members))
         interaction = PolyHamiltonian(
             working.n_vars, {s: working.terms[s] for s in rd.straddle_by_super[i]}
         ).evaluate(config)

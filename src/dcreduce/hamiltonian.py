@@ -124,12 +124,26 @@ class PolyHamiltonian:
         """The terms on ascending variables ``members``, variable
         ``members[j]`` re-indexed to j; the constant and every term reaching
         outside ``members`` are dropped."""
-        position = {v: j for j, v in enumerate(members)}
-        return PolyHamiltonian(len(position), {
-            tuple(position[v] for v in subset): coeff
-            for subset, coeff in self.terms.items()
-            if subset and all(v in position for v in subset)
-        })
+        return self.split([members])[0]
+
+    def split(self, communities) -> list["PolyHamiltonian"]:
+        """``restrict`` of every one of some disjoint ascending member
+        tuples, in one pass over the terms."""
+        place = {v: (c, j) for c, members in enumerate(communities) for j, v in enumerate(members)}
+        parts: list[dict[Subset, float]] = [{} for _ in communities]
+        for subset, coeff in self.terms.items():
+            if not subset or subset[0] not in place:
+                continue
+            c = place[subset[0]][0]
+            local = []
+            for v in subset:
+                where = place.get(v)
+                if where is None or where[0] != c:
+                    break
+                local.append(where[1])
+            else:
+                parts[c][tuple(local)] = coeff
+        return [PolyHamiltonian(len(members), terms) for members, terms in zip(communities, parts)]
 
     # -- evaluation -------------------------------------------------------
 

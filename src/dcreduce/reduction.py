@@ -13,10 +13,12 @@ variable is its own 1-qubit register with decode ``[0, 1]`` and energies
 whose table is its coefficient times the outer product of the Z eigenvalues
 ``(1, -1)``. Every level, the first included, decomposes the previous
 level under a partition of its communities, bounds each new community's
-window by the couplings that straddle it, and composes those couplings
-through the new decode tables. Small couplings materialize into
-cached tables; large ones evaluate entry-wise through the composition, so
-only the entries a solver actually visits are ever computed. A table is
+window by the couplings that straddle it, drops from the window the states
+another retained state beats under every boundary (``prune_dominated``),
+and composes those couplings through the new decode tables. Small
+couplings materialize into cached tables; large ones evaluate entry-wise
+through the composition, so only the entries a solver actually visits are
+ever computed. A table is
 composed in blocks of leading rows: each part's old table is gathered onto
 the new axes with one ``np.take`` per axis and added in place, in part
 order, so every entry equals its entry-wise value bit for bit. A
@@ -83,7 +85,9 @@ def encode_community(
     Reduced index ``mu`` takes the spectrum's state ``mu % d``, so the
     decode and energy tables are one gather of its packed states and their
     energies; penalty padding then overwrites the padded energies with
-    ``e0 + width + (width + 1)``, width being ``delta`` or the window's.
+    ``e0 + width + (width + 1)``, e0 being the window's lower end (the
+    lowest energy before dead-end pruning) and width ``delta`` or the
+    window's.
     """
     if padding_mode not in ("repeat", "penalty"):
         raise ParameterError(f"unknown padding mode {padding_mode!r}")
@@ -96,7 +100,7 @@ def encode_community(
     energies = spectrum.energies[source]
     if padding_mode == "penalty":
         width = delta if delta is not None else spectrum.window.width
-        energies[d:] = spectrum.e0 + width + (width + 1.0)
+        energies[d:] = spectrum.window.lo + width + (width + 1.0)
     return EncodedCommunity(
         m_tilde, spectrum.packed[source], energies, padding_mode, d, spectrum.n_vars
     )
@@ -127,14 +131,16 @@ class Coupling:
     (old axes on one new axis merged first), any other through ``values``
     on the block's open grid. ``bound`` is the propagated sum of |coeff|:
     the largest |entry| of a given table, the sum of the parts' bounds for
-    a composed coupling.
+    a composed coupling; a caller that knows it may pass it.
     """
 
-    def __init__(self, shape, table=None, parts=()):
+    def __init__(self, shape, table=None, parts=(), bound=None):
         self.shape = tuple(shape)
         self.parts = tuple(parts)
         self._table = table
-        if table is None:
+        if bound is not None:
+            self.bound = bound
+        elif table is None:
             self.bound = float(sum(old.bound for old, _ in self.parts))
         else:
             self.bound = float(np.abs(table).max())
@@ -368,14 +374,20 @@ class TableObjective:
 
 class ReducedProblem:
     """Per-community energy tables plus inter-community coupling tables;
-    ``quadratic`` when the input was pure quadratic (two-body cut-offs apply)."""
+    ``quadratic`` when the input was pure quadratic (two-body cut-offs apply).
+    ``terms`` maps each coupling's footprint to its coefficient at level 0
+    and is None above it."""
 
-    def __init__(self, encodings, couplings, compute_chi: bool, n_chi: int, quadratic: bool = False):
+    def __init__(
+        self, encodings, couplings, compute_chi: bool, n_chi: int, quadratic: bool = False,
+        terms: dict[tuple[int, ...], float] | None = None,
+    ):
         self.encodings: tuple[EncodedCommunity, ...] = tuple(encodings)
         self.couplings: dict[tuple[int, ...], Coupling] = dict(couplings)
         self.compute_chi = compute_chi
         self.n_chi = n_chi
         self.quadratic = quadratic
+        self.terms = terms
         self.m_tildes = tuple(enc.m_tilde for enc in self.encodings)
         offsets = []
         off = 0
@@ -390,29 +402,38 @@ class ReducedProblem:
         """Level 0: the input as the trivial encoding of itself.
 
         Variable v is a 1-qubit identity register with energies
-        ``(field, -field)``; each multi-variable term is a coupling on its
-        own variables, whose table is the term's truth table and so falls
-        under the truth-table cap. The constant is left out, as at every
-        level.
+        ``(field, -field)``, one shared encoding per distinct field; each
+        multi-variable term is a coupling on its own variables, whose table
+        is the term's truth table and so falls under the truth-table cap,
+        and whose bound is |coeff|. The constant is left out, as at every
+        level. ``terms`` keeps the multi-variable terms for the closed-form
+        dead-end test of the level above.
         """
         fields = [0.0] * h.n_vars
-        couplings = {}
-        signs = {}
+        by_degree: dict[int, list] = {}
         for subset, coeff in h.terms.items():
-            if len(subset) == 1:
+            k = len(subset)
+            if k == 1:
                 fields[subset[0]] = coeff
-            elif len(subset) > MAX_TABLE_VARS:
+            elif k > MAX_TABLE_VARS:
                 raise ResourceError(
-                    f"term over {len(subset)} variables exceeds the "
-                    f"{MAX_TABLE_VARS}-variable truth-table cap"
+                    f"term over {k} variables exceeds the {MAX_TABLE_VARS}-variable truth-table cap"
                 )
-            elif subset:
-                if len(subset) not in signs:
-                    signs[len(subset)] = functools_reduce(np.multiply.outer, [_SPINS] * len(subset))
-                table = coeff * signs[len(subset)]
-                couplings[subset] = Coupling(table.shape, table=table)
-        encodings = [EncodedCommunity(1, [0, 1], [f, -f], "repeat", 2, 1) for f in fields]
-        return cls(encodings, couplings, True, 0, h.is_pure_quadratic())
+            elif k:
+                by_degree.setdefault(k, []).append((subset, coeff))
+        tables = {}
+        for k, items in by_degree.items():
+            # every table of one degree from one broadcast product
+            coeffs = np.array([coeff for _, coeff in items]).reshape((-1,) + (1,) * k)
+            signs = functools_reduce(np.multiply.outer, [_SPINS] * k)
+            tables.update(zip([subset for subset, _ in items], coeffs * signs))
+        terms = {subset: coeff for subset, coeff in h.terms.items() if subset in tables}
+        couplings = {
+            subset: Coupling(tables[subset].shape, table=tables[subset], bound=abs(coeff))
+            for subset, coeff in terms.items()
+        }
+        shared = {f: EncodedCommunity(1, [0, 1], [f, -f], "repeat", 2, 1) for f in set(fields)}
+        return cls([shared[f] for f in fields], couplings, True, 0, h.is_pure_quadratic(), terms)
 
     @property
     def n_communities(self) -> int:
@@ -583,6 +604,111 @@ def _coupling_range(rp: ReducedProblem, footprints, touched) -> float:
         coupling = rp.couplings[tuple(footprint)]
         total = total + coupling.values([grids[axis[c]] for c in footprint])
     return float(np.max(total) - np.min(total))
+
+
+# -- dead-end elimination, the same at every level ------------------------------
+
+# Each state is tested against this many of the lowest retained states.
+PRUNE_CANDIDATES = 64
+
+
+def prune_dominated(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -> LocalSpectrum:
+    """Community ``l``'s spectrum without the states that another retained
+    state beats under every boundary (Goldstein's dead-end test).
+
+    State x is dropped when one of the ``PRUNE_CANDIDATES`` lowest states y
+    satisfies  E(x) - E(y) > sum_g max_z [R_g(y, z) - R_g(x, z)] + tol,
+    where g runs over the straddling couplings grouped by the communities
+    they reach outside ``l``, R_g(x, z) is their summed entries at x's
+    registers and outside indices z, and tol is the window's. Swapping x
+    for y then lowers the energy of every configuration that uses x, so
+    every optimum of the retained product survives, at any eta. The level
+    above level 0 reads the closed form from the terms (``_term_rows``),
+    every other level reads coupling entries (``_coupling_rows``); a
+    community whose rows would exceed ``MATERIALIZE_ENTRIES`` is left
+    unpruned. The window, and so E0, is kept.
+    """
+    if spectrum.d < 2:
+        return spectrum
+    if rd.rp.terms is not None:
+        if spectrum.energies[-1] <= spectrum.energies[0] + spectrum.window.tol:
+            return spectrum  # the closed form's margins are never negative
+        rows = _term_rows(rd, l, spectrum.packed)
+    else:
+        rows = _coupling_rows(rd, l, spectrum.packed)
+        if rows is None:
+            return spectrum
+    keep = ~_dead_ends(rows, spectrum.energies, spectrum.window.tol)
+    if keep.all():
+        return spectrum
+    return LocalSpectrum(
+        spectrum.packed[keep], spectrum.energies[keep], spectrum.window,
+        spectrum.complete, spectrum.n_vars,
+    )
+
+
+def _dead_ends(stacks, energies: np.ndarray, tol: float) -> np.ndarray:
+    """Which states the dead-end test drops. Each stack is an array of
+    shape (groups, rows, d): column x of group g holds R_g(x, .). The
+    lowest states are compared with a block of states at a time."""
+    d = energies.size
+    k = min(PRUNE_CANDIDATES, d)
+    step = max(1, SLAB_ENTRIES // (k * max([1] + [s.shape[0] * s.shape[1] for s in stacks])))
+    dead = np.zeros(d, dtype=bool)
+    for x0 in range(0, d, step):
+        xs = slice(x0, x0 + step)
+        gain = energies[xs] - energies[:k, None]
+        for stack in stacks:
+            gain -= (stack[:, :, :k, None] - stack[:, :, None, xs]).max(axis=1).sum(axis=0)
+        dead[xs] = (gain > tol).any(axis=0)
+    return dead
+
+
+def _term_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):
+    """The closed form above level 0. Each straddling term f is coeff_f
+    times the product of its variables' spins, so a group g, the terms
+    reaching the same outside variables, has R_g(x, z) = h_g(x) * (+-1),
+    h_g(x) the group's coefficients times the parities of their inside
+    variables at x. Its rows are h_g and -h_g, whose maximum is |h_g|: one
+    stack from one bitwise count and one product for every term and state."""
+    position = {v: j for j, v in enumerate(rd.members[l])}
+    group: dict[tuple[int, ...], int] = {}
+    masks, rows, coeffs = [], [], []
+    for fp in rd.straddle_by_super[l]:
+        rows.append(group.setdefault(tuple(v for v in fp if v not in position), len(group)))
+        masks.append(sum(1 << position[v] for v in fp if v in position))
+        coeffs.append(rd.rp.terms[fp])
+    weights = np.zeros((len(group), len(masks)))
+    weights[rows, range(len(masks))] = coeffs
+    odd = np.bitwise_count(np.array(masks, dtype=np.int64)[:, None] & packed) & 1
+    h = weights @ (1.0 - 2.0 * odd)
+    return [np.stack((h, -h), axis=1)]
+
+
+def _coupling_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):
+    """Every state's rows read through ``Coupling.values``, one stack per
+    group: the summed entries at its inside registers over the product of
+    the outside communities' valid indices (padded ones repeat them). None
+    when they would exceed ``MATERIALIZE_ENTRIES``."""
+    rp = rd.rp
+    community_of = rd.partition.community_of
+    groups: dict[tuple[int, ...], list] = {}
+    for fp in rd.straddle_by_super[l]:
+        groups.setdefault(tuple(c for c in fp if community_of[c] != l), []).append(fp)
+    d = packed.size
+    shapes = [tuple(rp.encodings[c].d for c in outside) for outside in groups]
+    if d * sum(math.prod(shape) for shape in shapes) > MATERIALIZE_ENTRIES:
+        return None
+    registers = _split_registers([packed], [rd.members[l]], [enc.m_tilde for enc in rp.encodings])
+    stacks = []
+    for (outside, fps), shape in zip(groups.items(), shapes):
+        grid = {c: np.arange(size).reshape([-1 if a == j else 1 for a in range(len(shape) + 1)])
+                for j, (c, size) in enumerate(zip(outside, shape))}
+        total = np.zeros(shape + (d,))
+        for fp in fps:
+            total += rp.couplings[fp].values([grid[c] if c in grid else registers[c] for c in fp])
+        stacks.append(total.reshape(1, -1, d))
+    return stacks
 
 
 def build_reduced(rd: ReducedDecomposition, encodings, compute_chi: bool = True) -> ReducedProblem:

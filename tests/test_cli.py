@@ -291,8 +291,9 @@ class TestDiagnostics:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        # a recombined problem of 51 qubits, beyond the 30-variable scan ceiling
         code = main([
-            "diagnostics", "--family", "er_2n", "--n", "40", "--instances", "1",
+            "diagnostics", "--family", "ws_k4", "--n", "120", "--instances", "1",
             "--optimizer", "exhaustive",
         ])
         assert code == EXIT_RESOURCE

@@ -187,13 +187,30 @@ class TestTrace:
             assert isinstance(level["partition"], list)
             assert all(isinstance(x, int) for x in level["partition"])
             assert len(level["deltas"]) == len(level["m_tilde"])
+            assert len(level["d_window"]) == len(level["d"])
+
+    @pytest.mark.parametrize("kind", ["quadratic", "pubo"])
+    def test_window_sizes_before_and_after_pruning(self, kind):
+        pruned = 0
+        for seed in range(6):
+            h = random_quadratic(14, 26, seed) if kind == "quadratic" else random_pubo(12, 20, seed)
+            on = run(h, RunConfig(eta=1.0, seed=seed)).trace.levels
+            plain = run(h, RunConfig(eta=1.0, seed=seed, prune_dominated=False)).trace.levels
+            for level in on:
+                assert all(d <= window for d, window in zip(level.d_list, level.d_window))
+                pruned += sum(level.d_window) - sum(level.d_list)
+            for level in plain:
+                assert level.d_list == level.d_window
+            # the first level's windows do not depend on the field
+            assert on[0].d_window == plain[0].d_window and on[0].e0s == plain[0].e0s
+        assert pruned
 
     @pytest.mark.parametrize("padding", ["repeat", "penalty"])
     @pytest.mark.parametrize("kind", ["quadratic", "pubo"])
     def test_chain_section(self, kind, padding):
-        # both instances iterate once and pad some encoding
+        # both instances iterate once and pad some encoding, dead-end pruning on
         if kind == "quadratic":
-            h, seed = random_quadratic(16, 30, 3), 3
+            h, seed = random_quadratic(16, 30, 4), 4
         else:
             h, seed = random_pubo(14, 22, 2), 2
         result = run(h, RunConfig(eta=0.5, seed=seed, padding_mode=padding))

@@ -226,6 +226,19 @@ class TestRestrict:
             got = local.evaluate(tuple(x[v] for v in members))
             assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_split_restricts_every_community(self):
+        h = PolyHamiltonian(6, {
+            (): 0.3, (1,): 0.5, (4,): -0.25, (2,): 0.75,
+            (1, 4): -1.0, (1, 2): 0.125, (1, 4, 5): 0.625, (0, 3): 2.0,
+        })
+        parts = h.split([(0, 3), (1, 4, 5), (2,)])
+        assert [p.n_vars for p in parts] == [2, 3, 1]
+        assert [p.terms for p in parts] == [
+            {(0, 1): 2.0},
+            {(0,): 0.5, (1,): -0.25, (0, 1): -1.0, (0, 1, 2): 0.625},
+            {(0,): 0.75},
+        ]
+
 
 class TestSymmetry:
     def test_flip_all(self):
