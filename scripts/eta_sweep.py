@@ -3,11 +3,14 @@
 
 Writes one CSV with per-seed rows and mean/std aggregates. Alpha for sizes
 above the oracle limit is taken against the eta = 1 run on the same instance.
+Runs the paper's plain windows, without dead-end pruning, so R is the
+paper's reduction.
 """
 
 import argparse
 
 from dcreduce.cli import SweepSpec, run_sweep
+from dcreduce.driver import RunConfig
 
 
 def main() -> int:
@@ -24,6 +27,7 @@ def main() -> int:
         etas=tuple(float(x) for x in args.etas.split(",")),
         instances=args.instances,
         seed0=args.seed0,
+        config=RunConfig(prune_dominated=False),
         out=args.out,
     )
     rows = run_sweep(spec)

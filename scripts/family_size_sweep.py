@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Reduction, approximation ratio, and iteration count across all graph
-families and sizes, for a fixed list of eta values."""
+families and sizes, for a fixed list of eta values. Runs the paper's plain
+windows, without dead-end pruning, so R is the paper's reduction."""
 
 import argparse
 
 from dcreduce.benchgen import family_matrix
 from dcreduce.cli import SweepSpec, run_sweep
+from dcreduce.driver import RunConfig
 
 
 def main() -> int:
@@ -23,6 +25,7 @@ def main() -> int:
         etas=tuple(float(x) for x in args.etas.split(",")),
         instances=args.instances,
         seed0=args.seed0,
+        config=RunConfig(prune_dominated=False),
         out=args.out,
     )
     rows = run_sweep(spec)

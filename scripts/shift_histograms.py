@@ -4,7 +4,8 @@
 For each community of the first iteration, reports the interaction energy
 of the returned configuration relative to its certified bound, and the
 combined local-plus-interaction energy relative to the retained-window
-floor. See the CSV header for the sign conventions.
+floor. See the CSV header for the sign conventions. Runs the paper's plain
+windows, without dead-end pruning.
 """
 
 import argparse
@@ -30,7 +31,7 @@ def main() -> int:
         for i in range(args.instances):
             seed = args.seed0 + i
             h = generate(config.spec_for(n, seed))
-            result = run(h, RunConfig(eta=args.eta, seed=seed))
+            result = run(h, RunConfig(eta=args.eta, seed=seed, prune_dominated=False))
             records.extend((seed, d) for d in shift_diagnostics(h, result))
         rows = diagnostics_rows(records, args.family, n, args.eta, args.bins)
         path = f"{args.out_prefix}_{args.family}_n{n}.csv"

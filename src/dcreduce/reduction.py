@@ -374,20 +374,14 @@ class TableObjective:
 
 class ReducedProblem:
     """Per-community energy tables plus inter-community coupling tables;
-    ``quadratic`` when the input was pure quadratic (two-body cut-offs apply).
-    ``terms`` maps each coupling's footprint to its coefficient at level 0
-    and is None above it."""
+    ``quadratic`` when the input was pure quadratic (two-body cut-offs apply)."""
 
-    def __init__(
-        self, encodings, couplings, compute_chi: bool, n_chi: int, quadratic: bool = False,
-        terms: dict[tuple[int, ...], float] | None = None,
-    ):
+    def __init__(self, encodings, couplings, compute_chi: bool, n_chi: int, quadratic: bool = False):
         self.encodings: tuple[EncodedCommunity, ...] = tuple(encodings)
         self.couplings: dict[tuple[int, ...], Coupling] = dict(couplings)
         self.compute_chi = compute_chi
         self.n_chi = n_chi
         self.quadratic = quadratic
-        self.terms = terms
         self.m_tildes = tuple(enc.m_tilde for enc in self.encodings)
         offsets = []
         off = 0
@@ -406,8 +400,7 @@ class ReducedProblem:
         multi-variable term is a coupling on its own variables, whose table
         is the term's truth table and so falls under the truth-table cap,
         and whose bound is |coeff|. The constant is left out, as at every
-        level. ``terms`` keeps the multi-variable terms for the closed-form
-        dead-end test of the level above.
+        level.
         """
         fields = [0.0] * h.n_vars
         by_degree: dict[int, list] = {}
@@ -427,13 +420,12 @@ class ReducedProblem:
             coeffs = np.array([coeff for _, coeff in items]).reshape((-1,) + (1,) * k)
             signs = functools_reduce(np.multiply.outer, [_SPINS] * k)
             tables.update(zip([subset for subset, _ in items], coeffs * signs))
-        terms = {subset: coeff for subset, coeff in h.terms.items() if subset in tables}
         couplings = {
-            subset: Coupling(tables[subset].shape, table=tables[subset], bound=abs(coeff))
-            for subset, coeff in terms.items()
+            subset: Coupling(table.shape, table=table, bound=abs(h.terms[subset]))
+            for subset, table in tables.items()
         }
         shared = {f: EncodedCommunity(1, [0, 1], [f, -f], "repeat", 2, 1) for f in set(fields)}
-        return cls([shared[f] for f in fields], couplings, True, 0, h.is_pure_quadratic(), terms)
+        return cls([shared[f] for f in fields], couplings, True, 0, h.is_pure_quadratic())
 
     @property
     def n_communities(self) -> int:
@@ -622,22 +614,16 @@ def prune_dominated(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -
     they reach outside ``l``, R_g(x, z) is their summed entries at x's
     registers and outside indices z, and tol is the window's. Swapping x
     for y then lowers the energy of every configuration that uses x, so
-    every optimum of the retained product survives, at any eta. The level
-    above level 0 reads the closed form from the terms (``_term_rows``),
-    every other level reads coupling entries (``_coupling_rows``); a
-    community whose rows would exceed ``MATERIALIZE_ENTRIES`` is left
-    unpruned. The window, and so E0, is kept.
+    every optimum of the retained product survives, at any eta. The rows
+    are read through ``Coupling.values`` (``_coupling_rows``); a community
+    whose rows would exceed ``MATERIALIZE_ENTRIES`` is left unpruned. The
+    window, and so E0, is kept.
     """
     if spectrum.d < 2:
         return spectrum
-    if rd.rp.terms is not None:
-        if spectrum.energies[-1] <= spectrum.energies[0] + spectrum.window.tol:
-            return spectrum  # the closed form's margins are never negative
-        rows = _term_rows(rd, l, spectrum.packed)
-    else:
-        rows = _coupling_rows(rd, l, spectrum.packed)
-        if rows is None:
-            return spectrum
+    rows = _coupling_rows(rd, l, spectrum.packed)
+    if rows is None:
+        return spectrum
     keep = ~_dead_ends(rows, spectrum.energies, spectrum.window.tol)
     if keep.all():
         return spectrum
@@ -664,32 +650,13 @@ def _dead_ends(stacks, energies: np.ndarray, tol: float) -> np.ndarray:
     return dead
 
 
-def _term_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):
-    """The closed form above level 0. Each straddling term f is coeff_f
-    times the product of its variables' spins, so a group g, the terms
-    reaching the same outside variables, has R_g(x, z) = h_g(x) * (+-1),
-    h_g(x) the group's coefficients times the parities of their inside
-    variables at x. Its rows are h_g and -h_g, whose maximum is |h_g|: one
-    stack from one bitwise count and one product for every term and state."""
-    position = {v: j for j, v in enumerate(rd.members[l])}
-    group: dict[tuple[int, ...], int] = {}
-    masks, rows, coeffs = [], [], []
-    for fp in rd.straddle_by_super[l]:
-        rows.append(group.setdefault(tuple(v for v in fp if v not in position), len(group)))
-        masks.append(sum(1 << position[v] for v in fp if v in position))
-        coeffs.append(rd.rp.terms[fp])
-    weights = np.zeros((len(group), len(masks)))
-    weights[rows, range(len(masks))] = coeffs
-    odd = np.bitwise_count(np.array(masks, dtype=np.int64)[:, None] & packed) & 1
-    h = weights @ (1.0 - 2.0 * odd)
-    return [np.stack((h, -h), axis=1)]
-
-
 def _coupling_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):
-    """Every state's rows read through ``Coupling.values``, one stack per
-    group: the summed entries at its inside registers over the product of
-    the outside communities' valid indices (padded ones repeat them). None
-    when they would exceed ``MATERIALIZE_ENTRIES``."""
+    """Every state's rows read through ``Coupling.values``: for each group,
+    the summed entries at its inside registers over the product of the
+    outside communities' valid indices (padded ones repeat them). Groups
+    with as many rows share one stack, so the test makes one pass per
+    distinct row count. None when the rows would exceed
+    ``MATERIALIZE_ENTRIES``."""
     rp = rd.rp
     community_of = rd.partition.community_of
     groups: dict[tuple[int, ...], list] = {}
@@ -699,16 +666,18 @@ def _coupling_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):
     shapes = [tuple(rp.encodings[c].d for c in outside) for outside in groups]
     if d * sum(math.prod(shape) for shape in shapes) > MATERIALIZE_ENTRIES:
         return None
-    registers = _split_registers([packed], [rd.members[l]], [enc.m_tilde for enc in rp.encodings])
-    stacks = []
+    registers = _split_registers([packed], [rd.members[l]], rp.m_tildes)
+    by_rows: dict[int, list] = {}
     for (outside, fps), shape in zip(groups.items(), shapes):
-        grid = {c: np.arange(size).reshape([-1 if a == j else 1 for a in range(len(shape) + 1)])
-                for j, (c, size) in enumerate(zip(outside, shape))}
-        total = np.zeros(shape + (d,))
-        for fp in fps:
-            total += rp.couplings[fp].values([grid[c] if c in grid else registers[c] for c in fp])
-        stacks.append(total.reshape(1, -1, d))
-    return stacks
+        # outside axes first, states last; every coupling of the group
+        # reaches all of them, so each term has the group's full shape
+        for j, (c, size) in enumerate(zip(outside, shape)):
+            registers[c] = np.arange(size).reshape((-1,) + (1,) * (len(shape) - j))
+        total = rp.couplings[fps[0]].values([registers[c] for c in fps[0]])
+        for fp in fps[1:]:
+            total += rp.couplings[fp].values([registers[c] for c in fp])
+        by_rows.setdefault(total.size // d, []).append(total.reshape(-1, d))
+    return [np.stack(rows) for rows in by_rows.values()]
 
 
 def build_reduced(rd: ReducedDecomposition, encodings, compute_chi: bool = True) -> ReducedProblem:

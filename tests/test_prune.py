@@ -143,34 +143,6 @@ def test_dropped_states_are_beaten_under_every_boundary(pubo):
     assert dropped
 
 
-def _margins(stacks, d):
-    """sum_g max_z [R_g(y, z) - R_g(x, z)] for every pair (y, x)."""
-    return sum(
-        (s[:, :, :, None] - s[:, :, None, :]).max(axis=1).sum(axis=0) for s in stacks
-    ) + np.zeros((d, d))
-
-
-@given(seed=st.integers(0, 10**6), pubo=st.booleans(), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_closed_form_equals_coupling_rows(seed, pubo, data):
-    n = 10
-    h = random_pubo(n, 16, seed, max_arity=4) if pubo else random_quadratic(n, 20, seed)
-    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels))
-    for l, local in enumerate(h.split(rd.members)):
-        spectrum = enumerate_low_exhaustive(local, iteration_delta(rd, l), 1.0)
-        closed = reduction_module._term_rows(rd, l, spectrum.packed)
-        rows = reduction_module._coupling_rows(rd, l, spectrum.packed)
-        np.testing.assert_allclose(
-            _margins(closed, spectrum.d), _margins(rows, spectrum.d), rtol=0, atol=1e-12
-        )
-        tol = spectrum.window.tol
-        assert np.array_equal(
-            reduction_module._dead_ends(closed, spectrum.energies, tol),
-            reduction_module._dead_ends(rows, spectrum.energies, tol),
-        )
-
-
 def test_rows_over_the_cap_leave_the_community_unpruned(monkeypatch):
     h = random_quadratic(12, 24, 4)
     rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels([v % 4 for v in range(12)]))
