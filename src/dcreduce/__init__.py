@@ -5,7 +5,6 @@ from .clustering import (
     Partition,
     WeightedGraph,
     abs_weights,
-    hypergraph_to_graph,
     louvain,
     modularity,
 )
@@ -18,7 +17,7 @@ from .driver import (
     shift_diagnostics,
     should_recombine,
 )
-from .hamiltonian import PolyHamiltonian, SpinConfig, flip_all, load_problem
+from .hamiltonian import PolyHamiltonian, SpinConfig, load_problem
 from .optimizer import (
     LocalSpectrum,
     OptimizerBudget,
@@ -65,9 +64,7 @@ __all__ = [
     "enumerate_low_exhaustive",
     "enumerate_low_sampled",
     "family_matrix",
-    "flip_all",
     "generate",
-    "hypergraph_to_graph",
     "load_problem",
     "louvain",
     "modularity",

@@ -63,7 +63,7 @@ class SweepSpec:
         family labels, and etas that ``RunConfig`` refuses. Sizes a family
         cannot generate still fail per point, as error rows."""
         if self.instances < 1:
-            raise ParameterError("instances_per_point must be at least 1")
+            raise ParameterError(f"--instances must be at least 1, got {self.instances}")
         for name, values in (("family", self.families), ("size", self.sizes), ("eta", self.etas)):
             if not values:
                 raise ParameterError(f"a sweep needs at least one {name}")
@@ -280,6 +280,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_diagnostics(args) -> int:
     family = family_by_label(args.family)
+    if args.instances < 1:
+        raise ParameterError(f"--instances must be at least 1, got {args.instances}")
     if args.bins < 1:
         raise ParameterError(f"--bins must be at least 1, got {args.bins}")
     config = _run_config_of(args, eta=args.eta)

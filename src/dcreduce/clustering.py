@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DomainError, FormatError, InternalError
-from .hamiltonian import PolyHamiltonian
 
 # Modularity resolution; the cycles stop once a cycle gains at most _CYCLE_TOL.
 _RESOLUTION = 1.0
@@ -155,23 +153,6 @@ def abs_weights(g: WeightedGraph) -> WeightedGraph:
         {v: abs(w) for v, w in g.loops.items()} or None,
         g.vertex_sizes,
     )
-
-
-def hypergraph_to_graph(h: PolyHamiltonian) -> WeightedGraph:
-    """Clique expansion of a Hamiltonian's term structure.
-
-    Every subset S with |S| >= 2 adds |J(S)| / C(|S|, 2) to each pair in S,
-    so pure-quadratic terms contribute exactly |J|. Constant and single-
-    variable terms carry no pairwise affinity and are skipped.
-    """
-    edges: dict[tuple[int, int], float] = {}
-    for subset, coeff in h.terms.items():
-        if len(subset) < 2:
-            continue
-        share = abs(coeff) / math.comb(len(subset), 2)
-        for u, v in combinations(subset, 2):
-            edges[(u, v)] = edges.get((u, v), 0.0) + share
-    return WeightedGraph(h.n_vars, edges)
 
 
 def louvain(g: WeightedGraph, seed: int = 0, max_community_size: int | None = None) -> Partition:

@@ -1,16 +1,17 @@
 """End-to-end orchestration: cluster, cut off, solve, encode, iterate, recombine.
 
-The run loop clusters the problem graph and, unless that yields one
-community, builds the level-0 reduced problem once. Every level then
-decomposes the reduced problem below it under the current partition, cuts
-off each community's window from its straddling couplings, enumerates it,
-drops the states another retained state beats under every boundary
-(``RunConfig.prune_dominated``), re-encodes the survivors on fewer qubits,
-and clusters the contracted problem, until one of the recombination
-criteria fires; the remaining
+The run loop builds the level-0 reduced problem, in which every variable is
+a 1-qubit register. Level 1 clusters the level-0 contracted graph, as every
+later level clusters the contracted graph of the level below. Unless that
+yields one community, every level then decomposes the reduced problem below
+it under the current partition, cuts off each community's window from its
+straddling couplings, enumerates it, drops the states another retained
+state beats under every boundary (``RunConfig.prune_dominated``),
+re-encodes the survivors on fewer qubits, and clusters the contracted
+problem, until one of the recombination criteria fires; the remaining
 reduced system is then solved in one step and decoded back to original
-variables. ``n_q`` is the maximum variable count over every optimizer
-invocation, including the final recombined solve.
+variables. ``n_q`` is the maximum variable count
+over every optimizer invocation, including the final recombined solve.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import Partition, hypergraph_to_graph, louvain
+from .clustering import Partition, louvain
 from .errors import DomainError, InternalError, ParameterError, ResourceError
-from .hamiltonian import PolyHamiltonian, SpinConfig, flip_all, int_to_bits
+from .hamiltonian import PolyHamiltonian, SpinConfig, int_to_bits
 from .optimizer import (
     OptimizerBudget,
     as_objective,
@@ -67,9 +68,6 @@ class RunConfig:
     max_iterations: int = 10
     brute_force_ceiling: int = 22
     max_community_size: int | None = None
-    # Hamiltonians with linear terms: treat natively as PUBO, or absorb the
-    # fields into couplings with one ancilla for the tighter two-body cut-off.
-    linear_terms: str = "pubo"
     # Drop the window states that another retained state beats under every
     # boundary (``reduction.prune_dominated``); off keeps the paper's windows.
     prune_dominated: bool = True
@@ -83,8 +81,6 @@ class RunConfig:
             raise ParameterError(f"optimizer backends must be one of {_BACKENDS}")
         if self.padding_mode not in ("repeat", "penalty"):
             raise ParameterError("padding_mode must be 'repeat' or 'penalty'")
-        if self.linear_terms not in ("pubo", "quadratize"):
-            raise ParameterError("linear_terms must be 'pubo' or 'quadratize'")
         if self.brute_force_ceiling < 1:
             raise ParameterError("brute_force_ceiling must be positive")
 
@@ -111,10 +107,8 @@ class LevelTrace:
 @dataclass(frozen=True)
 class RunTrace:
     n_original: int
-    n_working: int
     constant: float
     quadratic: bool
-    quadratized: bool
     levels: tuple[LevelTrace, ...]
     invocations: tuple[int, ...]
     final_reduced_energy: float
@@ -154,10 +148,8 @@ class RunResult:
             "n_vars": self.n_vars,
             "trace": {
                 "n_original": self.trace.n_original,
-                "n_working": self.trace.n_working,
                 "constant": self.trace.constant,
                 "quadratic": self.trace.quadratic,
-                "quadratized": self.trace.quadratized,
                 "invocations": list(self.trace.invocations),
                 "final_reduced_energy": self.trace.final_reduced_energy,
                 "levels": [
@@ -226,41 +218,36 @@ def _pick_backend(preference: str, n_vars: int, ceiling: int) -> str:
 def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     """Execute the divide-and-conquer loop on a Hamiltonian."""
     cfg = cfg or RunConfig()
-    working = h
-    quadratized = False
-    if cfg.linear_terms == "quadratize" and h.max_degree() <= 2 and not h.is_pure_quadratic():
-        working = h.quadratize_fields()
-        quadratized = working.n_vars != h.n_vars
-    n_working = working.n_vars
-
-    graph = hypergraph_to_graph(working)
-    partition = louvain(graph, seed=_sub_seed(cfg.seed, 0), max_community_size=cfg.max_community_size)
+    n = h.n_vars
+    rp = ReducedProblem.from_hamiltonian(h)
+    partition = louvain(
+        rp.contracted_graph(), seed=_sub_seed(cfg.seed, 0),
+        max_community_size=cfg.max_community_size,
+    )
 
     invocations: list[int] = []
     levels: list[LevelTrace] = []
 
     if partition.n_communities == 1:
-        invocations.append(n_working)
+        invocations.append(n)
         bits_int, reduced_energy = _solve_objective(
-            as_objective(working), cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 999)
+            as_objective(h), cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 999)
         )
-        config_working = int_to_bits(bits_int, n_working)
         levels.append(
             LevelTrace(
                 partition.community_of,
                 partition.communities,
-                (0.0,), (reduced_energy,), (1,), (1,), (n_working,),
-                (n_working,), (True,),
+                (0.0,), (reduced_energy,), (1,), (1,), (n,),
+                (n,), (True,),
             )
         )
         return _finish(
-            h, working, quadratized, config_working, reduced_energy - working.constant,
+            h, int_to_bits(bits_int, n), reduced_energy - h.constant,
             invocations, 1, 3, cfg, levels, chain=None,
         )
 
     # -- every level: decompose the previous one, cut off, enumerate, encode --
-    rp = ReducedProblem.from_hamiltonian(working)
-    chain = DecodeChain(n_vars=n_working, levels=[])
+    chain = DecodeChain(n_vars=n, levels=[])
     iterations = 0
     while True:
         iterations += 1
@@ -270,7 +257,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
                 delta_two_body(rd, i) if rp.quadratic else delta_pubo(rd, i)
                 for i in range(partition.n_communities)
             ]
-            objectives = working.split(rd.members)
+            objectives = h.split(rd.members)
             preference, build = cfg.optimizer_o1, build_reduced
         else:
             deltas = [iteration_delta(rd, l) for l in range(partition.n_communities)]
@@ -298,9 +285,8 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     bits_int, reduced_energy = _solve_objective(
         final_objective, cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 1000)
     )
-    config_working = chain.decode_full(bits_int)
     return _finish(
-        h, working, quadratized, config_working, reduced_energy,
+        h, chain.decode_full(bits_int), reduced_energy,
         invocations, iterations, criterion, cfg, levels, chain,
     )
 
@@ -358,31 +344,19 @@ def _solve_objective(objective, cfg, preference, seed):
     return solve_ground_objective(objective, replace(_BUDGET, seed=seed))
 
 
-def _finish(
-    h, working, quadratized, config_working, reduced_energy,
-    invocations, iterations, criterion, cfg, levels, chain,
-):
-    if quadratized:
-        # Ancilla bit 1 selects the global-flip image; normalize back.
-        body = config_working[:-1]
-        config = flip_all(body) if config_working[-1] else tuple(body)
-    else:
-        config = tuple(config_working)
+def _finish(h, config, reduced_energy, invocations, iterations, criterion, cfg, levels, chain):
     best_energy = h.evaluate(config)
-    constant = working.constant
-    expected = reduced_energy + constant
+    expected = reduced_energy + h.constant
     if abs(best_energy - expected) > 1e-6 * max(1.0, abs(best_energy)):
         raise InternalError(
             f"decoded energy {best_energy} disagrees with reduced energy {expected}"
         )
     n_q = max(invocations)
-    r = 1.0 - n_q / working.n_vars
+    r = 1.0 - n_q / h.n_vars
     trace = RunTrace(
         n_original=h.n_vars,
-        n_working=working.n_vars,
-        constant=constant,
-        quadratic=working.is_pure_quadratic(),
-        quadratized=quadratized,
+        constant=h.constant,
+        quadratic=h.is_pure_quadratic(),
         levels=tuple(levels),
         invocations=tuple(invocations),
         final_reduced_energy=reduced_energy,
@@ -396,7 +370,7 @@ def _finish(
         criterion=criterion,
         eta=cfg.eta,
         seed=cfg.seed,
-        n_vars=working.n_vars,
+        n_vars=h.n_vars,
         trace=trace,
         chain=chain,
     )
@@ -427,22 +401,17 @@ def shift_diagnostics(h: PolyHamiltonian, result: RunResult) -> list[ShiftDiagno
     """
     if result.chain is None:
         return []  # one community: no interactions
-    trace = result.trace
-    working = h
     config = result.best_config
-    if trace.quadratized:
-        working = h.quadratize_fields()
-        config = tuple(config) + (0,)
-    level = trace.levels[0]
-    rd = decompose(ReducedProblem.from_hamiltonian(working), Partition.from_labels(level.partition))
+    level = result.trace.levels[0]
+    rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(level.partition))
     out: list[ShiftDiagnostics] = []
-    for i, (members, local) in enumerate(zip(rd.members, working.split(rd.members))):
+    for i, (members, local) in enumerate(zip(rd.members, h.split(rd.members))):
         delta = level.deltas[i]
         if delta <= 0.0:
             continue
         local_energy = local.evaluate(tuple(config[v] for v in members))
         interaction = PolyHamiltonian(
-            working.n_vars, {s: working.terms[s] for s in rd.straddle_by_super[i]}
+            h.n_vars, {s: h.terms[s] for s in rd.straddle_by_super[i]}
         ).evaluate(config)
         e0 = level.e0s[i]
         eta_bound = e0 + (result.eta - 1.0) * delta

@@ -43,11 +43,6 @@ def _check_packable(objective, what: str) -> None:
         )
 
 
-def flip_all(x: SpinConfig) -> SpinConfig:
-    """Flip every bit of a configuration."""
-    return tuple(1 - b for b in x)
-
-
 def bits_to_int(x: SpinConfig) -> int:
     """Pack a bit sequence into an integer (variable j is bit j)."""
     out = 0
@@ -108,9 +103,6 @@ class PolyHamiltonian:
         return cls(n_vars, {s: c for s, c in merged.items() if c != 0.0})
 
     # -- basic queries ----------------------------------------------------
-
-    def max_degree(self) -> int:
-        return max((len(s) for s in self.terms), default=0)
 
     @property
     def constant(self) -> float:
@@ -259,27 +251,6 @@ class PolyHamiltonian:
         if const != 0.0:
             terms[()] = const
         return cls(n, terms)
-
-    def quadratize_fields(self) -> "PolyHamiltonian":
-        """Absorb degree-1 terms into couplings with one appended ancilla.
-
-        Each field h_i Z_i becomes h_i Z_i Z_a on an (n+1)-th variable. The
-        spectrum restricted to ancilla bit 0 equals the original spectrum;
-        the other sector is its global-flip image. Pure-quadratic inputs are
-        returned unchanged.
-        """
-        if self.max_degree() > 2:
-            raise DomainError("quadratization of fields requires degree <= 2")
-        if not any(len(s) == 1 for s in self.terms):
-            return self
-        ancilla = self.n_vars
-        terms: dict[Subset, float] = {}
-        for subset, coeff in self.terms.items():
-            if len(subset) == 1:
-                terms[(subset[0], ancilla)] = coeff
-            else:
-                terms[subset] = coeff
-        return PolyHamiltonian(self.n_vars + 1, terms)
 
     # -- serialization ----------------------------------------------------
 

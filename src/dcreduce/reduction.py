@@ -484,7 +484,9 @@ class ReducedProblem:
     def contracted_graph(self) -> WeightedGraph:
         """One vertex per community; couplings contribute their j_tilde,
         clique-expanded with pair-count normalization for hyper-footprints.
-        Vertex sizes carry the register widths for community-size caps."""
+        Vertex sizes carry the register widths for community-size caps. At
+        level 0 a k-variable term adds |J| / C(k, 2) to each of its pairs,
+        and fields and the constant add nothing."""
         edges: dict[tuple[int, int], float] = {}
         for footprint in sorted(self.couplings):
             weight = self.j_tilde(footprint)

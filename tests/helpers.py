@@ -1,14 +1,26 @@
 """Independent oracles and instance generators shared by the test modules.
 
-Everything here is deliberately naive: loop-based parity products, spin
+The oracles are deliberately naive: loop-based parity products, spin
 matrices, and a double-sum modularity. These never share code paths with
-the package internals they check.
+the package internals they check. ``level1_partition`` is the one
+exception: it clusters a Hamiltonian exactly as ``run()`` clusters level 1.
 """
 
 import numpy as np
 
-from dcreduce.clustering import WeightedGraph
-from dcreduce.hamiltonian import PolyHamiltonian
+from dcreduce.clustering import Partition, WeightedGraph, louvain
+from dcreduce.hamiltonian import PolyHamiltonian, SpinConfig
+from dcreduce.reduction import ReducedProblem
+
+
+def level1_partition(h: PolyHamiltonian, seed: int) -> Partition:
+    """Louvain on the contracted graph of the level-0 reduced problem."""
+    return louvain(ReducedProblem.from_hamiltonian(h).contracted_graph(), seed=seed)
+
+
+def flip_all(x: SpinConfig) -> SpinConfig:
+    """Flip every bit of a configuration (the Z2 image of a state)."""
+    return tuple(1 - b for b in x)
 
 
 def naive_evaluate(h: PolyHamiltonian, bits) -> float:

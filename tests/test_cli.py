@@ -18,7 +18,7 @@ from dcreduce.cli import (
 )
 from dcreduce.driver import RunConfig, run
 from dcreduce.errors import ParameterError
-from dcreduce.hamiltonian import PolyHamiltonian, load_problem
+from dcreduce.hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, load_problem
 from helpers import brute_min
 
 
@@ -79,6 +79,16 @@ class TestSolveCommand:
         assert code not in (0, EXIT_INPUT)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_term_past_the_truth_table_cap_is_one_error_line(self, tmp_path, capsys):
+        n = MAX_TABLE_VARS + 1
+        problem = tmp_path / "wide.json"
+        problem.write_text(json.dumps({"n": n, "terms": [{"vars": list(range(n)), "coeff": 0.7}]}))
+        assert main(["solve", str(problem)]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "truth-table cap" in err[0]
+        assert captured.out == ""
 
     def test_solve_edge_list_input(self, tmp_path, capsys):
         instance = tmp_path / "ring.txt"
@@ -263,6 +273,18 @@ def test_bad_input_is_one_error_line(argv, capsys):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["sweep", "diagnostics"])
+def test_instances_below_one_is_one_error_line(command, capsys):
+    argv = {
+        "sweep": ["sweep", "--family", "ring_k2", "--n", "8"],
+        "diagnostics": ["diagnostics", "--n", "8"],
+    }[command]
+    assert main(argv + ["--instances", "0"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: --instances must be at least 1, got 0"]
     assert captured.out == ""
 
 

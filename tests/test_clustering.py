@@ -9,13 +9,13 @@ from dcreduce.clustering import (
     Partition,
     WeightedGraph,
     abs_weights,
-    hypergraph_to_graph,
     louvain,
     louvain_with_history,
     modularity,
 )
 from dcreduce.errors import DomainError, FormatError
 from dcreduce.hamiltonian import PolyHamiltonian
+from dcreduce.reduction import ReducedProblem
 from helpers import all_partitions, naive_modularity, random_graph
 
 
@@ -81,24 +81,35 @@ class TestAbsWeights:
 
 
 class TestHypergraphExpansion:
+    """The graph level 1 is clustered on: the level-0 contracted graph, in
+    which a k-variable term adds |J| / C(k, 2) to each pair of its variables."""
+
+    @staticmethod
+    def _graph(h):
+        return ReducedProblem.from_hamiltonian(h).contracted_graph()
+
     def test_pure_quadratic_identity(self):
         h = PolyHamiltonian(3, {(0, 1): -0.4, (1, 2): 0.9})
-        g = hypergraph_to_graph(h)
-        assert g.edges == pytest.approx({(0, 1): 0.4, (1, 2): 0.9})
+        g = self._graph(h)
+        assert g.edges == {(0, 1): 0.4, (1, 2): 0.9}
+        assert g.loops == {}
+        assert g.vertex_sizes == (1, 1, 1)
 
     def test_three_subset_split(self):
         h = PolyHamiltonian(3, {(0, 1, 2): 0.6})
-        g = hypergraph_to_graph(h)
+        g = self._graph(h)
         assert g.edges == pytest.approx({(0, 1): 0.2, (0, 2): 0.2, (1, 2): 0.2})
 
     def test_overlapping_subsets(self):
-        h = PolyHamiltonian(3, {(0, 1): 1.0, (0, 1, 2): -0.3})
-        g = hypergraph_to_graph(h)
-        assert g.edges == pytest.approx({(0, 1): 1.1, (0, 2): 0.1, (1, 2): 0.1})
+        h = PolyHamiltonian(4, {(0, 1): 1.0, (0, 1, 2): -0.3, (0, 1, 2, 3): 1.2})
+        g = self._graph(h)
+        assert g.edges == pytest.approx({
+            (0, 1): 1.3, (0, 2): 0.3, (1, 2): 0.3, (0, 3): 0.2, (1, 3): 0.2, (2, 3): 0.2,
+        })
 
     def test_low_degree_terms_skipped(self):
         h = PolyHamiltonian(3, {(): 2.0, (1,): -1.0, (0, 2): 0.5})
-        g = hypergraph_to_graph(h)
+        g = self._graph(h)
         assert g.edges == {(0, 2): 0.5}
 
 

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dcreduce.clustering import Partition, hypergraph_to_graph, louvain
+from dcreduce.clustering import Partition
 from dcreduce.errors import DimensionError, DomainError
 from dcreduce.hamiltonian import PolyHamiltonian
 from dcreduce.optimizer import enumerate_low_exhaustive, window
@@ -26,7 +26,9 @@ from dcreduce.reduction import (
     delta_two_body,
     encode_community,
 )
-from helpers import brute_argmin, naive_evaluate, random_pubo, random_quadratic, spin_energies
+from helpers import (
+    brute_argmin, level1_partition, naive_evaluate, random_pubo, random_quadratic, spin_energies,
+)
 
 
 def _level0(h, labels):
@@ -74,7 +76,7 @@ class TestDecompose:
     def test_term_accounting(self):
         for seed in range(10):
             h = random_pubo(10, 16, seed)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             rd = _level0(h, p.community_of)
             n_constant = 1 if () in h.terms else 0
             counted = sum(len(h.restrict(m).terms) for m in rd.members)

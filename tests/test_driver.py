@@ -14,18 +14,30 @@ from dcreduce.driver import (
     should_recombine,
     write_trace,
 )
-from dcreduce.errors import DomainError, ParameterError
-from dcreduce.hamiltonian import PolyHamiltonian, int_to_bits
+from dcreduce.errors import DomainError, ParameterError, ResourceError
+from dcreduce.hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, int_to_bits
 from helpers import brute_min, random_pubo, random_quadratic
 
 
+PUBLIC_API = [
+    "DecodeChain", "EncodedCommunity", "FamilyConfig", "GraphSpec", "LocalSpectrum",
+    "OptimizerBudget", "Partition", "PolyHamiltonian", "ReducedProblem", "RunConfig",
+    "RunResult", "SpinConfig", "WeightedGraph", "Window", "abs_weights",
+    "approximation_ratio", "brute_force_reference", "build_reduced", "decompose",
+    "delta_pubo", "delta_two_body", "encode_community", "enumerate_low_exhaustive",
+    "enumerate_low_sampled", "family_matrix", "generate", "load_problem", "louvain",
+    "modularity", "reduced_as_poly", "run", "shift_diagnostics", "should_recombine",
+    "window",
+]
+
+
 def test_public_names_resolve_sorted_and_unique():
+    # the API is pinned: a name added to or dropped from it shows up as a diff here
     import dcreduce
 
-    names = dcreduce.__all__
-    assert names == sorted(names)
-    assert len(set(names)) == len(names)
-    assert [name for name in names if not hasattr(dcreduce, name)] == []
+    assert PUBLIC_API == sorted(set(PUBLIC_API))
+    assert dcreduce.__all__ == PUBLIC_API
+    assert [name for name in PUBLIC_API if not hasattr(dcreduce, name)] == []
 
 
 class TestShouldRecombine:
@@ -106,7 +118,7 @@ class TestRun:
         result = run(h, RunConfig(eta=1.0, seed=1))
         assert result.best_energy == pytest.approx(brute_min(h), abs=1e-9)
 
-    def test_linear_terms_pubo_and_quadratize_agree(self):
+    def test_fields_and_couplings_match_brute_force(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             n = 10
@@ -115,12 +127,22 @@ class TestRun:
                 i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
                 terms[(i, j)] = float(rng.uniform(-1, 1)) or 0.4
             h = PolyHamiltonian(n, terms)
-            exact = brute_min(h)
-            via_pubo = run(h, RunConfig(eta=1.0, seed=seed, linear_terms="pubo"))
-            via_quad = run(h, RunConfig(eta=1.0, seed=seed, linear_terms="quadratize"))
-            assert via_pubo.best_energy == pytest.approx(exact, abs=1e-9)
-            assert via_quad.best_energy == pytest.approx(exact, abs=1e-9)
-            assert len(via_quad.best_config) == n
+            result = run(h, RunConfig(eta=1.0, seed=seed))
+            assert result.best_energy == pytest.approx(brute_min(h), abs=1e-9)
+            assert len(result.best_config) == n
+
+    def test_term_at_the_truth_table_cap_runs(self):
+        n = MAX_TABLE_VARS
+        result = run(PolyHamiltonian(n, {tuple(range(n)): 0.7}), RunConfig(eta=1.0, seed=0))
+        assert result.criterion == 3
+        assert result.best_energy == pytest.approx(-0.7)
+
+    @pytest.mark.parametrize("extra", [{}, {(0,): 0.5}], ids=["alone", "field"])
+    def test_term_past_the_truth_table_cap_refused(self, extra):
+        n = MAX_TABLE_VARS + 1
+        h = PolyHamiltonian(n, {tuple(range(n)): 0.7, **extra})
+        with pytest.raises(ResourceError, match="truth-table cap"):
+            run(h, RunConfig(eta=1.0, seed=0))
 
     def test_annealing_backends(self):
         h = random_quadratic(12, 22, 5)
@@ -179,11 +201,22 @@ class TestTrace:
         path = tmp_path / "trace.json"
         write_trace(result, str(path))
         data = json.loads(path.read_text())
+        assert set(data) == {
+            "chain", "best_config", "best_energy", "n_q", "iterations_used", "r",
+            "criterion", "eta", "seed", "n_vars", "trace",
+        }
+        assert set(data["trace"]) == {
+            "n_original", "constant", "quadratic", "invocations", "final_reduced_energy", "levels",
+        }
         assert data["n_q"] == result.n_q
         assert data["criterion"] == result.criterion
         levels = data["trace"]["levels"]
         assert len(levels) == result.iterations_used
         for level in levels:
+            assert set(level) == {
+                "partition", "membership", "deltas", "e0s", "d", "d_window", "m_tilde",
+                "invocation_sizes", "complete",
+            }
             assert isinstance(level["partition"], list)
             assert all(isinstance(x, int) for x in level["partition"])
             assert len(level["deltas"]) == len(level["m_tilde"])

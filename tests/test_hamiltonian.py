@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcreduce.hamiltonian as hamiltonian_module
-from dcreduce.errors import DimensionError, DomainError, FormatError, ResourceError
+from dcreduce.driver import RunConfig, run
+from dcreduce.errors import DimensionError, FormatError, ResourceError
 from dcreduce.hamiltonian import (
     MAX_PACKED_VARS,
     PolyHamiltonian,
-    flip_all,
     format_edge_list,
     load_problem,
     parse_edge_list,
 )
-from helpers import naive_evaluate, random_pubo, random_quadratic, spin_energies
+from helpers import flip_all, naive_evaluate, random_pubo, random_quadratic, spin_energies
 
 
 class TestEvaluate:
@@ -103,10 +103,6 @@ class TestValidation:
         h = PolyHamiltonian.from_terms(2, [((0,), 1.0), ((0,), -1.0)])
         assert h.terms == {}
 
-    def test_max_degree(self):
-        h = PolyHamiltonian(4, {(): 1.0, (0, 1, 3): 0.5})
-        assert h.max_degree() == 3
-
 
 class TestBooleanTable:
     def test_constant_function(self):
@@ -165,41 +161,28 @@ class TestQubo:
 
 
 class TestQuadratize:
-    def test_single_field(self):
-        h = PolyHamiltonian(1, {(0,): 1.0})
-        assert h.quadratize_fields().terms == {(0, 1): 1.0}
-
-    def test_field_and_coupling(self):
-        h = PolyHamiltonian(2, {(0,): 1.0, (0, 1): -2.0})
-        out = h.quadratize_fields()
-        assert out.n_vars == 3
-        assert out.terms == {(0, 2): 1.0, (0, 1): -2.0}
-
-    def test_pure_quadratic_passthrough(self):
-        h = PolyHamiltonian(2, {(0, 1): 1.0})
-        assert h.quadratize_fields() is h
-
-    def test_degree_three_rejected(self):
-        with pytest.raises(DomainError):
-            PolyHamiltonian(3, {(0, 1, 2): 1.0}).quadratize_fields()
-
     @pytest.mark.parametrize("seed", range(6))
     def test_restricted_spectrum_equality(self, seed):
+        # Each field h_i Z_i becomes the coupling h_i Z_i Z_a to one appended
+        # ancilla a, coupled to every other variable: the ancilla-0 sector is
+        # the original spectrum, the other sector its global-flip image, and
+        # run() finds the original's ground energy on it.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 8))
         terms = {(i,): float(rng.uniform(-1, 1)) or 0.5 for i in range(n)}
         for i in range(n - 1):
             terms[(i, i + 1)] = float(rng.uniform(-1, 1)) or 0.4
         h = PolyHamiltonian(n, terms)
-        out = h.quadratize_fields()
+        out = PolyHamiltonian(n + 1, {(s[0], n) if len(s) == 1 else s: c for s, c in terms.items()})
         original = spin_energies(h)
-        extended = spin_energies(out)
-        # ancilla bit 0 sector reproduces the original spectrum
+        extended = out.energies(np.arange(1 << (n + 1)))
         np.testing.assert_allclose(extended[: 1 << n], original, atol=1e-12)
-        # full spectrum is the original plus its global-flip image
         flipped = original[(~np.arange(1 << n)) & ((1 << n) - 1)]
         np.testing.assert_allclose(extended[1 << n :], flipped, atol=1e-12)
-        assert extended.min() == pytest.approx(original.min(), abs=1e-12)
+        result = run(out, RunConfig(eta=1.0, seed=seed))
+        body = result.best_config[:n]
+        config = flip_all(body) if result.best_config[n] else body
+        assert h.evaluate(config) == pytest.approx(original.min(), abs=1e-12)
 
 
 class TestRestrict:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcreduce.clustering import Partition, hypergraph_to_graph, louvain
+from dcreduce.clustering import Partition
 from dcreduce.errors import ParameterError, ResourceError
 from dcreduce.hamiltonian import MAX_PACKED_VARS, PolyHamiltonian, bits_to_int, int_to_bits
 from dcreduce.optimizer import Window, _check_packable, _freeze, as_objective, enumerate_low_exhaustive
@@ -34,7 +34,7 @@ from dcreduce.reduction import (
     iteration_delta,
     reduced_as_poly,
 )
-from helpers import random_pubo, random_quadratic, spin_energies
+from helpers import level1_partition, random_pubo, random_quadratic, spin_energies
 
 
 def _level_one(h, labels, eta=1.0, padding="repeat", compute_chi=True):
@@ -268,28 +268,28 @@ class TestBuildReduced:
     def test_master_identity_quadratic(self):
         for seed in range(8):
             h = random_quadratic(10, 16, seed)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             _, rp, chain = _level_one(h, p.community_of)
             _check_master_identity(h, rp, chain, h.constant)
 
     def test_master_identity_pubo(self):
         for seed in range(6):
             h = random_pubo(9, 13, seed)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             _, rp, chain = _level_one(h, p.community_of)
             _check_master_identity(h, rp, chain, h.constant)
 
     def test_master_identity_reduced_eta(self):
         for seed in range(4):
             h = random_quadratic(10, 16, seed + 30)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             _, rp, chain = _level_one(h, p.community_of, eta=0.5)
             _check_master_identity(h, rp, chain, h.constant)
 
     def test_eta_one_min_is_global_min(self):
         for seed in range(6):
             h = random_quadratic(11, 18, seed)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             _, rp, chain = _level_one(h, p.community_of)
             best = min(
                 rp.energy_of_indices(rp.indices_from_bits(j))
@@ -300,7 +300,7 @@ class TestBuildReduced:
     def test_chi_count_matches_edge_formula(self):
         for seed in range(6):
             h = random_quadratic(10, 20, seed)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             d, rp, _ = _level_one(h, p.community_of)
             expected = 0
             for i in range(p.n_communities):
@@ -316,7 +316,7 @@ class TestBuildReduced:
     def test_padded_penalty_never_argmin(self):
         for seed in range(5):
             h = random_quadratic(9, 14, seed)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             _, rp, _ = _level_one(h, p.community_of, padding="penalty")
             best_joint = min(
                 range(1 << rp.total_qubits),
@@ -344,7 +344,7 @@ class TestContractedGraph:
     def test_exact_never_exceeds_bound(self):
         for seed in range(8):
             h = random_quadratic(10, 18, seed)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             _, rp_exact, _ = _level_one(h, p.community_of, compute_chi=True)
             _, rp_bound, _ = _level_one(h, p.community_of, compute_chi=False)
             for footprint in rp_exact.couplings:
@@ -372,7 +372,7 @@ class TestReducedAsPoly:
     def test_matches_table_lookup(self):
         for seed in range(5):
             h = random_quadratic(9, 15, seed)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             _, rp, _ = _level_one(h, p.community_of)
             poly = reduced_as_poly(rp)
             assert poly.n_vars == rp.total_qubits
@@ -392,7 +392,7 @@ class TestReducedAsPoly:
 
     def test_all_zero_tuple_identity(self):
         h = random_quadratic(8, 12, 9)
-        p = louvain(hypergraph_to_graph(h), seed=9)
+        p = level1_partition(h, 9)
         _, rp, _ = _level_one(h, p.community_of)
         poly = reduced_as_poly(rp)
         expected = sum(enc.energies[0] for enc in rp.encodings)
@@ -402,7 +402,7 @@ class TestReducedAsPoly:
 
 
 def _two_level(h, seed=0, eta=1.0):
-    p1 = louvain(hypergraph_to_graph(h), seed=seed)
+    p1 = level1_partition(h, seed)
     if p1.n_communities < 2:
         return None
     d, rp, chain = _level_one(h, p1.community_of, eta=eta)
@@ -453,7 +453,7 @@ class TestIteration:
         checked = 0
         for seed in range(12):
             h = random_quadratic(13, 24, seed + 200)
-            p1 = louvain(hypergraph_to_graph(h), seed=seed)
+            p1 = level1_partition(h, seed)
             if p1.n_communities < 4:
                 continue
             _, rp, chain = _level_one(h, p1.community_of)
@@ -524,7 +524,7 @@ class TestIteration:
         # d_i(eta) is non-decreasing in eta for a fixed partition
         for seed in range(10):
             h = random_quadratic(10, 16, seed)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             d = decompose(ReducedProblem.from_hamiltonian(h), p)
             for i, members in enumerate(d.members):
                 delta = delta_two_body(d, i)
@@ -562,7 +562,7 @@ class TestIteration:
     @settings(max_examples=40, deadline=None)
     def test_decode_identity_property(self, seed, joint_bits):
         h = random_quadratic(9, 14, seed % 50)
-        p = louvain(hypergraph_to_graph(h), seed=seed % 7)
+        p = level1_partition(h, seed % 7)
         _, rp, chain = _level_one(h, p.community_of)
         joint = joint_bits & ((1 << rp.total_qubits) - 1)
         decoded = chain.decode_full(joint)
@@ -577,7 +577,7 @@ class TestIteration:
 
         for seed in range(4):
             h = random_quadratic(10, 16, seed + 70)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             if p.n_communities < 2:
                 continue
             monkeypatch.setattr(reduction_module, "MAX_TABLE_ENTRIES", 1)
@@ -603,7 +603,7 @@ class TestIteration:
         # states, so the reduced-space minimum cannot improve
         for seed in range(6):
             h = random_quadratic(10, 16, seed + 60)
-            p = louvain(hypergraph_to_graph(h), seed=seed)
+            p = level1_partition(h, seed)
             if p.n_communities < 2:
                 continue
             previous = None
