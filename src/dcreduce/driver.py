@@ -83,6 +83,8 @@ class RunConfig:
             raise ParameterError("padding_mode must be 'repeat' or 'penalty'")
         if self.brute_force_ceiling < 1:
             raise ParameterError("brute_force_ceiling must be positive")
+        if self.max_community_size is not None and self.max_community_size < 1:
+            raise ParameterError("max_community_size must be at least 1")
 
 
 @dataclass(frozen=True)

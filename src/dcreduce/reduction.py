@@ -15,15 +15,15 @@ whose table is its coefficient times the outer product of the Z eigenvalues
 level under a partition of its communities, bounds each new community's
 window by the couplings that straddle it, drops from the window the states
 another retained state beats under every boundary (``prune_dominated``),
-and composes those couplings through the new decode tables. Small
-couplings materialize into cached tables; large ones evaluate entry-wise
-through the composition, so only the entries a solver actually visits are
-ever computed. A table is
-composed in blocks of leading rows: each part's old table is gathered onto
-the new axes with one ``np.take`` per axis and added in place, in part
-order, so every entry equals its entry-wise value bit for bit. A
-parity-basis polynomial conversion is available for consumers that need
-operator form.
+and composes those couplings through the new decode tables. Couplings of
+at most ``MATERIALIZE_ENTRIES`` (2^22) entries, the one table cap,
+materialize into cached tables; larger ones evaluate entry-wise through
+the composition, so only the entries a solver actually visits are ever
+computed. A table is composed in blocks of leading rows: each part's old
+table is gathered onto the new axes with one ``np.take`` per axis and
+added in place, in part order, so every entry equals its entry-wise value
+bit for bit. A parity-basis polynomial conversion is available for
+consumers that need operator form.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ from .hamiltonian import (
 )
 from .optimizer import LocalSpectrum
 
-# Refuse to materialize coupling tables beyond this entry count.
-MAX_TABLE_ENTRIES = 1 << 26
+# The one coupling-table cap: couplings of at most this many entries are
+# materialized (eagerly with chi tables, and inside objectives); larger ones
+# are only ever read entry-wise, and ``Coupling.table`` refuses them.
+MATERIALIZE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +126,15 @@ class Coupling:
     outer product of ``(1, -1)``; every later coupling, the first level's
     included, is composed. ``values`` gathers entries for aligned
     (broadcastable) index arrays without materializing anything; ``table``
-    materializes and caches the full tensor, which only the exhaustive
-    paths and exact norms need. It adds the parts onto one zero table in
-    part order, about ``SLAB_ENTRIES`` entries of leading rows at a time:
-    a materialized old table is gathered with ``np.take`` along each axis
-    (old axes on one new axis merged first), any other through ``values``
-    on the block's open grid. ``bound`` is the propagated sum of |coeff|:
-    the largest |entry| of a given table, the sum of the parts' bounds for
-    a composed coupling; a caller that knows it may pass it.
+    materializes and caches the full tensor, and refuses a composed one
+    past ``MATERIALIZE_ENTRIES``, the cap ``can_materialize`` tests. It
+    adds the parts onto one zero table in part order, about
+    ``SLAB_ENTRIES`` entries of leading rows at a time: a materialized old
+    table is gathered with ``np.take`` along each axis (old axes on one new
+    axis merged first), any other through ``values`` on the block's open
+    grid. ``bound`` is the propagated sum of |coeff|: the largest |entry|
+    of a given table, the sum of the parts' bounds for a composed coupling;
+    a caller that knows it may pass it.
     """
 
     def __init__(self, shape, table=None, parts=(), bound=None):
@@ -147,7 +150,7 @@ class Coupling:
 
     @property
     def can_materialize(self) -> bool:
-        return math.prod(self.shape) <= MAX_TABLE_ENTRIES
+        return math.prod(self.shape) <= MATERIALIZE_ENTRIES
 
     def values(self, idx_arrays) -> np.ndarray:
         if self._table is not None:
@@ -160,7 +163,11 @@ class Coupling:
 
     def table(self) -> np.ndarray:
         if self._table is None:
-            _guard_table(self.shape)
+            if not self.can_materialize:
+                raise ResourceError(
+                    f"coupling table with {math.prod(self.shape)} entries exceeds the materialization cap; "
+                    "lower eta or cap the community size"
+                )
             self._table = self._compose()
         return self._table
 
@@ -216,25 +223,15 @@ def _gather_part(table: np.ndarray, gathers):
     return out, row_of
 
 
-# Tables at or below this entry count are materialized inside objectives
-# for fast lookups; larger couplings stay entry-evaluated.
-MATERIALIZE_ENTRIES = 1 << 22
-
-
-def _gathered_flat(coupling: Coupling) -> bool:
-    return math.prod(coupling.shape) <= MATERIALIZE_ENTRIES
-
-
 class TableObjective:
     """Diagonal objective over the concatenated registers of some communities.
 
     Implements the optimizer's objective interface via table lookups; this
-    is the default execution path for reduced problems. Couplings small
-    enough to materialize are, into one flat gather array; the rest are
-    evaluated entry-wise from their underlying structure. Plain ndarray
-    couplings are wrapped as given-table couplings. Annealing replicas are
-    register-index arrays of shape (R, K), so the register may exceed 62
-    qubits.
+    is the default execution path for reduced problems. ``couplings`` are
+    ``(positions, Coupling)`` pairs; those that can materialize are, and
+    are read through one flat gather array, the rest entry-wise through
+    ``Coupling.values``. Annealing replicas are register-index arrays of
+    shape (R, K), so the register may exceed 62 qubits.
     """
 
     def __init__(self, m_list, energy_tables, couplings):
@@ -242,9 +239,7 @@ class TableObjective:
         self.energy_tables = [np.asarray(t, dtype=np.float64) for t in energy_tables]
         self.couplings = []
         for pos, coupling in couplings:
-            if isinstance(coupling, np.ndarray):
-                coupling = Coupling(coupling.shape, table=coupling)
-            if _gathered_flat(coupling):
+            if coupling.can_materialize:
                 coupling.table()
             self.couplings.append((tuple(pos), coupling))
         self.offsets = []
@@ -268,8 +263,12 @@ class TableObjective:
         ]
 
     def energies_of(self, states: np.ndarray) -> np.ndarray:
-        idx = self.indices_of(states)
-        out = np.zeros(np.asarray(states).shape, dtype=np.float64)
+        return self._energies_at(self.indices_of(states), np.asarray(states).shape)
+
+    def _energies_at(self, idx, shape) -> np.ndarray:
+        """Every energy table, then every coupling, gathered once at the
+        register indices ``idx`` and added onto zeros of ``shape``."""
+        out = np.zeros(shape, dtype=np.float64)
         for k, table in enumerate(self.energy_tables):
             out += table[idx[k]]
         for pos, coupling in self.couplings:
@@ -282,12 +281,10 @@ class TableObjective:
 
         The states form the product grid of the registers, register k on
         axis K-1-k, so a grid point's C-order flat index is its packed
-        state. A slab fixes the registers above its low bits, may cut inside
-        one register's axis, and spans the ones below. Every energy table,
-        then every coupling, is broadcast-added onto zeros in the order of
-        ``energies_of``, so each entry is bit-identical to it. Materialized
-        tables are read through slices; other couplings through ``values``
-        on broadcast ``arange`` views of the slab.
+        state. A slab fixes the registers above its low bits and reads the
+        ones below, the highest of them perhaps in part, as broadcast
+        ``arange`` grids; the terms are read there as ``energies_of`` reads
+        them, so each entry is bit-identical to it.
         """
         total = 1 << self.n_vars
         size = min(SLAB_ENTRIES, total)
@@ -295,36 +292,14 @@ class TableObjective:
         # bits of registers 0 .. ndim-1 that vary inside one slab
         widths = [min(m, low - off) for off, m in zip(self.offsets, self.m_list) if off < low]
         ndim = len(widths)
-        terms = [((k,), table) for k, table in enumerate(self.energy_tables)]
-        terms += [(pos, c if c._table is None else c._table) for pos, c in self.couplings]
-        plans = []
-        for pos, term in terms:
-            if isinstance(term, Coupling):
-                plans.append((term, pos))
-                continue
-            # Axes in descending register order: the fixed registers, then
-            # the slab's axes in order, with None for a slab axis not in pos.
-            order = sorted(range(len(pos)), key=lambda i: -pos[i])
-            slots = [pos[i] for i in order if pos[i] >= ndim]
-            slots += [ndim - 1 - a if ndim - 1 - a in pos else None for a in range(ndim)]
-            plans.append((term.transpose(order), slots))
-        lazy = any(isinstance(term, Coupling) for term, _ in plans)
+        shape = [1 << w for w in reversed(widths)]
         for start in range(0, total, size):
-            first = [int(i) for i in self.indices_of(start)]
-            select = [slice(first[k], first[k] + (1 << w)) for k, w in enumerate(widths)]
-            if lazy:
-                grids = [
-                    np.arange(s.start, s.stop).reshape([-1 if a == ndim - 1 - k else 1 for a in range(ndim)])
-                    for k, s in enumerate(select)
-                ] + first[ndim:]
-            select += first[ndim:]
-            out = np.zeros([1 << w for w in reversed(widths)])
-            for term, slots in plans:
-                if isinstance(term, Coupling):
-                    out += term.values([grids[p] for p in slots])
-                else:
-                    out += term[tuple(None if r is None else select[r] for r in slots)]
-            yield start, out.ravel()
+            idx = [int(i) for i in self.indices_of(start)]
+            for k, w in enumerate(widths):
+                idx[k] = np.arange(idx[k], idx[k] + (1 << w)).reshape(
+                    [-1 if a == ndim - 1 - k else 1 for a in range(ndim)]
+                )
+            yield start, self._energies_at(idx, shape).ravel()
 
     def replicas(self, starts) -> np.ndarray:
         if self.n_vars <= MAX_PACKED_VARS:
@@ -355,7 +330,7 @@ class TableObjective:
             tables = [((k,), table) for k, table in enumerate(self.energy_tables)]
             lazy = []
             for pos, coupling in self.couplings:
-                if _gathered_flat(coupling):
+                if coupling.can_materialize:
                     tables.append((pos, np.ascontiguousarray(coupling.table())))
                 else:
                     lazy.append((pos, coupling))
@@ -504,15 +479,6 @@ class ReducedProblem:
         )
 
 
-def _guard_table(shape) -> None:
-    entries = math.prod(shape)
-    if entries > MAX_TABLE_ENTRIES:
-        raise ResourceError(
-            f"coupling table with {entries} entries exceeds the materialization cap; "
-            "lower eta or cap the community size"
-        )
-
-
 # -- decomposition and cut-offs, the same at every level -------------------------
 
 # Exact cut-offs are enumerated when the straddling couplings touch at most
@@ -562,21 +528,19 @@ def delta_two_body(rd: ReducedDecomposition, l: int) -> float:
     return float(sum(rd.rp.j_tilde(fp) for fp in rd.straddle_by_super[l]))
 
 
-def delta_pubo(
-    rd: ReducedDecomposition, l: int, exact_threshold: int = EXACT_RANGE_VARS
-) -> float:
+def delta_pubo(rd: ReducedDecomposition, l: int) -> float:
     """Certified window width for inputs of any degree.
 
     The exact range of the summed straddling couplings when their joint
-    register has at most ``exact_threshold`` qubits, and twice the summed
-    norms otherwise; ``exact_threshold=0`` forces the bound.
+    register has at most ``EXACT_RANGE_VARS`` qubits, and twice the summed
+    norms otherwise.
     """
     footprints = rd.straddle_by_super[l]
     if not footprints:
         return 0.0
     rp = rd.rp
     touched = sorted({c for fp in footprints for c in fp})
-    if sum(rp.encodings[c].m_tilde for c in touched) <= exact_threshold:
+    if sum(rp.encodings[c].m_tilde for c in touched) <= EXACT_RANGE_VARS:
         return _coupling_range(rp, footprints, touched)
     return 2.0 * float(sum(rp.j_tilde(fp) for fp in footprints))
 
@@ -816,7 +780,10 @@ def reduced_as_poly(rp: ReducedProblem, max_qubits: int = 24) -> PolyHamiltonian
     """Parity-basis polynomial equal to the reduced problem's table lookups.
 
     Each energy table and each coupling footprint is converted blockwise;
-    the result may contain products of Z on all active reduced qubits.
+    the result may contain products of Z on all active reduced qubits. A
+    coupling footprint over ``max_qubits`` qubits, or one its coupling
+    cannot materialize (over 22 qubits, the table cap), raises
+    ``ResourceError``.
     """
     pieces: list[tuple[tuple[int, ...], float]] = []
     for c, enc in enumerate(rp.encodings):
@@ -829,9 +796,9 @@ def reduced_as_poly(rp: ReducedProblem, max_qubits: int = 24) -> PolyHamiltonian
         qubits = [
             rp.offsets[c] + r for c in footprint for r in range(rp.encodings[c].m_tilde)
         ]
-        if len(qubits) > max_qubits:
+        if len(qubits) > max_qubits or not rp.couplings[footprint].can_materialize:
             raise ResourceError(
-                f"coupling footprint of {len(qubits)} qubits exceeds {max_qubits}"
+                f"coupling footprint of {len(qubits)} qubits exceeds {max_qubits} or the table cap"
             )
         table = rp.coupling_table(footprint)
         flat = np.transpose(table, axes=tuple(reversed(range(table.ndim)))).ravel()

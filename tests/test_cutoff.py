@@ -17,6 +17,7 @@ from dcreduce.clustering import Partition
 from dcreduce.errors import DimensionError, DomainError
 from dcreduce.hamiltonian import PolyHamiltonian
 from dcreduce.optimizer import enumerate_low_exhaustive, window
+import dcreduce.reduction as reduction_module
 from dcreduce.reduction import (
     EXACT_RANGE_VARS,
     ReducedProblem,
@@ -34,6 +35,14 @@ from helpers import (
 def _level0(h, labels):
     """The input's level-0 problem decomposed under a partition of its variables."""
     return decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels))
+
+
+def _delta_pubo_at(rd, l, threshold):
+    """``delta_pubo`` with ``EXACT_RANGE_VARS`` set to ``threshold``; 0
+    forces the bound."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction_module, "EXACT_RANGE_VARS", threshold)
+        return delta_pubo(rd, l)
 
 
 def _sign(subset, x):
@@ -179,7 +188,7 @@ class TestDeltaPubo:
             h = random_quadratic(8, 12, seed)
             rd = _level0(h, [0, 0, 0, 0, 1, 1, 1, 1])
             for i in range(2):
-                assert delta_pubo(rd, i, exact_threshold=0) == pytest.approx(
+                assert _delta_pubo_at(rd, i, 0) == pytest.approx(
                     2.0 * delta_two_body(rd, i), abs=1e-12
                 )
 
@@ -200,8 +209,8 @@ class TestDeltaPubo:
             rng = np.random.default_rng(seed)
             rd = _level0(h, rng.integers(0, 3, size=10).tolist())
             for i in range(rd.partition.n_communities):
-                exact = delta_pubo(rd, i, exact_threshold=20)
-                bound = delta_pubo(rd, i, exact_threshold=0)
+                exact = delta_pubo(rd, i)
+                bound = _delta_pubo_at(rd, i, 0)
                 assert exact <= bound + 1e-12
 
     def test_no_interactions(self):
@@ -227,8 +236,8 @@ class TestDeltaPubo:
         expected, k, total = _straddling_range(h, labels, 0)
         assert (expected, k, total) == (4.0, 4, 3.0)
         rd = _level0(h, labels)
-        assert delta_pubo(rd, 0, exact_threshold=k) == expected
-        assert delta_pubo(rd, 0, exact_threshold=k - 1) == 2.0 * total
+        assert _delta_pubo_at(rd, 0, k) == expected
+        assert _delta_pubo_at(rd, 0, k - 1) == 2.0 * total
 
     @pytest.mark.parametrize("extra", [EXACT_RANGE_VARS - 4, EXACT_RANGE_VARS - 3])
     def test_threshold_edge_at_default(self, extra):
@@ -299,7 +308,7 @@ class TestCertification:
         rd = _level0(h, rng.integers(0, max(2, n // 4), size=n).tolist())
         for i, members in enumerate(rd.members):
             for threshold in (0, 20):
-                delta = delta_pubo(rd, i, exact_threshold=threshold)
+                delta = _delta_pubo_at(rd, i, threshold)
                 local = h.restrict(members)
                 spectrum_min = float(spin_energies(local).min())
                 restricted = tuple(ground[v] for v in members)

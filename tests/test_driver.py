@@ -192,6 +192,9 @@ class TestRun:
             RunConfig(max_iterations=0)
         with pytest.raises(ParameterError):
             RunConfig(optimizer_o1="quantum")
+        for size in (0, -3):
+            with pytest.raises(ParameterError):
+                RunConfig(max_community_size=size)
 
 
 class TestTrace:

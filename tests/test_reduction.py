@@ -390,6 +390,27 @@ class TestReducedAsPoly:
         with pytest.raises(ResourceError):
             reduced_as_poly(rp, max_qubits=1)
 
+    def test_footprint_at_the_table_cap(self, monkeypatch):
+        # at the real cap: 22 + 1 qubits pass max_qubits = 24 but not the
+        # table cap, and are refused before any table is built
+        registers = [EncodedCommunity(m, np.zeros(1 << m, dtype=np.int64), np.zeros(1 << m), "repeat", 1 << m, 1)
+                     for m in (11, 12)]
+        rp = ReducedProblem(registers, {(0, 1): Coupling((1 << 11, 1 << 12))}, False, 0)
+        with pytest.raises(ResourceError, match="footprint of 23 qubits"):
+            reduced_as_poly(rp)
+        # a 7-qubit composed coupling converts at a cap of 2^7 entries and is
+        # refused one entry below it
+        h = random_quadratic(10, 18, 620)
+        d, _, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2], compute_chi=False)
+        rp = build_reduced_iter(d, chain.levels[0].encodings)
+        assert rp.couplings[(0, 2)].shape == (8, 16)
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16)
+        assert reduced_as_poly(rp).n_vars == rp.total_qubits
+        rp = build_reduced_iter(d, chain.levels[0].encodings)
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16 - 1)
+        with pytest.raises(ResourceError, match="footprint of 7 qubits"):
+            reduced_as_poly(rp)
+
     def test_all_zero_tuple_identity(self):
         h = random_quadratic(8, 12, 9)
         p = level1_partition(h, 9)
@@ -444,6 +465,46 @@ def _iterate_once(h, rp, chain, labels, eta=1.0, padding="repeat", compute_chi=T
     new_rp = build_reduced_iter(rd, encodings, compute_chi)
     chain.levels.append(ChainLevel(tuple(rd.members), tuple(encodings)))
     return new_rp
+
+
+class TestTableCap:
+    """``MATERIALIZE_ENTRIES`` is the one coupling-table cap, and
+    ``Coupling.can_materialize`` the one test of it."""
+
+    def test_edge_at_the_real_cap(self):
+        # shape-only couplings, so nothing is allocated
+        assert Coupling((1 << 11, 1 << 11)).can_materialize
+        past = Coupling((1 << 11, (1 << 11) + 1))
+        assert not past.can_materialize
+        with pytest.raises(ResourceError, match="materialization cap"):
+            past.table()
+
+    def test_edge_in_build_reduced_iter(self, monkeypatch):
+        h = random_quadratic(10, 18, 620)
+        d, _, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2], compute_chi=False)
+        encodings = chain.levels[0].encodings
+        footprint = (0, 2)
+        # a table exactly at the cap is built and gets its exact norm, which
+        # here is below the propagated bound
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16)
+        rp = build_reduced_iter(d, encodings)
+        coupling = rp.couplings[footprint]
+        assert coupling.shape == (8, 16)
+        assert coupling._table is not None
+        exact = float(np.abs(coupling.table()).max())
+        assert rp.j_tilde(footprint) == exact
+        assert exact < coupling.bound
+        # one entry past the cap it stays lazy, everywhere
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16 - 1)
+        rp = build_reduced_iter(d, encodings)
+        coupling = rp.couplings[footprint]
+        assert coupling._table is None
+        assert rp.j_tilde(footprint) == coupling.bound
+        with pytest.raises(ResourceError, match="materialization cap"):
+            coupling.table()
+        objective = rp.full_objective()
+        assert coupling._table is None
+        _assert_scan_matches(objective)
 
 
 class TestIteration:
@@ -580,7 +641,6 @@ class TestIteration:
             p = level1_partition(h, seed)
             if p.n_communities < 2:
                 continue
-            monkeypatch.setattr(reduction_module, "MAX_TABLE_ENTRIES", 1)
             monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
             _, rp, chain = _level_one(h, p.community_of, compute_chi=True)
             assert all(not c.can_materialize for c in rp.couplings.values())
@@ -745,9 +805,9 @@ class TestGridKernels:
         rng = np.random.default_rng(m)
         _assert_scan_matches(TableObjective([m], [rng.choice(_GRID_VALUES, 1 << m)], []))
         # two registers, the low one wider than the slab, and a coupling
-        table = rng.choice(_GRID_VALUES, (1 << m, 4))
+        coupling = Coupling((1 << m, 4), table=rng.choice(_GRID_VALUES, (1 << m, 4)))
         _assert_scan_matches(
-            TableObjective([m, 2], [rng.choice(_GRID_VALUES, 1 << m), np.zeros(4)], [((0, 1), table)])
+            TableObjective([m, 2], [rng.choice(_GRID_VALUES, 1 << m), np.zeros(4)], [((0, 1), coupling)])
         )
 
     @pytest.mark.parametrize("slab", [4, 1 << 16])
@@ -790,18 +850,19 @@ class TestGridKernels:
     )
     def test_random_reduced_problems(self, seed, k, slab, materialize):
         rng = np.random.default_rng(seed)
+        rp = _random_reduced(rng, k)
+        rp2 = _random_next(rng, rp)
+        # materialize about half of the middle level, so the top level
+        # composes from both kinds of old part
+        for coupling in rp2.couplings.values():
+            if rng.random() < 0.5:
+                coupling.table()
+        rp3 = _random_next(rng, rp2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(reduction_module, "SLAB_ENTRIES", slab)
-            patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", materialize)
-            rp = _random_reduced(rng, k)
-            rp2 = _random_next(rng, rp)
-            # materialize about half of the middle level, so the top level
-            # composes from both kinds of old part
-            for coupling in rp2.couplings.values():
-                if rng.random() < 0.5:
-                    coupling.table()
-            rp3 = _random_next(rng, rp2)
+            # reference tables under the real cap, scans under the patched one
             for level in (rp2, rp3):
                 _assert_tables_match(level)
+            patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", materialize)
             for level in (rp, rp2, rp3):
                 _assert_scan_matches(level.full_objective())
