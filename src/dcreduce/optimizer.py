@@ -48,7 +48,9 @@ interface. Both paths take the same Metropolis decisions on the same
 numbers, so they visit the same states. The sampled enumerator stands in
 for a quantum optimizer: each round's chains harvest low configurations
 under fixed additive penalties on the states found in earlier rounds, and
-rounds continue until no new in-window state appears.
+rounds continue until no new in-window state appears. On a dense table the
+rounds also stop as soon as the table shows that no later round could find
+one, which leaves every result as the full schedule returns it.
 """
 
 from __future__ import annotations
@@ -177,10 +179,27 @@ def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, com
     outside = ~_inside(claimed, win)
     if outside.any():
         raise InternalError(f"state energy {claimed[np.argmax(outside)]} lies outside the window {win}")
-    bits = (states[:, None] >> np.arange(n)) & 1
-    # bit 0 is the most significant digit of the tie-break key
-    order = np.lexsort((bits @ (1 << np.arange(n - 1, -1, -1)), claimed))
+    order = np.lexsort((_bit_reversal(states, n), claimed))
     return LocalSpectrum(states[order], claimed[order], win, complete, n)
+
+
+# Each byte value with its eight bits in reverse order.
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def _bit_reversal(states: np.ndarray, n: int) -> np.ndarray:
+    """The tie-break key of packed states: their n low bits in reverse order,
+    so that bit 0 is the key's most significant digit.
+
+    Reversing the bits of every byte and then the byte order reverses all 64
+    bits, in either byte order of the host; the shift drops the 64 - n bits
+    above n, which are zero.
+    """
+    as_bytes = np.ascontiguousarray(states, dtype=np.int64).view(np.uint8)
+    key = _REVERSED_BYTES[as_bytes].view(np.uint64)
+    key.byteswap(inplace=True)
+    key >>= np.uint64(64 - n)
+    return key
 
 
 def _inside(energies: np.ndarray, win: Window) -> np.ndarray:
@@ -454,6 +473,11 @@ def _sample_window(objective, width: float, budget: OptimizerBudget, veto):
     rounds = 0
     stall = 0
     while rounds < budget.max_sweeps and stall < budget.stall_rounds:
+        # Every state the harvest would take is pooled (a pooled state's
+        # penalty is positive). The table's lowest state is one of them, so
+        # the floor cannot fall either, and no later round can pool a state.
+        if table is not None and penalties[table <= floor + width + tol].all():
+            break
         starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
         energies, accepted, keys = _anneal(objective, table, starts, flips, draws, penalties)
         new_keys: list[int] = []
@@ -503,11 +527,15 @@ def enumerate_low_sampled(
     found inside the moving window of width eta * delta receives an additive
     penalty ``p = width + c1 * |E| + c2`` so later rounds are pushed toward
     states not seen yet. Rounds stop after ``stall_rounds`` rounds without a
-    new in-window state, or after ``max_sweeps`` rounds. The states kept are
-    those inside the final window of that width above the lowest energy
-    found, E0; the spectrum carries ``window(E0, delta, eta)``, whose
-    tolerance contains that window's. The result is best-effort
-    (``complete=False``).
+    new in-window state, or after ``max_sweeps`` rounds. On a dense table
+    (n <= 16) they also stop before a round once every state the harvest
+    would take is already pooled. The table's lowest state is then pooled,
+    so the floor is the table's minimum: a later round can neither lower it
+    nor pool a state, and the rounds left would return the same pool in the
+    same order. The states kept are those inside the final window of that
+    width above the lowest energy found, E0; the spectrum carries
+    ``window(E0, delta, eta)``, whose tolerance contains that window's. The
+    result is best-effort (``complete=False``).
 
     ``veto(round_index, bits) -> bool`` optionally discards measured states,
     which exists to exercise the recover-in-a-later-round behaviour.
@@ -527,14 +555,18 @@ def solve_ground_objective(objective, budget: OptimizerBudget) -> tuple[int, flo
     The rounds visit the chains' states in chain order and keep the first
     one that undercuts the best so far by more than 1e-15. Rounds stop
     after ``stall_rounds`` rounds without a new best, or after
-    ``max_sweeps`` rounds.
+    ``max_sweeps`` rounds. On a dense table (n <= 16) they also stop once
+    the best is the table's minimum, which no later state can undercut, so
+    the result is the full schedule's.
     """
     rng = np.random.default_rng(budget.seed)
     table = _dense_table(objective)
+    # no energy equals nan, so without a table the rounds run their full schedule
+    lowest = math.nan if table is None else table.min()
     best_bits, best_e = 0, math.inf
     rounds = 0
     stall = 0
-    while rounds < budget.max_sweeps and stall < budget.stall_rounds:
+    while rounds < budget.max_sweeps and stall < budget.stall_rounds and best_e != lowest:
         starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
         energies, accepted, _ = _anneal(objective, table, starts, flips, draws)
         found = None

@@ -83,6 +83,18 @@ class TestExhaustive:
         ]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 31, 32, 33, 62])
+    def test_tie_break_key_is_the_bit_matrix_key(self, n):
+        rng = np.random.default_rng(n)
+        states = rng.integers(0, 1 << n, size=500, dtype=np.int64)
+        # the key as a (d, n) bit matrix, bit 0 its most significant digit
+        bits = (states[:, None] >> np.arange(n)) & 1
+        expected = bits @ (1 << np.arange(n - 1, -1, -1))
+        key = optimizer_module._bit_reversal(states, n)
+        assert key.tolist() == expected.tolist()
+        tied = rng.integers(0, 3, size=states.size).astype(float)
+        np.testing.assert_array_equal(np.lexsort((key, tied)), np.lexsort((expected, tied)))
+
     def test_ceiling(self):
         with pytest.raises(ResourceError, match="31 variables"):
             enumerate_low_exhaustive(_FixedScan(SCAN_CEILING + 1), 1.0, 1.0)
@@ -360,6 +372,19 @@ def first_level(h, labels):
 PATHS = {"table": SLAB_ENTRIES, "replica": 1}
 
 
+def on_both_paths(monkeypatch, call):
+    """``call()`` on each path, with the annealing rounds each one ran."""
+    results, rounds, ran = {}, {}, []
+    anneal = optimizer_module._anneal
+    monkeypatch.setattr(optimizer_module, "_anneal", lambda *args: ran.append(1) or anneal(*args))
+    for path, slab in PATHS.items():
+        monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
+        ran.clear()
+        results[path] = call()
+        rounds[path] = len(ran)
+    return results, rounds
+
+
 class TestAnnealKernel:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_reference_on_poly(self, seed, monkeypatch):
@@ -471,6 +496,25 @@ class TestAnnealKernel:
                     spectra[path] = enumerate_low_sampled(objective, delta, 1.0, budget)
                 assert spectra["table"].d > 1
                 assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
+
+    def test_sampling_stops_once_the_table_proves_the_window_complete(self, monkeypatch):
+        # round one finds the whole window, so no stall round runs on the table
+        h = random_quadratic(10, 18, 0)
+        exhaustive = enumerate_low_exhaustive(h, 2.0, 1.0)
+        budget = OptimizerBudget(seed=0)
+        spectra, rounds = on_both_paths(monkeypatch, lambda: enumerate_low_sampled(h, 2.0, 1.0, budget))
+        assert rounds["table"] < 1 + budget.stall_rounds == rounds["replica"]
+        assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
+        assert set(spectra["table"].packed.tolist()) == set(exhaustive.packed.tolist())
+
+    def test_ground_search_stops_at_the_table_minimum(self, monkeypatch):
+        objective = PolyObjective(random_quadratic(10, 18, 0))
+        lowest = _dense_table(objective).min()
+        budget = OptimizerBudget(seed=0)
+        found, rounds = on_both_paths(monkeypatch, lambda: solve_ground_objective(objective, budget))
+        assert rounds["table"] < 1 + budget.stall_rounds == rounds["replica"]
+        assert found["table"] == found["replica"]
+        assert found["table"][1] == lowest
 
     def test_dense_limit_is_sixteen_variables(self, monkeypatch):
         ran = []
