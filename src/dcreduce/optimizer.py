@@ -17,17 +17,14 @@ objectives produced by the reduction stage. An objective exposes
     (first state, energies) chunks, which the exhaustive scans read,
   - ``energies_of(states)``: vectorized energies for packed state integers,
     which re-check every spectrum independently of the scan,
-  - a batched replica interface for annealing, where a replica state is an
-    array with one row per replica in an objective-specific layout:
-    ``replicas(starts)`` builds it from start states (Python ints, or an
-    int64 array when they fit), ``flipped(states, j)`` returns a copy with
-    variable ``j[r]`` of replica r flipped, ``replica_energies(states)``
-    evaluates every replica, each row on its own so that a state's energy
-    does not depend on the batch it sits in, and ``replica_terms`` counts
-    the terms that evaluation sums per replica.
+  - ``replica_energies(keys)``: energies of a 1-d array of packed states,
+    each on its own so that a state's energy does not depend on the batch
+    it sits in, which annealing reads,
+  - ``replica_terms``: the number of terms that evaluation sums per state.
 
 Every scan, annealer and spectrum holds states packed into int64 integers,
-variable j on bit j.
+variable j on bit j. Only a recombined anneal may exceed ``MAX_PACKED_VARS``
+variables; its states are Python ints in an object array.
 
 A polynomial objective's chunks evaluate its terms on blocks of states. A
 table objective's chunks are slabs of its register product grid: register k
@@ -39,13 +36,14 @@ running minimum, and the kept states are filtered against the final one.
 The scans refuse more than ``SCAN_CEILING`` variables; which backend a
 subproblem gets is the driver's choice.
 
-One annealing kernel runs a round's chains in lockstep. An objective with
-2^n <= ``SLAB_ENTRIES`` states (n <= 16) anneals on a dense table: its 2^n
-energies are evaluated once per call through ``replica_energies``, a replica
-is its packed state, and each step is an XOR and a gather of the energy and
-penalty of every proposal. Larger objectives anneal through the replica
-interface. Both paths take the same Metropolis decisions on the same
-numbers, so they visit the same states. The sampled enumerator stands in
+One annealing kernel runs a round's chains in lockstep, and a replica is
+its packed state: each step flips one bit of every replica with an XOR. An
+objective with 2^n <= ``SLAB_ENTRIES`` states (n <= 16) anneals on a dense
+table: its 2^n energies are evaluated once per call through
+``replica_energies``, and each step gathers the energy and penalty of every
+proposal from the table. Larger objectives evaluate every proposal through
+``replica_energies``. Both paths take the same Metropolis decisions on the
+same numbers, so they visit the same states. The sampled enumerator stands in
 for a quantum optimizer: each round's chains harvest low configurations
 under fixed additive penalties on the states found in earlier rounds, and
 rounds continue until no new in-window state appears. On a dense table the
@@ -55,6 +53,7 @@ one, which leaves every result as the full schedule returns it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -211,10 +210,7 @@ def _inside(energies: np.ndarray, win: Window) -> np.ndarray:
 
 
 class PolyObjective:
-    """Compiled view of a PolyHamiltonian for scanning and annealing.
-
-    Annealing replicas are packed state integers, shape (R,).
-    """
+    """Compiled view of a PolyHamiltonian for scanning and annealing."""
 
     def __init__(self, h: PolyHamiltonian):
         _check_packable(h, "a polynomial objective")
@@ -233,12 +229,6 @@ class PolyObjective:
         for start in range(0, total, SLAB_ENTRIES):
             stop = min(start + SLAB_ENTRIES, total)
             yield start, self.energies_of(np.arange(start, stop, dtype=np.int64))
-
-    def replicas(self, starts) -> np.ndarray:
-        return np.array(starts, dtype=np.int64)
-
-    def flipped(self, states: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return states ^ (np.int64(1) << j)
 
     def replica_energies(self, states: np.ndarray) -> np.ndarray:
         odd = np.bitwise_count(states[:, None] & self.masks) & 1
@@ -343,8 +333,8 @@ def _dense_table(objective) -> np.ndarray | None:
     exceeds ``SLAB_ENTRIES``; the one place that picks the annealing path.
 
     The table is evaluated through ``replica_energies`` in blocks of about
-    ``SLAB_ENTRIES`` temporary entries; a replica's energy does not depend
-    on its batch, so every entry equals what the replica path computes.
+    ``SLAB_ENTRIES`` temporary entries; a key's energy does not depend on
+    its batch, so every entry equals what the replica path computes.
     """
     total = 1 << objective.n_vars
     if total > SLAB_ENTRIES:
@@ -353,102 +343,85 @@ def _dense_table(objective) -> np.ndarray | None:
     table = np.empty(total)
     for start in range(0, total, rows):
         stop = min(start + rows, total)
-        block = objective.replicas(np.arange(start, stop, dtype=np.int64))
-        table[start:stop] = objective.replica_energies(block)
+        table[start:stop] = objective.replica_energies(np.arange(start, stop, dtype=np.int64))
     return table
 
 
 def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, penalties=None):
-    """Run one round's chains in lockstep, one replica per chain on axis 0.
+    """Run one round's chains in lockstep, one replica per chain.
 
-    Step s proposes flipping variable ``flips[s, r]`` of replica r and
-    accepts by the Metropolis rule on the penalized energy change at the
-    shared geometric temperature. ``table`` is ``_dense_table(objective)``;
-    when it is an array the round runs on it, and ``penalties``, if given,
-    is a dense array over all packed states. Otherwise the round runs
-    through the replica interface, and ``penalties`` is a (sorted keys,
-    values) pair over packed states, or None. Returns the energies after
-    every step, shape (steps + 1, R) with the start in row 0; the accept
-    mask, shape (steps, R); and the packed states in the energies' layout,
-    which the replica path records only when penalties are given (else
-    None). Recorded energies are bare objective values.
-    """
-    if table is not None:
-        return _anneal_table(table, starts, flips, draws, penalties)
-    steps = flips.shape[0]
-    cool = (_T_END / _T_START) ** (1.0 / (steps - 1)) if steps > 1 else 1.0
-    temperature = _T_START
-    state = objective.replicas(starts)
-    accept_shape = (len(starts),) + (1,) * (state.ndim - 1)
-    energies = np.empty((steps + 1, len(starts)))
-    energies[0] = objective.replica_energies(state)
-    accepted = np.empty((steps, len(starts)), dtype=bool)
-    keys = None
-    if penalties is not None:
-        keys = np.empty((steps + 1, len(starts)), dtype=np.int64)
-        keys[0] = starts
-        masks = np.int64(1) << flips
-        penalty = _penalty_of(*penalties, keys[0])
-    for s in range(steps):
-        proposal = objective.flipped(state, flips[s])
-        proposed = objective.replica_energies(proposal)
-        delta = proposed - energies[s]
-        if keys is not None:
-            proposal_keys = keys[s] ^ masks[s]
-            proposal_penalty = _penalty_of(*penalties, proposal_keys)
-            delta = delta + proposal_penalty - penalty
-        # exp(-max(delta, 0) / T) is 1 for delta <= 0, and draws lie in [0, 1)
-        accept = draws[s] < np.exp(np.maximum(delta, 0.0) / -temperature)
-        np.copyto(state, proposal, where=accept.reshape(accept_shape))
-        energies[s + 1] = np.where(accept, proposed, energies[s])
-        accepted[s] = accept
-        if keys is not None:
-            keys[s + 1] = np.where(accept, proposal_keys, keys[s])
-            penalty = np.where(accept, proposal_penalty, penalty)
-        temperature *= cool
-    return energies, accepted, keys
+    A replica is its packed state: an int64 key, or a Python int in an
+    object array above ``MAX_PACKED_VARS`` variables. Step s proposes
+    flipping variable ``flips[s, r]`` of replica r and accepts by the
+    Metropolis rule on the penalized energy change
+    ``((proposed - current) + p_new) - p_old`` at the shared geometric
+    temperature. ``table`` is ``_dense_table(objective)``; when it is an
+    array, energies are gathered from it and ``penalties``, if given, is a
+    dense array over all packed states. Otherwise energies come from
+    ``replica_energies`` and ``penalties`` is a (sorted keys, values) pair
+    over packed states, or None. The rule ``draw < exp(-delta / T)`` needs
+    no ``max(delta, 0)``: for delta <= 0 the exponential is at least 1, or
+    inf where it overflows, and draws lie in [0, 1).
 
-
-def _anneal_table(table: np.ndarray, starts, flips: np.ndarray, draws: np.ndarray, penalty=None):
-    """``_anneal`` on a dense energy table, taking the same decisions.
-
-    A replica is its packed state, and the trajectory is the (steps + 1, R)
-    array of states; the energies are gathered from it after the loop, and
-    a step was accepted exactly when it changed the state. The change is
-    ``((proposed - current) + p_new) - p_old`` as on the replica path. The
-    rule ``draw < exp(-delta / T)`` leaves out the ``max(delta, 0)`` of
-    ``_anneal``: for delta <= 0 the exponential is at least 1, or inf where
-    it overflows, so it accepts exactly when the clamped rule does.
+    Returns ``(energies, accepted, keys)``: ``keys`` is the trajectory's
+    packed states, shape (steps + 1, R) with the starts in row 0;
+    ``energies`` their bare objective energies in the same layout; and
+    ``accepted`` the accept mask, shape (steps, R), true exactly where a
+    step changed the state.
     """
     steps, chains = flips.shape
     cool = (_T_END / _T_START) ** (1.0 / (steps - 1)) if steps > 1 else 1.0
     temperature = _T_START
-    keys = np.empty((steps + 1, chains), dtype=np.int64)
+    dense = table is not None
+    wide = objective.n_vars > MAX_PACKED_VARS
+    keys = np.empty((steps + 1, chains), dtype=object if wide else np.int64)
     keys[0] = starts
     key = keys[0]
-    masks = np.int64(1) << flips
-    current = table[key]
-    if penalty is not None:
-        current_penalty = penalty[key]
+    masks = 1 << flips.astype(object) if wide else np.int64(1) << flips
+    if dense:
+        current = table[key]
+        rows = itertools.repeat(None)
+    else:
+        # recorded row by row; the dense path gathers them after the loop
+        energies = np.empty((steps + 1, chains))
+        energies[0] = current = objective.replica_energies(key)
+        rows = energies[1:]
+    if penalties is not None:
+        current_penalty = penalties[key] if dense else _penalty_of(*penalties, key)
     delta = np.empty(chains)
     accept = np.empty(chains, dtype=bool)
     with np.errstate(over="ignore"):
-        for mask, draw, following in zip(masks, draws, keys[1:]):
+        for mask, draw, following, row in zip(masks, draws, keys[1:], rows):
             proposal = key ^ mask
-            np.subtract(table[proposal], current, out=delta)
-            if penalty is not None:
-                np.add(delta, penalty[proposal], out=delta)
+            if dense:
+                np.subtract(table[proposal], current, out=delta)
+            else:
+                proposed = objective.replica_energies(proposal)
+                np.subtract(proposed, current, out=delta)
+            if penalties is not None:
+                proposal_penalty = penalties[proposal] if dense else _penalty_of(*penalties, proposal)
+                np.add(delta, proposal_penalty, out=delta)
                 np.subtract(delta, current_penalty, out=delta)
             np.divide(delta, -temperature, out=delta)
             np.less(draw, np.exp(delta, out=delta), out=accept)
             following[...] = key
             np.copyto(following, proposal, where=accept)
-            current = table[following]
-            if penalty is not None:
-                current_penalty = penalty[following]
+            # the dense path gathers, which is cheaper than a masked copy
+            if dense:
+                current = table[following]
+                if penalties is not None:
+                    current_penalty = penalties[following]
+            else:
+                row[...] = current
+                np.copyto(row, proposed, where=accept)
+                current = row
+                if penalties is not None:
+                    np.copyto(current_penalty, proposal_penalty, where=accept)
             key = following
             temperature *= cool
-    return table[keys], keys[1:] != keys[:-1], keys
+    if dense:
+        energies = table[keys]
+    return energies, keys[1:] != keys[:-1], keys
 
 
 # -- sampled enumeration ------------------------------------------------------
@@ -568,7 +541,7 @@ def solve_ground_objective(objective, budget: OptimizerBudget) -> tuple[int, flo
     stall = 0
     while rounds < budget.max_sweeps and stall < budget.stall_rounds and best_e != lowest:
         starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
-        energies, accepted, _ = _anneal(objective, table, starts, flips, draws)
+        energies, _, keys = _anneal(objective, table, starts, flips, draws)
         found = None
         for c in range(len(starts)):
             trace = energies[:, c]
@@ -583,9 +556,7 @@ def solve_ground_objective(objective, budget: OptimizerBudget) -> tuple[int, flo
                 step += 1
         if found is not None:
             c, step = found
-            best_bits = starts[c]
-            for j in flips[:step, c][accepted[:step, c]]:
-                best_bits ^= 1 << int(j)
+            best_bits = int(keys[step, c])
         rounds += 1
         stall = 0 if found is not None else stall + 1
     return best_bits, best_e

@@ -38,7 +38,7 @@ import numpy as np
 from .clustering import Partition, WeightedGraph
 from .errors import DimensionError, DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import (
-    MAX_PACKED_VARS, MAX_TABLE_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, readonly_array,
+    MAX_TABLE_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, readonly_array,
 )
 from .optimizer import LocalSpectrum
 
@@ -230,8 +230,8 @@ class TableObjective:
     is the default execution path for reduced problems. ``couplings`` are
     ``(positions, Coupling)`` pairs; those that can materialize are, and
     are read through one flat gather array, the rest entry-wise through
-    ``Coupling.values``. Annealing replicas are register-index arrays of
-    shape (R, K), so the register may exceed 62 qubits.
+    ``Coupling.values``. ``replica_energies`` also takes Python-int keys,
+    so an annealed register may exceed 62 qubits.
     """
 
     def __init__(self, m_list, energy_tables, couplings):
@@ -249,10 +249,8 @@ class TableObjective:
             off += m
         self.n_vars = off
         self.replica_terms = len(self.energy_tables) + len(self.couplings)
-        self.qubit_register = np.repeat(np.arange(len(self.m_list)), self.m_list)
-        self.qubit_weight = np.int64(1) << (
-            np.arange(self.n_vars) - np.repeat(self.offsets, self.m_list)
-        )
+        m = np.array(self.m_list, dtype=np.int64)
+        self._register_bits = (np.array(self.offsets, dtype=np.int64), (np.int64(1) << m) - 1)
         self._gather = None
 
     def indices_of(self, states: np.ndarray) -> list[np.ndarray]:
@@ -301,22 +299,13 @@ class TableObjective:
                 )
             yield start, self._energies_at(idx, shape).ravel()
 
-    def replicas(self, starts) -> np.ndarray:
-        if self.n_vars <= MAX_PACKED_VARS:
-            return np.stack(self.indices_of(starts), axis=1)
-        return np.array(
-            [[(s >> off) & ((1 << m) - 1) for off, m in zip(self.offsets, self.m_list)]
-             for s in starts],
-            dtype=np.int64,
-        )
-
-    def flipped(self, idx: np.ndarray, q: np.ndarray) -> np.ndarray:
-        out = idx.copy()
-        out[np.arange(len(q)), self.qubit_register[q]] ^= self.qubit_weight[q]
-        return out
-
-    def replica_energies(self, idx: np.ndarray) -> np.ndarray:
+    def replica_energies(self, keys: np.ndarray) -> np.ndarray:
+        """Energies of a 1-d array of packed keys, int64 or (above 62 qubits)
+        Python ints: the registers are read with one broadcast shift and
+        mask, and every materialized table with one flat gather."""
         flat, strides, base, lazy = self._gather_plan()
+        offsets, masks = self._register_bits
+        idx = np.asarray((keys[:, None] >> offsets) & masks, dtype=np.int64)
         out = flat[idx @ strides + base].sum(axis=1)
         for pos, coupling in lazy:
             out += coupling.values([idx[:, p] for p in pos])
@@ -325,7 +314,8 @@ class TableObjective:
     def _gather_plan(self):
         """Every materialized table raveled into one flat array, with the
         per-register strides (K, T) and table offsets (T,) that turn an
-        (R, K) index array into flat positions; plus the lazy couplings."""
+        (R, K) register index array into flat positions; plus the lazy
+        couplings."""
         if self._gather is None:
             tables = [((k,), table) for k, table in enumerate(self.energy_tables)]
             lazy = []

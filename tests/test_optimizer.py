@@ -1,6 +1,7 @@
 """Exhaustive and sampled enumerator tests."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -372,6 +373,24 @@ def first_level(h, labels):
 PATHS = {"table": SLAB_ENTRIES, "replica": 1}
 
 
+def replay(starts, flips, accepted):
+    """The states of a round's chains, rebuilt from their starts by flipping
+    variable ``flips[s]`` wherever step s was accepted; one list per step."""
+    rows = [list(starts)]
+    for flip, accept in zip(flips.tolist(), accepted.tolist()):
+        rows.append([k ^ (1 << j) if a else k for k, j, a in zip(rows[-1], flip, accept)])
+    return rows
+
+
+def assert_trajectory(objective, starts, flips, energies, accepted, keys):
+    """The recorded keys are the replayed states, and the recorded energies
+    are ``replica_energies`` of those keys, bit for bit."""
+    assert accepted.any() and not accepted.all()
+    assert keys.tolist() == replay(starts, flips, accepted)
+    expected = objective.replica_energies(keys.ravel()).reshape(keys.shape)
+    assert energies.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
 def on_both_paths(monkeypatch, call):
     """``call()`` on each path, with the annealing rounds each one ran."""
     results, rounds, ran = {}, {}, []
@@ -427,8 +446,8 @@ class TestAnnealKernel:
         assert table.shape == (1 << objective.n_vars,)
         rng = np.random.default_rng(7)
         for _ in range(64):
-            starts = rng.integers(0, 1 << objective.n_vars, size=16).tolist()
-            energies = objective.replica_energies(objective.replicas(starts))
+            starts = rng.integers(0, 1 << objective.n_vars, size=16)
+            energies = objective.replica_energies(starts)
             assert table[starts].view(np.int64).tolist() == energies.view(np.int64).tolist()
 
     @pytest.mark.parametrize("terms", [40, 200, 1000])
@@ -440,7 +459,7 @@ class TestAnnealKernel:
         by_rows = {}
         for rows in (1, 2, 3, 16):
             batches = [states[i:i + rows] for i in range(0, states.size, rows)]
-            energies = np.concatenate([objective.replica_energies(objective.replicas(b)) for b in batches])
+            energies = np.concatenate([objective.replica_energies(b) for b in batches])
             by_rows[rows] = energies.view(np.int64).tolist()
         assert by_rows[1] == by_rows[2] == by_rows[3] == by_rows[16]
 
@@ -466,11 +485,88 @@ class TestAnnealKernel:
             on_replicas = optimizer_module._anneal(objective, None, starts, flips, draws, sparse_penalties)
             assert on_table[0].view(np.int64).tolist() == on_replicas[0].view(np.int64).tolist()
             np.testing.assert_array_equal(on_table[1], on_replicas[1])
-            if sparse_penalties is not None:
-                np.testing.assert_array_equal(on_table[2], on_replicas[2])
+            np.testing.assert_array_equal(on_table[2], on_replicas[2])
             accepts[name] = on_table[1]
         # the penalties changed some decisions
         assert (accepts["penalized"] != accepts["bare"]).any()
+
+    @pytest.mark.parametrize("penalized", [False, True])
+    @pytest.mark.parametrize("path", ["table", "replica"])
+    @pytest.mark.parametrize("kind", ["poly", "table"])
+    def test_recorded_keys_are_the_trajectory(self, kind, path, penalized):
+        objective = {
+            "poly": lambda: PolyObjective(random_pubo(10, 40, 8)),
+            "table": lambda: random_table_objective(6),
+        }[kind]()
+        n = objective.n_vars
+        rng = np.random.default_rng(5)
+        table = _dense_table(objective) if path == "table" else None
+        penalties = None
+        if penalized:
+            pooled = np.sort(rng.choice(1 << n, size=(1 << n) // 2, replace=False)).astype(np.int64)
+            values = rng.uniform(0.0, 2.0, size=pooled.size)
+            penalties = (pooled, values)
+            if table is not None:
+                penalties = np.zeros(1 << n)
+                penalties[pooled] = values
+        starts, flips, draws = optimizer_module._draw_chains(rng, n, 16)
+        energies, accepted, keys = optimizer_module._anneal(objective, table, starts, flips, draws, penalties)
+        assert keys.dtype == np.int64
+        assert_trajectory(objective, starts, flips, energies, accepted, keys)
+
+    def test_recorded_keys_are_the_trajectory_above_62_qubits(self):
+        objective = singleton_reduced_problem(70, 3).full_objective()
+        starts, flips, draws = optimizer_module._draw_chains(np.random.default_rng(5), 70, 4)
+        energies, accepted, keys = optimizer_module._anneal(objective, None, starts, flips, draws)
+        # Python-int keys, some of them past bit 62
+        assert keys.dtype == object and max(keys.ravel()) >> 62
+        assert_trajectory(objective, starts, flips, energies, accepted, keys)
+
+    @pytest.mark.parametrize("kind", ["poly", "wide"])
+    def test_ground_bits_are_the_replayed_best_state(self, kind, monkeypatch):
+        objective = {
+            "poly": lambda: PolyObjective(random_quadratic(11, 20, 4)),
+            "wide": lambda: singleton_reduced_problem(70, 3).full_objective(),
+        }[kind]()
+        budget = OptimizerBudget(seed=3, max_sweeps=2 if kind == "wide" else 64)
+        rounds = []
+        anneal = optimizer_module._anneal
+
+        def recording(objective, table, starts, flips, draws, penalties=None):
+            out = anneal(objective, table, starts, flips, draws, penalties)
+            rounds.append((starts, flips, out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(optimizer_module, "_anneal", recording)
+        for slab in PATHS.values() if kind == "poly" else [SLAB_ENTRIES]:
+            monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
+            rounds.clear()
+            found = solve_ground_objective(objective, budget)
+            # chains in order, steps in order: the last state that undercut
+            # the best so far by more than 1e-15
+            best = (0, math.inf)
+            for starts, flips, energies, accepted in rounds:
+                states = replay(starts, flips, accepted)
+                for c in range(len(starts)):
+                    for step, energy in enumerate(energies[:, c].tolist()):
+                        if energy < best[1] - 1e-15:
+                            best = (states[step][c], energy)
+            assert found == best
+
+    def test_sampling_and_annealing_read_four_members(self, monkeypatch):
+        # an objective with only the members sampling and annealing read
+        poly = PolyObjective(random_pubo(10, 30, 9))
+        bare = SimpleNamespace(
+            n_vars=poly.n_vars, replica_terms=poly.replica_terms,
+            energies_of=poly.energies_of, replica_energies=poly.replica_energies,
+        )
+        budget = OptimizerBudget(seed=2)
+        for slab in PATHS.values():
+            monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
+            expected = enumerate_low_sampled(poly, 2.0, 1.0, budget)
+            assert expected.d > 1
+            assert bits_of(enumerate_low_sampled(bare, 2.0, 1.0, budget)) == bits_of(expected)
+            assert solve_ground_objective(bare, budget) == solve_ground_objective(poly, budget)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sampled_spectra_identical_on_both_paths(self, seed, monkeypatch):
@@ -517,18 +613,19 @@ class TestAnnealKernel:
         assert found["table"][1] == lowest
 
     def test_dense_limit_is_sixteen_variables(self, monkeypatch):
-        ran = []
-        dense = optimizer_module._anneal_table
+        # the path a round ran is the table it was given
+        on_table = []
+        anneal = optimizer_module._anneal
         monkeypatch.setattr(
-            optimizer_module, "_anneal_table", lambda *args: ran.append(1) or dense(*args)
+            optimizer_module, "_anneal", lambda *args: on_table.append(args[1] is not None) or anneal(*args)
         )
         budget = OptimizerBudget(seed=1, max_sweeps=1)
         for n in (16, 17):
             objective = PolyObjective(random_quadratic(n, 2 * n, n))
-            ran.clear()
+            on_table.clear()
             found = solve_ground_objective(objective, budget)
             assert (_dense_table(objective) is not None) == (n == 16)
-            assert bool(ran) == (n == 16)
+            assert on_table == [n == 16]
             with monkeypatch.context() as patch:
                 patch.setattr(optimizer_module, "SLAB_ENTRIES", 1)
                 assert solve_ground_objective(objective, budget) == found
