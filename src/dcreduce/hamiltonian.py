@@ -30,7 +30,7 @@ MAX_TABLE_VARS = 24
 MAX_PACKED_VARS = 62
 
 # Entries per block of vectorized work: energy slabs of exhaustive scans,
-# (terms, states) parity matrices, blocks of composed coupling tables. Small
+# (terms, states) parity matrices, blocks of coupling tables. Small
 # enough that a block's temporaries stay in the L2 cache.
 SLAB_ENTRIES = 1 << 16
 

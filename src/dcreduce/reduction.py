@@ -4,26 +4,29 @@ Each community's surviving states are written onto ceil(log2(d)) qubits in
 energy order; its decode table is the int64 array of their packed states,
 from which the registers of the level below are read with shifts. The
 reduced problem is then a sum of per-community diagonal energy tables and,
-for every set of communities jointly touched by straddling couplings, a
-diagonal coupling table.
+for every set of communities jointly touched by straddling terms, a
+diagonal coupling.
 
-The input Hamiltonian is the trivial case of this encoding, level 0: every
-variable is its own 1-qubit register with decode ``[0, 1]`` and energies
-``[field, -field]``, and every multi-variable term is a coupling
-whose table is its coefficient times the outer product of the Z eigenvalues
-``(1, -1)``. Every level, the first included, decomposes the previous
-level under a partition of its communities, bounds each new community's
-window by the couplings that straddle it, drops from the window the states
-another retained state beats under every boundary (``prune_dominated``),
-and composes those couplings through the new decode tables. Couplings of
-at most ``MATERIALIZE_ENTRIES`` (2^22) entries, the one table cap,
-materialize into cached tables; larger ones evaluate entry-wise through
-the composition, so only the entries a solver actually visits are ever
-computed. A table is composed in blocks of leading rows: each part's old
-table is gathered onto the new axes with one ``np.take`` per axis and
-added in place, in part order, so every entry equals its entry-wise value
-bit for bit. A parity-basis polynomial conversion is available for
-consumers that need operator form.
+A coupling is held in one form at every level: the coefficients of the
+level-0 terms it carries, and per axis one sign feature per term, the
+parity of the term's variables inside that register at each index, packed
+16 terms to a uint16 word. The input Hamiltonian is level 0 of this
+encoding: every variable is its own 1-qubit register with decode ``[0, 1]``
+and energies ``[field, -field]``, and every multi-variable term a one-term
+coupling whose feature on each axis is the variable's bit. Every level, the
+first included, decomposes the previous level under a partition of its
+communities, bounds each new community's window by the couplings that
+straddle it, drops from the window the states another retained state beats
+under every boundary (``prune_dominated``), and carries the straddling
+couplings' terms onto the new registers: each old feature is gathered
+through the new decode tables and XORed with the features of the term's
+other members inside the same new register. An entry sums its terms in one
+fixed order, a word at a time through a table of the word's signed sums,
+so a materialized table equals the entry-wise value bit for bit. Couplings
+of at most ``MATERIALIZE_ENTRIES`` (2^22) entries, the one table cap,
+materialize into cached tables; larger ones evaluate entry-wise, so only
+the entries a solver actually visits are ever computed. A parity-basis
+polynomial conversion is available for consumers that need operator form.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from .clustering import Partition, WeightedGraph
 from .errors import DimensionError, DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import (
-    MAX_TABLE_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, readonly_array,
+    SLAB_ENTRIES, PolyHamiltonian, SpinConfig, readonly_array,
 )
 from .optimizer import LocalSpectrum
 
@@ -111,42 +114,41 @@ def encode_community(
 # Z eigenvalues of bit 0 and bit 1: one axis of a level-0 coupling table.
 _SPINS = np.array([1.0, -1.0])
 
+# Terms per mask word: a coupling's terms are summed a word at a time.
+_WORD = 16
+
+# The sign feature of a one-qubit level-0 register: index 1 flips the term.
+_PARITY = (readonly_array([0, 1], np.uint16),)
+
 
 class Coupling:
     """Diagonal coupling among the registers of some communities (its
-    footprint, the key it is stored under in ``ReducedProblem.couplings``).
+    footprint, the key it is stored under in ``ReducedProblem.couplings``),
+    held as the level-0 terms it carries over one sign feature per axis.
 
-    A coupling either holds a given table or is composed of ``parts``:
-    ``(old coupling, gathers)`` pairs, one per coupling of the level below,
-    where each gather ``(axis, index array)`` maps this coupling's index on
-    ``axis`` to the old coupling's index on the matching old axis through
-    the new decode table. ``build_reduced_iter`` groups old couplings by
-    exactly the set of new communities they touch, so every part maps onto
-    every axis, axis 0 included. Level-0 couplings hold ``coeff`` times the
-    outer product of ``(1, -1)``; every later coupling, the first level's
-    included, is composed. ``values`` gathers entries for aligned
-    (broadcastable) index arrays without materializing anything; ``table``
-    materializes and caches the full tensor, and refuses a composed one
-    past ``MATERIALIZE_ENTRIES``, the cap ``can_materialize`` tests. It
-    adds the parts onto one zero table in part order, about
-    ``SLAB_ENTRIES`` entries of leading rows at a time: a materialized old
-    table is gathered with ``np.take`` along each axis (old axes on one new
-    axis merged first), any other through ``values`` on the block's open
-    grid. ``bound`` is the propagated sum of |coeff|: the largest |entry|
-    of a given table, the sum of the parts' bounds for a composed coupling;
-    a caller that knows it may pass it.
+    ``coeffs`` is the tuple of the terms' coefficients c_t. ``masks`` hold, per
+    axis, one uint16 array of length d_tilde per word of 16 terms: bit
+    t % 16 of word t // 16 at index x is f_{t,k}(x), the parity of term t's
+    variables inside that axis's register at x. An entry is
+    sum_t c_t prod_k (-1)^f_{t,k}(x_k): the XOR of the axes' words is a sign
+    pattern, looked up in a table of the word's terms' signed sums, added
+    from its first term on, and the words' sums are added in order. Every entry is so summed in one fixed order, with no BLAS
+    call: ``values`` XORs the words gathered at aligned (broadcastable)
+    index arrays, and ``table`` XORs the words themselves on the open grid,
+    about ``SLAB_ENTRIES`` entries of leading rows at a time, so a table
+    equals ``values`` bit for bit. ``table`` caches its result, and
+    refuses past ``MATERIALIZE_ENTRIES``, the cap ``can_materialize``
+    tests; a cached table, given or built, is what ``values`` reads.
+    ``bound`` is sum_t |c_t|; a caller that knows it may pass it.
     """
 
-    def __init__(self, shape, table=None, parts=(), bound=None):
-        self.shape = tuple(shape)
-        self.parts = tuple(parts)
+    def __init__(self, coeffs, masks, table=None, bound=None):
+        self.coeffs = coeffs
+        self.masks = masks
+        self.shape = tuple(len(mask[0]) for mask in masks)
         self._table = table
-        if bound is not None:
-            self.bound = bound
-        elif table is None:
-            self.bound = float(sum(old.bound for old, _ in self.parts))
-        else:
-            self.bound = float(np.abs(table).max())
+        self._sums = None
+        self.bound = float(sum(map(abs, coeffs))) if bound is None else bound
 
     @property
     def can_materialize(self) -> bool:
@@ -155,11 +157,10 @@ class Coupling:
     def values(self, idx_arrays) -> np.ndarray:
         if self._table is not None:
             return self._table[tuple(idx_arrays)]
-        out = 0.0
-        for old, gathers in self.parts:
-            old_idx = [gather[idx_arrays[axis]] for axis, gather in gathers]
-            out = out + old.values(old_idx)
-        return out
+        return self._signed_sums([
+            functools_reduce(np.bitwise_xor, [mask[w][i] for mask, i in zip(self.masks, idx_arrays)])
+            for w in range(len(self.masks[0]))
+        ])
 
     def table(self) -> np.ndarray:
         if self._table is None:
@@ -168,59 +169,30 @@ class Coupling:
                     f"coupling table with {math.prod(self.shape)} entries exceeds the materialization cap; "
                     "lower eta or cap the community size"
                 )
-            self._table = self._compose()
+            out = np.empty(self.shape)
+            rows = max(1, SLAB_ENTRIES // math.prod(self.shape[1:]))
+            for r0 in range(0, self.shape[0], rows):
+                out[r0:r0 + rows] = self._signed_sums([
+                    functools_reduce(np.bitwise_xor.outer,
+                                     [self.masks[0][w][r0:r0 + rows], *(words[w] for words in self.masks[1:])])
+                    for w in range(len(self.masks[0]))
+                ])
+            self._table, self._sums = out, None
         return self._table
 
-    def _compose(self) -> np.ndarray:
-        """The parts added in order onto one zero table, so each entry is
-        the sum ``values`` forms for it, a block of about ``SLAB_ENTRIES``
-        leading rows at a time."""
-        out = np.zeros(self.shape)
-        rows = max(1, SLAB_ENTRIES // math.prod(self.shape[1:]))
-        for old, gathers in self.parts:
-            if old._table is None:
-                for r0 in range(0, self.shape[0], rows):
-                    grids = np.ix_(np.arange(r0, min(r0 + rows, self.shape[0])),
-                                   *map(np.arange, self.shape[1:]))
-                    out[r0:r0 + rows] += old.values([g[grids[axis]] for axis, g in gathers])
-                continue
-            gathered, row_of = _gather_part(old._table, gathers)
-            for r0 in range(0, self.shape[0], rows):
-                out[r0:r0 + rows] += gathered.take(row_of[r0:r0 + rows], axis=0)
-        return out
-
-
-def _gather_part(table: np.ndarray, gathers):
-    """One part's old table gathered onto every new axis but axis 0, which
-    keeps old rows: all of them, or only the used ones when they outnumber
-    the new rows, so the result is never larger than the new table.
-
-    The old table is transposed so that old axes mapping to the same new
-    axis are adjacent, and those axes are merged (their gathers through
-    ``ravel_multi_index``). Each new axis is then gathered with one
-    ``np.take``. Returns the gathered array and, per new row, its row in
-    that array.
-    """
-    order = sorted(range(len(gathers)), key=lambda i: gathers[i][0])
-    merged: dict[int, list[int]] = {}
-    for i in order:
-        merged.setdefault(gathers[i][0], []).append(i)
-    out = table.transpose(order).reshape(
-        [math.prod(table.shape[i] for i in olds) for olds in merged.values()]
-    )
-    for j, (axis, olds) in enumerate(merged.items()):
-        if len(olds) == 1:
-            gather = gathers[olds[0]][1]
-        else:
-            gather = np.ravel_multi_index([gathers[i][1] for i in olds],
-                                          [table.shape[i] for i in olds])
-        if axis == 0:
-            if out.shape[0] <= gather.size:
-                row_of = gather
-                continue
-            gather, row_of = np.unique(gather, return_inverse=True)
-        out = out.take(gather, axis=j)
-    return out, row_of
+    def _signed_sums(self, patterns) -> np.ndarray:
+        """The entries at one sign pattern per word: a word's table holds
+        its terms' sum under every pattern (bit t set: term t negated),
+        added from the word's first term on."""
+        if self._sums is None:
+            self._sums = []
+            for first in range(0, len(self.coeffs), _WORD):
+                c0, *rest = self.coeffs[first:first + _WORD]
+                sums = np.array([c0, -c0])
+                for c in rest:
+                    sums = np.add.outer((c, -c), sums).ravel()
+                self._sums.append(sums)
+        return functools_reduce(np.add, [sums[p] for sums, p in zip(self._sums, patterns)])
 
 
 class TableObjective:
@@ -362,33 +334,29 @@ class ReducedProblem:
 
         Variable v is a 1-qubit identity register with energies
         ``(field, -field)``, one shared encoding per distinct field; each
-        multi-variable term is a coupling on its own variables, whose table
-        is the term's truth table and so falls under the truth-table cap,
-        and whose bound is |coeff|. The constant is left out, as at every
-        level.
+        multi-variable term is a one-term coupling on its own variables,
+        whose sign feature on every axis is the variable's bit and whose
+        bound is |coeff|. A term whose table fits ``MATERIALIZE_ENTRIES``
+        also gets its table, all of one degree from one broadcast product;
+        a wider one stays lazy, so no term width is refused. The constant
+        is left out, as at every level.
         """
         fields = [0.0] * h.n_vars
         by_degree: dict[int, list] = {}
         for subset, coeff in h.terms.items():
-            k = len(subset)
-            if k == 1:
+            if len(subset) == 1:
                 fields[subset[0]] = coeff
-            elif k > MAX_TABLE_VARS:
-                raise ResourceError(
-                    f"term over {k} variables exceeds the {MAX_TABLE_VARS}-variable truth-table cap"
-                )
-            elif k:
-                by_degree.setdefault(k, []).append((subset, coeff))
-        tables = {}
+            elif subset:
+                by_degree.setdefault(len(subset), []).append((subset, coeff))
+        couplings = {}
         for k, items in by_degree.items():
-            # every table of one degree from one broadcast product
-            coeffs = np.array([coeff for _, coeff in items]).reshape((-1,) + (1,) * k)
-            signs = functools_reduce(np.multiply.outer, [_SPINS] * k)
-            tables.update(zip([subset for subset, _ in items], coeffs * signs))
-        couplings = {
-            subset: Coupling(table.shape, table=table, bound=abs(h.terms[subset]))
-            for subset, table in tables.items()
-        }
+            masks = (_PARITY,) * k
+            tables = [None] * len(items)
+            if 1 << k <= MATERIALIZE_ENTRIES:
+                coeffs = np.array([coeff for _, coeff in items]).reshape((-1,) + (1,) * k)
+                tables = coeffs * functools_reduce(np.multiply.outer, [_SPINS] * k)
+            for (subset, coeff), table in zip(items, tables):
+                couplings[subset] = Coupling((coeff,), masks, table, abs(coeff))
         shared = {f: EncodedCommunity(1, [0, 1], [f, -f], "repeat", 2, 1) for f in set(fields)}
         return cls([shared[f] for f in fields], couplings, True, 0, h.is_pure_quadratic())
 
@@ -405,11 +373,12 @@ class ReducedProblem:
         With chi tables computed this is the exact diagonal operator norm,
         the largest |entry| (padded indices repeat the entries of valid
         ones, since they decode to ``decode[mu % d]``); otherwise, or when
-        the table is too large to materialize, the propagated sum-of-|J|
-        bound. For a given table, as at level 0, the bound is that norm.
+        the table is too large to materialize, the bound sum_t |c_t|. A
+        one-term coupling, as at level 0, takes its bound: every entry is
+        +-c, so the bound is that norm.
         """
         coupling = self.couplings[tuple(footprint)]
-        if not coupling.parts or not self.compute_chi or not coupling.can_materialize:
+        if len(coupling.coeffs) == 1 or not self.compute_chi or not coupling.can_materialize:
             return coupling.bound
         table = coupling.table()
         return float(max(table.max(), -table.min()))  # no |table| temporary
@@ -607,10 +576,11 @@ def _dead_ends(stacks, energies: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _coupling_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):
-    """Every state's rows read through ``Coupling.values``: for each group,
-    the summed entries at its inside registers over the product of the
-    outside communities' valid indices (padded ones repeat them). Groups
-    with as many rows share one stack, so the test makes one pass per
+    """Every state's rows read through ``Coupling.values``, which sums each
+    entry's terms in the coupling's fixed order (or reads its table): for
+    each group, the summed entries at its inside registers over the product
+    of the outside communities' valid indices (padded ones repeat them).
+    Groups with as many rows share one stack, so the test makes one pass per
     distinct row count. None when the rows would exceed
     ``MATERIALIZE_ENTRIES``."""
     rp = rd.rp
@@ -645,10 +615,15 @@ def build_reduced_iter(
     rd: ReducedDecomposition, encodings, compute_chi: bool = True
 ) -> ReducedProblem:
     """Next-level reduced problem: straddling couplings regrouped under the
-    new communities and composed through the new decode tables.
+    new communities, their level-0 terms carried over.
 
-    With ``compute_chi`` the coupling tables that fit the materialization
-    cap are built eagerly and their chi-entry count (entries times old
+    A new coupling's terms are its old couplings' terms in footprint order.
+    Each old word is shifted to its terms' place (its overflow into the next
+    word), gathered through the new decode table (``_member_gathers``) and
+    XORed into the word there: that ORs distinct terms' bits and multiplies
+    the features of one term's members inside one new register. With
+    ``compute_chi`` the coupling tables that fit the materialization cap
+    are built eagerly and their chi-entry count (entries times old
     couplings) is recorded; otherwise entries evaluate on demand.
     """
     encodings = tuple(encodings)
@@ -659,19 +634,31 @@ def build_reduced_iter(
     groups: dict[tuple[int, ...], list] = {}
     for footprint in rd.straddling_footprints:
         new_fp = tuple(sorted({community_of[c] for c in footprint}))
-        groups.setdefault(new_fp, []).append(footprint)
+        groups.setdefault(new_fp, []).append((footprint, rd.rp.couplings[footprint]))
     couplings = {}
     n_chi = 0
     for new_fp in sorted(groups):
-        axis = {l: i for i, l in enumerate(new_fp)}
-        parts = [
-            (rd.rp.couplings[fp], [(axis[community_of[c]], gathers[c]) for c in fp])
-            for fp in groups[new_fp]
-        ]
-        shape = tuple(encodings[l].d_tilde for l in new_fp)
-        coupling = Coupling(shape, parts=parts)
+        olds = groups[new_fp]
+        coeffs = tuple(c for _, old in olds for c in old.coeffs)
+        n_words = -(-len(coeffs) // _WORD)
+        meet = {l: [None] * n_words for l in new_fp}
+        first = 0
+        for fp, old in olds:
+            terms = len(old.coeffs)
+            for c, words in zip(fp, old.masks):
+                into = meet[community_of[c]]
+                for j, word in enumerate(words):
+                    w, shift = divmod(first + _WORD * j, _WORD)
+                    low = (word << shift if shift else word)[gathers[c]]
+                    into[w] = low if into[w] is None else into[w] ^ low
+                    if (min(first + terms, first + _WORD * (j + 1)) - 1) // _WORD > w:  # overflow
+                        high = (word >> (_WORD - shift))[gathers[c]]
+                        into[w + 1] = high if into[w + 1] is None else into[w + 1] ^ high
+            first += terms
+        masks = tuple(tuple(meet[l]) for l in new_fp)
+        coupling = Coupling(coeffs, masks, bound=sum(old.bound for _, old in olds))
         if compute_chi and coupling.can_materialize:
-            n_chi += len(parts) * math.prod(shape)
+            n_chi += len(olds) * math.prod(coupling.shape)
             coupling.table()
         couplings[new_fp] = coupling
     return ReducedProblem(encodings, couplings, compute_chi, n_chi, rd.rp.quadratic)

@@ -10,12 +10,33 @@ import numpy as np
 
 from dcreduce.clustering import Partition, WeightedGraph, louvain
 from dcreduce.hamiltonian import PolyHamiltonian, SpinConfig
-from dcreduce.reduction import ReducedProblem
+from dcreduce.reduction import Coupling, ReducedProblem
 
 
 def level1_partition(h: PolyHamiltonian, seed: int) -> Partition:
     """Louvain on the contracted graph of the level-0 reduced problem."""
     return louvain(ReducedProblem.from_hamiltonian(h).contracted_graph(), seed=seed)
+
+
+def random_coupling(rng, shape, values=None) -> Coupling:
+    """A lazy coupling over ``shape`` with 1 to 40 random level-0 terms, so
+    its sums span up to three 16-term words: coefficients drawn from
+    ``values`` (when None, uniform in [-1/T, 1/T] for T terms, so entries
+    lie in [-1, 1]), and on every axis a random sign feature per term,
+    packed into the coupling's uint16 words."""
+    n_terms = int(rng.integers(1, 41))
+    if values is None:
+        coeffs = rng.uniform(-1.0, 1.0, n_terms) / n_terms
+    else:
+        coeffs = rng.choice(values, n_terms)
+    masks = []
+    for size in shape:
+        bits = rng.integers(0, 2, (n_terms, size), dtype=np.uint16)
+        masks.append(tuple(
+            (bits[w:w + 16] << np.arange(min(16, n_terms - w), dtype=np.uint16)[:, None]).sum(axis=0, dtype=np.uint16)
+            for w in range(0, n_terms, 16)
+        ))
+    return Coupling(tuple(coeffs.tolist()), tuple(masks))
 
 
 def flip_all(x: SpinConfig) -> SpinConfig:

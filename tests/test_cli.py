@@ -80,15 +80,13 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    def test_term_past_the_truth_table_cap_is_one_error_line(self, tmp_path, capsys):
+    def test_term_past_the_truth_table_cap_solves(self, tmp_path, capsys):
         n = MAX_TABLE_VARS + 1
         problem = tmp_path / "wide.json"
         problem.write_text(json.dumps({"n": n, "terms": [{"vars": list(range(n)), "coeff": 0.7}]}))
-        assert main(["solve", str(problem)]) == EXIT_RESOURCE
-        captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "truth-table cap" in err[0]
-        assert captured.out == ""
+        assert main(["solve", str(problem)]) == 0
+        energy = float(capsys.readouterr().out.splitlines()[0].split()[1])
+        assert energy == pytest.approx(-0.7)
 
     def test_solve_edge_list_input(self, tmp_path, capsys):
         instance = tmp_path / "ring.txt"

@@ -14,7 +14,7 @@ from dcreduce.driver import (
     should_recombine,
     write_trace,
 )
-from dcreduce.errors import DomainError, ParameterError, ResourceError
+from dcreduce.errors import DomainError, ParameterError
 from dcreduce.hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, int_to_bits
 from helpers import brute_min, random_pubo, random_quadratic
 
@@ -137,12 +137,14 @@ class TestRun:
         assert result.criterion == 3
         assert result.best_energy == pytest.approx(-0.7)
 
-    @pytest.mark.parametrize("extra", [{}, {(0,): 0.5}], ids=["alone", "field"])
-    def test_term_past_the_truth_table_cap_refused(self, extra):
+    @pytest.mark.parametrize(("extra", "energy"), [({}, -0.7), ({(0,): 0.5}, -1.2)], ids=["alone", "field"])
+    def test_term_past_the_truth_table_cap_runs(self, extra, energy):
+        # a level-0 coupling wider than the table cap stays lazy, so no
+        # term width is refused
         n = MAX_TABLE_VARS + 1
         h = PolyHamiltonian(n, {tuple(range(n)): 0.7, **extra})
-        with pytest.raises(ResourceError, match="truth-table cap"):
-            run(h, RunConfig(eta=1.0, seed=0))
+        result = run(h, RunConfig(eta=1.0, seed=0))
+        assert result.best_energy == pytest.approx(energy)
 
     def test_annealing_backends(self):
         h = random_quadratic(12, 22, 5)

@@ -27,10 +27,9 @@ from dcreduce.optimizer import (
     window,
 )
 from dcreduce.reduction import (
-    Coupling, ReducedProblem, TableObjective, build_reduced, decompose, delta_two_body,
-    encode_community,
+    ReducedProblem, TableObjective, build_reduced, decompose, delta_two_body, encode_community,
 )
-from helpers import random_pubo, random_quadratic, spin_energies
+from helpers import random_coupling, random_pubo, random_quadratic, spin_energies
 
 
 def bits_of(spectrum):
@@ -346,7 +345,7 @@ def random_table_objective(seed):
     couplings = []
     for pos in ((0, 1), (1, 2), (0, 2, 3)):
         shape = tuple(1 << m_list[p] for p in pos)
-        couplings.append((pos, Coupling(shape, table=rng.uniform(-1.0, 1.0, size=shape))))
+        couplings.append((pos, random_coupling(rng, shape)))
     return TableObjective(m_list, tables, couplings)
 
 

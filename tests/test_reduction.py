@@ -34,7 +34,7 @@ from dcreduce.reduction import (
     iteration_delta,
     reduced_as_poly,
 )
-from helpers import level1_partition, random_pubo, random_quadratic, spin_energies
+from helpers import level1_partition, random_coupling, random_pubo, random_quadratic, spin_energies
 
 
 def _level_one(h, labels, eta=1.0, padding="repeat", compute_chi=True):
@@ -395,10 +395,11 @@ class TestReducedAsPoly:
         # table cap, and are refused before any table is built
         registers = [EncodedCommunity(m, np.zeros(1 << m, dtype=np.int64), np.zeros(1 << m), "repeat", 1 << m, 1)
                      for m in (11, 12)]
-        rp = ReducedProblem(registers, {(0, 1): Coupling((1 << 11, 1 << 12))}, False, 0)
+        coupling = random_coupling(np.random.default_rng(0), (1 << 11, 1 << 12))
+        rp = ReducedProblem(registers, {(0, 1): coupling}, False, 0)
         with pytest.raises(ResourceError, match="footprint of 23 qubits"):
             reduced_as_poly(rp)
-        # a 7-qubit composed coupling converts at a cap of 2^7 entries and is
+        # a 7-qubit first-level coupling converts at a cap of 2^7 entries and is
         # refused one entry below it
         h = random_quadratic(10, 18, 620)
         d, _, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2], compute_chi=False)
@@ -472,9 +473,10 @@ class TestTableCap:
     ``Coupling.can_materialize`` the one test of it."""
 
     def test_edge_at_the_real_cap(self):
-        # shape-only couplings, so nothing is allocated
-        assert Coupling((1 << 11, 1 << 11)).can_materialize
-        past = Coupling((1 << 11, (1 << 11) + 1))
+        # lazy couplings, so no table is built
+        rng = np.random.default_rng(0)
+        assert random_coupling(rng, (1 << 11, 1 << 11)).can_materialize
+        past = random_coupling(rng, (1 << 11, (1 << 11) + 1))
         assert not past.can_materialize
         with pytest.raises(ResourceError, match="materialization cap"):
             past.table()
@@ -485,7 +487,7 @@ class TestTableCap:
         encodings = chain.levels[0].encodings
         footprint = (0, 2)
         # a table exactly at the cap is built and gets its exact norm, which
-        # here is below the propagated bound
+        # here is below the bound sum |c_t|
         monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16)
         rp = build_reduced_iter(d, encodings)
         coupling = rp.couplings[footprint]
@@ -717,6 +719,51 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
+def _register_of(chain, depth, v):
+    """The register holding variable ``v`` at level ``depth`` of the chain."""
+    c = next(c for c, members in enumerate(chain.levels[0].membership) if v in members)
+    for level in chain.levels[1:depth + 1]:
+        c = next(s for s, members in enumerate(level.membership) if c in members)
+    return c
+
+
+def _variables_at(chain, depth, c, index):
+    """Original variable -> bit for register ``c`` of level ``depth`` at ``index``."""
+    level = chain.levels[depth]
+    enc = level.encodings[c]
+    state = int(enc.decode[index])
+    if depth == 0:
+        return dict(zip(level.membership[c], int_to_bits(state, enc.n_local_vars)))
+    out, offset = {}, 0
+    for member in level.membership[c]:
+        m = chain.levels[depth - 1].encodings[member].m_tilde
+        out.update(_variables_at(chain, depth - 1, member, (state >> offset) & ((1 << m) - 1)))
+        offset += m
+    return out
+
+
+def _assert_entries_are_term_sums(h, chain, depth, rp):
+    """Every coupling of level ``depth`` equals, on its open grid, the sum of
+    the level-0 terms whose registers there are exactly its footprint, read
+    off the decoded variables."""
+    for footprint, coupling in rp.couplings.items():
+        spins = {}  # variable -> its +-1 along its register's axis
+        for k, (c, size) in enumerate(zip(footprint, coupling.shape)):
+            decoded = [_variables_at(chain, depth, c, index) for index in range(size)]
+            axis = [-1 if a == k else 1 for a in range(len(footprint))]
+            for v in decoded[0]:
+                spins[v] = np.array([1 - 2 * bits[v] for bits in decoded]).reshape(axis)
+        expected = np.zeros(coupling.shape)
+        for subset, coeff in h.terms.items():
+            if tuple(sorted({_register_of(chain, depth, v) for v in subset})) == footprint:
+                sign = 1
+                for v in subset:
+                    sign = sign * spins[v]
+                expected = expected + coeff * sign
+        grid = np.ix_(*map(np.arange, coupling.shape))
+        np.testing.assert_allclose(coupling.values(grid), expected, rtol=0, atol=1e-12)
+
+
 def _assert_scan_matches(objective):
     starts, slabs = zip(*objective.scan_chunks())
     assert list(starts) == np.cumsum([0] + [len(s) for s in slabs[:-1]]).tolist()
@@ -726,15 +773,15 @@ def _assert_scan_matches(objective):
 
 def _assert_tables_match(rp):
     """Every coupling's table equals ``values`` on the full open grid of a
-    fresh coupling with the same parts, bit for bit."""
+    fresh coupling with the same terms and features, bit for bit."""
     for coupling in rp.couplings.values():
-        fresh = Coupling(coupling.shape, parts=coupling.parts)
+        fresh = Coupling(coupling.coeffs, coupling.masks)
         expected = fresh.values(np.ix_(*map(np.arange, coupling.shape)))
         np.testing.assert_array_equal(_bits(coupling.table()), _bits(expected))
 
 
-# Table entries: signed zeros, and values whose sums round, so that adding
-# in another order changes bits.
+# Term coefficients: signed zeros, and values whose sums round, so that
+# adding in another order changes bits.
 _GRID_VALUES = np.array([-1.5, -0.3, -0.0, 0.0, 0.1, 0.7, 2.0 / 3.0])
 
 
@@ -753,7 +800,7 @@ def _random_reduced(rng, k):
         size = int(rng.integers(2, min(k, 3) + 1))
         footprint = tuple(sorted(rng.choice(k, size, replace=False).tolist()))
         shape = tuple(encodings[c].d_tilde for c in footprint)
-        couplings[footprint] = Coupling(shape, table=rng.choice(_GRID_VALUES, shape))
+        couplings[footprint] = random_coupling(rng, shape, _GRID_VALUES)
     return ReducedProblem(encodings, couplings, False, 0)
 
 
@@ -805,41 +852,77 @@ class TestGridKernels:
         rng = np.random.default_rng(m)
         _assert_scan_matches(TableObjective([m], [rng.choice(_GRID_VALUES, 1 << m)], []))
         # two registers, the low one wider than the slab, and a coupling
-        coupling = Coupling((1 << m, 4), table=rng.choice(_GRID_VALUES, (1 << m, 4)))
+        coupling = random_coupling(rng, (1 << m, 4), _GRID_VALUES)
         _assert_scan_matches(
             TableObjective([m, 2], [rng.choice(_GRID_VALUES, 1 << m), np.zeros(4)], [((0, 1), coupling)])
         )
 
+    def test_values_match_table_on_every_index_form(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            shape = tuple(int(size) for size in rng.integers(1, 9, size=3))
+            coupling = random_coupling(rng, shape, _GRID_VALUES)
+            lazy = Coupling(coupling.coeffs, coupling.masks)
+            full = coupling.table()
+            point = tuple(int(rng.integers(0, size)) for size in shape)
+            assert _bits(lazy.values(point)) == _bits(full[point])
+            assert _bits(lazy.values([np.array(i) for i in point])) == _bits(full[point])
+            # aligned index arrays of unequal rank, and a Python int
+            rows = rng.integers(0, shape[0], (7, 4))
+            cols = rng.integers(0, shape[1], 4)
+            idx = (rows, cols, point[2])
+            np.testing.assert_array_equal(_bits(lazy.values(idx)), _bits(full[idx]))
+
     @pytest.mark.parametrize("slab", [4, 1 << 16])
-    def test_table_merges_old_axes_of_one_community(self, monkeypatch, slab):
+    def test_term_over_old_registers_of_one_new_register(self, monkeypatch, slab):
+        # a cubic term can reach two old registers that the next level puts
+        # in one new register; its feature there is the XOR of the old ones
         monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
         merged = 0
         for seed in range(4):
             h = random_pubo(10, 24, seed + 640, max_arity=3)
             _, rp, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.8, compute_chi=False)
-            for coupling in rp.couplings.values():
-                for _, gathers in coupling.parts:
-                    axes = [axis for axis, _ in gathers]
-                    merged += len(set(axes)) < len(axes)
-            _assert_tables_match(rp)
             rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], eta=0.8)
-            _assert_tables_match(rp2)
+            for subset in h.terms:
+                registers = {_register_of(chain, 0, v) for v in subset}
+                merged += len(registers) > len({c // 2 for c in registers}) > 1
+            for depth, level in enumerate((rp, rp2)):
+                _assert_entries_are_term_sums(h, chain, depth, level)
+                _assert_tables_match(level)
         assert merged
 
-    def test_table_from_unmaterialized_old_parts(self, monkeypatch):
-        lazy_parts = 0
+    def test_terms_past_one_word(self):
+        # dense cubic terms: the second level's couplings carry more than 16
+        # terms, so old words land shifted across word boundaries
+        wide = 0
+        for seed in range(3):
+            h = random_pubo(12, 90, seed + 680, max_arity=3)
+            _, rp, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3], eta=0.3)
+            rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], eta=0.3)
+            wide += max(len(coupling.coeffs) for coupling in rp2.couplings.values()) > 16
+            _assert_entries_are_term_sums(h, chain, 1, rp2)
+            _assert_tables_match(rp2)
+        assert wide
+
+    def test_lazy_coupling_carried_into_the_next_level(self, monkeypatch):
+        # the next level reads its old couplings' terms and features, never
+        # their tables, so it is the same whether or not they materialized
+        labels = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
         for seed in range(4):
             h = random_quadratic(12, 22, seed + 660)
+            _, rp, chain = _level_one(h, labels, compute_chi=False)
+            for coupling in rp.couplings.values():
+                coupling.table()
+            eager = _iterate_once(h, rp, chain, [0, 0, 1, 1], compute_chi=False)
             with monkeypatch.context() as patch:
                 patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
-                _, rp, chain = _level_one(
-                    h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3], compute_chi=False
-                )
-                rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], compute_chi=False)
-            for coupling in rp2.couplings.values():
-                lazy_parts += sum(old._table is None for old, _ in coupling.parts)
-            _assert_tables_match(rp2)
-        assert lazy_parts
+                _, rp, chain = _level_one(h, labels, compute_chi=False)
+                lazy = _iterate_once(h, rp, chain, [0, 0, 1, 1], compute_chi=False)
+                assert all(coupling._table is None for coupling in rp.couplings.values())
+            assert lazy.couplings.keys() == eager.couplings.keys()
+            for footprint, coupling in lazy.couplings.items():
+                np.testing.assert_array_equal(_bits(coupling.table()), _bits(eager.coupling_table(footprint)))
+            _assert_entries_are_term_sums(h, chain, 1, lazy)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -853,7 +936,7 @@ class TestGridKernels:
         rp = _random_reduced(rng, k)
         rp2 = _random_next(rng, rp)
         # materialize about half of the middle level, so the top level
-        # composes from both kinds of old part
+        # is built from both kinds of old coupling
         for coupling in rp2.couplings.values():
             if rng.random() < 0.5:
                 coupling.table()
