@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,6 +91,10 @@ class PolyHamiltonian:
                 raise FormatError(f"coefficient for {subset} is not finite")
             if coeff == 0.0:
                 raise FormatError(f"coefficient for {subset} must be nonzero")
+        # Energies, cut-offs, windows and penalties stay within a few times
+        # the summed |coefficient|; that headroom must not overflow either.
+        if not math.isfinite(4.0 * sum(abs(c) for c in self.terms.values())):
+            raise FormatError("coefficient magnitudes sum past the float range; rescale the problem")
 
     @classmethod
     def from_terms(cls, n_vars: int, items) -> "PolyHamiltonian":
@@ -287,13 +292,20 @@ class PolyHamiltonian:
 def parse_edge_list(text: str, n_vars: int | None = None) -> PolyHamiltonian:
     """Parse the pure-quadratic text format: one ``u v w`` triple per line.
 
-    Blank lines and lines starting with ``#`` are skipped. Duplicate pairs
-    are rejected.
+    Blank lines and lines starting with ``#`` are skipped, except a
+    ``# n=<count>`` header, which ``format_edge_list`` writes: it gives the
+    variable count, so vertices without edges above the largest index are
+    kept. Without a header or an explicit ``n_vars`` the count is the
+    largest index plus one. A vertex at or above the count, and a duplicate
+    pair, are rejected.
     """
     terms: dict[Subset, float] = {}
-    max_index = -1
+    max_index, max_line = -1, 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
+        header = re.fullmatch(r"#\s*n\s*=\s*(\d+)", stripped)
+        if header and n_vars is None:
+            n_vars = int(header[1])
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
@@ -311,11 +323,15 @@ def parse_edge_list(text: str, n_vars: int | None = None) -> PolyHamiltonian:
             raise FormatError(f"line {lineno}: duplicate edge {key}")
         if w != 0.0:
             terms[key] = w
-        max_index = max(max_index, u, v)
-    if max_index < 0 and n_vars is None:
-        raise FormatError("edge list holds no edges and no variable count was given")
-    n = n_vars if n_vars is not None else max_index + 1
-    return PolyHamiltonian(n, terms)
+        if max(u, v) > max_index:
+            max_index, max_line = max(u, v), lineno
+    if n_vars is None:
+        if max_index < 0:
+            raise FormatError("edge list holds no edges and no variable count was given")
+        n_vars = max_index + 1
+    if max_index >= n_vars:
+        raise FormatError(f"line {max_line}: vertex {max_index} is out of range for n={n_vars}")
+    return PolyHamiltonian(n_vars, terms)
 
 
 def format_edge_list(h: PolyHamiltonian) -> str:

@@ -48,7 +48,9 @@ for a quantum optimizer: each round's chains harvest low configurations
 under fixed additive penalties on the states found in earlier rounds, and
 rounds continue until no new in-window state appears. On a dense table the
 rounds also stop as soon as the table shows that no later round could find
-one, which leaves every result as the full schedule returns it.
+one, and a sampled round ends as soon as its chains have visited every
+window state of the table, which leaves every result as the full schedule
+returns it.
 """
 
 from __future__ import annotations
@@ -347,7 +349,7 @@ def _dense_table(objective) -> np.ndarray | None:
     return table
 
 
-def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, penalties=None):
+def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, penalties=None, pending=None):
     """Run one round's chains in lockstep, one replica per chain.
 
     A replica is its packed state: an int64 key, or a Python int in an
@@ -362,6 +364,14 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
     over packed states, or None. The rule ``draw < exp(-delta / T)`` needs
     no ``max(delta, 0)``: for delta <= 0 the exponential is at least 1, or
     inf where it overflows, and draws lie in [0, 1).
+
+    ``pending``, given on the dense path only, is an int64 array of states
+    the round must reach. Every ``n_vars`` steps the states the chains
+    visited since the last check are marked in a 2^n mask, and the round
+    ends at the first check that finds every pending state marked; the
+    states still unmarked are kept for the next check, so a check costs the
+    block plus them. The trajectory returned is then cut at that step, a
+    prefix of the full schedule's.
 
     Returns ``(energies, accepted, keys)``: ``keys`` is the trajectory's
     packed states, shape (steps + 1, R) with the starts in row 0;
@@ -388,10 +398,14 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
         rows = energies[1:]
     if penalties is not None:
         current_penalty = penalties[key] if dense else _penalty_of(*penalties, key)
+    if pending is not None:
+        visited = np.zeros(table.size, dtype=bool)
+        visited[key] = True
+        block = objective.n_vars
     delta = np.empty(chains)
     accept = np.empty(chains, dtype=bool)
     with np.errstate(over="ignore"):
-        for mask, draw, following, row in zip(masks, draws, keys[1:], rows):
+        for step, (mask, draw, following, row) in enumerate(zip(masks, draws, keys[1:], rows), start=1):
             proposal = key ^ mask
             if dense:
                 np.subtract(table[proposal], current, out=delta)
@@ -419,6 +433,12 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
                     np.copyto(current_penalty, proposal_penalty, where=accept)
             key = following
             temperature *= cool
+            if pending is not None and step % block == 0:
+                visited[keys[step - block + 1:step + 1]] = True
+                pending = pending[~visited[pending]]
+                if pending.size == 0:
+                    keys = keys[:step + 1]
+                    break
     if dense:
         energies = table[keys]
     return energies, keys[1:] != keys[:-1], keys
@@ -432,13 +452,25 @@ def _sample_window(objective, width: float, budget: OptimizerBudget, veto):
 
     Returns the distinct packed states and energies found inside the final
     window, and its floor, the lowest energy found.
+
+    On a dense table a round must reach ``targets``, the states with
+    ``table <= table.min() + width + tol``, unless ``enumerate_low_sampled``
+    names a reason to keep whole rounds. Every chain's harvest threshold
+    ``floor + width + tol`` is at least that edge, so a round cut once its
+    chains visited all of them still pools every one.
     """
     _check_packable(objective, "sampled enumeration")
     tol = 1e-9 * max(1.0, width)
     rng = np.random.default_rng(budget.seed)
     table = _dense_table(objective)
+    targets = None
     if table is not None:
         penalties = np.zeros(table.size)
+        lowest = table.min()
+        edge = lowest + width
+        gap = (table > edge + tol) & (table <= edge + 1e-9 * max(1.0, abs(lowest) + width))
+        if veto is None and not gap.any():
+            targets = np.flatnonzero(table <= edge + tol)
     else:
         penalties = (np.empty(0, dtype=np.int64), np.empty(0))
     pool: dict[int, float] = {}
@@ -452,7 +484,8 @@ def _sample_window(objective, width: float, budget: OptimizerBudget, veto):
         if table is not None and penalties[table <= floor + width + tol].all():
             break
         starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
-        energies, accepted, keys = _anneal(objective, table, starts, flips, draws, penalties)
+        pending = None if targets is None else targets[penalties[targets] == 0.0]
+        energies, accepted, keys = _anneal(objective, table, starts, flips, draws, penalties, pending)
         new_keys: list[int] = []
         new_values: list[float] = []
         for c in range(len(starts)):
@@ -510,6 +543,17 @@ def enumerate_low_sampled(
     ``window(E0, delta, eta)``, whose tolerance contains that window's. The
     result is best-effort (``complete=False``).
 
+    On a dense table a round also ends early: ``_anneal`` is given the
+    table states within width of the table's minimum that are not pooled
+    yet, and stops the round at the first check, every n steps, at which
+    its chains have visited all of them. The harvest then pools them all,
+    the stop above ends sampling, and the spectrum is the full schedule's;
+    only out-of-window states of the round's tail go unvisited. Rounds stay
+    whole when ``veto`` is given, since it may refuse a visited state, and
+    when a table state lies above the harvest's tolerance of the window's
+    upper edge but within the final filter's, where the tail decides
+    whether it is kept.
+
     ``veto(round_index, bits) -> bool`` optionally discards measured states,
     which exists to exercise the recover-in-a-later-round behaviour.
     """
@@ -531,6 +575,12 @@ def solve_ground_objective(objective, budget: OptimizerBudget) -> tuple[int, flo
     ``max_sweeps`` rounds. On a dense table (n <= 16) they also stop once
     the best is the table's minimum, which no later state can undercut, so
     the result is the full schedule's.
+
+    Unlike sampled windows, the ground search keeps every round whole. Among
+    tied states, or states within 1e-15 of the minimum, the chain order
+    picks the one returned: a chain's later steps are read before the next
+    chain's, so a round cut once the minimum was visited could return
+    another state.
     """
     rng = np.random.default_rng(budget.seed)
     table = _dense_table(objective)

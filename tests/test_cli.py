@@ -80,6 +80,25 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_overflowing_input_is_one_error_line(self, tmp_path, capsys):
+        instance = tmp_path / "triangle.txt"
+        instance.write_text("0 1 1e308\n1 2 1e308\n0 2 1e308\n", encoding="utf-8")
+        assert main(["solve", str(instance)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_isolated_top_vertices_survive_gen_and_solve(self, tmp_path, capsys):
+        # 8 random edges on 16 vertices leave the top two without an edge
+        instance = tmp_path / "er.txt"
+        assert main(["gen", "--spec", "er:n=16:m=8:seed=6", "--out", str(instance)]) == 0
+        assert load_problem(str(instance)).n_vars == 16
+        capsys.readouterr()
+        assert main(["solve", str(instance)]) == 0
+        config_line = [line for line in capsys.readouterr().out.splitlines() if line.startswith("config ")][0]
+        assert len(config_line.split()[1]) == 16
+
     def test_term_past_the_truth_table_cap_solves(self, tmp_path, capsys):
         n = MAX_TABLE_VARS + 1
         problem = tmp_path / "wide.json"

@@ -95,6 +95,13 @@ class TestValidation:
         with pytest.raises(FormatError):
             PolyHamiltonian(2, {(0,): float("inf")})
 
+    def test_summed_magnitude_past_the_float_range(self):
+        # each coefficient is finite, but energies would overflow
+        with pytest.raises(FormatError):
+            PolyHamiltonian(3, {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308})
+        # a quarter of the largest float still leaves the headroom
+        PolyHamiltonian(3, {(0, 1): 1e307, (0, 2): 1e307, (1, 2): 1e307})
+
     def test_from_terms_merges_duplicates(self):
         h = PolyHamiltonian.from_terms(3, [((0, 1), 1.0), ((0, 1), 0.5), ((2,), -1.0)])
         assert h.terms == {(0, 1): 1.5, (2,): -1.0}
@@ -266,6 +273,16 @@ class TestSerialization:
         again = parse_edge_list(format_edge_list(h))
         assert again.n_vars == h.n_vars
         assert again.terms == pytest.approx(h.terms)
+        # the header keeps vertices without edges above the largest index
+        isolated = PolyHamiltonian(5, {(0, 1): 1.0})
+        again = parse_edge_list(format_edge_list(isolated))
+        assert (again.n_vars, again.terms) == (5, isolated.terms)
+
+    def test_edge_list_vertex_past_the_header_rejected(self):
+        with pytest.raises(FormatError, match="line 2: vertex 5"):
+            parse_edge_list("# n=3\n0 5 1.0\n")
+        # without a header the count is the largest index plus one
+        assert parse_edge_list("0 5 1.0\n").n_vars == 6
 
     def test_edge_list_duplicates_rejected(self):
         with pytest.raises(FormatError):

@@ -9,7 +9,7 @@ import pytest
 import dcreduce.optimizer as optimizer_module
 import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition
-from dcreduce.driver import RunConfig, _solve_objective, brute_force_reference
+from dcreduce.driver import RunConfig, _solve_objective, brute_force_reference, run
 from dcreduce.errors import DomainError, InternalError, ResourceError
 from dcreduce.hamiltonian import SLAB_ENTRIES, PolyHamiltonian, int_to_bits
 from dcreduce.optimizer import (
@@ -390,16 +390,31 @@ def assert_trajectory(objective, starts, flips, energies, accepted, keys):
     assert energies.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
+def array_objective(energies):
+    """An objective whose energies are the given array over packed states."""
+    return SimpleNamespace(
+        n_vars=energies.size.bit_length() - 1, replica_terms=1,
+        energies_of=lambda states: energies[states], replica_energies=lambda states: energies[states],
+    )
+
+
 def on_both_paths(monkeypatch, call):
-    """``call()`` on each path, with the annealing rounds each one ran."""
+    """``call()`` on each path, with (steps run, steps scheduled) for each
+    annealing round it ran."""
     results, rounds, ran = {}, {}, []
     anneal = optimizer_module._anneal
-    monkeypatch.setattr(optimizer_module, "_anneal", lambda *args: ran.append(1) or anneal(*args))
+
+    def recording(*args):
+        out = anneal(*args)
+        ran.append((out[2].shape[0] - 1, args[3].shape[0]))
+        return out
+
+    monkeypatch.setattr(optimizer_module, "_anneal", recording)
     for path, slab in PATHS.items():
         monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
         ran.clear()
         results[path] = call()
-        rounds[path] = len(ran)
+        rounds[path] = list(ran)
     return results, rounds
 
 
@@ -598,16 +613,82 @@ class TestAnnealKernel:
         exhaustive = enumerate_low_exhaustive(h, 2.0, 1.0)
         budget = OptimizerBudget(seed=0)
         spectra, rounds = on_both_paths(monkeypatch, lambda: enumerate_low_sampled(h, 2.0, 1.0, budget))
-        assert rounds["table"] < 1 + budget.stall_rounds == rounds["replica"]
+        assert len(rounds["table"]) < 1 + budget.stall_rounds == len(rounds["replica"])
         assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
         assert set(spectra["table"].packed.tolist()) == set(exhaustive.packed.tolist())
+
+    def test_cut_round_is_a_prefix_of_the_full_round(self):
+        objective = PolyObjective(random_pubo(10, 40, 8))
+        n = objective.n_vars
+        table = _dense_table(objective)
+        rng = np.random.default_rng(5)
+        penalties = np.zeros(table.size)
+        penalties[rng.choice(table.size, size=200, replace=False)] = rng.uniform(0.0, 2.0, size=200)
+        starts, flips, draws = optimizer_module._draw_chains(rng, n, 16)
+        full = optimizer_module._anneal(objective, table, starts, flips, draws, penalties)
+        # a state the round never visits keeps the full schedule
+        unvisited = np.setdiff1d(np.arange(table.size), full[2])
+        assert unvisited.size
+        kept = optimizer_module._anneal(objective, table, starts, flips, draws, penalties, unvisited[:1])
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(kept, full))
+        # the starts count as visited: the first check, at step n, ends the round
+        cut = optimizer_module._anneal(objective, table, starts, flips, draws, penalties, np.unique(full[2][0]))
+        assert cut[2].shape[0] == n + 1
+        # the states of step 3n + 2 are all visited by the check at step 4n
+        pending = np.unique(full[2][3 * n + 2])
+        energies, accepted, keys = optimizer_module._anneal(
+            objective, table, starts, flips, draws, penalties, pending
+        )
+        steps = keys.shape[0] - 1
+        assert steps % n == 0 and steps <= 4 * n
+        assert np.isin(pending, keys).all()
+        # the round ends at the first check that finds them all
+        assert not np.isin(pending, keys[:steps - n + 1]).all()
+        assert keys.tolist() == full[2][:steps + 1].tolist()
+        assert energies.view(np.int64).tolist() == full[0][:steps + 1].view(np.int64).tolist()
+        assert accepted.tolist() == full[1][:steps].tolist()
+        assert_trajectory(objective, starts, flips[:steps], energies, accepted, keys)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_identical_with_rounds_cut_on_the_table(self, seed, monkeypatch):
+        # every window of a small cubic problem is sampled; on the table its
+        # last rounds end early, on the replica path they run in full
+        h = random_pubo(14, 30, seed, max_arity=3)
+        config = RunConfig(eta=0.5, seed=seed, optimizer_o1="annealing")
+        results, rounds = on_both_paths(monkeypatch, lambda: run(h, config).to_json_dict())
+        assert results["table"] == results["replica"]
+        for path, lengths in rounds.items():
+            assert any(ran < scheduled for ran, scheduled in lengths) == (path == "table")
+
+    @pytest.mark.parametrize("case", ["veto", "gap", "control"])
+    def test_whole_rounds_where_the_tail_decides(self, case, monkeypatch):
+        rng = np.random.default_rng(1)
+        energies = -1000.0 + rng.uniform(0.0, 2.0, size=1 << 6)
+        delta = 0.5
+        edge = energies.min() + delta
+        # The harvest's tolerance is 1e-9 * max(1, width), the final
+        # filter's 1e-9 * max(1, |E0| + width), about 1e-6 here. A state in
+        # between is kept only if a chain harvested it while its floor was
+        # above the minimum; on this instance and seed, cut rounds would
+        # keep it where the full schedule does not.
+        energies[np.argmax(energies > edge + 1e-3)] = edge + (5e-7 if case == "gap" else 1e-3)
+        objective = array_objective(energies)
+        veto = (lambda round_index, bits: False) if case == "veto" else None
+        budget = OptimizerBudget(seed=0)
+        spectra, rounds = on_both_paths(
+            monkeypatch, lambda: enumerate_low_sampled(objective, delta, 1.0, budget, veto=veto)
+        )
+        assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
+        for path, lengths in rounds.items():
+            whole = all(ran == scheduled == 50 * 6 for ran, scheduled in lengths)
+            assert whole == (path == "replica" or case != "control")
 
     def test_ground_search_stops_at_the_table_minimum(self, monkeypatch):
         objective = PolyObjective(random_quadratic(10, 18, 0))
         lowest = _dense_table(objective).min()
         budget = OptimizerBudget(seed=0)
         found, rounds = on_both_paths(monkeypatch, lambda: solve_ground_objective(objective, budget))
-        assert rounds["table"] < 1 + budget.stall_rounds == rounds["replica"]
+        assert len(rounds["table"]) < 1 + budget.stall_rounds == len(rounds["replica"])
         assert found["table"] == found["replica"]
         assert found["table"][1] == lowest
 
