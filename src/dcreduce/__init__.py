@@ -20,7 +20,6 @@ from .driver import (
 from .hamiltonian import PolyHamiltonian, SpinConfig, load_problem
 from .optimizer import (
     LocalSpectrum,
-    OptimizerBudget,
     Window,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
@@ -44,7 +43,6 @@ __all__ = [
     "FamilyConfig",
     "GraphSpec",
     "LocalSpectrum",
-    "OptimizerBudget",
     "Partition",
     "PolyHamiltonian",
     "ReducedProblem",

@@ -34,6 +34,8 @@ class GraphSpec:
             raise ParameterError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
         if self.n < 2:
             raise ParameterError("need at least two vertices")
+        if self.seed < 0:
+            raise ParameterError(f"instance seed must be non-negative, got {self.seed}")
 
 
 def generate(spec: GraphSpec) -> PolyHamiltonian:
@@ -231,10 +233,17 @@ _SPEC_ALIASES = {
     "ws": "watts_strogatz",
 }
 
+# Spec keys; every one but the rewiring probability p is an integer.
+_SPEC_KEYS = ("n", "seed", "k", "m", "p")
+
 
 def parse_spec_string(text: str) -> GraphSpec:
     """Parse CLI instance strings like ``3reg:n=40:seed=7`` or
-    ``ws:k=4:p=0.3:n=24:seed=1``."""
+    ``ws:k=4:p=0.3:n=24:seed=1``.
+
+    Keys other than ``_SPEC_KEYS``, and a non-integral value of a key other
+    than ``p``, raise ParameterError naming the key.
+    """
     parts = text.split(":")
     head = parts[0].strip().lower()
     fields: dict[str, float] = {}
@@ -242,10 +251,16 @@ def parse_spec_string(text: str) -> GraphSpec:
         if "=" not in part:
             raise ParameterError(f"spec segment {part!r} is not key=value")
         key, _, value = part.partition("=")
+        key = key.strip()
+        if key not in _SPEC_KEYS:
+            raise ParameterError(f"unknown spec key {key!r}; choose from {_SPEC_KEYS}")
         try:
-            fields[key.strip()] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise ParameterError(f"spec value {value!r} is not numeric") from exc
+        if key != "p" and not number.is_integer():
+            raise ParameterError(f"spec key {key!r} takes an integer, got {value.strip()!r}")
+        fields[key] = number if key == "p" else int(number)
     if head == "3reg":
         family = "k_regular"
         fields.setdefault("k", 3)
@@ -258,10 +273,5 @@ def parse_spec_string(text: str) -> GraphSpec:
     if "n" not in fields:
         raise ParameterError("spec string must set n")
     return GraphSpec(
-        family,
-        int(fields["n"]),
-        int(fields.get("seed", 0)),
-        k=int(fields["k"]) if "k" in fields else None,
-        m=int(fields["m"]) if "m" in fields else None,
-        p=fields.get("p"),
+        family, fields["n"], fields.get("seed", 0), k=fields.get("k"), m=fields.get("m"), p=fields.get("p")
     )

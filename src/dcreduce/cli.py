@@ -59,11 +59,14 @@ class SweepSpec:
     out: str | None = None
 
     def __post_init__(self):
-        """Refuse bad input before any point runs: empty lists, unknown
-        family labels, and etas that ``RunConfig`` refuses. Sizes a family
-        cannot generate still fail per point, as error rows."""
+        """Refuse bad input before any point runs: empty lists, a negative
+        first seed, unknown family labels, and etas that ``RunConfig``
+        refuses. Sizes a family cannot generate still fail per point, as
+        error rows."""
         if self.instances < 1:
             raise ParameterError(f"--instances must be at least 1, got {self.instances}")
+        if self.seed0 < 0:
+            raise ParameterError(f"--seeds must be non-negative, got {self.seed0}")
         for name, values in (("family", self.families), ("size", self.sizes), ("eta", self.etas)):
             if not values:
                 raise ParameterError(f"a sweep needs at least one {name}")

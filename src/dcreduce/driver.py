@@ -17,7 +17,7 @@ over every optimizer invocation, including the final recombined solve.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .clustering import Partition, louvain
 from .errors import DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import PolyHamiltonian, SpinConfig, int_to_bits
 from .optimizer import (
-    OptimizerBudget,
     as_objective,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
@@ -50,9 +49,6 @@ from .reduction import (
 )
 
 _BACKENDS = ("auto", "exhaustive", "annealing")
-
-# Every sampled window and annealed solve runs with this budget, seeded per call.
-_BUDGET = OptimizerBudget()
 
 
 @dataclass(frozen=True)
@@ -308,8 +304,7 @@ def _enumerate_and_encode(rd, objectives, deltas, preference, level, cfg):
             if backend == "exhaustive":
                 spectrum = enumerate_low_exhaustive(objective, delta, cfg.eta)
             else:
-                seeded = replace(_BUDGET, seed=_sub_seed(cfg.seed, level, i))
-                spectrum = enumerate_low_sampled(objective, delta, cfg.eta, seeded)
+                spectrum = enumerate_low_sampled(objective, delta, cfg.eta, _sub_seed(cfg.seed, level, i))
         except ResourceError as exc:
             raise ResourceError(
                 f"level {level}, community {i} ({n_vars} variables): {exc}"
@@ -343,7 +338,7 @@ def _solve_objective(objective, cfg, preference, seed):
             return scan_minimum(objective)
         except ResourceError as exc:
             raise ResourceError(f"recombined solve: {exc}") from exc
-    return solve_ground_objective(objective, replace(_BUDGET, seed=seed))
+    return solve_ground_objective(objective, seed)
 
 
 def _finish(h, config, reduced_energy, invocations, iterations, criterion, cfg, levels, chain):

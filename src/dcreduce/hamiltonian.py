@@ -193,12 +193,13 @@ class PolyHamiltonian:
     # -- conversions ------------------------------------------------------
 
     @classmethod
-    def from_boolean_table(cls, values, prune: float = COEFF_PRUNE) -> "PolyHamiltonian":
+    def from_boolean_table(cls, values) -> "PolyHamiltonian":
         """Parity-basis expansion of a real-valued truth table.
 
         ``values[x]`` is the function value on the configuration whose bit j
         is bit j of the row index x. The returned Hamiltonian reproduces the
-        table exactly up to pruned coefficients.
+        table exactly up to the coefficients at or below ``COEFF_PRUNE``,
+        which are dropped. Refuses more than ``MAX_TABLE_VARS`` variables.
         """
         vals = np.asarray(values, dtype=np.float64)
         size = vals.size
@@ -221,7 +222,7 @@ class PolyHamiltonian:
         terms: dict[Subset, float] = {}
         for mask in range(size):
             coeff = float(spectrum[mask])
-            if abs(coeff) > prune:
+            if abs(coeff) > COEFF_PRUNE:
                 terms[tuple(j for j in range(n) if (mask >> j) & 1)] = coeff
         return cls(n, terms)
 
@@ -269,15 +270,17 @@ class PolyHamiltonian:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolyHamiltonian":
+        """Inverse of ``to_json_dict``. ``n`` and every ``vars`` entry must
+        be integral numbers, not booleans; anything else raises FormatError."""
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"])
             raw = data["terms"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"problem JSON must carry 'n' and 'terms': {exc}") from exc
+            raise FormatError(f"problem JSON must carry an integer 'n' and 'terms': {exc}") from exc
         terms: dict[Subset, float] = {}
         for entry in raw:
             try:
-                subset = tuple(int(v) for v in entry["vars"])
+                subset = tuple(_json_int(v) for v in entry["vars"])
                 coeff = float(entry["coeff"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"bad term entry {entry!r}: {exc}") from exc
@@ -289,18 +292,28 @@ class PolyHamiltonian:
         return cls(n, {s: c for s, c in terms.items() if c != 0.0})
 
 
-def parse_edge_list(text: str, n_vars: int | None = None) -> PolyHamiltonian:
+def _json_int(value) -> int:
+    """An integer field of problem JSON: an int, or a float with an integral
+    value; a boolean or anything else raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
+
+
+def parse_edge_list(text: str) -> PolyHamiltonian:
     """Parse the pure-quadratic text format: one ``u v w`` triple per line.
 
     Blank lines and lines starting with ``#`` are skipped, except a
-    ``# n=<count>`` header, which ``format_edge_list`` writes: it gives the
-    variable count, so vertices without edges above the largest index are
-    kept. Without a header or an explicit ``n_vars`` the count is the
-    largest index plus one. A vertex at or above the count, and a duplicate
-    pair, are rejected.
+    ``# n=<count>`` header, which ``format_edge_list`` writes: it is the
+    only explicit variable count, so vertices without edges above the
+    largest index are kept. The first header counts. Without one the count
+    is the largest index plus one. A vertex at or above the count, and a
+    duplicate pair, are rejected.
     """
     terms: dict[Subset, float] = {}
-    max_index, max_line = -1, 0
+    n_vars, max_index, max_line = None, -1, 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         header = re.fullmatch(r"#\s*n\s*=\s*(\d+)", stripped)
@@ -327,7 +340,7 @@ def parse_edge_list(text: str, n_vars: int | None = None) -> PolyHamiltonian:
             max_index, max_line = max(u, v), lineno
     if n_vars is None:
         if max_index < 0:
-            raise FormatError("edge list holds no edges and no variable count was given")
+            raise FormatError("edge list holds no edges and no '# n=' header")
         n_vars = max_index + 1
     if max_index >= n_vars:
         raise FormatError(f"line {max_line}: vertex {max_index} is out of range for n={n_vars}")

@@ -75,6 +75,15 @@ _T_START = 2.0
 _T_END = 0.01
 _STEPS_PER_VAR = 50
 
+# Rounds of the sampled enumerator and the ground search: at most
+# _MAX_ROUNDS rounds of _CHAINS chains, ending after _STALL_ROUNDS rounds
+# without a new in-window state or a new best. A pooled state's penalty is
+# width + _C1 * |E| + _C2.
+_MAX_ROUNDS = 64
+_CHAINS = 16
+_STALL_ROUNDS = 3
+_C1 = _C2 = 0.01
+
 
 @dataclass(frozen=True)
 class Window:
@@ -105,24 +114,6 @@ def window(e0: float, delta: float, eta: float) -> Window:
     _check_window_args(delta, eta)
     tol = 1e-9 * max(1.0, abs(e0) + delta)
     return Window(e0, e0 + eta * delta, tol)
-
-
-@dataclass(frozen=True)
-class OptimizerBudget:
-    """Knobs for the sampled enumerator and annealing ground-state search."""
-
-    max_sweeps: int = 64
-    samples_per_round: int = 16
-    c1: float = 0.01
-    c2: float = 0.01
-    stall_rounds: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_sweeps < 1 or self.samples_per_round < 1 or self.stall_rounds < 1:
-            raise DomainError("budget counts must be positive")
-        if not (0.0 < self.c1 < 1.0 and 0.0 < self.c2 < 1.0):
-            raise DomainError("penalty constants c1, c2 must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,21 +438,43 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
 # -- sampled enumeration ------------------------------------------------------
 
 
-def _sample_window(objective, width: float, budget: OptimizerBudget, veto):
-    """Penalty-iteration sampling of the window of the given width.
+def enumerate_low_sampled(h, delta: float, eta: float, seed: int) -> LocalSpectrum:
+    """Sampled [E0, E0 + eta * delta] enumeration with a floating floor.
 
-    Returns the distinct packed states and energies found inside the final
-    window, and its floor, the lowest energy found.
+    Each round runs ``_CHAINS`` annealing chains, drawn from
+    ``default_rng(seed)``, against the penalties fixed at the round's start,
+    then harvests them in chain order. The window floor tracks the lowest
+    energy measured so far; each state found inside the moving window of
+    width eta * delta receives an additive penalty
+    ``p = width + _C1 * |E| + _C2`` so later rounds are pushed toward states
+    not seen yet. Rounds stop after ``_STALL_ROUNDS`` rounds without a new
+    in-window state, or after ``_MAX_ROUNDS`` rounds. On a dense table
+    (n <= 16) they also stop before a round once every state the harvest
+    would take is already pooled. The table's lowest state is then pooled,
+    so the floor is the table's minimum: a later round can neither lower it
+    nor pool a state, and the rounds left would return the same pool in the
+    same order. The states kept are those inside the final window of that
+    width above the lowest energy found, E0; the spectrum carries
+    ``window(E0, delta, eta)``, whose tolerance contains that window's. The
+    result is best-effort (``complete=False``).
 
-    On a dense table a round must reach ``targets``, the states with
-    ``table <= table.min() + width + tol``, unless ``enumerate_low_sampled``
-    names a reason to keep whole rounds. Every chain's harvest threshold
-    ``floor + width + tol`` is at least that edge, so a round cut once its
-    chains visited all of them still pools every one.
+    On a dense table a round also ends early: ``_anneal`` is given the
+    targets, the table states within width (plus the harvest's tolerance)
+    of the table's minimum that are not pooled yet, and stops the round at
+    the first check, every n steps, at which its chains have visited all of
+    them. Every chain's harvest threshold ``floor + width + tol`` is at
+    least that edge, so the harvest pools them all, the stop above ends
+    sampling, and the spectrum is the full schedule's; only out-of-window
+    states of the round's tail go unvisited. Rounds stay whole when a table
+    state lies above the harvest's tolerance of the window's upper edge but
+    within the final filter's, where the tail decides whether it is kept.
     """
+    _check_window_args(delta, eta)
+    objective = as_objective(h)
     _check_packable(objective, "sampled enumeration")
+    width = eta * delta
     tol = 1e-9 * max(1.0, width)
-    rng = np.random.default_rng(budget.seed)
+    rng = np.random.default_rng(seed)
     table = _dense_table(objective)
     targets = None
     if table is not None:
@@ -469,7 +482,7 @@ def _sample_window(objective, width: float, budget: OptimizerBudget, veto):
         lowest = table.min()
         edge = lowest + width
         gap = (table > edge + tol) & (table <= edge + 1e-9 * max(1.0, abs(lowest) + width))
-        if veto is None and not gap.any():
+        if not gap.any():
             targets = np.flatnonzero(table <= edge + tol)
     else:
         penalties = (np.empty(0, dtype=np.int64), np.empty(0))
@@ -477,13 +490,13 @@ def _sample_window(objective, width: float, budget: OptimizerBudget, veto):
     floor = math.inf
     rounds = 0
     stall = 0
-    while rounds < budget.max_sweeps and stall < budget.stall_rounds:
+    while rounds < _MAX_ROUNDS and stall < _STALL_ROUNDS:
         # Every state the harvest would take is pooled (a pooled state's
         # penalty is positive). The table's lowest state is one of them, so
         # the floor cannot fall either, and no later round can pool a state.
         if table is not None and penalties[table <= floor + width + tol].all():
             break
-        starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
+        starts, flips, draws = _draw_chains(rng, objective.n_vars, _CHAINS)
         pending = None if targets is None else targets[penalties[targets] == 0.0]
         energies, accepted, keys = _anneal(objective, table, starts, flips, draws, penalties, pending)
         new_keys: list[int] = []
@@ -497,10 +510,8 @@ def _sample_window(objective, width: float, budget: OptimizerBudget, veto):
                 bits_int, energy = int(chain_keys[i]), float(chain_energies[i])
                 if bits_int in pool:
                     continue
-                if veto is not None and veto(rounds, bits_int):
-                    continue
                 pool[bits_int] = energy
-                penalty = width + budget.c1 * abs(energy) + budget.c2
+                penalty = width + _C1 * abs(energy) + _C2
                 if not energy + penalty > floor + width:
                     raise InternalError("penalty does not clear the window upper edge")
                 new_keys.append(bits_int)
@@ -519,60 +530,20 @@ def _sample_window(objective, width: float, budget: OptimizerBudget, veto):
     states = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
     found = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
     inside = _inside(found, Window(e0, e0 + width, 1e-9 * max(1.0, abs(e0) + width)))
-    return states[inside], found[inside], e0
-
-
-def enumerate_low_sampled(
-    h, delta: float, eta: float, budget: OptimizerBudget, veto=None
-) -> LocalSpectrum:
-    """Sampled [E0, E0 + eta * delta] enumeration with a floating floor.
-
-    Each round runs ``samples_per_round`` annealing chains against the
-    penalties fixed at the round's start, then harvests them in chain order.
-    The window floor tracks the lowest energy measured so far; each state
-    found inside the moving window of width eta * delta receives an additive
-    penalty ``p = width + c1 * |E| + c2`` so later rounds are pushed toward
-    states not seen yet. Rounds stop after ``stall_rounds`` rounds without a
-    new in-window state, or after ``max_sweeps`` rounds. On a dense table
-    (n <= 16) they also stop before a round once every state the harvest
-    would take is already pooled. The table's lowest state is then pooled,
-    so the floor is the table's minimum: a later round can neither lower it
-    nor pool a state, and the rounds left would return the same pool in the
-    same order. The states kept are those inside the final window of that
-    width above the lowest energy found, E0; the spectrum carries
-    ``window(E0, delta, eta)``, whose tolerance contains that window's. The
-    result is best-effort (``complete=False``).
-
-    On a dense table a round also ends early: ``_anneal`` is given the
-    table states within width of the table's minimum that are not pooled
-    yet, and stops the round at the first check, every n steps, at which
-    its chains have visited all of them. The harvest then pools them all,
-    the stop above ends sampling, and the spectrum is the full schedule's;
-    only out-of-window states of the round's tail go unvisited. Rounds stay
-    whole when ``veto`` is given, since it may refuse a visited state, and
-    when a table state lies above the harvest's tolerance of the window's
-    upper edge but within the final filter's, where the tail decides
-    whether it is kept.
-
-    ``veto(round_index, bits) -> bool`` optionally discards measured states,
-    which exists to exercise the recover-in-a-later-round behaviour.
-    """
-    _check_window_args(delta, eta)
-    objective = as_objective(h)
-    states, energies, e0 = _sample_window(objective, eta * delta, budget, veto)
-    return _freeze(objective, states, energies, window(e0, delta, eta), complete=False)
+    return _freeze(objective, states[inside], found[inside], window(e0, delta, eta), complete=False)
 
 
 # -- ground-state search -------------------------------------------------------
 
 
-def solve_ground_objective(objective, budget: OptimizerBudget) -> tuple[int, float]:
+def solve_ground_objective(objective, seed: int) -> tuple[int, float]:
     """Lowest state of any diagonal objective found by annealing.
 
+    Each round runs ``_CHAINS`` chains drawn from ``default_rng(seed)``.
     The rounds visit the chains' states in chain order and keep the first
     one that undercuts the best so far by more than 1e-15. Rounds stop
-    after ``stall_rounds`` rounds without a new best, or after
-    ``max_sweeps`` rounds. On a dense table (n <= 16) they also stop once
+    after ``_STALL_ROUNDS`` rounds without a new best, or after
+    ``_MAX_ROUNDS`` rounds. On a dense table (n <= 16) they also stop once
     the best is the table's minimum, which no later state can undercut, so
     the result is the full schedule's.
 
@@ -582,15 +553,15 @@ def solve_ground_objective(objective, budget: OptimizerBudget) -> tuple[int, flo
     chain's, so a round cut once the minimum was visited could return
     another state.
     """
-    rng = np.random.default_rng(budget.seed)
+    rng = np.random.default_rng(seed)
     table = _dense_table(objective)
     # no energy equals nan, so without a table the rounds run their full schedule
     lowest = math.nan if table is None else table.min()
     best_bits, best_e = 0, math.inf
     rounds = 0
     stall = 0
-    while rounds < budget.max_sweeps and stall < budget.stall_rounds and best_e != lowest:
-        starts, flips, draws = _draw_chains(rng, objective.n_vars, budget.samples_per_round)
+    while rounds < _MAX_ROUNDS and stall < _STALL_ROUNDS and best_e != lowest:
+        starts, flips, draws = _draw_chains(rng, objective.n_vars, _CHAINS)
         energies, _, keys = _anneal(objective, table, starts, flips, draws)
         found = None
         for c in range(len(starts)):

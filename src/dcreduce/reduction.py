@@ -753,19 +753,18 @@ class DecodeChain:
         }
 
 
-def reduced_as_poly(rp: ReducedProblem, max_qubits: int = 24) -> PolyHamiltonian:
+def reduced_as_poly(rp: ReducedProblem) -> PolyHamiltonian:
     """Parity-basis polynomial equal to the reduced problem's table lookups.
 
     Each energy table and each coupling footprint is converted blockwise;
     the result may contain products of Z on all active reduced qubits. A
-    coupling footprint over ``max_qubits`` qubits, or one its coupling
-    cannot materialize (over 22 qubits, the table cap), raises
+    register over ``MAX_TABLE_VARS`` (24) qubits is refused by
+    ``from_boolean_table``, and a coupling footprint whose table cannot
+    materialize (over ``MATERIALIZE_ENTRIES``, 22 qubits) here; both raise
     ``ResourceError``.
     """
     pieces: list[tuple[tuple[int, ...], float]] = []
     for c, enc in enumerate(rp.encodings):
-        if enc.m_tilde > max_qubits:
-            raise ResourceError(f"community register of {enc.m_tilde} qubits exceeds {max_qubits}")
         block = PolyHamiltonian.from_boolean_table(enc.energies)
         for subset, coeff in block.terms.items():
             pieces.append((tuple(rp.offsets[c] + j for j in subset), coeff))
@@ -773,10 +772,8 @@ def reduced_as_poly(rp: ReducedProblem, max_qubits: int = 24) -> PolyHamiltonian
         qubits = [
             rp.offsets[c] + r for c in footprint for r in range(rp.encodings[c].m_tilde)
         ]
-        if len(qubits) > max_qubits or not rp.couplings[footprint].can_materialize:
-            raise ResourceError(
-                f"coupling footprint of {len(qubits)} qubits exceeds {max_qubits} or the table cap"
-            )
+        if not rp.couplings[footprint].can_materialize:
+            raise ResourceError(f"coupling footprint of {len(qubits)} qubits exceeds the table cap")
         table = rp.coupling_table(footprint)
         flat = np.transpose(table, axes=tuple(reversed(range(table.ndim)))).ravel()
         block = PolyHamiltonian.from_boolean_table(flat)

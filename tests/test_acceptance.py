@@ -16,7 +16,6 @@ from dcreduce.clustering import (
 from dcreduce.driver import RunConfig, approximation_ratio, run, shift_diagnostics
 from dcreduce.hamiltonian import PolyHamiltonian
 from dcreduce.optimizer import (
-    OptimizerBudget,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
 )
@@ -242,7 +241,7 @@ def test_criterion_08_sampled_enumerator_fidelity():
         h = random_quadratic(n, 2 * n, trial)
         delta = 2.0
         exhaustive = enumerate_low_exhaustive(h, delta, 1.0)
-        sampled = enumerate_low_sampled(h, delta, 1.0, OptimizerBudget(seed=10_000 + trial))
+        sampled = enumerate_low_sampled(h, delta, 1.0, 10_000 + trial)
         states = sampled.packed.tolist()
         if len(set(states)) != len(states):
             violations += 1

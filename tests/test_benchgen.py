@@ -123,6 +123,10 @@ class TestValidation:
         with pytest.raises(ParameterError):
             GraphSpec("smallworld", 5, 0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be non-negative"):
+            GraphSpec("k_regular", 8, -1, k=3)
+
 
 class TestWeights:
     def test_seeded_determinism(self):
@@ -203,3 +207,20 @@ class TestSpecStrings:
     def test_missing_n(self):
         with pytest.raises(ParameterError):
             parse_spec_string("3reg:seed=1")
+
+    def test_unknown_key_is_named(self):
+        # ignoring a misspelt key would generate the default seed 0
+        with pytest.raises(ParameterError, match="'sede'"):
+            parse_spec_string("3reg:n=40:sede=7")
+
+    @pytest.mark.parametrize("text, key", [
+        ("3reg:n=40.9", "n"), ("3reg:n=40:seed=1.5", "seed"), ("kreg:k=2.5:n=10", "k"), ("er:n=10:m=8.7", "m"),
+    ])
+    def test_fractional_integer_field_is_named(self, text, key):
+        # truncating would generate another instance than the one asked for
+        with pytest.raises(ParameterError, match=f"'{key}' takes an integer"):
+            parse_spec_string(text)
+
+    def test_integral_floats_and_float_p_parse(self):
+        assert parse_spec_string("3reg:n=4e1:seed=7.0") == GraphSpec("k_regular", 40, 7, k=3)
+        assert parse_spec_string("ws:k=4:p=0.25:n=24").p == 0.25

@@ -284,12 +284,32 @@ class TestSweep:
     ["sweep", "--family", "ring_k2", "--n", "8", "--eta", "2", "--instances", "1"],
     ["sweep", "--family", "ring_k2", "--n", "8", "--eta", ",", "--instances", "1"],
     ["sweep", "--family", "ring_k2", "--n", "8", "--max-iters", "0", "--instances", "1"],
+    ["gen", "--spec", "3reg:n=40:sede=7"],
+    ["gen", "--spec", "3reg:n=40.9"],
+    ["gen", "--spec", "er:n=10:m=8.7"],
 ])
 def test_bad_input_is_one_error_line(argv, capsys):
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--spec", "3reg:n=8:seed=-1"],
+    ["diagnostics", "--n", "8", "--instances", "1", "--seeds", "-1"],
+    ["sweep", "--family", "ring_k2", "--n", "8", "--instances", "2", "--seeds", "-1"],
+])
+def test_negative_seed_is_refused_before_any_run(argv, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli_module, "run", fail)
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "-1" in err[0]
     assert captured.out == ""
 
 

@@ -21,7 +21,7 @@ from helpers import brute_min, random_pubo, random_quadratic
 
 PUBLIC_API = [
     "DecodeChain", "EncodedCommunity", "FamilyConfig", "GraphSpec", "LocalSpectrum",
-    "OptimizerBudget", "Partition", "PolyHamiltonian", "ReducedProblem", "RunConfig",
+    "Partition", "PolyHamiltonian", "ReducedProblem", "RunConfig",
     "RunResult", "SpinConfig", "WeightedGraph", "Window", "abs_weights",
     "approximation_ratio", "brute_force_reference", "build_reduced", "decompose",
     "delta_pubo", "delta_two_body", "encode_community", "enumerate_low_exhaustive",

@@ -264,6 +264,22 @@ class TestSerialization:
         with pytest.raises(FormatError):
             PolyHamiltonian.from_json_dict(data)
 
+    @pytest.mark.parametrize("data", [
+        {"n": 3.7, "terms": [{"vars": [0, 1], "coeff": 1.0}]},
+        {"n": 3, "terms": [{"vars": [0, 1.5], "coeff": 1.0}]},
+        {"n": True, "terms": []},
+        {"n": 3, "terms": [{"vars": [False, 1], "coeff": 1.0}]},
+        {"n": "3", "terms": []},
+    ])
+    def test_json_non_integer_index_rejected(self, data):
+        # a fraction would be truncated and a boolean read as 0 or 1
+        with pytest.raises(FormatError):
+            PolyHamiltonian.from_json_dict(data)
+
+    def test_json_integral_float_index_accepted(self):
+        h = PolyHamiltonian.from_json_dict({"n": 3.0, "terms": [{"vars": [0.0, 2], "coeff": 1.0}]})
+        assert h == PolyHamiltonian(3, {(0, 2): 1.0})
+
     def test_json_unsorted_vars_rejected(self):
         with pytest.raises(FormatError):
             PolyHamiltonian.from_json_dict({"n": 2, "terms": [{"vars": [1, 0], "coeff": 1.0}]})

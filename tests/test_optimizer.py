@@ -14,7 +14,6 @@ from dcreduce.errors import DomainError, InternalError, ResourceError
 from dcreduce.hamiltonian import SLAB_ENTRIES, PolyHamiltonian, int_to_bits
 from dcreduce.optimizer import (
     SCAN_CEILING,
-    OptimizerBudget,
     PolyObjective,
     Window,
     _dense_table,
@@ -191,7 +190,7 @@ class TestSampled:
         for seed in range(20):
             h = random_quadratic(10, 20, seed)
             exhaustive = enumerate_low_exhaustive(h, 2.0, 1.0)
-            sampled = enumerate_low_sampled(h, 2.0, 1.0, OptimizerBudget(seed=seed))
+            sampled = enumerate_low_sampled(h, 2.0, 1.0, seed)
             assert not sampled.complete
             hits += set(sampled.packed.tolist()) == set(exhaustive.packed.tolist())
         assert hits >= 18
@@ -201,14 +200,14 @@ class TestSampled:
         energies = spin_energies(h)
         unique_min = np.sum(np.isclose(energies, energies.min())) == 1
         assert unique_min
-        spectrum = enumerate_low_sampled(h, 1.0, 0.0, OptimizerBudget(seed=4))
+        spectrum = enumerate_low_sampled(h, 1.0, 0.0, 4)
         assert spectrum.d == 1
         assert spectrum.e0 == pytest.approx(float(energies.min()), abs=1e-12)
 
     def test_no_duplicates_and_in_window(self):
         for seed in range(10):
             h = random_quadratic(11, 20, seed + 50)
-            spectrum = enumerate_low_sampled(h, 1.5, 1.0, OptimizerBudget(seed=seed))
+            spectrum = enumerate_low_sampled(h, 1.5, 1.0, seed)
             states = spectrum.packed.tolist()
             assert len(set(states)) == len(states)
             for energy in spectrum.energies.tolist():
@@ -216,28 +215,16 @@ class TestSampled:
 
     def test_penalized_energy_clears_window(self):
         # p = width + c1 |E| + c2 implies E + p > E0 + width for every found state
-        budget = OptimizerBudget(seed=9)
         h = random_quadratic(10, 18, 77)
-        spectrum = enumerate_low_sampled(h, 2.0, 1.0, budget)
+        spectrum = enumerate_low_sampled(h, 2.0, 1.0, 9)
         width = spectrum.window.width
         for energy in spectrum.energies.tolist():
-            penalty = width + budget.c1 * abs(energy) + budget.c2
+            penalty = width + optimizer_module._C1 * abs(energy) + optimizer_module._C2
             assert energy + penalty > spectrum.e0 + width
-
-    def test_recovers_states_vetoed_in_round_one(self):
-        h = random_quadratic(10, 18, 21)
-        exhaustive = enumerate_low_exhaustive(h, 2.0, 1.0)
-        ground_bits = int(exhaustive.packed[0])
-
-        def veto(round_index, bits):
-            return round_index == 0 and bits == ground_bits
-
-        sampled = enumerate_low_sampled(h, 2.0, 1.0, OptimizerBudget(seed=5), veto=veto)
-        assert ground_bits in sampled.packed.tolist()
 
     def test_explicit_window_signature(self, monkeypatch):
         h = PolyHamiltonian(2, {(0, 1): 1.0})
-        spectrum = enumerate_low_sampled(h, 2.0, 1.0, OptimizerBudget(seed=0))
+        spectrum = enumerate_low_sampled(h, 2.0, 1.0, 0)
         assert spectrum.window == window(-1.0, 2.0, 1.0)
         assert set(spectrum.packed.tolist()) == {0, 1, 2, 3}
 
@@ -250,33 +237,33 @@ class TestSampled:
             with pytest.raises(DomainError) as exhaustive:
                 enumerate_low_exhaustive(h, delta, eta)
             with pytest.raises(DomainError) as sampled:
-                enumerate_low_sampled(h, delta, eta, OptimizerBudget())
+                enumerate_low_sampled(h, delta, eta, 0)
             assert str(sampled.value) == str(exhaustive.value)
 
     def test_determinism(self):
         h = random_quadratic(10, 18, 8)
-        a = enumerate_low_sampled(h, 1.0, 1.0, OptimizerBudget(seed=3))
-        b = enumerate_low_sampled(h, 1.0, 1.0, OptimizerBudget(seed=3))
+        a = enumerate_low_sampled(h, 1.0, 1.0, 3)
+        b = enumerate_low_sampled(h, 1.0, 1.0, 3)
         assert bits_of(a) == bits_of(b)
 
 
 class TestSolveGround:
     def test_chain_of_two_couplings(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0})
-        bits, energy = solve_ground_objective(as_objective(h), OptimizerBudget())
+        bits, energy = solve_ground_objective(as_objective(h), 0)
         assert energy == pytest.approx(-2.0)
         assert h.evaluate(int_to_bits(bits, 3)) == pytest.approx(-2.0)
         assert brute_force_reference(h) == pytest.approx(-2.0)
 
     def test_constant_only(self):
         h = PolyHamiltonian(2, {(): 3.5})
-        _, energy = solve_ground_objective(as_objective(h), OptimizerBudget())
+        _, energy = solve_ground_objective(as_objective(h), 0)
         assert energy == pytest.approx(3.5)
         assert brute_force_reference(h) == pytest.approx(3.5)
 
     def test_frustrated_triangle(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
-        bits, energy = solve_ground_objective(as_objective(h), OptimizerBudget())
+        bits, energy = solve_ground_objective(as_objective(h), 0)
         assert energy == pytest.approx(-1.0)
         assert h.evaluate(int_to_bits(bits, 3)) == pytest.approx(-1.0)
         assert brute_force_reference(h) == pytest.approx(-1.0)
@@ -286,23 +273,18 @@ class TestSolveGround:
     def test_annealing_path_matches_scan(self):
         h = random_quadratic(12, 24, 13)
         exact = brute_force_reference(h)
-        _, sampled = solve_ground_objective(as_objective(h), OptimizerBudget(seed=2))
+        _, sampled = solve_ground_objective(as_objective(h), 2)
         assert sampled == pytest.approx(exact, abs=1e-9)
-
-    def test_budget_validation(self):
-        with pytest.raises(Exception):
-            OptimizerBudget(max_sweeps=0)
-        with pytest.raises(Exception):
-            OptimizerBudget(c1=1.5)
 
 
 # -- replica-batched annealing kernel ------------------------------------------
 
 
-def reference_ground(objective, budget):
+def reference_ground(objective, seed):
     """Scalar annealer with the kernel's draw order: per chain its start,
-    its flips, its accept draws; energies evaluated state by state."""
-    rng = np.random.default_rng(budget.seed)
+    its flips, its accept draws; energies evaluated state by state. It
+    reads the round constants as the optimizer module holds them."""
+    rng = np.random.default_rng(seed)
     n = objective.n_vars
     steps = 50 * n
 
@@ -312,9 +294,9 @@ def reference_ground(objective, budget):
     cool = (0.01 / 2.0) ** (1.0 / (steps - 1))
     best_bits, best_e = 0, math.inf
     rounds = stall = 0
-    while rounds < budget.max_sweeps and stall < budget.stall_rounds:
+    while rounds < optimizer_module._MAX_ROUNDS and stall < optimizer_module._STALL_ROUNDS:
         improved = False
-        for _ in range(budget.samples_per_round):
+        for _ in range(optimizer_module._CHAINS):
             bits = int(rng.integers(0, 1 << n))
             flips = rng.integers(0, n, size=steps)
             draws = rng.random(size=steps)
@@ -422,24 +404,24 @@ class TestAnnealKernel:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_reference_on_poly(self, seed, monkeypatch):
         objective = PolyObjective(random_quadratic(9, 16, seed + 200))
-        budget = OptimizerBudget(seed=seed, max_sweeps=3)
-        ref_bits, ref_energy = reference_ground(objective, budget)
+        monkeypatch.setattr(optimizer_module, "_MAX_ROUNDS", 3)
+        ref_bits, ref_energy = reference_ground(objective, seed)
         for path, slab in PATHS.items():
             monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
             assert (_dense_table(objective) is None) == (path == "replica")
-            bits, energy = solve_ground_objective(objective, budget)
+            bits, energy = solve_ground_objective(objective, seed)
             assert bits == ref_bits
             assert energy == pytest.approx(ref_energy, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_reference_on_table(self, seed, monkeypatch):
         objective = random_table_objective(seed)
-        budget = OptimizerBudget(seed=seed, max_sweeps=3)
-        ref_bits, ref_energy = reference_ground(objective, budget)
+        monkeypatch.setattr(optimizer_module, "_MAX_ROUNDS", 3)
+        ref_bits, ref_energy = reference_ground(objective, seed)
         for path, slab in PATHS.items():
             monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
             assert (_dense_table(objective) is None) == (path == "replica")
-            bits, energy = solve_ground_objective(objective, budget)
+            bits, energy = solve_ground_objective(objective, seed)
             assert bits == ref_bits
             assert energy == pytest.approx(ref_energy, abs=1e-12)
 
@@ -542,7 +524,8 @@ class TestAnnealKernel:
             "poly": lambda: PolyObjective(random_quadratic(11, 20, 4)),
             "wide": lambda: singleton_reduced_problem(70, 3).full_objective(),
         }[kind]()
-        budget = OptimizerBudget(seed=3, max_sweeps=2 if kind == "wide" else 64)
+        if kind == "wide":
+            monkeypatch.setattr(optimizer_module, "_MAX_ROUNDS", 2)
         rounds = []
         anneal = optimizer_module._anneal
 
@@ -555,7 +538,7 @@ class TestAnnealKernel:
         for slab in PATHS.values() if kind == "poly" else [SLAB_ENTRIES]:
             monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
             rounds.clear()
-            found = solve_ground_objective(objective, budget)
+            found = solve_ground_objective(objective, 3)
             # chains in order, steps in order: the last state that undercut
             # the best so far by more than 1e-15
             best = (0, math.inf)
@@ -574,13 +557,12 @@ class TestAnnealKernel:
             n_vars=poly.n_vars, replica_terms=poly.replica_terms,
             energies_of=poly.energies_of, replica_energies=poly.replica_energies,
         )
-        budget = OptimizerBudget(seed=2)
         for slab in PATHS.values():
             monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
-            expected = enumerate_low_sampled(poly, 2.0, 1.0, budget)
+            expected = enumerate_low_sampled(poly, 2.0, 1.0, 2)
             assert expected.d > 1
-            assert bits_of(enumerate_low_sampled(bare, 2.0, 1.0, budget)) == bits_of(expected)
-            assert solve_ground_objective(bare, budget) == solve_ground_objective(poly, budget)
+            assert bits_of(enumerate_low_sampled(bare, 2.0, 1.0, 2)) == bits_of(expected)
+            assert solve_ground_objective(bare, 2) == solve_ground_objective(poly, 2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sampled_spectra_identical_on_both_paths(self, seed, monkeypatch):
@@ -593,17 +575,20 @@ class TestAnnealKernel:
         # later rounds find states only under the earlier rounds' penalties;
         # and rounds of six replicas, a batch size the replica energies must
         # not depend on
-        budgets = [
-            (2.0, OptimizerBudget(seed=seed)),
-            (6.0, OptimizerBudget(seed=seed, max_sweeps=3, samples_per_round=8)),
-            (2.0, OptimizerBudget(seed=seed, samples_per_round=6)),
+        settings = [
+            (2.0, {}),
+            (6.0, {"_MAX_ROUNDS": 3, "_CHAINS": 8}),
+            (2.0, {"_CHAINS": 6}),
         ]
         for objective in objectives:
-            for delta, budget in budgets:
+            for delta, constants in settings:
                 spectra = {}
-                for path, slab in PATHS.items():
-                    monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
-                    spectra[path] = enumerate_low_sampled(objective, delta, 1.0, budget)
+                with monkeypatch.context() as patch:
+                    for name, value in constants.items():
+                        patch.setattr(optimizer_module, name, value)
+                    for path, slab in PATHS.items():
+                        patch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
+                        spectra[path] = enumerate_low_sampled(objective, delta, 1.0, seed)
                 assert spectra["table"].d > 1
                 assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
 
@@ -611,9 +596,8 @@ class TestAnnealKernel:
         # round one finds the whole window, so no stall round runs on the table
         h = random_quadratic(10, 18, 0)
         exhaustive = enumerate_low_exhaustive(h, 2.0, 1.0)
-        budget = OptimizerBudget(seed=0)
-        spectra, rounds = on_both_paths(monkeypatch, lambda: enumerate_low_sampled(h, 2.0, 1.0, budget))
-        assert len(rounds["table"]) < 1 + budget.stall_rounds == len(rounds["replica"])
+        spectra, rounds = on_both_paths(monkeypatch, lambda: enumerate_low_sampled(h, 2.0, 1.0, 0))
+        assert len(rounds["table"]) < 1 + optimizer_module._STALL_ROUNDS == len(rounds["replica"])
         assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
         assert set(spectra["table"].packed.tolist()) == set(exhaustive.packed.tolist())
 
@@ -660,7 +644,7 @@ class TestAnnealKernel:
         for path, lengths in rounds.items():
             assert any(ran < scheduled for ran, scheduled in lengths) == (path == "table")
 
-    @pytest.mark.parametrize("case", ["veto", "gap", "control"])
+    @pytest.mark.parametrize("case", ["gap", "control"])
     def test_whole_rounds_where_the_tail_decides(self, case, monkeypatch):
         rng = np.random.default_rng(1)
         energies = -1000.0 + rng.uniform(0.0, 2.0, size=1 << 6)
@@ -673,11 +657,7 @@ class TestAnnealKernel:
         # keep it where the full schedule does not.
         energies[np.argmax(energies > edge + 1e-3)] = edge + (5e-7 if case == "gap" else 1e-3)
         objective = array_objective(energies)
-        veto = (lambda round_index, bits: False) if case == "veto" else None
-        budget = OptimizerBudget(seed=0)
-        spectra, rounds = on_both_paths(
-            monkeypatch, lambda: enumerate_low_sampled(objective, delta, 1.0, budget, veto=veto)
-        )
+        spectra, rounds = on_both_paths(monkeypatch, lambda: enumerate_low_sampled(objective, delta, 1.0, 0))
         assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
         for path, lengths in rounds.items():
             whole = all(ran == scheduled == 50 * 6 for ran, scheduled in lengths)
@@ -686,9 +666,8 @@ class TestAnnealKernel:
     def test_ground_search_stops_at_the_table_minimum(self, monkeypatch):
         objective = PolyObjective(random_quadratic(10, 18, 0))
         lowest = _dense_table(objective).min()
-        budget = OptimizerBudget(seed=0)
-        found, rounds = on_both_paths(monkeypatch, lambda: solve_ground_objective(objective, budget))
-        assert len(rounds["table"]) < 1 + budget.stall_rounds == len(rounds["replica"])
+        found, rounds = on_both_paths(monkeypatch, lambda: solve_ground_objective(objective, 0))
+        assert len(rounds["table"]) < 1 + optimizer_module._STALL_ROUNDS == len(rounds["replica"])
         assert found["table"] == found["replica"]
         assert found["table"][1] == lowest
 
@@ -699,16 +678,16 @@ class TestAnnealKernel:
         monkeypatch.setattr(
             optimizer_module, "_anneal", lambda *args: on_table.append(args[1] is not None) or anneal(*args)
         )
-        budget = OptimizerBudget(seed=1, max_sweeps=1)
+        monkeypatch.setattr(optimizer_module, "_MAX_ROUNDS", 1)
         for n in (16, 17):
             objective = PolyObjective(random_quadratic(n, 2 * n, n))
             on_table.clear()
-            found = solve_ground_objective(objective, budget)
+            found = solve_ground_objective(objective, 1)
             assert (_dense_table(objective) is not None) == (n == 16)
             assert on_table == [n == 16]
             with monkeypatch.context() as patch:
                 patch.setattr(optimizer_module, "SLAB_ENTRIES", 1)
-                assert solve_ground_objective(objective, budget) == found
+                assert solve_ground_objective(objective, 1) == found
 
     def test_sampled_window_on_reduced_objective_matches_exhaustive(self, monkeypatch):
         h = random_quadratic(12, 20, 5)
@@ -722,15 +701,16 @@ class TestAnnealKernel:
         assert 1 <= len(lazy) < len(rp.couplings)
         for delta in (0.5, 1.5, 3.0):
             exhaustive = enumerate_low_exhaustive(objective, delta, 1.0)
-            sampled = enumerate_low_sampled(objective, delta, 1.0, OptimizerBudget(seed=1))
+            sampled = enumerate_low_sampled(objective, delta, 1.0, 1)
             assert set(sampled.packed.tolist()) == set(exhaustive.packed.tolist())
             assert sampled.e0 == pytest.approx(exhaustive.e0, abs=1e-12)
 
-    def test_recombined_anneal_above_62_qubits(self):
+    def test_recombined_anneal_above_62_qubits(self, monkeypatch):
         rp = singleton_reduced_problem(70, 3)
         objective = rp.full_objective()
         assert objective.n_vars == 70
-        bits, energy = solve_ground_objective(objective, OptimizerBudget(seed=0, max_sweeps=2))
+        monkeypatch.setattr(optimizer_module, "_MAX_ROUNDS", 2)
+        bits, energy = solve_ground_objective(objective, 0)
         assert 0 <= bits < 1 << 70
         assert rp.energy_of_indices(rp.indices_from_bits(bits)) == pytest.approx(energy, abs=1e-9)
 
@@ -743,7 +723,7 @@ class TestAnnealKernel:
         monkeypatch.setattr(optimizer_module, "_anneal", fail)
         monkeypatch.setattr(optimizer_module, "_draw_chains", fail)
         with pytest.raises(ResourceError):
-            enumerate_low_sampled(objective, 1.0, 1.0, OptimizerBudget())
+            enumerate_low_sampled(objective, 1.0, 1.0, 0)
 
     def test_penalty_probe(self):
         states = np.array([3, 10, 7, 40, 99], dtype=np.int64)
@@ -754,3 +734,49 @@ class TestAnnealKernel:
         # first key, missing between keys, middle key, last key, missing past the end
         assert _penalty_of(keys, values, states).tolist() == [1.5, 0.0, 2.5, 3.5, 0.0]
         assert _penalty_of(keys, values, np.array([0, 2], dtype=np.int64)).tolist() == [0.0, 0.0]
+
+
+# Recorded from the seeded streams of ``enumerate_low_sampled`` and
+# ``solve_ground_objective`` at seed 7. "default": a window's delta and the
+# window states the default rounds miss (a spectrum is sorted, so these pin
+# its packed states). "short": a window's delta and its packed states after
+# one round of two chains, which misses some window states. "ground": the
+# ground search's (bits, energy). The quadratic objective's ground state ties
+# with its complement, 2444, so the draws also pick the ground bits.
+PINNED_STREAMS = {
+    "poly": {
+        "default": (5.0, [3229]),
+        "short": (2.0, [2444, 1651, 396, 3699, 2436, 1659, 1587, 2468, 3635, 2484, 1611]),
+        "ground": (1651, "-0x1.14a4d82d701f5p+3"),
+    },
+    "table": {
+        "default": (1.0, []),
+        "short": (1.0, [462, 461, 501, 458, 498, 510, 502, 506, 470, 466, 205, 202, 469, 507, 206, 245, 854,
+                        465, 242, 250, 460, 210, 253]),
+        "ground": (462, "-0x1.a15fa396f2e40p+1"),
+    },
+}
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("kind", PINNED_STREAMS)
+def test_seeded_streams_are_pinned(kind, path, monkeypatch):
+    objective = {
+        "poly": lambda: PolyObjective(random_quadratic(12, 20, 3)),
+        "table": lambda: random_table_objective(5),
+    }[kind]()
+    pinned = PINNED_STREAMS[kind]
+    monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", PATHS[path])
+    assert (_dense_table(objective) is None) == (path == "replica")
+    delta, missed = pinned["default"]
+    exhaustive = enumerate_low_exhaustive(objective, delta, 1.0).packed.tolist()
+    expected = [state for state in exhaustive if state not in missed]
+    assert enumerate_low_sampled(objective, delta, 1.0, 7).packed.tolist() == expected
+    bits, energy = pinned["ground"]
+    assert solve_ground_objective(objective, 7) == (bits, float.fromhex(energy))
+    delta, states = pinned["short"]
+    monkeypatch.setattr(optimizer_module, "_MAX_ROUNDS", 1)
+    monkeypatch.setattr(optimizer_module, "_CHAINS", 2)
+    spectrum = enumerate_low_sampled(objective, delta, 1.0, 7)
+    assert spectrum.packed.tolist() == states
+    assert spectrum.d < enumerate_low_exhaustive(objective, delta, 1.0).d

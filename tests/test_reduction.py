@@ -382,17 +382,9 @@ class TestReducedAsPoly:
                 got = poly.energies(np.array([joint]))[0]
                 assert got == pytest.approx(expected, abs=1e-9)
 
-    def test_footprint_over_cap_rejected(self):
-        from dcreduce.errors import ResourceError
-
-        h = PolyHamiltonian(2, {(0, 1): 0.8})
-        _, rp, _ = _level_one(h, [0, 1])
-        with pytest.raises(ResourceError):
-            reduced_as_poly(rp, max_qubits=1)
-
     def test_footprint_at_the_table_cap(self, monkeypatch):
-        # at the real cap: 22 + 1 qubits pass max_qubits = 24 but not the
-        # table cap, and are refused before any table is built
+        # at the real cap: 22 + 1 qubits fit a 24-variable truth table but
+        # not the table cap, and are refused before any table is built
         registers = [EncodedCommunity(m, np.zeros(1 << m, dtype=np.int64), np.zeros(1 << m), "repeat", 1 << m, 1)
                      for m in (11, 12)]
         coupling = random_coupling(np.random.default_rng(0), (1 << 11, 1 << 12))
