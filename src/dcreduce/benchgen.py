@@ -15,7 +15,15 @@ import numpy as np
 from .errors import ParameterError
 from .hamiltonian import PolyHamiltonian
 
-_FAMILIES = ("k_regular", "erdos_renyi", "barabasi_albert", "ring_lattice", "watts_strogatz")
+# Every family with the parameters it reads.
+_FAMILY_PARAMS = {
+    "k_regular": ("k",),
+    "erdos_renyi": ("m",),
+    "barabasi_albert": ("m",),
+    "ring_lattice": ("k",),
+    "watts_strogatz": ("k", "p"),
+}
+_FAMILIES = tuple(_FAMILY_PARAMS)
 
 _REGULAR_ATTEMPTS = 2000
 
@@ -36,6 +44,9 @@ class GraphSpec:
             raise ParameterError("need at least two vertices")
         if self.seed < 0:
             raise ParameterError(f"instance seed must be non-negative, got {self.seed}")
+        for name in ("k", "m", "p"):
+            if getattr(self, name) is not None and name not in _FAMILY_PARAMS[self.family]:
+                raise ParameterError(f"family {self.family!r} does not read parameter {name!r}")
 
 
 def generate(spec: GraphSpec) -> PolyHamiltonian:
@@ -263,7 +274,8 @@ def parse_spec_string(text: str) -> GraphSpec:
         fields[key] = number if key == "p" else int(number)
     if head == "3reg":
         family = "k_regular"
-        fields.setdefault("k", 3)
+        if fields.setdefault("k", 3) != 3:
+            raise ParameterError(f"3reg has k=3, got k={fields['k']}; use kreg for another degree")
     elif head in _SPEC_ALIASES:
         family = _SPEC_ALIASES[head]
     elif head in _FAMILIES:

@@ -25,7 +25,6 @@ from .clustering import Partition, louvain
 from .errors import DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import PolyHamiltonian, SpinConfig, int_to_bits
 from .optimizer import (
-    as_objective,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
     scan_minimum,
@@ -228,9 +227,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
 
     if partition.n_communities == 1:
         invocations.append(n)
-        bits_int, reduced_energy = _solve_objective(
-            as_objective(h), cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 999)
-        )
+        bits_int, reduced_energy = _solve_objective(h, cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 999))
         levels.append(
             LevelTrace(
                 partition.community_of,
@@ -432,5 +429,5 @@ def shift_diagnostics(h: PolyHamiltonian, result: RunResult) -> list[ShiftDiagno
 
 def brute_force_reference(h: PolyHamiltonian) -> float:
     """Exhaustive ground energy; the oracle for approximation ratios."""
-    _, energy = scan_minimum(as_objective(h))
+    _, energy = scan_minimum(h)
     return energy

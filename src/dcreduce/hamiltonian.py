@@ -71,7 +71,10 @@ class PolyHamiltonian:
 
     ``terms`` maps strictly ascending index tuples to finite nonzero
     coefficients. Instances are immutable after construction and safe to
-    share across threads; :meth:`evaluate` is pure.
+    share across threads; :meth:`evaluate` is pure. A Hamiltonian of up to
+    ``MAX_PACKED_VARS`` variables is also an optimizer objective: ``energies``,
+    ``scan_chunks``, ``replica_energies`` and ``replica_terms`` read its terms
+    on packed states, variable j on bit j.
     """
 
     n_vars: int
@@ -161,6 +164,10 @@ class PolyHamiltonian:
 
     @cached_property
     def _term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every term as an int64 bit mask and its coefficient, in sorted
+        term order; every vectorized evaluation reads these. Refuses more
+        than ``MAX_PACKED_VARS`` variables, which int64 states cannot name."""
+        _check_packable(self, "a polynomial objective")
         subsets = sorted(self.terms)
         masks = np.array(
             [sum(1 << j for j in s) for s in subsets], dtype=np.int64
@@ -168,16 +175,18 @@ class PolyHamiltonian:
         coeffs = np.array([self.terms[s] for s in subsets], dtype=np.float64)
         return masks, coeffs
 
+    @property
+    def replica_terms(self) -> int:
+        """The number of terms ``replica_energies`` sums per state."""
+        return len(self.terms)
+
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Vectorized energies for an array of packed state integers.
 
         Each term's signed values for a block of states come from one
         (terms, states) parity matrix of about ``SLAB_ENTRIES`` entries, and
         are added onto zeros one term at a time, in sorted term order.
-        Refuses more than ``MAX_PACKED_VARS`` variables, which int64 states
-        cannot name.
         """
-        _check_packable(self, "energies")
         states = np.asarray(states, dtype=np.int64)
         flat = states.ravel()
         out = np.zeros(flat.shape, dtype=np.float64)
@@ -189,6 +198,21 @@ class PolyHamiltonian:
             for signed in coeffs[:, None] * (1.0 - 2.0 * parity):
                 block += signed
         return out.reshape(states.shape)
+
+    def scan_chunks(self):
+        """Energies of all packed states in index order, as (first state,
+        energies) chunks of up to ``SLAB_ENTRIES`` consecutive states."""
+        total = 1 << self.n_vars
+        for start in range(0, total, SLAB_ENTRIES):
+            stop = min(start + SLAB_ENTRIES, total)
+            yield start, self.energies(np.arange(start, stop, dtype=np.int64))
+
+    def replica_energies(self, states: np.ndarray) -> np.ndarray:
+        """Energies of a 1-d array of packed states, each summed along its
+        own row, so that a state's energy does not depend on its batch."""
+        masks, coeffs = self._term_arrays
+        odd = np.bitwise_count(states[:, None] & masks) & 1
+        return np.where(odd, -coeffs, coeffs).sum(axis=1)
 
     # -- conversions ------------------------------------------------------
 

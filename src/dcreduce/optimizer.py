@@ -6,16 +6,17 @@ energy lies within delta of the community ground energy, where delta bounds
 the community's interactions with the rest of the system. The cut-offs that
 compute delta live with the decomposition they read, in ``reduction``; the
 window they define, [E0, E0 + eta * delta] with a scale-relative tolerance,
-is ``window`` here, and every spectrum carries one.
+is ``window`` here. Every test of a state against a window reads one built
+by ``window``, and every spectrum carries one.
 
-Two kinds of diagonal objective are supported behind one duck-typed
-interface: compiled polynomial Hamiltonians and the table-backed reduced
-objectives produced by the reduction stage. An objective exposes
+Two kinds of diagonal objective share one duck-typed interface:
+``PolyHamiltonian`` and the reduction stage's ``TableObjective``. An
+objective exposes
 
   - ``n_vars``: number of binary variables,
   - ``scan_chunks()``: energies of all 2^n packed states in index order, as
     (first state, energies) chunks, which the exhaustive scans read,
-  - ``energies_of(states)``: vectorized energies for packed state integers,
+  - ``energies(states)``: vectorized energies for packed state integers,
     which re-check every spectrum independently of the scan,
   - ``replica_energies(keys)``: energies of a 1-d array of packed states,
     each on its own so that a state's energy does not depend on the batch
@@ -30,7 +31,7 @@ A polynomial objective's chunks evaluate its terms on blocks of states. A
 table objective's chunks are slabs of its register product grid: register k
 on axis K-1-k, so a grid point's C-order flat index is its packed state,
 and each energy or coupling table is broadcast-added onto the slab in the
-order ``energies_of`` adds it, so the two agree bit for bit. An exhaustive
+order ``energies`` adds it, so the two agree bit for bit. An exhaustive
 window is one pass: each chunk keeps its states inside the window of the
 running minimum, and the kept states are filtered against the final one.
 The scans refuse more than ``SCAN_CEILING`` variables; which backend a
@@ -46,11 +47,10 @@ proposal from the table. Larger objectives evaluate every proposal through
 same numbers, so they visit the same states. The sampled enumerator stands in
 for a quantum optimizer: each round's chains harvest low configurations
 under fixed additive penalties on the states found in earlier rounds, and
-rounds continue until no new in-window state appears. On a dense table the
-rounds also stop as soon as the table shows that no later round could find
-one, and a sampled round ends as soon as its chains have visited every
-window state of the table, which leaves every result as the full schedule
-returns it.
+rounds continue until no new in-window state appears. On a dense table a
+round ends, and sampling stops, as soon as every window state of the table
+has been visited, which leaves every result as the full schedule returns
+it.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ import numpy as np
 
 from .errors import DomainError, InternalError, ResourceError
 from .hamiltonian import (
-    MAX_PACKED_VARS, SLAB_ENTRIES, PolyHamiltonian, SpinConfig, _check_packable, bits_to_int, int_to_bits,
-    readonly_array,
+    MAX_PACKED_VARS, SLAB_ENTRIES, SpinConfig, _check_packable, bits_to_int, int_to_bits, readonly_array,
 )
 
 # Hard cap for exhaustive scans (2^n energy evaluations, chunked).
@@ -105,8 +104,8 @@ def _check_window_args(delta: float, eta: float) -> None:
     """The rules on delta and eta that every window obeys."""
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    if delta < 0.0:
-        raise DomainError(f"delta must be non-negative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError(f"delta must be finite and non-negative, got {delta}")
 
 
 def window(e0: float, delta: float, eta: float) -> Window:
@@ -155,7 +154,7 @@ class LocalSpectrum:
 def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, complete: bool) -> LocalSpectrum:
     """Validate, sort, and freeze distinct packed states and their energies.
 
-    Every energy is re-checked against the objective's ``energies_of`` and
+    Every energy is re-checked against the objective's ``energies`` and
     against the window on construction; disagreement is a bug, not bad
     input. States sort by energy, then by bit 0, bit 1, and so on.
     """
@@ -163,7 +162,7 @@ def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, com
         raise InternalError("empty spectrum: the window always contains the running minimum")
     _check_packable(objective, "a spectrum")
     n = objective.n_vars
-    actual = objective.energies_of(states)
+    actual = objective.energies(states)
     wrong = np.abs(claimed - actual) > 1e-9 * np.maximum(1.0, np.abs(claimed))
     if wrong.any():
         i = int(np.argmax(wrong))
@@ -199,42 +198,6 @@ def _inside(energies: np.ndarray, win: Window) -> np.ndarray:
     return (energies >= win.lo - win.tol) & (energies <= win.hi + win.tol)
 
 
-# -- objectives ------------------------------------------------------------
-
-
-class PolyObjective:
-    """Compiled view of a PolyHamiltonian for scanning and annealing."""
-
-    def __init__(self, h: PolyHamiltonian):
-        _check_packable(h, "a polynomial objective")
-        self.h = h
-        self.n_vars = h.n_vars
-        self.masks, self.coeffs = h._term_arrays
-        self.replica_terms = self.masks.size
-
-    def energies_of(self, states: np.ndarray) -> np.ndarray:
-        return self.h.energies(states)
-
-    def scan_chunks(self):
-        """Energies of all packed states in index order, as (first state,
-        energies) chunks of up to ``SLAB_ENTRIES`` consecutive states."""
-        total = 1 << self.n_vars
-        for start in range(0, total, SLAB_ENTRIES):
-            stop = min(start + SLAB_ENTRIES, total)
-            yield start, self.energies_of(np.arange(start, stop, dtype=np.int64))
-
-    def replica_energies(self, states: np.ndarray) -> np.ndarray:
-        odd = np.bitwise_count(states[:, None] & self.masks) & 1
-        return np.where(odd, -self.coeffs, self.coeffs).sum(axis=1)
-
-
-def as_objective(h):
-    """Wrap a PolyHamiltonian; pass anything already objective-shaped through."""
-    if isinstance(h, PolyHamiltonian):
-        return PolyObjective(h)
-    return h
-
-
 # -- exhaustive enumeration --------------------------------------------------
 
 
@@ -261,7 +224,7 @@ def scan_minimum(objective) -> tuple[int, float]:
     return best_bits, best_e
 
 
-def enumerate_low_exhaustive(h, delta: float, eta: float) -> LocalSpectrum:
+def enumerate_low_exhaustive(objective, delta: float, eta: float) -> LocalSpectrum:
     """Exhaustive [E0, E0 + eta * delta] enumeration in one pass.
 
     Each chunk keeps its states inside the window of the running minimum
@@ -271,7 +234,6 @@ def enumerate_low_exhaustive(h, delta: float, eta: float) -> LocalSpectrum:
     E0 falls below it. The kept states are then filtered against the final
     window, so the result equals a scan for E0 followed by a window scan.
     """
-    objective = as_objective(h)
     _check_scan(objective)
     e0 = math.inf
     kept_states, kept_energies = [], []
@@ -438,52 +400,39 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
 # -- sampled enumeration ------------------------------------------------------
 
 
-def enumerate_low_sampled(h, delta: float, eta: float, seed: int) -> LocalSpectrum:
+def enumerate_low_sampled(objective, delta: float, eta: float, seed: int) -> LocalSpectrum:
     """Sampled [E0, E0 + eta * delta] enumeration with a floating floor.
 
     Each round runs ``_CHAINS`` annealing chains, drawn from
     ``default_rng(seed)``, against the penalties fixed at the round's start,
-    then harvests them in chain order. The window floor tracks the lowest
-    energy measured so far; each state found inside the moving window of
-    width eta * delta receives an additive penalty
-    ``p = width + _C1 * |E| + _C2`` so later rounds are pushed toward states
-    not seen yet. Rounds stop after ``_STALL_ROUNDS`` rounds without a new
-    in-window state, or after ``_MAX_ROUNDS`` rounds. On a dense table
-    (n <= 16) they also stop before a round once every state the harvest
-    would take is already pooled. The table's lowest state is then pooled,
-    so the floor is the table's minimum: a later round can neither lower it
-    nor pool a state, and the rounds left would return the same pool in the
-    same order. The states kept are those inside the final window of that
-    width above the lowest energy found, E0; the spectrum carries
-    ``window(E0, delta, eta)``, whose tolerance contains that window's. The
-    result is best-effort (``complete=False``).
+    then harvests them in chain order. The floor tracks the lowest energy
+    measured so far, and the harvest pools every state inside
+    ``window(floor, delta, eta)``; a pooled state receives an additive
+    penalty ``p = width + _C1 * |E| + _C2`` so later rounds are pushed toward
+    states not seen yet. Rounds stop after ``_STALL_ROUNDS`` rounds without
+    a new in-window state, or after ``_MAX_ROUNDS`` rounds. The states kept
+    are those inside ``window(E0, delta, eta)`` for the lowest energy found,
+    E0, and the spectrum carries that window. At any floor at or above E0
+    the harvest's window reaches past that one's upper edge, so a state the
+    final window keeps is pooled whenever a chain visits it. The result is
+    best-effort (``complete=False``).
 
-    On a dense table a round also ends early: ``_anneal`` is given the
-    targets, the table states within width (plus the harvest's tolerance)
-    of the table's minimum that are not pooled yet, and stops the round at
-    the first check, every n steps, at which its chains have visited all of
-    them. Every chain's harvest threshold ``floor + width + tol`` is at
-    least that edge, so the harvest pools them all, the stop above ends
-    sampling, and the spectrum is the full schedule's; only out-of-window
-    states of the round's tail go unvisited. Rounds stay whole when a table
-    state lies above the harvest's tolerance of the window's upper edge but
-    within the final filter's, where the tail decides whether it is kept.
+    On a dense table (n <= 16) the targets are the table states inside
+    ``window(table.min(), delta, eta)``. Sampling stops before a round once
+    every target is pooled, and ``_anneal`` ends a round at the first check
+    at which its chains have visited every target not yet pooled. Pooling
+    them all pools the table minimum, so the floor is final and no later
+    round could pool a state the final window keeps: the spectrum is the
+    full schedule's.
     """
     _check_window_args(delta, eta)
-    objective = as_objective(h)
     _check_packable(objective, "sampled enumeration")
     width = eta * delta
-    tol = 1e-9 * max(1.0, width)
     rng = np.random.default_rng(seed)
     table = _dense_table(objective)
-    targets = None
     if table is not None:
         penalties = np.zeros(table.size)
-        lowest = table.min()
-        edge = lowest + width
-        gap = (table > edge + tol) & (table <= edge + 1e-9 * max(1.0, abs(lowest) + width))
-        if not gap.any():
-            targets = np.flatnonzero(table <= edge + tol)
+        targets = np.flatnonzero(_inside(table, window(table.min(), delta, eta)))
     else:
         penalties = (np.empty(0, dtype=np.int64), np.empty(0))
     pool: dict[int, float] = {}
@@ -491,13 +440,12 @@ def enumerate_low_sampled(h, delta: float, eta: float, seed: int) -> LocalSpectr
     rounds = 0
     stall = 0
     while rounds < _MAX_ROUNDS and stall < _STALL_ROUNDS:
-        # Every state the harvest would take is pooled (a pooled state's
-        # penalty is positive). The table's lowest state is one of them, so
-        # the floor cannot fall either, and no later round can pool a state.
-        if table is not None and penalties[table <= floor + width + tol].all():
-            break
+        pending = None
+        if table is not None:
+            pending = targets[penalties[targets] == 0.0]
+            if pending.size == 0:
+                break
         starts, flips, draws = _draw_chains(rng, objective.n_vars, _CHAINS)
-        pending = None if targets is None else targets[penalties[targets] == 0.0]
         energies, accepted, keys = _anneal(objective, table, starts, flips, draws, penalties, pending)
         new_keys: list[int] = []
         new_values: list[float] = []
@@ -506,13 +454,14 @@ def enumerate_low_sampled(h, delta: float, eta: float, seed: int) -> LocalSpectr
             chain_energies = energies[visited, c]
             chain_keys = keys[visited, c]
             floor = min(floor, float(chain_energies.min()))
-            for i in np.flatnonzero(chain_energies <= floor + width + tol):
+            harvest = window(floor, delta, eta)
+            for i in np.flatnonzero(_inside(chain_energies, harvest)):
                 bits_int, energy = int(chain_keys[i]), float(chain_energies[i])
                 if bits_int in pool:
                     continue
                 pool[bits_int] = energy
                 penalty = width + _C1 * abs(energy) + _C2
-                if not energy + penalty > floor + width:
+                if not energy + penalty > harvest.hi:
                     raise InternalError("penalty does not clear the window upper edge")
                 new_keys.append(bits_int)
                 new_values.append(penalty)
@@ -526,11 +475,11 @@ def enumerate_low_sampled(h, delta: float, eta: float, seed: int) -> LocalSpectr
         stall = stall + 1 if not new_keys else 0
     if not pool:
         raise InternalError("sampling harvested no in-window state")
-    e0 = min(pool.values())
+    win = window(min(pool.values()), delta, eta)
     states = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
     found = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
-    inside = _inside(found, Window(e0, e0 + width, 1e-9 * max(1.0, abs(e0) + width)))
-    return _freeze(objective, states[inside], found[inside], window(e0, delta, eta), complete=False)
+    inside = _inside(found, win)
+    return _freeze(objective, states[inside], found[inside], win, complete=False)
 
 
 # -- ground-state search -------------------------------------------------------

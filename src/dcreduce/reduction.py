@@ -232,7 +232,7 @@ class TableObjective:
             for off, m in zip(self.offsets, self.m_list)
         ]
 
-    def energies_of(self, states: np.ndarray) -> np.ndarray:
+    def energies(self, states: np.ndarray) -> np.ndarray:
         return self._energies_at(self.indices_of(states), np.asarray(states).shape)
 
     def _energies_at(self, idx, shape) -> np.ndarray:
@@ -253,7 +253,7 @@ class TableObjective:
         axis K-1-k, so a grid point's C-order flat index is its packed
         state. A slab fixes the registers above its low bits and reads the
         ones below, the highest of them perhaps in part, as broadcast
-        ``arange`` grids; the terms are read there as ``energies_of`` reads
+        ``arange`` grids; the terms are read there as ``energies`` reads
         them, so each entry is bit-identical to it.
         """
         total = 1 << self.n_vars

@@ -127,6 +127,20 @@ class TestValidation:
         with pytest.raises(ParameterError, match="seed must be non-negative"):
             GraphSpec("k_regular", 8, -1, k=3)
 
+    @pytest.mark.parametrize("family, unread", [
+        ("erdos_renyi", "k"), ("barabasi_albert", "k"),
+        ("k_regular", "m"), ("ring_lattice", "m"), ("watts_strogatz", "m"),
+        ("k_regular", "p"), ("erdos_renyi", "p"), ("barabasi_albert", "p"), ("ring_lattice", "p"),
+    ])
+    def test_parameter_the_family_does_not_read(self, family, unread):
+        # generating would ignore it, and print another graph than the one asked for
+        read = {
+            "erdos_renyi": {"m": 8}, "barabasi_albert": {"m": 2}, "k_regular": {"k": 3},
+            "ring_lattice": {"k": 2}, "watts_strogatz": {"k": 2, "p": 0.3},
+        }[family]
+        with pytest.raises(ParameterError, match=f"does not read parameter '{unread}'"):
+            GraphSpec(family, 10, 0, **read, **{unread: 0.5 if unread == "p" else 3})
+
 
 class TestWeights:
     def test_seeded_determinism(self):
@@ -220,6 +234,13 @@ class TestSpecStrings:
         # truncating would generate another instance than the one asked for
         with pytest.raises(ParameterError, match=f"'{key}' takes an integer"):
             parse_spec_string(text)
+
+    def test_3reg_degree_is_three(self):
+        # 3reg:k=4 would print a 4-regular graph
+        assert parse_spec_string("3reg:n=8:k=3") == GraphSpec("k_regular", 8, 0, k=3)
+        with pytest.raises(ParameterError, match="3reg has k=3, got k=4"):
+            parse_spec_string("3reg:n=8:seed=1:k=4")
+        assert parse_spec_string("kreg:n=8:k=4").k == 4
 
     def test_integral_floats_and_float_p_parse(self):
         assert parse_spec_string("3reg:n=4e1:seed=7.0") == GraphSpec("k_regular", 40, 7, k=3)

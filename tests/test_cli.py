@@ -287,6 +287,8 @@ class TestSweep:
     ["gen", "--spec", "3reg:n=40:sede=7"],
     ["gen", "--spec", "3reg:n=40.9"],
     ["gen", "--spec", "er:n=10:m=8.7"],
+    ["gen", "--spec", "3reg:n=8:seed=1:p=5:m=3"],
+    ["gen", "--spec", "3reg:n=8:seed=1:k=4"],
 ])
 def test_bad_input_is_one_error_line(argv, capsys):
     assert main(argv) == EXIT_INPUT

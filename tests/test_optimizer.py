@@ -6,20 +6,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dcreduce.hamiltonian as hamiltonian_module
 import dcreduce.optimizer as optimizer_module
 import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition
 from dcreduce.driver import RunConfig, _solve_objective, brute_force_reference, run
 from dcreduce.errors import DomainError, InternalError, ResourceError
-from dcreduce.hamiltonian import SLAB_ENTRIES, PolyHamiltonian, int_to_bits
+from dcreduce.hamiltonian import MAX_PACKED_VARS, SLAB_ENTRIES, PolyHamiltonian, int_to_bits
 from dcreduce.optimizer import (
     SCAN_CEILING,
-    PolyObjective,
     Window,
     _dense_table,
     _freeze,
     _penalty_of,
-    as_objective,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
     solve_ground_objective,
@@ -102,13 +101,13 @@ class TestExhaustive:
     def test_one_pass_matches_scan_then_window(self, monkeypatch, slab):
         # small chunks: the running minimum falls from chunk to chunk, so
         # early chunks keep states that the final window drops
-        monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
+        monkeypatch.setattr(hamiltonian_module, "SLAB_ENTRIES", slab)
         monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
         reduced = first_level(random_quadratic(10, 18, 41), [0] * 5 + [1] * 5)
         objectives = [random_quadratic(10, 18, 40), reduced.full_objective()]
         for objective in objectives:
             for delta, eta in ((0.0, 1.0), (1.3, 0.5), (2.5, 1.0)):
-                expected = scan_then_window(as_objective(objective), delta, eta)
+                expected = scan_then_window(objective, delta, eta)
                 assert bits_of(enumerate_low_exhaustive(objective, delta, eta)) == bits_of(expected)
 
 
@@ -164,7 +163,7 @@ class TestScanCeiling:
 
 def freeze(h, found, win):
     states = np.array(list(found), dtype=np.int64)
-    return _freeze(as_objective(h), states, np.array(list(found.values()), dtype=float), win, True)
+    return _freeze(h, states, np.array(list(found.values()), dtype=float), win, True)
 
 
 class TestSpectrumValidation:
@@ -231,14 +230,17 @@ class TestSampled:
         def fail(*args, **kwargs):
             raise AssertionError("a chain ran")
 
-        # a bad delta or eta gets one message from both enumerators, before any chain
+        # a bad delta or eta gets one message from window() and both
+        # enumerators, before any chain; a NaN or infinite delta is bad too
         monkeypatch.setattr(optimizer_module, "_draw_chains", fail)
-        for delta, eta in ((-1.0, 1.0), (1.0, 1.5)):
+        for delta, eta in ((-1.0, 1.0), (1.0, 1.5), (math.nan, 1.0), (math.inf, 1.0)):
+            with pytest.raises(DomainError) as bare:
+                window(0.0, delta, eta)
             with pytest.raises(DomainError) as exhaustive:
                 enumerate_low_exhaustive(h, delta, eta)
             with pytest.raises(DomainError) as sampled:
                 enumerate_low_sampled(h, delta, eta, 0)
-            assert str(sampled.value) == str(exhaustive.value)
+            assert str(sampled.value) == str(exhaustive.value) == str(bare.value)
 
     def test_determinism(self):
         h = random_quadratic(10, 18, 8)
@@ -250,20 +252,20 @@ class TestSampled:
 class TestSolveGround:
     def test_chain_of_two_couplings(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0})
-        bits, energy = solve_ground_objective(as_objective(h), 0)
+        bits, energy = solve_ground_objective(h, 0)
         assert energy == pytest.approx(-2.0)
         assert h.evaluate(int_to_bits(bits, 3)) == pytest.approx(-2.0)
         assert brute_force_reference(h) == pytest.approx(-2.0)
 
     def test_constant_only(self):
         h = PolyHamiltonian(2, {(): 3.5})
-        _, energy = solve_ground_objective(as_objective(h), 0)
+        _, energy = solve_ground_objective(h, 0)
         assert energy == pytest.approx(3.5)
         assert brute_force_reference(h) == pytest.approx(3.5)
 
     def test_frustrated_triangle(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
-        bits, energy = solve_ground_objective(as_objective(h), 0)
+        bits, energy = solve_ground_objective(h, 0)
         assert energy == pytest.approx(-1.0)
         assert h.evaluate(int_to_bits(bits, 3)) == pytest.approx(-1.0)
         assert brute_force_reference(h) == pytest.approx(-1.0)
@@ -273,7 +275,7 @@ class TestSolveGround:
     def test_annealing_path_matches_scan(self):
         h = random_quadratic(12, 24, 13)
         exact = brute_force_reference(h)
-        _, sampled = solve_ground_objective(as_objective(h), 2)
+        _, sampled = solve_ground_objective(h, 2)
         assert sampled == pytest.approx(exact, abs=1e-9)
 
 
@@ -289,7 +291,7 @@ def reference_ground(objective, seed):
     steps = 50 * n
 
     def energy_of(state):
-        return float(objective.energies_of(np.array([state], dtype=np.int64))[0])
+        return float(objective.energies(np.array([state], dtype=np.int64))[0])
 
     cool = (0.01 / 2.0) ** (1.0 / (steps - 1))
     best_bits, best_e = 0, math.inf
@@ -376,7 +378,7 @@ def array_objective(energies):
     """An objective whose energies are the given array over packed states."""
     return SimpleNamespace(
         n_vars=energies.size.bit_length() - 1, replica_terms=1,
-        energies_of=lambda states: energies[states], replica_energies=lambda states: energies[states],
+        energies=lambda states: energies[states], replica_energies=lambda states: energies[states],
     )
 
 
@@ -403,7 +405,7 @@ def on_both_paths(monkeypatch, call):
 class TestAnnealKernel:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_reference_on_poly(self, seed, monkeypatch):
-        objective = PolyObjective(random_quadratic(9, 16, seed + 200))
+        objective = random_quadratic(9, 16, seed + 200)
         monkeypatch.setattr(optimizer_module, "_MAX_ROUNDS", 3)
         ref_bits, ref_energy = reference_ground(objective, seed)
         for path, slab in PATHS.items():
@@ -427,17 +429,19 @@ class TestAnnealKernel:
 
     @pytest.mark.parametrize("kind", ["poly", "pubo", "table"])
     @pytest.mark.parametrize("terms", [None, SLAB_ENTRIES])
-    def test_dense_table_is_replica_energies_bit_for_bit(self, kind, terms):
+    def test_dense_table_is_replica_energies_bit_for_bit(self, kind, terms, monkeypatch):
         # terms = SLAB_ENTRIES forces blocks of one row, so the table is
         # built in many blocks; the replica path evaluates a default round's
         # 16 replicas per call
         objective = {
-            "poly": lambda: PolyObjective(random_quadratic(12, 40, 3)),
-            "pubo": lambda: PolyObjective(random_pubo(10, 60, 4)),
+            "poly": lambda: random_quadratic(12, 40, 3),
+            "pubo": lambda: random_pubo(10, 60, 4),
             "table": lambda: random_table_objective(5),
         }[kind]()
         if terms is not None:
-            objective.replica_terms = terms
+            # a frozen PolyHamiltonian takes the count on its class
+            owner = PolyHamiltonian if kind != "table" else objective
+            monkeypatch.setattr(owner, "replica_terms", terms)
         table = _dense_table(objective)
         assert table.shape == (1 << objective.n_vars,)
         rng = np.random.default_rng(7)
@@ -450,7 +454,7 @@ class TestAnnealKernel:
     def test_replica_energy_does_not_depend_on_the_batch(self, terms):
         # a state's energy must not depend on the row it sits in, or on how
         # many rows its batch has
-        objective = PolyObjective(random_pubo(12, terms, terms))
+        objective = random_pubo(12, terms, terms)
         states = np.arange(1 << 12, dtype=np.int64)
         by_rows = {}
         for rows in (1, 2, 3, 16):
@@ -462,7 +466,7 @@ class TestAnnealKernel:
     @pytest.mark.parametrize("kind", ["poly", "table"])
     def test_round_identical_on_both_paths(self, kind):
         objective = {
-            "poly": lambda: PolyObjective(random_pubo(10, 40, 8)),
+            "poly": lambda: random_pubo(10, 40, 8),
             "table": lambda: random_table_objective(6),
         }[kind]()
         n = objective.n_vars
@@ -491,7 +495,7 @@ class TestAnnealKernel:
     @pytest.mark.parametrize("kind", ["poly", "table"])
     def test_recorded_keys_are_the_trajectory(self, kind, path, penalized):
         objective = {
-            "poly": lambda: PolyObjective(random_pubo(10, 40, 8)),
+            "poly": lambda: random_pubo(10, 40, 8),
             "table": lambda: random_table_objective(6),
         }[kind]()
         n = objective.n_vars
@@ -521,7 +525,7 @@ class TestAnnealKernel:
     @pytest.mark.parametrize("kind", ["poly", "wide"])
     def test_ground_bits_are_the_replayed_best_state(self, kind, monkeypatch):
         objective = {
-            "poly": lambda: PolyObjective(random_quadratic(11, 20, 4)),
+            "poly": lambda: random_quadratic(11, 20, 4),
             "wide": lambda: singleton_reduced_problem(70, 3).full_objective(),
         }[kind]()
         if kind == "wide":
@@ -552,10 +556,10 @@ class TestAnnealKernel:
 
     def test_sampling_and_annealing_read_four_members(self, monkeypatch):
         # an objective with only the members sampling and annealing read
-        poly = PolyObjective(random_pubo(10, 30, 9))
+        poly = random_pubo(10, 30, 9)
         bare = SimpleNamespace(
             n_vars=poly.n_vars, replica_terms=poly.replica_terms,
-            energies_of=poly.energies_of, replica_energies=poly.replica_energies,
+            energies=poly.energies, replica_energies=poly.replica_energies,
         )
         for slab in PATHS.values():
             monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
@@ -602,7 +606,7 @@ class TestAnnealKernel:
         assert set(spectra["table"].packed.tolist()) == set(exhaustive.packed.tolist())
 
     def test_cut_round_is_a_prefix_of_the_full_round(self):
-        objective = PolyObjective(random_pubo(10, 40, 8))
+        objective = random_pubo(10, 40, 8)
         n = objective.n_vars
         table = _dense_table(objective)
         rng = np.random.default_rng(5)
@@ -644,27 +648,32 @@ class TestAnnealKernel:
         for path, lengths in rounds.items():
             assert any(ran < scheduled for ran, scheduled in lengths) == (path == "table")
 
-    @pytest.mark.parametrize("case", ["gap", "control"])
-    def test_whole_rounds_where_the_tail_decides(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", ["inside", "outside", "control"])
+    def test_window_edge_is_one_rule_on_both_paths(self, case, monkeypatch):
         rng = np.random.default_rng(1)
         energies = -1000.0 + rng.uniform(0.0, 2.0, size=1 << 6)
         delta = 0.5
-        edge = energies.min() + delta
-        # The harvest's tolerance is 1e-9 * max(1, width), the final
-        # filter's 1e-9 * max(1, |E0| + width), about 1e-6 here. A state in
-        # between is kept only if a chain harvested it while its floor was
-        # above the minimum; on this instance and seed, cut rounds would
-        # keep it where the full schedule does not.
-        energies[np.argmax(energies > edge + 1e-3)] = edge + (5e-7 if case == "gap" else 1e-3)
+        win = window(energies.min(), delta, 1.0)
+        # The harvest, the table's targets and the final filter all read
+        # window(), whose tolerance 1e-9 * max(1, |E0| + delta) is about
+        # 1e-6 here, about a thousand times 1e-9 * max(1, width). A state
+        # half a tolerance past the upper edge is a target, pooled whenever
+        # a chain visits it and kept; one two tolerances past it is kept on
+        # neither path.
+        offset = {"inside": 0.5 * win.tol, "outside": 2.0 * win.tol, "control": 1e-3}[case]
+        moved = int(np.argmax(energies > win.hi + 1e-3))
+        energies[moved] = win.hi + offset
         objective = array_objective(energies)
         spectra, rounds = on_both_paths(monkeypatch, lambda: enumerate_low_sampled(objective, delta, 1.0, 0))
         assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
+        assert spectra["table"].window == win
+        assert (moved in spectra["table"].packed.tolist()) == (case == "inside")
         for path, lengths in rounds.items():
             whole = all(ran == scheduled == 50 * 6 for ran, scheduled in lengths)
-            assert whole == (path == "replica" or case != "control")
+            assert whole == (path == "replica")
 
     def test_ground_search_stops_at_the_table_minimum(self, monkeypatch):
-        objective = PolyObjective(random_quadratic(10, 18, 0))
+        objective = random_quadratic(10, 18, 0)
         lowest = _dense_table(objective).min()
         found, rounds = on_both_paths(monkeypatch, lambda: solve_ground_objective(objective, 0))
         assert len(rounds["table"]) < 1 + optimizer_module._STALL_ROUNDS == len(rounds["replica"])
@@ -680,7 +689,7 @@ class TestAnnealKernel:
         )
         monkeypatch.setattr(optimizer_module, "_MAX_ROUNDS", 1)
         for n in (16, 17):
-            objective = PolyObjective(random_quadratic(n, 2 * n, n))
+            objective = random_quadratic(n, 2 * n, n)
             on_table.clear()
             found = solve_ground_objective(objective, 1)
             assert (_dense_table(objective) is not None) == (n == 16)
@@ -725,6 +734,25 @@ class TestAnnealKernel:
         with pytest.raises(ResourceError):
             enumerate_low_sampled(objective, 1.0, 1.0, 0)
 
+    def test_polynomial_above_62_variables_refused_before_a_step(self, monkeypatch):
+        h = PolyHamiltonian(MAX_PACKED_VARS + 1, {(0, 1): 1.0, (1, MAX_PACKED_VARS): -0.5})
+        evaluated = []
+        replica_energies = PolyHamiltonian.replica_energies
+
+        def starts_only(self, states):
+            # the first call reads a round's starts, every later one a step
+            if evaluated:
+                raise AssertionError("an annealing step ran")
+            evaluated.append(states.size)
+            return replica_energies(self, states)
+
+        monkeypatch.setattr(PolyHamiltonian, "replica_energies", starts_only)
+        with pytest.raises(ResourceError, match="63 variables exceed the 62-variable limit"):
+            solve_ground_objective(h, 0)
+        with pytest.raises(ResourceError, match="63 variables exceed the 62-variable limit"):
+            enumerate_low_sampled(h, 1.0, 1.0, 0)
+        assert evaluated == [optimizer_module._CHAINS]
+
     def test_penalty_probe(self):
         states = np.array([3, 10, 7, 40, 99], dtype=np.int64)
         empty = _penalty_of(np.empty(0, dtype=np.int64), np.empty(0), states)
@@ -762,7 +790,7 @@ PINNED_STREAMS = {
 @pytest.mark.parametrize("kind", PINNED_STREAMS)
 def test_seeded_streams_are_pinned(kind, path, monkeypatch):
     objective = {
-        "poly": lambda: PolyObjective(random_quadratic(12, 20, 3)),
+        "poly": lambda: random_quadratic(12, 20, 3),
         "table": lambda: random_table_objective(5),
     }[kind]()
     pinned = PINNED_STREAMS[kind]

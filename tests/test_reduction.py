@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dcreduce.clustering import Partition
 from dcreduce.errors import ParameterError, ResourceError
 from dcreduce.hamiltonian import MAX_PACKED_VARS, PolyHamiltonian, bits_to_int, int_to_bits
-from dcreduce.optimizer import Window, _check_packable, _freeze, as_objective, enumerate_low_exhaustive
+from dcreduce.optimizer import Window, _check_packable, _freeze, enumerate_low_exhaustive
 import dcreduce.reduction as reduction_module
 from dcreduce.reduction import (
     ChainLevel,
@@ -178,11 +178,10 @@ class TestPackedStates:
         n = MAX_PACKED_VARS
         rng = np.random.default_rng(61)
         h = PolyHamiltonian.from_terms(n, [((n - 1,), -1.0), ((0, n - 1), 0.5), ((29, 30), 0.25)])
-        objective = as_objective(h)
         states = np.unique(rng.integers(0, 1 << n, size=5, dtype=np.int64) | (1 << (n - 1)))
-        energies = objective.energies_of(states)
+        energies = h.energies(states)
         win = Window(float(energies.min()), float(energies.max()), 1e-9)
-        spectrum = _freeze(objective, states, energies, win, True)
+        spectrum = _freeze(h, states, energies, win, True)
         assert ((spectrum.packed >> (n - 1)) == 1).all()
         assert [bits for bits, _ in spectrum.states] == [int_to_bits(s, n) for s in spectrum.packed.tolist()]
         enc = encode_community(spectrum)
@@ -208,7 +207,7 @@ class TestPackedStates:
                 expected += int_to_bits(int(old[c].decode[index]), 2)
             assert chain.decode_full(mu) == expected
 
-        _check_packable(objective, "a spectrum")
+        _check_packable(h, "a spectrum")
         with pytest.raises(ResourceError, match="63 variables"):
             _check_packable(PolyHamiltonian(n + 1, {(0, n): 1.0}), "a spectrum")
 
@@ -224,7 +223,7 @@ class TestLevelZero:
         rp = ReducedProblem.from_hamiltonian(h)
         assert rp.m_tildes == (1,) * n
         assert all(enc.decode.tolist() == [0, 1] for enc in rp.encodings)
-        got = rp.full_objective().energies_of(np.arange(1 << n)) + h.constant
+        got = rp.full_objective().energies(np.arange(1 << n)) + h.constant
         np.testing.assert_allclose(got, spin_energies(h), rtol=0, atol=1e-12)
 
 
@@ -760,7 +759,7 @@ def _assert_scan_matches(objective):
     starts, slabs = zip(*objective.scan_chunks())
     assert list(starts) == np.cumsum([0] + [len(s) for s in slabs[:-1]]).tolist()
     states = np.arange(1 << objective.n_vars, dtype=np.int64)
-    np.testing.assert_array_equal(_bits(np.concatenate(slabs)), _bits(objective.energies_of(states)))
+    np.testing.assert_array_equal(_bits(np.concatenate(slabs)), _bits(objective.energies(states)))
 
 
 def _assert_tables_match(rp):
@@ -809,7 +808,7 @@ def _random_next(rng, rp):
 
 
 class TestGridKernels:
-    """``TableObjective.scan_chunks`` equals ``energies_of`` and
+    """``TableObjective.scan_chunks`` equals ``energies`` and
     ``Coupling.table`` equals ``values`` on the open grid, bit for bit."""
 
     @pytest.mark.parametrize("slab", [2, 16, 1 << 16])
