@@ -440,8 +440,10 @@ class ReducedProblem:
 
 # -- decomposition and cut-offs, the same at every level -------------------------
 
-# Exact cut-offs are enumerated when the straddling couplings touch at most
-# this many qubits.
+# Exact cut-offs are computed when the straddling couplings touch at most
+# this many qubits. The outside communities are eliminated one component at
+# a time, so this bounds the grid of a single component that spans every
+# outside community: that case still reads the whole joint grid.
 EXACT_RANGE_VARS = 20
 
 
@@ -492,7 +494,11 @@ def delta_pubo(rd: ReducedDecomposition, l: int) -> float:
 
     The exact range of the summed straddling couplings when their joint
     register has at most ``EXACT_RANGE_VARS`` qubits, and twice the summed
-    norms otherwise.
+    norms otherwise. The range (``_coupling_range``) takes the community's
+    own members as the inside registers: it eliminates the outside
+    communities, component by component, to each inside state's extremes,
+    and re-reads the sum at the two extremal joint states in footprint
+    order, as the full joint grid sums it.
     """
     footprints = rd.straddle_by_super[l]
     if not footprints:
@@ -500,7 +506,7 @@ def delta_pubo(rd: ReducedDecomposition, l: int) -> float:
     rp = rd.rp
     touched = sorted({c for fp in footprints for c in fp})
     if sum(rp.encodings[c].m_tilde for c in touched) <= EXACT_RANGE_VARS:
-        return _coupling_range(rp, footprints, touched)
+        return _coupling_range(rp, footprints, touched, set(rd.members[l]))
     return 2.0 * float(sum(rp.j_tilde(fp) for fp in footprints))
 
 
@@ -509,18 +515,71 @@ def iteration_delta(rd: ReducedDecomposition, l: int) -> float:
     return delta_two_body(rd, l) if rd.rp.quadratic else delta_pubo(rd, l)
 
 
-def _coupling_range(rp: ReducedProblem, footprints, touched) -> float:
+def _coupling_range(rp: ReducedProblem, footprints, touched, inside) -> float:
     """Range of the summed couplings over the joint states of the touched
-    communities; each coupling is gathered on its own footprint through
-    broadcast views and the partial sums broadcast together. Padded indices
-    repeat valid entries, so they leave the range unchanged."""
-    grids = np.ix_(*[np.arange(rp.encodings[c].d_tilde) for c in touched])
-    axis = {c: i for i, c in enumerate(touched)}
+    communities, by eliminating the communities outside ``inside``.
+
+    Once the inside registers are fixed, the couplings split into
+    components over disjoint outside communities, joined through each
+    footprint's outside part. A component's couplings are summed over only
+    the inside axes they touch and its own outside axes (outside axes
+    first, through broadcast ``arange`` views) and reduced to their max and
+    min over the outside axes; the components' extrema add up over the
+    inside grid. The argmax and argmin inside states, each with every
+    component's argmax or argmin outside state there, are the two extremal
+    joint states, and the range is re-read at them through
+    ``Coupling.values`` in footprint order, the order the full joint grid
+    sums in. Grids run over valid indices only: padded ones repeat valid
+    entries. The elimination adds in another order, so only joint states
+    within rounding of each other could be ranked differently from the
+    full grid.
+    """
+    inside = [c for c in touched if c in inside]
+    n_in = len(inside)
+    grid = {c: np.arange(rp.encodings[c].d).reshape((-1,) + (1,) * (n_in - 1 - i))
+            for i, c in enumerate(inside)}
+    root = {c: c for c in touched if c not in grid}
+
+    def find(c):
+        while root[c] != c:
+            c = root[c]
+        return c
+
+    outside_parts = [[c for c in fp if c in root] for fp in footprints]
+    for part in outside_parts:
+        for c in part[1:]:
+            root[find(c)] = find(part[0])
+    components: dict = {}
+    for fp, part in zip(footprints, outside_parts):
+        components.setdefault(find(part[0]) if part else None, []).append(fp)
+    inside_shape = tuple(rp.encodings[c].d for c in inside)
+    totals = []
+    hi = lo = 0.0
+    for fps in components.values():
+        outside = sorted({c for fp in fps for c in fp if c in root})
+        for j, c in enumerate(outside):
+            grid[c] = np.arange(rp.encodings[c].d).reshape((-1,) + (1,) * (len(outside) - 1 - j + n_in))
+        total = 0.0
+        for fp in fps:
+            total = total + rp.couplings[tuple(fp)].values([grid[c] for c in fp])
+        axes = tuple(range(len(outside)))
+        hi = hi + total.max(axes)
+        lo = lo + total.min(axes)
+        if outside:
+            totals.append((outside, total))
+    # the two extremal joint states, hi first, as one index pair per community
+    pair = np.array([np.unravel_index(hi.argmax(), inside_shape),
+                     np.unravel_index(lo.argmin(), inside_shape)], dtype=np.intp)
+    joint = {c: pair[:, i] for i, c in enumerate(inside)}
+    for outside, total in totals:
+        m = len(outside)
+        x = pair * (np.array(total.shape[m:]) > 1)  # index 0 on the inside axes it does not touch
+        ends = [total[(..., *x[0])].argmax(), total[(..., *x[1])].argmin()]
+        joint.update(zip(outside, np.unravel_index(ends, total.shape[:m])))
     total = 0.0
-    for footprint in footprints:
-        coupling = rp.couplings[tuple(footprint)]
-        total = total + coupling.values([grids[axis[c]] for c in footprint])
-    return float(np.max(total) - np.min(total))
+    for fp in footprints:
+        total = total + rp.couplings[tuple(fp)].values([joint[c] for c in fp])
+    return float(total[0] - total[1])
 
 
 # -- dead-end elimination, the same at every level ------------------------------

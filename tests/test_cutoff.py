@@ -9,6 +9,7 @@ window, for both the two-body and the general cut-off.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,21 @@ class TestDeltaPubo:
         rd = _level0(h, [0, 0] + list(range(1, n - 1)))
         exact = n <= EXACT_RANGE_VARS
         assert delta_pubo(rd, 0) == (4.0 if exact else 6.0) + 2.0 * extra
+
+    def test_exact_range_at_default_eliminates_outside(self):
+        # the 20-variable edge case: with community 0 inside, every free
+        # variable is its own outside component, so no joint grid is built
+        # (the 2^20-point grid of its 20 variables peaks near 16 MB)
+        n = EXACT_RANGE_VARS
+        h = PolyHamiltonian(n, {**_DEPENDENT, **{(0, v): 1.0 for v in range(4, n)}})
+        rd = _level0(h, [0, 0] + list(range(1, n - 1)))
+        tracemalloc.start()
+        try:
+            assert delta_pubo(rd, 0) == 4.0 + 2.0 * (n - 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestWindow:

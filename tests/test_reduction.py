@@ -682,6 +682,24 @@ def _meshgrid_range(rp, footprints, touched):
     return float(total.max() - total.min())
 
 
+def _inside_splits(subset, touched):
+    """Inside sets for ``_coupling_range``: the first touched community, the
+    last, the first two, the odd ids (perhaps none), the first footprint's
+    communities, which leave that footprint no outside part, and all."""
+    return [{touched[0]}, {touched[-1]}, set(touched[:2]), {c for c in touched if c % 2}, set(subset[0]), set(touched)]
+
+
+def _check_range_splits(rp, subsets):
+    # the elimination re-reads the full grid's extremes: equal, not approx
+    for subset in subsets:
+        if not subset:
+            continue
+        touched = sorted({c for fp in subset for c in fp})
+        expected = _meshgrid_range(rp, subset, touched)
+        for inside in _inside_splits(subset, touched):
+            assert _coupling_range(rp, subset, touched, inside) == expected
+
+
 class TestCouplingRange:
     @pytest.mark.parametrize("compute_chi", [True, False])
     def test_matches_meshgrid_reference(self, compute_chi):
@@ -693,13 +711,34 @@ class TestCouplingRange:
             hyper += any(len(fp) == 3 for fp in rp.couplings)
             padded += any(any(enc.is_padded) for enc in rp.encodings)
             footprints = sorted(rp.couplings)
-            subsets = [footprints] + [[fp for fp in footprints if c in fp] for c in range(4)]
-            for subset in subsets:
-                if not subset:
-                    continue
-                touched = sorted({c for fp in subset for c in fp})
-                assert _coupling_range(rp, subset, touched) == _meshgrid_range(rp, subset, touched)
+            _check_range_splits(rp, [footprints] + [[fp for fp in footprints if c in fp] for c in range(4)])
         assert hyper and padded
+
+    def test_lazy_rereads_match_meshgrid_reference(self, monkeypatch):
+        # nothing materializes, so every entry, re-reads included, is summed
+        # from the terms' sign features
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
+        for seed in range(4):
+            h = random_pubo(10, 22, seed + 400, max_arity=3)
+            _, rp, _ = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.6, padding="penalty")
+            assert not any(c.can_materialize for c in rp.couplings.values())
+            footprints = sorted(rp.couplings)
+            _check_range_splits(rp, [footprints] + [[fp for fp in footprints if c in fp] for c in range(4)])
+
+    def test_level_two_component_spans_two_registers(self):
+        # penalty-padded level-2 registers; with community 0 inside (the
+        # first split), a footprint over the two others joins their
+        # multi-qubit registers into one outside component
+        spans = 0
+        for seed in range(6):
+            h = random_pubo(12, 30, seed + 500, max_arity=3)
+            _, rp, chain = _level_one(h, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5], eta=0.3, padding="penalty")
+            rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1, 2, 2], eta=0.3, padding="penalty")
+            footprints = sorted(rp2.couplings)
+            spans += (any(any(enc.is_padded) for enc in rp2.encodings) and min(rp2.m_tildes[1:]) >= 2
+                      and any({1, 2} <= set(fp) for fp in footprints))
+            _check_range_splits(rp2, [footprints] + [[fp for fp in footprints if c in fp] for c in range(3)])
+        assert spans
 
 
 # -- grid kernels: slab scans and blocked coupling composition ------------------
