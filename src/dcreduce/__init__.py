@@ -4,7 +4,6 @@ from .benchgen import FamilyConfig, GraphSpec, family_matrix, generate
 from .clustering import (
     Partition,
     WeightedGraph,
-    abs_weights,
     louvain,
     modularity,
 )
@@ -34,7 +33,6 @@ from .reduction import (
     delta_pubo,
     delta_two_body,
     encode_community,
-    reduced_as_poly,
 )
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "SpinConfig",
     "WeightedGraph",
     "Window",
-    "abs_weights",
     "approximation_ratio",
     "brute_force_reference",
     "build_reduced",
@@ -66,7 +63,6 @@ __all__ = [
     "load_problem",
     "louvain",
     "modularity",
-    "reduced_as_poly",
     "run",
     "shift_diagnostics",
     "should_recombine",

@@ -59,14 +59,14 @@ class SweepSpec:
     out: str | None = None
 
     def __post_init__(self):
-        """Refuse bad input before any point runs: empty lists, a negative
-        first seed, unknown family labels, and etas that ``RunConfig``
+        """Refuse bad input before any point runs: empty lists, a first or
+        last seed, unknown family labels, and etas that ``RunConfig``
         refuses. Sizes a family cannot generate still fail per point, as
         error rows."""
         if self.instances < 1:
             raise ParameterError(f"--instances must be at least 1, got {self.instances}")
-        if self.seed0 < 0:
-            raise ParameterError(f"--seeds must be non-negative, got {self.seed0}")
+        for seed in (self.seed0, self.seed0 + self.instances - 1):
+            replace(self.config, seed=seed)
         for name, values in (("family", self.families), ("size", self.sizes), ("eta", self.etas)):
             if not values:
                 raise ParameterError(f"a sweep needs at least one {name}")
@@ -231,8 +231,8 @@ def _run_config_of(args, **fields) -> RunConfig:
 
 
 def _cmd_solve(args) -> int:
-    h = load_problem(args.problem)
-    result = run(h, _run_config_of(args, eta=args.eta, seed=args.seed))
+    config = _run_config_of(args, eta=args.eta, seed=args.seed)
+    result = run(load_problem(args.problem), config)
     print(f"energy {result.best_energy!r}")
     print(f"config {''.join(str(b) for b in result.best_config)}")
     print(f"n_q {result.n_q}")
@@ -287,7 +287,7 @@ def _cmd_diagnostics(args) -> int:
         raise ParameterError(f"--instances must be at least 1, got {args.instances}")
     if args.bins < 1:
         raise ParameterError(f"--bins must be at least 1, got {args.bins}")
-    config = _run_config_of(args, eta=args.eta)
+    config = _run_config_of(args, eta=args.eta, seed=args.seeds + args.instances - 1)
     records = []
     for i in range(args.instances):
         seed = args.seeds + i

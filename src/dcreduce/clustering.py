@@ -2,10 +2,11 @@
 
 Louvain here is the two-phase scheme: sweeps of single-node moves that
 maximize the modularity gain, followed by contraction of communities into
-vertices. Contraction doubles intra-community weight into self-loops so the
-contracted graph keeps the same modularity value. Node visit order is
-reshuffled once per sweep by a seeded PRNG and ties between equal gains go
-to the lowest community id, which makes the output reproducible per seed.
+vertices. Contraction doubles intra-community weight into Louvain's own
+per-vertex loop weights, so the contracted graph keeps the same modularity
+value; the input graph has no loops. Node visit order is reshuffled once
+per sweep by a seeded PRNG and ties between equal gains go to the lowest
+community id, which makes the output reproducible per seed.
 """
 
 from __future__ import annotations
@@ -27,18 +28,13 @@ _MIN_GAIN = 1e-12
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected weighted graph with optional self-loops and vertex sizes.
+    """Undirected weighted graph without self-loops.
 
-    ``edges`` maps (u, v) with u < v to a finite weight. ``self_loops``
-    stores per-vertex loop weights in the doubled convention produced by
-    contraction. ``vertex_sizes`` carries aggregate sizes for community
-    caps; None means unit sizes.
+    ``edges`` maps (u, v) with u < v to a finite weight.
     """
 
     n_vertices: int
     edges: dict[tuple[int, int], float]
-    self_loops: dict[int, float] | None = None
-    vertex_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n_vertices < 1:
@@ -48,31 +44,18 @@ class WeightedGraph:
                 raise FormatError(f"edge ({u}, {v}) out of range or not ordered")
             if not math.isfinite(w):
                 raise FormatError(f"edge ({u}, {v}) has non-finite weight")
-        for v, w in (self.self_loops or {}).items():
-            if not (0 <= v < self.n_vertices):
-                raise FormatError(f"self-loop vertex {v} out of range")
-            if not math.isfinite(w):
-                raise FormatError(f"self-loop at {v} has non-finite weight")
-        if self.vertex_sizes is not None and len(self.vertex_sizes) != self.n_vertices:
-            raise FormatError("vertex_sizes length must match n_vertices")
-
-    @property
-    def loops(self) -> dict[int, float]:
-        return self.self_loops or {}
 
     def degree_weights(self) -> np.ndarray:
-        """k_i = sum of incident edge weights plus the stored loop weight."""
+        """k_i = sum of incident edge weights."""
         k = np.zeros(self.n_vertices)
         for (u, v), w in self.edges.items():
             k[u] += w
             k[v] += w
-        for v, w in self.loops.items():
-            k[v] += w
         return k
 
     def total_weight(self) -> float:
-        """m = half the sum over ordered vertex pairs of the adjacency."""
-        return sum(self.edges.values()) + 0.5 * sum(self.loops.values())
+        """m = the sum of the edge weights."""
+        return sum(self.edges.values())
 
     def adjacency(self) -> list[dict[int, float]]:
         adj: list[dict[int, float]] = [dict() for _ in range(self.n_vertices)]
@@ -120,11 +103,7 @@ class Partition:
 
 
 def modularity(g: WeightedGraph, p: Partition) -> float:
-    """Weighted modularity Q of a partition.
-
-    Self-loops contribute once at their stored (doubled) value both to the
-    intra-community sum and to the vertex strength k_i.
-    """
+    """Weighted modularity Q of a partition; the weights must be non-negative."""
     _require_nonnegative(g)
     if len(p.community_of) != g.n_vertices:
         raise DomainError("partition does not cover the graph's vertices")
@@ -137,34 +116,20 @@ def modularity(g: WeightedGraph, p: Partition) -> float:
     for (u, v), w in g.edges.items():
         if p.community_of[u] == p.community_of[v]:
             sigma_in[p.community_of[u]] += 2.0 * w
-    for v, w in g.loops.items():
-        sigma_in[p.community_of[v]] += w
     for vertex, comm in enumerate(p.community_of):
         sigma_tot[comm] += k[vertex]
     two_m = 2.0 * m
     return float(np.sum(sigma_in / two_m) - np.sum((sigma_tot / two_m) ** 2))
 
 
-def abs_weights(g: WeightedGraph) -> WeightedGraph:
-    """Same topology with absolute-valued weights."""
-    return WeightedGraph(
-        g.n_vertices,
-        {e: abs(w) for e, w in g.edges.items()},
-        {v: abs(w) for v, w in g.loops.items()} or None,
-        g.vertex_sizes,
-    )
-
-
-def louvain(g: WeightedGraph, seed: int = 0, max_community_size: int | None = None) -> Partition:
-    """Louvain community detection; deterministic for a fixed (graph, seed).
-    ``max_community_size`` caps the summed vertex sizes of a community."""
-    part, _ = louvain_with_history(g, seed, max_community_size)
+def louvain(g: WeightedGraph, seed: int = 0) -> Partition:
+    """Louvain community detection on non-negative weights; deterministic
+    for a fixed (graph, seed)."""
+    part, _ = louvain_with_history(g, seed)
     return part
 
 
-def louvain_with_history(
-    g: WeightedGraph, seed: int = 0, max_community_size: int | None = None
-) -> tuple[Partition, list[float]]:
+def louvain_with_history(g: WeightedGraph, seed: int = 0) -> tuple[Partition, list[float]]:
     """Louvain returning the partition and the modularity after each cycle."""
     _require_nonnegative(g)
     m = g.total_weight()
@@ -173,8 +138,7 @@ def louvain_with_history(
 
     rng = np.random.default_rng(seed)
     adj = g.adjacency()
-    loops = [g.loops.get(v, 0.0) for v in range(g.n_vertices)]
-    sizes = list(g.vertex_sizes) if g.vertex_sizes is not None else [1] * g.n_vertices
+    loops = [0.0] * g.n_vertices
     members: list[list[int]] = [[v] for v in range(g.n_vertices)]
 
     history: list[float] = []
@@ -184,8 +148,7 @@ def louvain_with_history(
         k = [sum(adj[v].values()) + loops[v] for v in range(n)]
         labels = list(range(n))
         tot = k[:]
-        comm_size = sizes[:]
-        moved_any = _phase_one(adj, k, m, labels, tot, comm_size, sizes, max_community_size, rng)
+        moved_any = _phase_one(adj, k, m, labels, tot, rng)
         q = _aggregate_modularity(adj, loops, k, labels, m)
         if prev_q is not None and q < prev_q - 1e-9:
             raise InternalError(f"modularity decreased across a cycle: {prev_q} -> {q}")
@@ -193,7 +156,7 @@ def louvain_with_history(
         if not moved_any or (prev_q is not None and q - prev_q <= _CYCLE_TOL):
             break
         prev_q = q
-        adj, loops, sizes, members = _contract(adj, loops, sizes, members, labels)
+        adj, loops, members = _contract(adj, loops, members, labels)
         if len(adj) == 1:
             labels = [0]
             break
@@ -206,11 +169,11 @@ def louvain_with_history(
 
 
 def _require_nonnegative(g: WeightedGraph) -> None:
-    if any(w < 0.0 for w in g.edges.values()) or any(w < 0.0 for w in g.loops.values()):
-        raise DomainError("weights must be non-negative; apply abs_weights first")
+    if any(w < 0.0 for w in g.edges.values()):
+        raise DomainError("weights must be non-negative")
 
 
-def _phase_one(adj, k, m, labels, tot, comm_size, sizes, cap, rng) -> bool:
+def _phase_one(adj, k, m, labels, tot, rng) -> bool:
     """Sequential single-node moves until no move improves modularity."""
     n = len(adj)
     moved_any = False
@@ -230,8 +193,6 @@ def _phase_one(adj, k, m, labels, tot, comm_size, sizes, cap, rng) -> bool:
             for c in sorted(links):
                 if c == home:
                     continue
-                if cap is not None and comm_size[c] + sizes[v] > cap:
-                    continue
                 gain = (links[c] - k_home) / m - _RESOLUTION * k[v] * (tot[c] - tot_home) / (2.0 * m * m)
                 if gain > best_gain:
                     best_gain = gain
@@ -240,8 +201,6 @@ def _phase_one(adj, k, m, labels, tot, comm_size, sizes, cap, rng) -> bool:
                 labels[v] = best_comm
                 tot[home] -= k[v]
                 tot[best_comm] += k[v]
-                comm_size[home] -= sizes[v]
-                comm_size[best_comm] += sizes[v]
                 moves += 1
         if moves == 0:
             return moved_any
@@ -266,19 +225,17 @@ def _aggregate_modularity(adj, loops, k, labels, m) -> float:
     return q
 
 
-def _contract(adj, loops, sizes, members, labels):
+def _contract(adj, loops, members, labels):
     """Contract communities to vertices; intra weight is doubled into loops."""
     ids = sorted(set(labels))
     remap = {lab: i for i, lab in enumerate(ids)}
     n_new = len(ids)
     new_adj: list[dict[int, float]] = [dict() for _ in range(n_new)]
     new_loops = [0.0] * n_new
-    new_sizes = [0] * n_new
     new_members: list[list[int]] = [[] for _ in range(n_new)]
     for v, lab in enumerate(labels):
         c = remap[lab]
         new_loops[c] += loops[v]
-        new_sizes[c] += sizes[v]
         new_members[c].extend(members[v])
     for v in range(len(adj)):
         cv = remap[labels[v]]
@@ -293,4 +250,4 @@ def _contract(adj, loops, sizes, members, labels):
                 new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
     for comm in new_members:
         comm.sort()
-    return new_adj, new_loops, new_sizes, new_members
+    return new_adj, new_loops, new_members

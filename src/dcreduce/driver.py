@@ -62,12 +62,13 @@ class RunConfig:
     compute_chi: bool = True
     max_iterations: int = 10
     brute_force_ceiling: int = 22
-    max_community_size: int | None = None
     # Drop the window states that another retained state beats under every
     # boundary (``reduction.prune_dominated``); off keeps the paper's windows.
     prune_dominated: bool = True
 
     def __post_init__(self):
+        if not 0 <= self.seed < 1 << 32:
+            raise ParameterError(f"seed must lie in [0, 2^32), got {self.seed}")
         if not 0.0 <= self.eta <= 1.0:
             raise DomainError(f"eta must lie in [0, 1], got {self.eta}")
         if self.max_iterations < 1:
@@ -78,8 +79,6 @@ class RunConfig:
             raise ParameterError("padding_mode must be 'repeat' or 'penalty'")
         if self.brute_force_ceiling < 1:
             raise ParameterError("brute_force_ceiling must be positive")
-        if self.max_community_size is not None and self.max_community_size < 1:
-            raise ParameterError("max_community_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def approximation_ratio(reported: float, reference: float) -> float:
 
 
 def _sub_seed(base: int, *key: int) -> int:
-    ss = np.random.SeedSequence([base & 0xFFFFFFFF, *[k & 0xFFFFFFFF for k in key]])
+    ss = np.random.SeedSequence([base, *key])
     return int(ss.generate_state(1)[0])
 
 
@@ -217,10 +216,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     cfg = cfg or RunConfig()
     n = h.n_vars
     rp = ReducedProblem.from_hamiltonian(h)
-    partition = louvain(
-        rp.contracted_graph(), seed=_sub_seed(cfg.seed, 0),
-        max_community_size=cfg.max_community_size,
-    )
+    partition = louvain(rp.contracted_graph(), seed=_sub_seed(cfg.seed, 0))
 
     invocations: list[int] = []
     levels: list[LevelTrace] = []
@@ -264,10 +260,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
         invocations.extend(trace.invocation_sizes)
         levels.append(trace)
 
-        partition = louvain(
-            rp.contracted_graph(), seed=_sub_seed(cfg.seed, 10 + iterations),
-            max_community_size=cfg.max_community_size,
-        )
+        partition = louvain(rp.contracted_graph(), seed=_sub_seed(cfg.seed, 10 + iterations))
         criterion = should_recombine(rp.total_qubits, max(invocations), partition)
         if criterion is None and iterations >= cfg.max_iterations:
             criterion = 0

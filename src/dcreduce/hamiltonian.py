@@ -301,6 +301,8 @@ class PolyHamiltonian:
             raw = data["terms"]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"problem JSON must carry an integer 'n' and 'terms': {exc}") from exc
+        if not isinstance(raw, list):
+            raise FormatError(f"problem JSON 'terms' must be a list, got {raw!r}")
         terms: dict[Subset, float] = {}
         for entry in raw:
             try:
@@ -384,7 +386,10 @@ def format_edge_list(h: PolyHamiltonian) -> str:
 def load_problem(path: str) -> PolyHamiltonian:
     """Load a problem from a ``.json`` file or an edge-list text file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if path.endswith(".json"):
         try:
             data = json.loads(text)

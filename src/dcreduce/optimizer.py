@@ -205,7 +205,7 @@ def _check_scan(objective) -> None:
     if objective.n_vars > SCAN_CEILING:
         raise ResourceError(
             f"exhaustive scan over {objective.n_vars} variables exceeds the "
-            f"{SCAN_CEILING}-variable ceiling; lower eta or cap the community size"
+            f"{SCAN_CEILING}-variable ceiling; lower eta or use the auto or annealing backend"
         )
 
 

@@ -25,8 +25,7 @@ fixed order, a word at a time through a table of the word's signed sums,
 so a materialized table equals the entry-wise value bit for bit. Couplings
 of at most ``MATERIALIZE_ENTRIES`` (2^22) entries, the one table cap,
 materialize into cached tables; larger ones evaluate entry-wise, so only
-the entries a solver actually visits are ever computed. A parity-basis
-polynomial conversion is available for consumers that need operator form.
+the entries a solver actually visits are ever computed.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ class EncodedCommunity:
     @property
     def d_tilde(self) -> int:
         return 1 << self.m_tilde
-
-    @property
-    def is_padded(self) -> np.ndarray:
-        return np.arange(self.d_tilde) >= self.d
 
 
 def encode_community(
@@ -167,7 +162,7 @@ class Coupling:
             if not self.can_materialize:
                 raise ResourceError(
                     f"coupling table with {math.prod(self.shape)} entries exceeds the materialization cap; "
-                    "lower eta or cap the community size"
+                    "lower eta or use the auto or annealing backend"
                 )
             out = np.empty(self.shape)
             rows = max(1, SLAB_ENTRIES // math.prod(self.shape[1:]))
@@ -320,13 +315,7 @@ class ReducedProblem:
         self.n_chi = n_chi
         self.quadratic = quadratic
         self.m_tildes = tuple(enc.m_tilde for enc in self.encodings)
-        offsets = []
-        off = 0
-        for m in self.m_tildes:
-            offsets.append(off)
-            off += m
-        self.offsets = tuple(offsets)
-        self.total_qubits = off
+        self.total_qubits = sum(self.m_tildes)
 
     @classmethod
     def from_hamiltonian(cls, h: PolyHamiltonian) -> ReducedProblem:
@@ -364,9 +353,6 @@ class ReducedProblem:
     def n_communities(self) -> int:
         return len(self.encodings)
 
-    def coupling_table(self, footprint) -> np.ndarray:
-        return self.couplings[tuple(footprint)].table()
-
     def j_tilde(self, footprint) -> float:
         """Edge weight for the contracted graph.
 
@@ -382,23 +368,6 @@ class ReducedProblem:
             return coupling.bound
         table = coupling.table()
         return float(max(table.max(), -table.min()))  # no |table| temporary
-
-    def energy_of_indices(self, idx) -> float:
-        """Reduced energy of a joint index tuple (constant excluded)."""
-        if len(idx) != self.n_communities:
-            raise DimensionError("index tuple length must equal the community count")
-        total = 0.0
-        for c, enc in enumerate(self.encodings):
-            total += float(enc.energies[idx[c]])
-        for footprint, coupling in self.couplings.items():
-            total += float(coupling.values(tuple(idx[c] for c in footprint)))
-        return total
-
-    def indices_from_bits(self, bits_int: int) -> tuple[int, ...]:
-        return tuple(
-            (bits_int >> off) & ((1 << m) - 1)
-            for off, m in zip(self.offsets, self.m_tildes)
-        )
 
     def local_objective(self, members) -> TableObjective:
         """Objective over the given communities: their energy tables plus
@@ -418,9 +387,9 @@ class ReducedProblem:
     def contracted_graph(self) -> WeightedGraph:
         """One vertex per community; couplings contribute their j_tilde,
         clique-expanded with pair-count normalization for hyper-footprints.
-        Vertex sizes carry the register widths for community-size caps. At
-        level 0 a k-variable term adds |J| / C(k, 2) to each of its pairs,
-        and fields and the constant add nothing."""
+        At level 0 a k-variable term adds |J| / C(k, 2) to each of its
+        pairs, and fields and the constant add nothing. Every j_tilde is
+        non-negative, as Louvain requires, and no vertex has a loop."""
         edges: dict[tuple[int, int], float] = {}
         for footprint in sorted(self.couplings):
             weight = self.j_tilde(footprint)
@@ -433,9 +402,7 @@ class ReducedProblem:
                 pairs = combinations(footprint, 2)
             for u, v in pairs:
                 edges[(u, v)] = edges.get((u, v), 0.0) + share
-        return WeightedGraph(
-            self.n_communities, edges, None, vertex_sizes=self.m_tildes
-        )
+        return WeightedGraph(self.n_communities, edges)
 
 
 # -- decomposition and cut-offs, the same at every level -------------------------
@@ -810,33 +777,4 @@ class DecodeChain:
                 for level in self.levels
             ],
         }
-
-
-def reduced_as_poly(rp: ReducedProblem) -> PolyHamiltonian:
-    """Parity-basis polynomial equal to the reduced problem's table lookups.
-
-    Each energy table and each coupling footprint is converted blockwise;
-    the result may contain products of Z on all active reduced qubits. A
-    register over ``MAX_TABLE_VARS`` (24) qubits is refused by
-    ``from_boolean_table``, and a coupling footprint whose table cannot
-    materialize (over ``MATERIALIZE_ENTRIES``, 22 qubits) here; both raise
-    ``ResourceError``.
-    """
-    pieces: list[tuple[tuple[int, ...], float]] = []
-    for c, enc in enumerate(rp.encodings):
-        block = PolyHamiltonian.from_boolean_table(enc.energies)
-        for subset, coeff in block.terms.items():
-            pieces.append((tuple(rp.offsets[c] + j for j in subset), coeff))
-    for footprint in sorted(rp.couplings):
-        qubits = [
-            rp.offsets[c] + r for c in footprint for r in range(rp.encodings[c].m_tilde)
-        ]
-        if not rp.couplings[footprint].can_materialize:
-            raise ResourceError(f"coupling footprint of {len(qubits)} qubits exceeds the table cap")
-        table = rp.coupling_table(footprint)
-        flat = np.transpose(table, axes=tuple(reversed(range(table.ndim)))).ravel()
-        block = PolyHamiltonian.from_boolean_table(flat)
-        for subset, coeff in block.terms.items():
-            pieces.append((tuple(sorted(qubits[j] for j in subset)), coeff))
-    return PolyHamiltonian.from_terms(rp.total_qubits, pieces)
 

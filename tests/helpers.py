@@ -39,6 +39,32 @@ def random_coupling(rng, shape, values=None) -> Coupling:
     return Coupling(tuple(coeffs.tolist()), tuple(masks))
 
 
+def energy_of_indices(rp: ReducedProblem, idx) -> float:
+    """Reduced energy of a joint index tuple (constant excluded): each
+    community's table entry, then each coupling's entry, added one by one."""
+    assert len(idx) == rp.n_communities
+    total = 0.0
+    for c, enc in enumerate(rp.encodings):
+        total += float(enc.energies[idx[c]])
+    for footprint, coupling in rp.couplings.items():
+        total += float(coupling.values(tuple(idx[c] for c in footprint)))
+    return total
+
+
+def indices_from_bits(rp: ReducedProblem, bits_int: int) -> tuple[int, ...]:
+    """Register indices of a packed joint state, community 0 from bit 0."""
+    out, offset = [], 0
+    for m in rp.m_tildes:
+        out.append((bits_int >> offset) & ((1 << m) - 1))
+        offset += m
+    return tuple(out)
+
+
+def is_padded(enc) -> np.ndarray:
+    """Which reduced indices of an encoding lie past its true dimension d."""
+    return np.arange(enc.d_tilde) >= enc.d
+
+
 def flip_all(x: SpinConfig) -> SpinConfig:
     """Flip every bit of a configuration (the Z2 image of a state)."""
     return tuple(1 - b for b in x)
@@ -125,8 +151,6 @@ def naive_modularity(g: WeightedGraph, labels) -> float:
     for (u, v), w in g.edges.items():
         adjacency[u, v] += w
         adjacency[v, u] += w
-    for v, w in g.loops.items():
-        adjacency[v, v] += w
     m = adjacency.sum() / 2.0
     k = adjacency.sum(axis=1)
     q = 0.0

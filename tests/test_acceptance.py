@@ -33,7 +33,9 @@ from dcreduce.reduction import (
 )
 from helpers import (
     brute_min,
+    energy_of_indices,
     flip_all,
+    indices_from_bits,
     level1_partition,
     naive_modularity,
     random_graph,
@@ -128,8 +130,8 @@ def test_criterion_03_master_bookkeeping_identity():
         eta = 1.0 if seed % 3 else 0.6
         for rp, chain in _pipeline_levels(h, seed, eta):
             for joint in range(1 << rp.total_qubits):
-                idx = rp.indices_from_bits(joint)
-                reduced = rp.energy_of_indices(idx) + h.constant
+                idx = indices_from_bits(rp, joint)
+                reduced = energy_of_indices(rp, idx) + h.constant
                 direct = h.evaluate(chain.decode_full(joint))
                 assert abs(reduced - direct) <= 1e-9, (seed, joint)
                 tuples_checked += 1

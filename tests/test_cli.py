@@ -272,6 +272,14 @@ class TestSweep:
         ]
 
 
+# Problem files the bad-input cases read, written under tmp_path.
+_BAD_FILES = {
+    "not-utf8.txt": b"\xff\xfe",
+    "terms-int.json": b'{"n": 3, "terms": 5}',
+    "terms-null.json": b'{"n": 3, "terms": null}',
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "ring_k2", "--n", "abc", "--instances", "1"],
     ["sweep", "--family", "ring_k2", "--n", "8", "--eta", "x", "--instances", "1"],
@@ -289,8 +297,14 @@ class TestSweep:
     ["gen", "--spec", "er:n=10:m=8.7"],
     ["gen", "--spec", "3reg:n=8:seed=1:p=5:m=3"],
     ["gen", "--spec", "3reg:n=8:seed=1:k=4"],
+    ["solve", "not-utf8.txt"],
+    ["solve", "terms-int.json"],
+    ["solve", "terms-null.json"],
 ])
-def test_bad_input_is_one_error_line(argv, capsys):
+def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
+    for name, data in _BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in _BAD_FILES else a for a in argv]
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -302,16 +316,36 @@ def test_bad_input_is_one_error_line(argv, capsys):
     ["gen", "--spec", "3reg:n=8:seed=-1"],
     ["diagnostics", "--n", "8", "--instances", "1", "--seeds", "-1"],
     ["sweep", "--family", "ring_k2", "--n", "8", "--instances", "2", "--seeds", "-1"],
+    ["solve", "g.txt", "--seed", "-1"],
 ])
-def test_negative_seed_is_refused_before_any_run(argv, monkeypatch, capsys):
+def test_negative_seed_is_refused_before_any_run(argv, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    problem = tmp_path / "g.txt"
+    problem.write_text("0 1 1.0\n", encoding="utf-8")
+    argv = [str(problem) if a == "g.txt" else a for a in argv]
+    monkeypatch.setattr(cli_module, "run", fail)
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "-1" in err[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "ring_k2", "--n", "8", "--instances", "2", "--seeds", str(2**32 - 1)],
+    ["diagnostics", "--n", "8", "--instances", "2", "--seeds", str(2**32 - 1)],
+])
+def test_last_seed_past_32_bits_is_refused_before_any_run(argv, monkeypatch, capsys):
+    # run seeds are 32-bit, so the last instance's seed 2^32 is refused up front
     def fail(*args, **kwargs):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(cli_module, "run", fail)
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "-1" in err[0]
+    assert captured.err.splitlines() == [f"error: seed must lie in [0, 2^32), got {2**32}"]
     assert captured.out == ""
 
 

@@ -29,7 +29,8 @@ from dcreduce.reduction import (
     encode_community,
 )
 from helpers import (
-    brute_argmin, level1_partition, naive_evaluate, random_pubo, random_quadratic, spin_energies,
+    brute_argmin, energy_of_indices, level1_partition, naive_evaluate, random_pubo, random_quadratic,
+    spin_energies,
 )
 
 
@@ -61,7 +62,7 @@ class TestDecompose:
         assert h.restrict(rd.members[0]).terms == {(0, 1): 0.5, (1, 2): -0.25}
         assert rd.straddling_footprints == ()
         # the constant stays out of every level
-        assert rd.rp.energy_of_indices((0, 0, 0)) == h.evaluate((0, 0, 0)) - 1.0
+        assert energy_of_indices(rd.rp, (0, 0, 0)) == h.evaluate((0, 0, 0)) - 1.0
 
     def test_path_graph_bridge(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0})

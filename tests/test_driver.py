@@ -22,11 +22,11 @@ from helpers import brute_min, random_pubo, random_quadratic
 PUBLIC_API = [
     "DecodeChain", "EncodedCommunity", "FamilyConfig", "GraphSpec", "LocalSpectrum",
     "Partition", "PolyHamiltonian", "ReducedProblem", "RunConfig",
-    "RunResult", "SpinConfig", "WeightedGraph", "Window", "abs_weights",
+    "RunResult", "SpinConfig", "WeightedGraph", "Window",
     "approximation_ratio", "brute_force_reference", "build_reduced", "decompose",
     "delta_pubo", "delta_two_body", "encode_community", "enumerate_low_exhaustive",
     "enumerate_low_sampled", "family_matrix", "generate", "load_problem", "louvain",
-    "modularity", "reduced_as_poly", "run", "shift_diagnostics", "should_recombine",
+    "modularity", "run", "shift_diagnostics", "should_recombine",
     "window",
 ]
 
@@ -180,13 +180,6 @@ class TestRun:
         assert result.best_energy == 0.0
         assert len(result.best_config) == 4
 
-    def test_community_cap(self):
-        h = random_quadratic(12, 22, 9)
-        result = run(h, RunConfig(eta=1.0, seed=9, max_community_size=4))
-        level0 = result.trace.levels[0]
-        assert all(len(m) <= 4 for m in level0.membership)
-        assert result.best_energy == pytest.approx(brute_min(h), abs=1e-9)
-
     def test_config_validation(self):
         with pytest.raises(DomainError):
             RunConfig(eta=1.5)
@@ -194,9 +187,11 @@ class TestRun:
             RunConfig(max_iterations=0)
         with pytest.raises(ParameterError):
             RunConfig(optimizer_o1="quantum")
-        for size in (0, -3):
-            with pytest.raises(ParameterError):
-                RunConfig(max_community_size=size)
+        # run seeds are 32-bit: a seed outside [0, 2^32) would alias another
+        for seed in (-1, 2**32):
+            with pytest.raises(ParameterError, match=str(seed)):
+                RunConfig(seed=seed)
+        RunConfig(seed=2**32 - 1)
 
 
 class TestTrace:

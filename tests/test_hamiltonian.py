@@ -276,6 +276,11 @@ class TestSerialization:
         with pytest.raises(FormatError):
             PolyHamiltonian.from_json_dict(data)
 
+    @pytest.mark.parametrize("terms", [5, None])
+    def test_json_terms_not_a_list_rejected(self, terms):
+        with pytest.raises(FormatError, match="'terms' must be a list"):
+            PolyHamiltonian.from_json_dict({"n": 3, "terms": terms})
+
     def test_json_integral_float_index_accepted(self):
         h = PolyHamiltonian.from_json_dict({"n": 3.0, "terms": [{"vars": [0.0, 2], "coeff": 1.0}]})
         assert h == PolyHamiltonian(3, {(0, 2): 1.0})
@@ -316,4 +321,10 @@ class TestSerialization:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(FormatError):
+            load_problem(str(path))
+
+    def test_load_problem_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(FormatError, match="utf16.txt: not UTF-8"):
             load_problem(str(path))

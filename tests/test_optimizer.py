@@ -27,7 +27,7 @@ from dcreduce.optimizer import (
 from dcreduce.reduction import (
     ReducedProblem, TableObjective, build_reduced, decompose, delta_two_body, encode_community,
 )
-from helpers import random_coupling, random_pubo, random_quadratic, spin_energies
+from helpers import energy_of_indices, indices_from_bits, random_coupling, random_pubo, random_quadratic, spin_energies
 
 
 def bits_of(spectrum):
@@ -721,7 +721,7 @@ class TestAnnealKernel:
         monkeypatch.setattr(optimizer_module, "_MAX_ROUNDS", 2)
         bits, energy = solve_ground_objective(objective, 0)
         assert 0 <= bits < 1 << 70
-        assert rp.energy_of_indices(rp.indices_from_bits(bits)) == pytest.approx(energy, abs=1e-9)
+        assert energy_of_indices(rp, indices_from_bits(rp, bits)) == pytest.approx(energy, abs=1e-9)
 
     def test_sampled_window_above_62_variables_refused_before_chains(self, monkeypatch):
         objective = singleton_reduced_problem(64, 4).full_objective()

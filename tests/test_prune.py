@@ -25,7 +25,7 @@ from dcreduce.reduction import (
     iteration_delta,
     prune_dominated,
 )
-from helpers import random_pubo, random_quadratic, spin_energies
+from helpers import energy_of_indices, indices_from_bits, random_pubo, random_quadratic, spin_energies
 
 
 def _level(rd, eta, padding, prune, objectives):
@@ -65,7 +65,7 @@ def _product(rp, chain, depth):
     levels = DecodeChain(chain.n_vars, chain.levels[:depth + 1])
     out = []
     for joint in range(1 << rp.total_qubits):
-        out.append((rp.energy_of_indices(rp.indices_from_bits(joint)), levels.decode_full(joint)))
+        out.append((energy_of_indices(rp, indices_from_bits(rp, joint)), levels.decode_full(joint)))
     return out
 
 
@@ -101,6 +101,22 @@ def test_ground_states_survive(seed, pubo, padding, n, eta, data):
         if eta == 1.0:
             assert best == pytest.approx(e_min, abs=1e-9)
             assert ground <= {config for _, config in product}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 10: pruning level 1 narrows level 2's cut-off at eta < 1",
+)
+def test_level_two_optimum_survives_pruning_at_eta_below_one():
+    # the recorded counterexample of ROADMAP item 10, run without a draw:
+    # pruned, level 2 retains -2.79760 where unpruned it retains -3.95664
+    h = random_quadratic(6, 12, 383479)
+    labels1, labels2 = [2, 0, 0, 1, 0, 1], [0, 1, 0, 0]
+    pruned = _two_levels(h, labels1, labels2, 0.5, "repeat", prune=True)
+    plain = _two_levels(h, labels1, labels2, 0.5, "repeat", prune=False)
+    best = min(e for e, _ in _product(pruned[1], pruned[2], 1))
+    assert best == pytest.approx(min(e for e, _ in _product(plain[1], plain[2], 1)), abs=1e-9)
 
 
 def _dominates_everywhere(h, members, x, y):

@@ -32,9 +32,11 @@ from dcreduce.reduction import (
     delta_two_body,
     encode_community,
     iteration_delta,
-    reduced_as_poly,
 )
-from helpers import level1_partition, random_coupling, random_pubo, random_quadratic, spin_energies
+from helpers import (
+    energy_of_indices, indices_from_bits, is_padded, level1_partition, random_coupling, random_pubo,
+    random_quadratic, spin_energies,
+)
 
 
 def _level_one(h, labels, eta=1.0, padding="repeat", compute_chi=True):
@@ -59,8 +61,8 @@ def _footprint(d, subset):
 
 def _check_master_identity(h, rp, chain, constant):
     for joint in range(1 << rp.total_qubits):
-        idx = rp.indices_from_bits(joint)
-        reduced = rp.energy_of_indices(idx) + constant
+        idx = indices_from_bits(rp, joint)
+        reduced = energy_of_indices(rp, idx) + constant
         decoded = chain.decode_full(joint)
         assert reduced == pytest.approx(h.evaluate(decoded), abs=1e-9)
 
@@ -75,7 +77,7 @@ def _uses_padded_index(chain, joint):
         offset += enc.m_tilde
     for depth in range(len(chain.levels) - 1, -1, -1):
         level = chain.levels[depth]
-        if any(enc.is_padded[i] for enc, i in zip(level.encodings, idx)):
+        if any(is_padded(enc)[i] for enc, i in zip(level.encodings, idx)):
             return True
         if depth == 0:
             return False
@@ -96,7 +98,7 @@ def _check_penalty_identity(h, rp, chain, constant):
     reduced energy bounds the decoded one from above, with equality unless
     the joint state reaches a padded index at some level."""
     for joint in range(1 << rp.total_qubits):
-        reduced = rp.energy_of_indices(rp.indices_from_bits(joint)) + constant
+        reduced = energy_of_indices(rp, indices_from_bits(rp, joint)) + constant
         direct = h.evaluate(chain.decode_full(joint))
         if _uses_padded_index(chain, joint):
             assert reduced > direct
@@ -123,7 +125,7 @@ class TestEncode:
         assert enc.decode[:5].tolist() == spec.packed.tolist()
         assert enc.decode[5:].tolist() == spec.packed[:3].tolist()
         assert enc.energies.tolist() == spec.energies.tolist() + spec.energies[:3].tolist()
-        assert enc.is_padded.tolist() == [False] * 5 + [True] * 3
+        assert is_padded(enc).tolist() == [False] * 5 + [True] * 3
 
     def test_single_state_gets_one_qubit(self):
         h = PolyHamiltonian(2, {(0, 1): 1.0, (0,): -0.3})
@@ -139,12 +141,12 @@ class TestEncode:
         assert spec.d == 4
         enc = encode_community(spec)
         assert enc.m_tilde == 2
-        assert not any(enc.is_padded)
+        assert not any(is_padded(enc))
 
     def test_energy_ordering(self):
         spec = self._spectrum(6, seed=5)
         enc = encode_community(spec)
-        unpadded = [e for e, p in zip(enc.energies, enc.is_padded) if not p]
+        unpadded = [e for e, p in zip(enc.energies, is_padded(enc)) if not p]
         assert unpadded == sorted(unpadded)
 
     def test_penalty_padding(self):
@@ -185,7 +187,7 @@ class TestPackedStates:
         assert ((spectrum.packed >> (n - 1)) == 1).all()
         assert [bits for bits, _ in spectrum.states] == [int_to_bits(s, n) for s in spectrum.packed.tolist()]
         enc = encode_community(spectrum)
-        assert enc.is_padded.any()
+        assert is_padded(enc).any()
 
         old = [EncodedCommunity(2, rng.permutation(4), np.zeros(4), "repeat", 4, 2) for _ in range(31)]
         rd = decompose(ReducedProblem(old, {}, False, 0), Partition.from_labels([0] * 31))
@@ -259,7 +261,7 @@ class TestSignVectors:
     def test_two_single_variable_communities(self):
         h = PolyHamiltonian(2, {(0, 1): 0.8})
         _, rp, _ = _level_one(h, [0, 1], eta=1.0)
-        table = rp.coupling_table((0, 1))
+        table = rp.couplings[(0, 1)].table()
         np.testing.assert_allclose(table, 0.8 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
@@ -291,7 +293,7 @@ class TestBuildReduced:
             p = level1_partition(h, seed)
             _, rp, chain = _level_one(h, p.community_of)
             best = min(
-                rp.energy_of_indices(rp.indices_from_bits(j))
+                energy_of_indices(rp, indices_from_bits(rp, j))
                 for j in range(1 << rp.total_qubits)
             )
             assert best + h.constant == pytest.approx(float(spin_energies(h).min()), abs=1e-9)
@@ -319,11 +321,11 @@ class TestBuildReduced:
             _, rp, _ = _level_one(h, p.community_of, padding="penalty")
             best_joint = min(
                 range(1 << rp.total_qubits),
-                key=lambda j: rp.energy_of_indices(rp.indices_from_bits(j)),
+                key=lambda j: energy_of_indices(rp, indices_from_bits(rp, j)),
             )
-            idx = rp.indices_from_bits(best_joint)
+            idx = indices_from_bits(rp, best_joint)
             for c, enc in enumerate(rp.encodings):
-                assert not enc.is_padded[idx[c]]
+                assert not is_padded(enc)[idx[c]]
 
 
 class TestContractedGraph:
@@ -332,7 +334,6 @@ class TestContractedGraph:
         _, rp, _ = _level_one(h, [0, 1])
         g = rp.contracted_graph()
         assert g.edges == pytest.approx({(0, 1): 0.8})
-        assert g.vertex_sizes == rp.m_tildes
 
     def test_bound_weight_without_chi(self):
         h = PolyHamiltonian(4, {(0, 2): 0.5, (1, 3): -0.25, (0, 1): 0.9, (2, 3): 0.9})
@@ -354,64 +355,6 @@ class TestContractedGraph:
         _, rp, _ = _level_one(h, [0, 1, 2])
         g = rp.contracted_graph()
         assert g.edges == pytest.approx({(0, 1): 0.2, (0, 2): 0.2, (1, 2): 0.2})
-
-
-class TestReducedAsPoly:
-    def test_single_qubit_table(self):
-        h = PolyHamiltonian(1, {(): 0.3, (0,): 0.7})
-        # energies 1.0 and -0.4; the window [-0.4, 1.6] keeps both
-        spec = enumerate_low_exhaustive(h, 2.0, 1.0)
-        assert spec.d == 2
-        enc = encode_community(spec)
-        rp = ReducedProblem((enc,), {}, True, 0)
-        poly = reduced_as_poly(rp)
-        e0, e1 = enc.energies
-        assert poly.terms == pytest.approx({(): (e0 + e1) / 2, (0,): (e0 - e1) / 2})
-
-    def test_matches_table_lookup(self):
-        for seed in range(5):
-            h = random_quadratic(9, 15, seed)
-            p = level1_partition(h, seed)
-            _, rp, _ = _level_one(h, p.community_of)
-            poly = reduced_as_poly(rp)
-            assert poly.n_vars == rp.total_qubits
-            for joint in range(1 << rp.total_qubits):
-                idx = rp.indices_from_bits(joint)
-                expected = rp.energy_of_indices(idx)
-                got = poly.energies(np.array([joint]))[0]
-                assert got == pytest.approx(expected, abs=1e-9)
-
-    def test_footprint_at_the_table_cap(self, monkeypatch):
-        # at the real cap: 22 + 1 qubits fit a 24-variable truth table but
-        # not the table cap, and are refused before any table is built
-        registers = [EncodedCommunity(m, np.zeros(1 << m, dtype=np.int64), np.zeros(1 << m), "repeat", 1 << m, 1)
-                     for m in (11, 12)]
-        coupling = random_coupling(np.random.default_rng(0), (1 << 11, 1 << 12))
-        rp = ReducedProblem(registers, {(0, 1): coupling}, False, 0)
-        with pytest.raises(ResourceError, match="footprint of 23 qubits"):
-            reduced_as_poly(rp)
-        # a 7-qubit first-level coupling converts at a cap of 2^7 entries and is
-        # refused one entry below it
-        h = random_quadratic(10, 18, 620)
-        d, _, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2], compute_chi=False)
-        rp = build_reduced_iter(d, chain.levels[0].encodings)
-        assert rp.couplings[(0, 2)].shape == (8, 16)
-        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16)
-        assert reduced_as_poly(rp).n_vars == rp.total_qubits
-        rp = build_reduced_iter(d, chain.levels[0].encodings)
-        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16 - 1)
-        with pytest.raises(ResourceError, match="footprint of 7 qubits"):
-            reduced_as_poly(rp)
-
-    def test_all_zero_tuple_identity(self):
-        h = random_quadratic(8, 12, 9)
-        p = level1_partition(h, 9)
-        _, rp, _ = _level_one(h, p.community_of)
-        poly = reduced_as_poly(rp)
-        expected = sum(enc.energies[0] for enc in rp.encodings)
-        for footprint, coupling in rp.couplings.items():
-            expected += float(coupling.table()[(0,) * len(footprint)])
-        assert poly.evaluate((0,) * rp.total_qubits) == pytest.approx(expected, abs=1e-9)
 
 
 def _two_level(h, seed=0, eta=1.0):
@@ -519,7 +462,7 @@ class TestIteration:
                 continue
             _check_master_identity(h, rp3, chain, h.constant)
             best = min(
-                rp3.energy_of_indices(rp3.indices_from_bits(j))
+                energy_of_indices(rp3, indices_from_bits(rp3, j))
                 for j in range(1 << rp3.total_qubits)
             )
             assert best + h.constant == pytest.approx(float(spin_energies(h).min()), abs=1e-9)
@@ -558,7 +501,7 @@ class TestIteration:
                 continue
             rp2, chain = out
             best = min(
-                rp2.energy_of_indices(rp2.indices_from_bits(j))
+                energy_of_indices(rp2, indices_from_bits(rp2, j))
                 for j in range(1 << rp2.total_qubits)
             )
             assert best + h.constant == pytest.approx(float(spin_energies(h).min()), abs=1e-9)
@@ -570,7 +513,7 @@ class TestIteration:
         assert out is not None
         rp2, chain = out
         joints = range(1 << rp2.total_qubits)
-        best = min(joints, key=lambda j: rp2.energy_of_indices(rp2.indices_from_bits(j)))
+        best = min(joints, key=lambda j: energy_of_indices(rp2, indices_from_bits(rp2, j)))
         decoded = chain.decode_full(best)
         assert h.evaluate(decoded) == pytest.approx(float(spin_energies(h).min()), abs=1e-9)
 
@@ -621,7 +564,7 @@ class TestIteration:
         joint = joint_bits & ((1 << rp.total_qubits) - 1)
         decoded = chain.decode_full(joint)
         assert len(decoded) == h.n_vars
-        reduced = rp.energy_of_indices(rp.indices_from_bits(joint)) + h.constant
+        reduced = energy_of_indices(rp, indices_from_bits(rp, joint)) + h.constant
         assert reduced == pytest.approx(h.evaluate(decoded), abs=1e-9)
 
     def test_entry_backed_couplings_match_materialized(self, monkeypatch):
@@ -648,7 +591,7 @@ class TestIteration:
                 probes = [rng.integers(0, s, size=32) for s in coupling.shape]
                 np.testing.assert_allclose(
                     coupling.values(probes),
-                    rp_mat.coupling_table(footprint)[tuple(probes)],
+                    rp_mat.couplings[footprint].table()[tuple(probes)],
                 )
 
     def test_reduced_minimum_monotone_in_eta_for_fixed_partition(self):
@@ -663,7 +606,7 @@ class TestIteration:
             for eta in (1.0, 0.75, 0.5, 0.25, 0.0):
                 _, rp, _ = _level_one(h, p.community_of, eta=eta)
                 best = min(
-                    rp.energy_of_indices(rp.indices_from_bits(j))
+                    energy_of_indices(rp, indices_from_bits(rp, j))
                     for j in range(1 << rp.total_qubits)
                 )
                 if previous is not None:
@@ -673,7 +616,7 @@ class TestIteration:
 
 def _meshgrid_range(rp, footprints, touched):
     # only unpadded indices: the range must not depend on the padding
-    valid = [np.flatnonzero(~np.array(rp.encodings[c].is_padded)) for c in touched]
+    valid = [np.flatnonzero(~np.array(is_padded(rp.encodings[c]))) for c in touched]
     grids = np.meshgrid(*valid, indexing="ij")
     position = {c: i for i, c in enumerate(touched)}
     total = np.zeros(grids[0].shape)
@@ -709,7 +652,7 @@ class TestCouplingRange:
             labels = [0, 0, 0, 1, 1, 1, 2, 2, 3, 3]
             _, rp, _ = _level_one(h, labels, eta=0.6, padding="penalty", compute_chi=compute_chi)
             hyper += any(len(fp) == 3 for fp in rp.couplings)
-            padded += any(any(enc.is_padded) for enc in rp.encodings)
+            padded += any(any(is_padded(enc)) for enc in rp.encodings)
             footprints = sorted(rp.couplings)
             _check_range_splits(rp, [footprints] + [[fp for fp in footprints if c in fp] for c in range(4)])
         assert hyper and padded
@@ -735,7 +678,7 @@ class TestCouplingRange:
             _, rp, chain = _level_one(h, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5], eta=0.3, padding="penalty")
             rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1, 2, 2], eta=0.3, padding="penalty")
             footprints = sorted(rp2.couplings)
-            spans += (any(any(enc.is_padded) for enc in rp2.encodings) and min(rp2.m_tildes[1:]) >= 2
+            spans += (any(any(is_padded(enc)) for enc in rp2.encodings) and min(rp2.m_tildes[1:]) >= 2
                       and any({1, 2} <= set(fp) for fp in footprints))
             _check_range_splits(rp2, [footprints] + [[fp for fp in footprints if c in fp] for c in range(3)])
         assert spans
@@ -862,7 +805,7 @@ class TestGridKernels:
             _assert_scan_matches(rp.full_objective())
             rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], eta=0.7, padding=padding)
             _assert_scan_matches(rp2.full_objective())
-            padded += any(any(enc.is_padded) for enc in rp.encodings + rp2.encodings)
+            padded += any(any(is_padded(enc)) for enc in rp.encodings + rp2.encodings)
         assert padded
 
     @pytest.mark.parametrize("slab", [4, 1 << 16])
@@ -951,7 +894,7 @@ class TestGridKernels:
                 assert all(coupling._table is None for coupling in rp.couplings.values())
             assert lazy.couplings.keys() == eager.couplings.keys()
             for footprint, coupling in lazy.couplings.items():
-                np.testing.assert_array_equal(_bits(coupling.table()), _bits(eager.coupling_table(footprint)))
+                np.testing.assert_array_equal(_bits(coupling.table()), _bits(eager.couplings[footprint].table()))
             _assert_entries_are_term_sums(h, chain, 1, lazy)
 
     @settings(max_examples=40, deadline=None)
