@@ -67,6 +67,12 @@ class RunConfig:
     prune_dominated: bool = True
 
     def __post_init__(self):
+        for name in ("seed", "max_iterations", "brute_force_ceiling"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer becomes a Python int, which the JSON trace can hold
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.seed < 1 << 32:
             raise ParameterError(f"seed must lie in [0, 2^32), got {self.seed}")
         if not 0.0 <= self.eta <= 1.0:

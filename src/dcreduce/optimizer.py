@@ -7,7 +7,8 @@ the community's interactions with the rest of the system. The cut-offs that
 compute delta live with the decomposition they read, in ``reduction``; the
 window they define, [E0, E0 + eta * delta] with a scale-relative tolerance,
 is ``window`` here. Every test of a state against a window reads one built
-by ``window``, and every spectrum carries one.
+by ``window``, or, in the sampled harvest, its formula applied to every
+chain's floor at once; every spectrum carries one.
 
 Two kinds of diagonal objective share one duck-typed interface:
 ``PolyHamiltonian`` and the reduction stage's ``TableObjective``. An
@@ -400,13 +401,49 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
 # -- sampled enumeration ------------------------------------------------------
 
 
+def _harvest(energies: np.ndarray, accepted: np.ndarray, keys: np.ndarray, floor: float, delta: float, eta: float,
+             penalties):
+    """Harvest one ``_anneal`` round in (chain, step) order, in one pass.
+
+    A chain's visited states are its start and its accepted steps. Chain c's
+    floor is the lowest of ``floor`` and the energies chains 0..c visited,
+    and a state is pooled at its first occurrence inside
+    ``window(floor_c, delta, eta)`` of its chain, unless ``penalties`` (a
+    dense array, or a (sorted keys, values) pair) already penalizes it, as
+    every state pooled in an earlier round is. Returns the floor after the
+    round and the new states' keys, energies and penalties
+    ``width + _C1 * |E| + _C2``, in order of first occurrence. Each penalty
+    must clear its own chain's window edge.
+    """
+    visited = np.ones(keys.shape, dtype=bool)
+    visited[1:] = accepted
+    floors = np.minimum.accumulate(np.minimum(np.where(visited, energies, np.inf).min(axis=0), floor))
+    # window(floors[c], delta, eta) for every chain c at once, by its formula
+    hi = floors + eta * delta
+    tol = 1e-9 * np.maximum(1.0, np.abs(floors) + delta)
+    inside = visited & (energies >= floors - tol) & (energies <= hi + tol)
+    chain, step = np.nonzero(inside.T)
+    found = keys[step, chain]
+    _, first = np.unique(found, return_index=True)
+    first.sort()
+    earlier = _penalty_of(*penalties, found[first]) if isinstance(penalties, tuple) else penalties[found[first]]
+    first = first[earlier == 0.0]
+    chain, found, found_energies = chain[first], found[first], energies[step[first], chain[first]]
+    values = eta * delta + _C1 * np.abs(found_energies) + _C2
+    if not (found_energies + values > hi[chain]).all():
+        raise InternalError("penalty does not clear the window upper edge")
+    return float(floors[-1]), found, found_energies, values
+
+
 def enumerate_low_sampled(objective, delta: float, eta: float, seed: int) -> LocalSpectrum:
     """Sampled [E0, E0 + eta * delta] enumeration with a floating floor.
 
     Each round runs ``_CHAINS`` annealing chains, drawn from
-    ``default_rng(seed)``, against the penalties fixed at the round's start,
-    then harvests them in chain order. The floor tracks the lowest energy
-    measured so far, and the harvest pools every state inside
+    ``default_rng(seed)``, against the penalties fixed at the round's start;
+    while nothing is pooled every penalty is 0.0, so such a round runs
+    without penalties. ``_harvest`` then reads the round in one vectorized
+    pass, in chain order. The floor tracks the lowest energy measured so
+    far, and the harvest pools every state inside
     ``window(floor, delta, eta)``; a pooled state receives an additive
     penalty ``p = width + _C1 * |E| + _C2`` so later rounds are pushed toward
     states not seen yet. Rounds stop after ``_STALL_ROUNDS`` rounds without
@@ -427,7 +464,6 @@ def enumerate_low_sampled(objective, delta: float, eta: float, seed: int) -> Loc
     """
     _check_window_args(delta, eta)
     _check_packable(objective, "sampled enumeration")
-    width = eta * delta
     rng = np.random.default_rng(seed)
     table = _dense_table(objective)
     if table is not None:
@@ -446,33 +482,19 @@ def enumerate_low_sampled(objective, delta: float, eta: float, seed: int) -> Loc
             if pending.size == 0:
                 break
         starts, flips, draws = _draw_chains(rng, objective.n_vars, _CHAINS)
-        energies, accepted, keys = _anneal(objective, table, starts, flips, draws, penalties, pending)
-        new_keys: list[int] = []
-        new_values: list[float] = []
-        for c in range(len(starts)):
-            visited = np.concatenate(([0], 1 + np.flatnonzero(accepted[:, c])))
-            chain_energies = energies[visited, c]
-            chain_keys = keys[visited, c]
-            floor = min(floor, float(chain_energies.min()))
-            harvest = window(floor, delta, eta)
-            for i in np.flatnonzero(_inside(chain_energies, harvest)):
-                bits_int, energy = int(chain_keys[i]), float(chain_energies[i])
-                if bits_int in pool:
-                    continue
-                pool[bits_int] = energy
-                penalty = width + _C1 * abs(energy) + _C2
-                if not energy + penalty > harvest.hi:
-                    raise InternalError("penalty does not clear the window upper edge")
-                new_keys.append(bits_int)
-                new_values.append(penalty)
-        if new_keys and table is not None:
+        energies, accepted, keys = _anneal(
+            objective, table, starts, flips, draws, penalties if pool else None, pending
+        )
+        floor, new_keys, new_energies, new_values = _harvest(energies, accepted, keys, floor, delta, eta, penalties)
+        pool.update(zip(new_keys.tolist(), new_energies.tolist()))
+        if new_keys.size and table is not None:
             penalties[new_keys] = new_values
-        elif new_keys:
-            merged = np.concatenate((penalties[0], np.array(new_keys, dtype=np.int64)))
+        elif new_keys.size:
+            merged = np.concatenate((penalties[0], new_keys))
             order = np.argsort(merged)
             penalties = (merged[order], np.concatenate((penalties[1], new_values))[order])
         rounds += 1
-        stall = stall + 1 if not new_keys else 0
+        stall = stall + 1 if not new_keys.size else 0
     if not pool:
         raise InternalError("sampling harvested no in-window state")
     win = window(min(pool.values()), delta, eta)

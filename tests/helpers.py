@@ -2,13 +2,17 @@
 
 The oracles are deliberately naive: loop-based parity products, spin
 matrices, and a double-sum modularity. These never share code paths with
-the package internals they check. ``level1_partition`` is the one
+the package internals they check. ``level1_partition`` is one
 exception: it clusters a Hamiltonian exactly as ``run()`` clusters level 1.
+``harvest_loop`` is the other: the sampled enumerator's harvest as a loop,
+which reads the package's window rule and penalty constants.
 """
 
 import numpy as np
 
+import dcreduce.optimizer as optimizer_module
 from dcreduce.clustering import Partition, WeightedGraph, louvain
+from dcreduce.errors import InternalError
 from dcreduce.hamiltonian import PolyHamiltonian, SpinConfig
 from dcreduce.reduction import Coupling, ReducedProblem
 
@@ -174,3 +178,37 @@ def all_partitions(n: int):
             yield from grow(i + 1, max(max_label, lab))
 
     yield from grow(1, 0)
+
+
+def harvest_loop(energies, accepted, keys, floor, delta, eta, penalties):
+    """The sampled enumerator's harvest of one round, chain by chain and
+    state by state: the reference for ``optimizer._harvest``, with its
+    arguments and its returns as lists.
+
+    The states pooled in earlier rounds are those ``penalties`` penalizes:
+    the nonzero entries of a dense array, or the keys of a (sorted keys,
+    values) pair.
+    """
+    if isinstance(penalties, tuple):
+        pool = set(penalties[0].tolist())
+    else:
+        pool = set(np.flatnonzero(penalties).tolist())
+    width = eta * delta
+    new_keys, new_energies, new_values = [], [], []
+    for c in range(keys.shape[1]):
+        visited = np.concatenate(([0], 1 + np.flatnonzero(accepted[:, c])))
+        chain_energies = energies[visited, c]
+        chain_keys = keys[visited, c]
+        floor = min(floor, float(chain_energies.min()))
+        harvest = optimizer_module.window(floor, delta, eta)
+        for bits_int, energy in zip(chain_keys.tolist(), chain_energies.tolist()):
+            if not harvest.contains(energy) or bits_int in pool:
+                continue
+            pool.add(bits_int)
+            penalty = width + optimizer_module._C1 * abs(energy) + optimizer_module._C2
+            if not energy + penalty > harvest.hi:
+                raise InternalError("penalty does not clear the window upper edge")
+            new_keys.append(bits_int)
+            new_energies.append(energy)
+            new_values.append(penalty)
+    return floor, new_keys, new_energies, new_values

@@ -193,6 +193,21 @@ class TestRun:
                 RunConfig(seed=seed)
         RunConfig(seed=2**32 - 1)
 
+    @pytest.mark.parametrize("field", ["seed", "max_iterations", "brute_force_ceiling"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, np.float64(3.0), "3"])
+    def test_integer_fields_refuse_other_types(self, field, value):
+        # a float or a bool is refused as a run setting, not truncated,
+        # counted as 1 or left for numpy to reject
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["seed", "max_iterations", "brute_force_ceiling"])
+    def test_integer_fields_take_numpy_integers(self, field):
+        config = RunConfig(**{field: np.int64(3)})
+        assert type(getattr(config, field)) is int and config == RunConfig(**{field: 3})
+        # the run's JSON trace holds the seed
+        json.dumps(run(random_quadratic(6, 8, 1), config).to_json_dict())
+
 
 class TestTrace:
     def test_json_trace_schema(self, tmp_path):

@@ -1,10 +1,13 @@
 """Exhaustive and sampled enumerator tests."""
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dcreduce.hamiltonian as hamiltonian_module
 import dcreduce.optimizer as optimizer_module
@@ -27,7 +30,9 @@ from dcreduce.optimizer import (
 from dcreduce.reduction import (
     ReducedProblem, TableObjective, build_reduced, decompose, delta_two_body, encode_community,
 )
-from helpers import energy_of_indices, indices_from_bits, random_coupling, random_pubo, random_quadratic, spin_energies
+from helpers import (
+    energy_of_indices, harvest_loop, indices_from_bits, random_coupling, random_pubo, random_quadratic, spin_energies,
+)
 
 
 def bits_of(spectrum):
@@ -247,6 +252,110 @@ class TestSampled:
         a = enumerate_low_sampled(h, 1.0, 1.0, 3)
         b = enumerate_low_sampled(h, 1.0, 1.0, 3)
         assert bits_of(a) == bits_of(b)
+
+
+def synthetic_round(seed, n, chains, steps, width, pooled_share, dense):
+    """A round as ``_anneal`` returns it, over 2^n states, and the
+    penalties of the states pooled in earlier rounds.
+
+    The states' energies are three candidate floors, energies within 1.5e-9
+    of each floor's window edge (1e-9 is the tolerance of a window whose
+    |floor| + delta is below 1), and four uniform in [-0.4, 0.4]. A chain's
+    state changes only at its accepted steps, though an accepted step may
+    land on the state it left.
+    """
+    rng = np.random.default_rng(seed)
+    floors = rng.choice([-0.3, -0.2, -0.1, 0.05], size=3, replace=False)
+    edges = [f + width + t * 1e-9 for f in floors for t in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)]
+    levels = np.concatenate((floors, edges, rng.uniform(-0.4, 0.4, size=4)))
+    table = rng.choice(levels, size=1 << n)
+    accepted = rng.random((steps, chains)) < 0.5
+    keys = np.empty((steps + 1, chains), dtype=np.int64)
+    keys[0] = rng.integers(0, 1 << n, size=chains)
+    for step in range(steps):
+        keys[step + 1] = np.where(accepted[step], rng.integers(0, 1 << n, size=chains), keys[step])
+    pooled = np.flatnonzero(rng.random(1 << n) < pooled_share)
+    values = rng.uniform(0.01, 1.0, size=pooled.size)
+    if dense:
+        penalties = np.zeros(1 << n)
+        penalties[pooled] = values
+    else:
+        penalties = (pooled.astype(np.int64), values)
+    return table[keys], accepted, keys, penalties
+
+
+def harvest_features(energies, accepted, keys, floor, delta, eta, penalties):
+    """Which of the cases the harvest tests must cover a round shows."""
+    visited = np.ones(keys.shape, dtype=bool)
+    visited[1:] = accepted
+    per_chain = [keys[visited[:, c], c].tolist() for c in range(keys.shape[1])]
+    chain_min = [energies[visited[:, c], c].min() for c in range(keys.shape[1])]
+    floors = np.minimum.accumulate(np.minimum(chain_min, floor))
+    pooled = set(penalties[0].tolist()) if isinstance(penalties, tuple) else set(np.flatnonzero(penalties).tolist())
+    near_edge = any(
+        abs(e - (floors[c] + eta * delta)) <= 1e-9
+        for c in range(keys.shape[1]) for e in energies[visited[:, c], c].tolist()
+    )
+    return {
+        "repeat within a chain": any(len(set(states)) < len(states) for states in per_chain),
+        "repeat across chains": len(set().union(*map(set, per_chain))) < sum(len(set(s)) for s in per_chain),
+        "floor falls between chains": bool((np.diff(floors) < 0).any()),
+        "earlier state visited": any(k in pooled for states in per_chain for k in states),
+        "energy within a tolerance of the edge": near_edge,
+    }
+
+
+class TestHarvest:
+    @given(
+        seed=st.integers(0, 10**6), n=st.integers(2, 5), chains=st.integers(1, 6), steps=st.integers(0, 24),
+        delta=st.sampled_from([0.0, 0.05, 0.2, 0.5]), eta=st.sampled_from([0.0, 0.5, 1.0]),
+        floor=st.sampled_from([math.inf, 0.4, -0.05, -0.5]), pooled_share=st.sampled_from([0.0, 0.3]),
+        dense=st.booleans(), c2=st.sampled_from([0.01, -0.05, -0.3]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop(self, seed, n, chains, steps, delta, eta, floor, pooled_share, dense, c2):
+        # a negative _C2 makes some penalties miss the window edge, which
+        # both must report
+        energies, accepted, keys, penalties = synthetic_round(seed, n, chains, steps, eta * delta, pooled_share, dense)
+        args = (energies, accepted, keys, floor, delta, eta, penalties)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer_module, "_C2", c2)
+            try:
+                expected = harvest_loop(*args)
+            except InternalError:
+                with pytest.raises(InternalError, match="penalty does not clear"):
+                    optimizer_module._harvest(*args)
+                return
+            got_floor, got_keys, got_energies, got_values = optimizer_module._harvest(*args)
+        assert got_keys.dtype == np.int64
+        assert (got_floor, got_keys.tolist(), got_energies.tolist(), got_values.tolist()) == expected
+
+    def test_penalty_clears_its_own_chains_edge(self, monkeypatch):
+        # chain 0 pools state 1 at floor 0.0; chain 1 visits state 2, pooled
+        # earlier, at -0.3. With _C2 = -0.005 state 1's penalty misses
+        # chain 0's edge, though it clears the edge of the floor after the round.
+        energies = np.array([[0.0, -0.3]])
+        keys = np.array([[1, 2]], dtype=np.int64)
+        penalties = (np.array([2], dtype=np.int64), np.array([0.5]))
+        args = (energies, np.zeros((0, 2), dtype=bool), keys, math.inf, 0.2, 0.5, penalties)
+        assert optimizer_module._harvest(*args)[1].tolist() == [1]
+        monkeypatch.setattr(optimizer_module, "_C2", -0.005)
+        for harvest in (harvest_loop, optimizer_module._harvest):
+            with pytest.raises(InternalError, match="penalty does not clear"):
+                harvest(*args)
+
+    def test_rounds_cover_every_case(self):
+        # the cases the property test must meet, each in many of its rounds
+        counts = Counter()
+        for seed in range(60):
+            counts.update(case for case, shown in harvest_features(*self.round(seed)).items() if shown)
+        assert len(counts) == 5 and min(counts.values()) >= 10, counts
+
+    @staticmethod
+    def round(seed):
+        dense = seed % 2 == 0
+        energies, accepted, keys, penalties = synthetic_round(seed, 3, 4, 12, 0.1, 0.3, dense)
+        return energies, accepted, keys, 0.4, 0.2, 0.5, penalties
 
 
 class TestSolveGround:
@@ -489,6 +598,57 @@ class TestAnnealKernel:
             accepts[name] = on_table[1]
         # the penalties changed some decisions
         assert (accepts["penalized"] != accepts["bare"]).any()
+
+    @pytest.mark.parametrize("kind", ["poly", "table"])
+    def test_no_penalties_are_zero_penalties(self, kind):
+        # a round without penalties is the round under an all-zero dense
+        # table, or an empty (keys, values) pair, bit for bit
+        objective = {
+            "poly": lambda: random_pubo(10, 40, 8),
+            "table": lambda: random_table_objective(6),
+        }[kind]()
+        n = objective.n_vars
+        table = _dense_table(objective)
+        starts, flips, draws = optimizer_module._draw_chains(np.random.default_rng(4), n, 16)
+        empty = (np.empty(0, dtype=np.int64), np.empty(0))
+        rounds = [
+            optimizer_module._anneal(objective, table, starts, flips, draws, penalties)
+            for penalties in (None, np.zeros(table.size))
+        ] + [
+            optimizer_module._anneal(objective, None, starts, flips, draws, penalties)
+            for penalties in (None, empty)
+        ]
+        for energies, accepted, keys in rounds[1:]:
+            assert energies.view(np.int64).tolist() == rounds[0][0].view(np.int64).tolist()
+            assert accepted.tolist() == rounds[0][1].tolist()
+            assert keys.tolist() == rounds[0][2].tolist()
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_rounds_run_without_penalties_while_nothing_is_pooled(self, path, monkeypatch):
+        # a wide window over several rounds, whose first round pools states
+        objective = random_pubo(9, 30, 71)
+        monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", PATHS[path])
+        events = []
+        anneal, harvest = optimizer_module._anneal, optimizer_module._harvest
+
+        def recording_anneal(*args):
+            events.append(("anneal", args[5] is None))
+            return anneal(*args)
+
+        def recording_harvest(*args):
+            out = harvest(*args)
+            events.append(("harvest", out[1].size > 0))
+            return out
+
+        monkeypatch.setattr(optimizer_module, "_anneal", recording_anneal)
+        monkeypatch.setattr(optimizer_module, "_harvest", recording_harvest)
+        enumerate_low_sampled(objective, 6.0, 1.0, 0)
+        bare = [flag for kind, flag in events if kind == "anneal"]
+        pooled = [flag for kind, flag in events if kind == "harvest"]
+        assert len(bare) == len(pooled) > 1
+        # a round runs without penalties exactly when no earlier round pooled a state
+        assert bare == [not any(pooled[:r]) for r in range(len(bare))]
+        assert bare[0] and not all(bare)
 
     @pytest.mark.parametrize("penalized", [False, True])
     @pytest.mark.parametrize("path", ["table", "replica"])
