@@ -6,8 +6,9 @@ point that fails becomes one ``kind=error`` row per eta with its message in
 the ``error`` column. Approximation ratios use the exhaustive oracle up to
 the 30-variable scan ceiling and the eta = 1 run on the same instance
 beyond that. Sweep points are independent and seeded; DC_REDUCE_THREADS > 1
-dispatches them to a process pool. Bad input is refused before any point
-runs.
+dispatches them to a process pool. Every command refuses bad input, then
+opens ``--out`` (or takes stdout), before its first run. ``--prune off``
+runs the paper's plain windows, without dead-end pruning.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class SweepSpec:
     instances: int = 32
     seed0: int = 0
     config: RunConfig = RunConfig()
-    out: str | None = None
 
     def __post_init__(self):
         """Refuse bad input before any point runs: empty lists, a first or
@@ -167,9 +167,6 @@ def run_sweep(spec: SweepSpec, log=None) -> list[dict]:
                 log(f"sweep point {task[:3]} failed: {exc}")
                 rows.extend(_error_rows(task, exc))
     rows.extend(_aggregate(rows))
-    if spec.out:
-        with open(spec.out, "w", encoding="utf-8", newline="") as fh:
-            write_rows(rows, fh)
     return rows
 
 
@@ -217,6 +214,11 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+def _output(path):
+    """``path`` opened for writing, or stdout when no path is given."""
+    return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
+
+
 def _run_config_of(args, **fields) -> RunConfig:
     """The RunConfig of the run flags that ``common_opt`` registers, plus
     ``fields``; one backend serves both optimizer slots."""
@@ -226,6 +228,7 @@ def _run_config_of(args, **fields) -> RunConfig:
         padding_mode=args.padding,
         compute_chi=args.chi == "full",
         max_iterations=args.max_iters,
+        prune_dominated=args.prune == "on",
         **fields,
     )
 
@@ -247,12 +250,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gen(args) -> int:
     h = generate(parse_spec_string(args.spec))
-    text = format_edge_list(h)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as fh:
+        fh.write(format_edge_list(h))
     return 0
 
 
@@ -273,11 +272,10 @@ def _cmd_sweep(args) -> int:
         instances=args.instances,
         seed0=args.seeds,
         config=_run_config_of(args),
-        out=args.out,
     )
-    rows = run_sweep(spec)
-    if not args.out:
-        write_rows(rows, sys.stdout)
+    _worker_count()  # a bad DC_REDUCE_THREADS is refused before --out opens
+    with _output(args.out) as fh:
+        write_rows(run_sweep(spec), fh)
     return 0
 
 
@@ -288,20 +286,13 @@ def _cmd_diagnostics(args) -> int:
     if args.bins < 1:
         raise ParameterError(f"--bins must be at least 1, got {args.bins}")
     config = _run_config_of(args, eta=args.eta, seed=args.seeds + args.instances - 1)
-    records = []
-    for i in range(args.instances):
-        seed = args.seeds + i
-        h = generate(family.spec_for(args.n, seed))
-        result = run(h, replace(config, seed=seed))
-        for diag in shift_diagnostics(h, result):
-            records.append((seed, diag))
-    rows = diagnostics_rows(records, args.family, args.n, args.eta, args.bins)
-    out = args.out
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write_diagnostics(rows, fh)
-    else:
-        _write_diagnostics(rows, sys.stdout)
+    with _output(args.out) as fh:
+        records = []
+        for seed in range(args.seeds, args.seeds + args.instances):
+            h = generate(family.spec_for(args.n, seed))
+            result = run(h, replace(config, seed=seed))
+            records.extend((seed, diag) for diag in shift_diagnostics(h, result))
+        _write_diagnostics(diagnostics_rows(records, args.family, args.n, args.eta, args.bins), fh)
     return 0
 
 
@@ -363,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--padding", choices=("repeat", "penalty"), default="repeat")
         p.add_argument("--chi", choices=("full", "bound"), default="full")
         p.add_argument("--max-iters", type=int, default=10, dest="max_iters")
+        p.add_argument("--prune", choices=("on", "off"), default="on",
+                       help="dead-end pruning; off runs the paper's plain windows")
 
     p_solve = sub.add_parser("solve", help="solve one problem file (.json or edge list)")
     p_solve.add_argument("problem")

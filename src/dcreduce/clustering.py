@@ -57,9 +57,11 @@ class WeightedGraph:
         """m = the sum of the edge weights."""
         return sum(self.edges.values())
 
-    def adjacency(self) -> list[dict[int, float]]:
+    def adjacency(self, exponent: int) -> list[dict[int, float]]:
+        """Neighbour weights, each scaled by ``2**exponent``."""
         adj: list[dict[int, float]] = [dict() for _ in range(self.n_vertices)]
         for (u, v), w in self.edges.items():
+            w = math.ldexp(w, exponent)
             adj[u][v] = adj[u].get(v, 0.0) + w
             adj[v][u] = adj[v].get(u, 0.0) + w
         return adj
@@ -136,8 +138,12 @@ def louvain_with_history(g: WeightedGraph, seed: int = 0) -> tuple[Partition, li
     if m <= 0.0:
         return Partition.from_labels(range(g.n_vertices)), []
 
+    # Gains and modularity are scale-free: scaling by the power of two that puts
+    # m in [0.5, 1) rounds nothing and keeps the gain's 2 m^2 finite and nonzero.
+    exponent = math.frexp(m)[1]
+    m = math.ldexp(m, -exponent)
     rng = np.random.default_rng(seed)
-    adj = g.adjacency()
+    adj = g.adjacency(-exponent)
     loops = [0.0] * g.n_vertices
     members: list[list[int]] = [[v] for v in range(g.n_vertices)]
 

@@ -17,6 +17,7 @@ over every optimizer invocation, including the final recombined solve.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,13 @@ class RunConfig:
             object.__setattr__(self, name, int(value))
         if not 0 <= self.seed < 1 << 32:
             raise ParameterError(f"seed must lie in [0, 2^32), got {self.seed}")
+        if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real):
+            raise ParameterError(f"eta must be a real number, got {self.eta!r}")
+        object.__setattr__(self, "eta", float(self.eta))
+        for name in ("compute_chi", "prune_dominated"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ParameterError(f"{name} must be a bool, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, bool(getattr(self, name)))
         if not 0.0 <= self.eta <= 1.0:
             raise DomainError(f"eta must lie in [0, 1], got {self.eta}")
         if self.max_iterations < 1:

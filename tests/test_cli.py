@@ -1,6 +1,7 @@
 """Command-line interface and sweep-harness tests."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -15,8 +16,9 @@ from dcreduce.cli import (
     diagnostics_rows,
     main,
     run_sweep,
+    write_rows,
 )
-from dcreduce.driver import RunConfig, run
+from dcreduce.driver import RunConfig, run, shift_diagnostics
 from dcreduce.errors import ParameterError
 from dcreduce.hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, load_problem
 from helpers import brute_min
@@ -132,12 +134,28 @@ def test_run_flags_reach_run_config(command, path_problem, monkeypatch):
         "sweep": ["sweep", "--family", "ring_k2", "--n", "8", "--instances", "1"],
         "diagnostics": ["diagnostics", "--n", "8", "--instances", "1"],
     }[command]
-    main(argv + ["--chi", "bound", "--padding", "penalty", "--optimizer", "annealing", "--max-iters", "3"])
+    main(argv + ["--chi", "bound", "--padding", "penalty", "--optimizer", "annealing", "--max-iters", "3",
+                 "--prune", "off"])
     assert len(seen) == 1
     cfg = seen[0]
-    assert (cfg.compute_chi, cfg.padding_mode, cfg.optimizer_o1, cfg.optimizer_o2, cfg.max_iterations) == (
-        False, "penalty", "annealing", "annealing", 3,
-    )
+    assert (
+        cfg.compute_chi, cfg.padding_mode, cfg.optimizer_o1, cfg.optimizer_o2, cfg.max_iterations,
+        cfg.prune_dominated,
+    ) == (False, "penalty", "annealing", "annealing", 3, False)
+
+
+@pytest.mark.parametrize("command", ["sweep", "diagnostics"])
+def test_unwritable_out_is_refused_before_any_run(command, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli_module, "run", lambda *args: calls.append(args))
+    argv = {
+        "sweep": ["sweep", "--family", "3reg", "--n", "8", "--instances", "2"],
+        "diagnostics": ["diagnostics", "--n", "8", "--instances", "2"],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert calls == []
 
 
 class TestGenCommand:
@@ -162,11 +180,10 @@ class TestGenCommand:
 class TestSweep:
     def test_rows_and_aggregates(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        spec = SweepSpec(
-            families=("3reg",), sizes=(10,), etas=(1.0, 0.5),
-            instances=4, seed0=0, out=str(out),
-        )
+        spec = SweepSpec(families=("3reg",), sizes=(10,), etas=(1.0, 0.5), instances=4, seed0=0)
         rows = run_sweep(spec)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            write_rows(rows, fh)
         data_rows = [r for r in rows if r["kind"] == "row"]
         assert len(data_rows) == 8
         mean_rows = [r for r in rows if r["kind"] == "mean"]
@@ -207,11 +224,10 @@ class TestSweep:
 
     def test_failed_points_become_error_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        spec = SweepSpec(
-            families=("ring_k4", "ring_k2"), sizes=(4,), etas=(1.0, 0.5), instances=2,
-            out=str(out),
-        )
+        spec = SweepSpec(families=("ring_k4", "ring_k2"), sizes=(4,), etas=(1.0, 0.5), instances=2)
         rows = run_sweep(spec, log=lambda msg: None)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            write_rows(rows, fh)
         errors = [r for r in rows if r["kind"] == "error"]
         assert [(r["family"], r["n"], r["seed"], r["eta"]) for r in errors] == [
             ("ring_k4", 4, seed, eta) for seed in (0, 1) for eta in (1.0, 0.5)
@@ -270,6 +286,21 @@ class TestSweep:
             "kind", "family", "n", "eta", "seed", "r", "alpha",
             "n_it", "n_q", "energy", "wall_ms", "error",
         ]
+
+    def test_prune_off_sweeps_the_plain_windows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--family", "3reg,ring_k2", "--n", "12", "--eta", "1.0,0.5",
+            "--instances", "2", "--prune", "off", "--out", str(out),
+        ]) == 0
+        spec = SweepSpec(
+            families=("3reg", "ring_k2"), sizes=(12,), etas=(1.0, 0.5), instances=2,
+            config=RunConfig(prune_dominated=False),
+        )
+        expected = io.StringIO()
+        write_rows(run_sweep(spec), expected)
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+        assert strip(read_csv(out)) == strip(csv.DictReader(io.StringIO(expected.getvalue())))
 
 
 # Problem files the bad-input cases read, written under tmp_path.
@@ -380,6 +411,21 @@ class TestDiagnostics:
             ratio_a = float(row[10])
             assert abs(ratio_a) <= 1.0 + 1e-9
             assert float(row[6]) > 0.0  # delta > 0: interaction-free excluded
+
+    def test_prune_off_diagnoses_the_plain_windows(self, tmp_path):
+        out = tmp_path / "diag.csv"
+        assert main([
+            "diagnostics", "--n", "12", "--eta", "0.5", "--instances", "2", "--seeds", "3",
+            "--bins", "5", "--prune", "off", "--out", str(out),
+        ]) == 0
+        records = []
+        for seed in (3, 4):
+            h = generate(family_by_label("3reg").spec_for(12, seed))
+            result = run(h, RunConfig(eta=0.5, seed=seed, prune_dominated=False))
+            records.extend((seed, diag) for diag in shift_diagnostics(h, result))
+        expected = io.StringIO()
+        cli_module._write_diagnostics(diagnostics_rows(records, "3reg", 12, 0.5, bins=5), expected)
+        assert out.read_bytes() == expected.getvalue().encode()
 
     def test_run_errors_are_one_error_line(self, capsys):
         code = main(["diagnostics", "--n", "8", "--eta", "1.5", "--instances", "1"])

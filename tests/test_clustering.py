@@ -1,10 +1,13 @@
 """Modularity and Louvain tests, checked against naive oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcreduce.benchgen import GraphSpec, generate
 from dcreduce.clustering import (
     Partition,
     WeightedGraph,
@@ -12,6 +15,7 @@ from dcreduce.clustering import (
     louvain_with_history,
     modularity,
 )
+from dcreduce.driver import RunConfig, run
 from dcreduce.errors import DomainError, FormatError
 from dcreduce.hamiltonian import PolyHamiltonian
 from dcreduce.reduction import ReducedProblem
@@ -157,6 +161,20 @@ class TestLouvain:
         g = WeightedGraph(2, {(0, 1): -0.5})
         with pytest.raises(DomainError):
             louvain(g)
+
+    @pytest.mark.parametrize("exponent", [-600, 520])
+    def test_any_weight_scale_gives_the_unscaled_result(self, exponent):
+        # unscaled, the gain's 2 m^2 underflows to 0 at 2^-600 and overflows at 2^520
+        g = random_graph(20, 45, 7)
+        scaled = WeightedGraph(20, {e: math.ldexp(w, exponent) for e, w in g.edges.items()})
+        assert louvain_with_history(scaled, seed=5) == louvain_with_history(g, seed=5)
+
+    def test_run_at_a_huge_coefficient_scale_divides_as_unscaled(self):
+        # every coefficient x 1e300 is valid input: 4 * sum |c| is still finite
+        h = generate(GraphSpec("k_regular", 40, 3, k=3))
+        huge = PolyHamiltonian(h.n_vars, {s: c * 1e300 for s, c in h.terms.items()})
+        config = RunConfig(eta=1.0, seed=3)
+        assert run(huge, config).n_q == run(h, config).n_q == 10
 
     def test_history_non_decreasing_and_beats_trivial_partitions(self):
         for seed in range(30):

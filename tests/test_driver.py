@@ -192,6 +192,15 @@ class TestRun:
             with pytest.raises(ParameterError, match=str(seed)):
                 RunConfig(seed=seed)
         RunConfig(seed=2**32 - 1)
+        # eta is a real number stored as a Python float, the two switches bools
+        for fields in ({"eta": True}, {"eta": "0.5"}, {"eta": None},
+                       {"compute_chi": "no"}, {"prune_dominated": "no"}, {"prune_dominated": 0}):
+            with pytest.raises(ParameterError):
+                RunConfig(**fields)
+        config = RunConfig(eta=np.float32(0.5), compute_chi=np.bool_(False), prune_dominated=np.True_)
+        assert (type(config.eta), type(config.compute_chi), type(config.prune_dominated)) == (float, bool, bool)
+        assert config == RunConfig(eta=0.5, compute_chi=False)
+        json.dumps(run(random_quadratic(6, 8, 1), config).to_json_dict())
 
     @pytest.mark.parametrize("field", ["seed", "max_iterations", "brute_force_ceiling"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, np.float64(3.0), "3"])

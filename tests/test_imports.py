@@ -1,8 +1,8 @@
 """Every name a module imports is read somewhere in that module.
 
-A standard-library scan with ``ast`` over ``src/``, ``tests/`` and
-``scripts/``: an import binds names, and each bound name must appear as a
-loaded name in the same file. Names a module lists in ``__all__`` are
+A standard-library scan with ``ast`` over ``src/`` and ``tests/``: an
+import binds names, and each bound name must appear as a loaded name in
+the same file. Names a module lists in ``__all__`` are
 re-exports and exempt.
 """
 
@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "tests", "scripts")
+SCANNED = ("src", "tests")
 
 
 def _exported(tree: ast.Module) -> set[str]:
