@@ -226,8 +226,6 @@ def _run_config_of(args, **fields) -> RunConfig:
         optimizer_o1=args.optimizer,
         optimizer_o2=args.optimizer,
         padding_mode=args.padding,
-        compute_chi=args.chi == "full",
-        max_iterations=args.max_iters,
         prune_dominated=args.prune == "on",
         **fields,
     )
@@ -352,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         """The run flags that ``_run_config_of`` reads."""
         p.add_argument("--optimizer", choices=("auto", "exhaustive", "annealing"), default="auto")
         p.add_argument("--padding", choices=("repeat", "penalty"), default="repeat")
-        p.add_argument("--chi", choices=("full", "bound"), default="full")
-        p.add_argument("--max-iters", type=int, default=10, dest="max_iters")
         p.add_argument("--prune", choices=("on", "off"), default="on",
                        help="dead-end pruning; off runs the paper's plain windows")
 

@@ -26,6 +26,7 @@ from .clustering import Partition, louvain
 from .errors import DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import PolyHamiltonian, SpinConfig, int_to_bits
 from .optimizer import (
+    SCAN_CEILING,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
     scan_minimum,
@@ -60,15 +61,13 @@ class RunConfig:
     optimizer_o1: str = "auto"
     optimizer_o2: str = "auto"
     padding_mode: str = "repeat"
-    compute_chi: bool = True
-    max_iterations: int = 10
     brute_force_ceiling: int = 22
     # Drop the window states that another retained state beats under every
     # boundary (``reduction.prune_dominated``); off keeps the paper's windows.
     prune_dominated: bool = True
 
     def __post_init__(self):
-        for name in ("seed", "max_iterations", "brute_force_ceiling"):
+        for name in ("seed", "brute_force_ceiling"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
@@ -79,20 +78,17 @@ class RunConfig:
         if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real):
             raise ParameterError(f"eta must be a real number, got {self.eta!r}")
         object.__setattr__(self, "eta", float(self.eta))
-        for name in ("compute_chi", "prune_dominated"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ParameterError(f"{name} must be a bool, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, bool(getattr(self, name)))
+        if not isinstance(self.prune_dominated, (bool, np.bool_)):
+            raise ParameterError(f"prune_dominated must be a bool, got {self.prune_dominated!r}")
+        object.__setattr__(self, "prune_dominated", bool(self.prune_dominated))
         if not 0.0 <= self.eta <= 1.0:
             raise DomainError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be at least 1")
         if self.optimizer_o1 not in _BACKENDS or self.optimizer_o2 not in _BACKENDS:
             raise ParameterError(f"optimizer backends must be one of {_BACKENDS}")
         if self.padding_mode not in ("repeat", "penalty"):
             raise ParameterError("padding_mode must be 'repeat' or 'penalty'")
-        if self.brute_force_ceiling < 1:
-            raise ParameterError("brute_force_ceiling must be positive")
+        if not 1 <= self.brute_force_ceiling <= SCAN_CEILING:
+            raise ParameterError(f"brute_force_ceiling must lie in [1, {SCAN_CEILING}], got {self.brute_force_ceiling}")
 
 
 @dataclass(frozen=True)
@@ -269,15 +265,13 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
             objectives = (rd.rp.local_objective(members) for members in rd.members)
             preference, build = cfg.optimizer_o2, build_reduced_iter
         encodings, trace = _enumerate_and_encode(rd, objectives, deltas, preference, iterations, cfg)
-        rp = build(rd, encodings, cfg.compute_chi)
+        rp = build(rd, encodings)
         chain.levels.append(ChainLevel(trace.membership, encodings))
         invocations.extend(trace.invocation_sizes)
         levels.append(trace)
 
         partition = louvain(rp.contracted_graph(), seed=_sub_seed(cfg.seed, 10 + iterations))
         criterion = should_recombine(rp.total_qubits, max(invocations), partition)
-        if criterion is None and iterations >= cfg.max_iterations:
-            criterion = 0
         if criterion is not None:
             break
 

@@ -112,7 +112,7 @@ def _check_window_args(delta: float, eta: float) -> None:
 def window(e0: float, delta: float, eta: float) -> Window:
     """The retained interval [e0, e0 + eta * delta]."""
     _check_window_args(delta, eta)
-    tol = 1e-9 * max(1.0, abs(e0) + delta)
+    tol = 1e-9 * (abs(e0) + delta)
     return Window(e0, e0 + eta * delta, tol)
 
 
@@ -420,7 +420,7 @@ def _harvest(energies: np.ndarray, accepted: np.ndarray, keys: np.ndarray, floor
     floors = np.minimum.accumulate(np.minimum(np.where(visited, energies, np.inf).min(axis=0), floor))
     # window(floors[c], delta, eta) for every chain c at once, by its formula
     hi = floors + eta * delta
-    tol = 1e-9 * np.maximum(1.0, np.abs(floors) + delta)
+    tol = 1e-9 * (np.abs(floors) + delta)
     inside = visited & (energies >= floors - tol) & (energies <= hi + tol)
     chain, step = np.nonzero(inside.T)
     found = keys[step, chain]

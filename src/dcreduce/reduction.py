@@ -22,10 +22,10 @@ couplings' terms onto the new registers: each old feature is gathered
 through the new decode tables and XORed with the features of the term's
 other members inside the same new register. An entry sums its terms in one
 fixed order, a word at a time through a table of the word's signed sums,
-so a materialized table equals the entry-wise value bit for bit. Couplings
-of at most ``MATERIALIZE_ENTRIES`` (2^22) entries, the one table cap,
-materialize into cached tables; larger ones evaluate entry-wise, so only
-the entries a solver actually visits are ever computed.
+so a table equals the entry-wise value bit for bit. A coupling of at most
+``MATERIALIZE_ENTRIES`` (2^22) entries, the one table cap, builds and
+caches its table on its first read; a larger one evaluates entry-wise, so
+only the entries a solver actually visits are ever computed.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from .hamiltonian import (
 )
 from .optimizer import LocalSpectrum
 
-# The one coupling-table cap: couplings of at most this many entries are
-# materialized (eagerly with chi tables, and inside objectives); larger ones
-# are only ever read entry-wise, and ``Coupling.table`` refuses them.
+# The one coupling-table cap: couplings of at most this many entries build
+# their table on first read; larger ones are only ever read entry-wise, and
+# ``Coupling.table`` refuses them.
 MATERIALIZE_ENTRIES = 1 << 22
 
 
@@ -133,7 +133,8 @@ class Coupling:
     about ``SLAB_ENTRIES`` entries of leading rows at a time, so a table
     equals ``values`` bit for bit. ``table`` caches its result, and
     refuses past ``MATERIALIZE_ENTRIES``, the cap ``can_materialize``
-    tests; a cached table, given or built, is what ``values`` reads.
+    tests; ``values`` reads the table, given (level 0) or built on its
+    first read within the cap, and past the cap sums entry-wise.
     ``bound`` is sum_t |c_t|; a caller that knows it may pass it.
     """
 
@@ -150,12 +151,15 @@ class Coupling:
         return math.prod(self.shape) <= MATERIALIZE_ENTRIES
 
     def values(self, idx_arrays) -> np.ndarray:
-        if self._table is not None:
-            return self._table[tuple(idx_arrays)]
-        return self._signed_sums([
-            functools_reduce(np.bitwise_xor, [mask[w][i] for mask, i in zip(self.masks, idx_arrays)])
-            for w in range(len(self.masks[0]))
-        ])
+        table = self._table
+        if table is None:
+            if not self.can_materialize:
+                return self._signed_sums([
+                    functools_reduce(np.bitwise_xor, [mask[w][i] for mask, i in zip(self.masks, idx_arrays)])
+                    for w in range(len(self.masks[0]))
+                ])
+            table = self.table()
+        return table[tuple(idx_arrays)]
 
     def table(self) -> np.ndarray:
         if self._table is None:
@@ -195,20 +199,16 @@ class TableObjective:
 
     Implements the optimizer's objective interface via table lookups; this
     is the default execution path for reduced problems. ``couplings`` are
-    ``(positions, Coupling)`` pairs; those that can materialize are, and
-    are read through one flat gather array, the rest entry-wise through
-    ``Coupling.values``. ``replica_energies`` also takes Python-int keys,
-    so an annealed register may exceed 62 qubits.
+    ``(positions, Coupling)`` pairs, read through ``Coupling.values``;
+    ``replica_energies`` reads every table within the cap through one flat
+    gather array, and also takes Python-int keys, so an annealed register
+    may exceed 62 qubits.
     """
 
     def __init__(self, m_list, energy_tables, couplings):
         self.m_list = list(m_list)
         self.energy_tables = [np.asarray(t, dtype=np.float64) for t in energy_tables]
-        self.couplings = []
-        for pos, coupling in couplings:
-            if coupling.can_materialize:
-                coupling.table()
-            self.couplings.append((tuple(pos), coupling))
+        self.couplings = [(tuple(pos), coupling) for pos, coupling in couplings]
         self.offsets = []
         off = 0
         for m in self.m_list:
@@ -279,10 +279,10 @@ class TableObjective:
         return out
 
     def _gather_plan(self):
-        """Every materialized table raveled into one flat array, with the
+        """Every table within the cap raveled into one flat array, with the
         per-register strides (K, T) and table offsets (T,) that turn an
-        (R, K) register index array into flat positions; plus the lazy
-        couplings."""
+        (R, K) register index array into flat positions; plus the couplings
+        past the cap."""
         if self._gather is None:
             tables = [((k,), table) for k, table in enumerate(self.energy_tables)]
             lazy = []
@@ -308,10 +308,9 @@ class ReducedProblem:
     """Per-community energy tables plus inter-community coupling tables;
     ``quadratic`` when the input was pure quadratic (two-body cut-offs apply)."""
 
-    def __init__(self, encodings, couplings, compute_chi: bool, n_chi: int, quadratic: bool = False):
+    def __init__(self, encodings, couplings, n_chi: int, quadratic: bool = False):
         self.encodings: tuple[EncodedCommunity, ...] = tuple(encodings)
         self.couplings: dict[tuple[int, ...], Coupling] = dict(couplings)
-        self.compute_chi = compute_chi
         self.n_chi = n_chi
         self.quadratic = quadratic
         self.m_tildes = tuple(enc.m_tilde for enc in self.encodings)
@@ -347,7 +346,7 @@ class ReducedProblem:
             for (subset, coeff), table in zip(items, tables):
                 couplings[subset] = Coupling((coeff,), masks, table, abs(coeff))
         shared = {f: EncodedCommunity(1, [0, 1], [f, -f], "repeat", 2, 1) for f in set(fields)}
-        return cls([shared[f] for f in fields], couplings, True, 0, h.is_pure_quadratic())
+        return cls([shared[f] for f in fields], couplings, 0, h.is_pure_quadratic())
 
     @property
     def n_communities(self) -> int:
@@ -356,15 +355,14 @@ class ReducedProblem:
     def j_tilde(self, footprint) -> float:
         """Edge weight for the contracted graph.
 
-        With chi tables computed this is the exact diagonal operator norm,
-        the largest |entry| (padded indices repeat the entries of valid
-        ones, since they decode to ``decode[mu % d]``); otherwise, or when
-        the table is too large to materialize, the bound sum_t |c_t|. A
-        one-term coupling, as at level 0, takes its bound: every entry is
-        +-c, so the bound is that norm.
+        The exact diagonal operator norm, the largest |entry| of the
+        coupling's table (padded indices repeat the entries of valid ones,
+        since they decode to ``decode[mu % d]``); past the table cap, the
+        bound sum_t |c_t|. A one-term coupling, as at level 0, takes its
+        bound: every entry is +-c, so the bound is that norm.
         """
         coupling = self.couplings[tuple(footprint)]
-        if len(coupling.coeffs) == 1 or not self.compute_chi or not coupling.can_materialize:
+        if len(coupling.coeffs) == 1 or not coupling.can_materialize:
             return coupling.bound
         table = coupling.table()
         return float(max(table.max(), -table.min()))  # no |table| temporary
@@ -632,14 +630,12 @@ def _coupling_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):
     return [np.stack(rows) for rows in by_rows.values()]
 
 
-def build_reduced(rd: ReducedDecomposition, encodings, compute_chi: bool = True) -> ReducedProblem:
+def build_reduced(rd: ReducedDecomposition, encodings) -> ReducedProblem:
     """The first level's reduced problem, built like every later level's."""
-    return build_reduced_iter(rd, encodings, compute_chi)
+    return build_reduced_iter(rd, encodings)
 
 
-def build_reduced_iter(
-    rd: ReducedDecomposition, encodings, compute_chi: bool = True
-) -> ReducedProblem:
+def build_reduced_iter(rd: ReducedDecomposition, encodings) -> ReducedProblem:
     """Next-level reduced problem: straddling couplings regrouped under the
     new communities, their level-0 terms carried over.
 
@@ -647,10 +643,10 @@ def build_reduced_iter(
     Each old word is shifted to its terms' place (its overflow into the next
     word), gathered through the new decode table (``_member_gathers``) and
     XORed into the word there: that ORs distinct terms' bits and multiplies
-    the features of one term's members inside one new register. With
-    ``compute_chi`` the coupling tables that fit the materialization cap
-    are built eagerly and their chi-entry count (entries times old
-    couplings) is recorded; otherwise entries evaluate on demand.
+    the features of one term's members inside one new register. No table
+    is built here: a coupling builds its own on its first read. The
+    chi-entry count sums, over the couplings within the table cap, their
+    entries times their old couplings.
     """
     encodings = tuple(encodings)
     if len(encodings) != rd.partition.n_communities:
@@ -683,11 +679,10 @@ def build_reduced_iter(
             first += terms
         masks = tuple(tuple(meet[l]) for l in new_fp)
         coupling = Coupling(coeffs, masks, bound=sum(old.bound for _, old in olds))
-        if compute_chi and coupling.can_materialize:
+        if coupling.can_materialize:
             n_chi += len(olds) * math.prod(coupling.shape)
-            coupling.table()
         couplings[new_fp] = coupling
-    return ReducedProblem(encodings, couplings, compute_chi, n_chi, rd.rp.quadratic)
+    return ReducedProblem(encodings, couplings, n_chi, rd.rp.quadratic)
 
 
 def _split_registers(states, groups, widths) -> list:

@@ -62,6 +62,8 @@ def test_criterion_01_eta_one_oracle_exactness():
                 if not h.terms:
                     continue
                 result = run(h, RunConfig(eta=1.0, seed=seed))
+                # every run stops on a recombination criterion
+                assert result.criterion in (1, 2, 3), (entry.label, n, seed, result.criterion)
                 diff = abs(result.best_energy - brute_min(h))
                 worst = max(worst, diff)
                 assert diff <= 1e-9, (entry.label, n, seed, diff)

@@ -134,14 +134,12 @@ def test_run_flags_reach_run_config(command, path_problem, monkeypatch):
         "sweep": ["sweep", "--family", "ring_k2", "--n", "8", "--instances", "1"],
         "diagnostics": ["diagnostics", "--n", "8", "--instances", "1"],
     }[command]
-    main(argv + ["--chi", "bound", "--padding", "penalty", "--optimizer", "annealing", "--max-iters", "3",
-                 "--prune", "off"])
+    main(argv + ["--padding", "penalty", "--optimizer", "annealing", "--prune", "off"])
     assert len(seen) == 1
     cfg = seen[0]
     assert (
-        cfg.compute_chi, cfg.padding_mode, cfg.optimizer_o1, cfg.optimizer_o2, cfg.max_iterations,
-        cfg.prune_dominated,
-    ) == (False, "penalty", "annealing", "annealing", 3, False)
+        cfg.padding_mode, cfg.optimizer_o1, cfg.optimizer_o2, cfg.prune_dominated,
+    ) == ("penalty", "annealing", "annealing", False)
 
 
 @pytest.mark.parametrize("command", ["sweep", "diagnostics"])
@@ -322,7 +320,7 @@ _BAD_FILES = {
     ["sweep", "--family", "ring_k2", "--n", ",", "--instances", "1"],
     ["sweep", "--family", "ring_k2", "--n", "8", "--eta", "2", "--instances", "1"],
     ["sweep", "--family", "ring_k2", "--n", "8", "--eta", ",", "--instances", "1"],
-    ["sweep", "--family", "ring_k2", "--n", "8", "--max-iters", "0", "--instances", "1"],
+    ["diagnostics", "--n", "8", "--eta", "1.5", "--instances", "1"],
     ["gen", "--spec", "3reg:n=40:sede=7"],
     ["gen", "--spec", "3reg:n=40.9"],
     ["gen", "--spec", "er:n=10:m=8.7"],

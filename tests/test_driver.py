@@ -1,10 +1,12 @@
 """End-to-end run, recombination criteria, and metric tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from dcreduce.benchgen import GraphSpec, generate
 from dcreduce.clustering import Partition
 from dcreduce.driver import (
     RunConfig,
@@ -16,6 +18,7 @@ from dcreduce.driver import (
 )
 from dcreduce.errors import DomainError, ParameterError
 from dcreduce.hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, int_to_bits
+import dcreduce.reduction as reduction_module
 from helpers import brute_min, random_pubo, random_quadratic
 
 
@@ -157,15 +160,27 @@ class TestRun:
         result = run(h, RunConfig(eta=1.0, seed=6, padding_mode="penalty"))
         assert result.best_energy == pytest.approx(brute_min(h), abs=1e-9)
 
-    def test_chi_bound_run(self):
+    def test_chi_bound_run(self, monkeypatch):
+        # a cap of 0 leaves every coupling entry-wise, weighed and cut off
+        # by its bound sum |c_t|
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
         h = random_quadratic(12, 22, 7)
-        result = run(h, RunConfig(eta=1.0, seed=7, compute_chi=False))
+        result = run(h, RunConfig(eta=1.0, seed=7))
         assert result.best_energy == pytest.approx(brute_min(h), abs=1e-9)
 
-    def test_max_iterations_backstop(self):
-        h = random_quadratic(14, 26, 8)
-        result = run(h, RunConfig(eta=1.0, seed=8, max_iterations=1))
-        assert result.iterations_used == 1
+    @pytest.mark.parametrize("exponent", [-600, 520])
+    def test_any_coefficient_scale_runs_as_unscaled(self, exponent):
+        # window tolerances scale with the energies, with no absolute floor
+        # that would dwarf them at 2^-600 and keep nearly every state
+        h = generate(GraphSpec("k_regular", 40, 3, k=3))
+        scaled = PolyHamiltonian(h.n_vars, {s: math.ldexp(c, exponent) for s, c in h.terms.items()})
+        config = RunConfig(eta=1.0, seed=3)
+        base, result = run(h, config), run(scaled, config)
+        assert result.n_q == base.n_q == 10
+        for got, want in zip(result.trace.levels, base.trace.levels, strict=True):
+            assert (got.partition, got.d_list) == (want.partition, want.d_list)
+        assert result.best_config == base.best_config
+        assert result.best_energy == math.ldexp(base.best_energy, exponent)
 
     def test_disconnected_components(self):
         # two independent chains; decomposition must not couple them
@@ -184,25 +199,28 @@ class TestRun:
         with pytest.raises(DomainError):
             RunConfig(eta=1.5)
         with pytest.raises(ParameterError):
-            RunConfig(max_iterations=0)
-        with pytest.raises(ParameterError):
             RunConfig(optimizer_o1="quantum")
+        # the backend switch never asks a scan for more than SCAN_CEILING variables
+        assert RunConfig(brute_force_ceiling=30).brute_force_ceiling == 30
+        for ceiling in (0, 31):
+            with pytest.raises(ParameterError, match=f"30.*got {ceiling}"):
+                RunConfig(brute_force_ceiling=ceiling)
         # run seeds are 32-bit: a seed outside [0, 2^32) would alias another
         for seed in (-1, 2**32):
             with pytest.raises(ParameterError, match=str(seed)):
                 RunConfig(seed=seed)
         RunConfig(seed=2**32 - 1)
-        # eta is a real number stored as a Python float, the two switches bools
+        # eta is a real number stored as a Python float, the switch a bool
         for fields in ({"eta": True}, {"eta": "0.5"}, {"eta": None},
-                       {"compute_chi": "no"}, {"prune_dominated": "no"}, {"prune_dominated": 0}):
+                       {"prune_dominated": "no"}, {"prune_dominated": 0}):
             with pytest.raises(ParameterError):
                 RunConfig(**fields)
-        config = RunConfig(eta=np.float32(0.5), compute_chi=np.bool_(False), prune_dominated=np.True_)
-        assert (type(config.eta), type(config.compute_chi), type(config.prune_dominated)) == (float, bool, bool)
-        assert config == RunConfig(eta=0.5, compute_chi=False)
+        config = RunConfig(eta=np.float32(0.5), prune_dominated=np.False_)
+        assert (type(config.eta), type(config.prune_dominated)) == (float, bool)
+        assert config == RunConfig(eta=0.5, prune_dominated=False)
         json.dumps(run(random_quadratic(6, 8, 1), config).to_json_dict())
 
-    @pytest.mark.parametrize("field", ["seed", "max_iterations", "brute_force_ceiling"])
+    @pytest.mark.parametrize("field", ["seed", "brute_force_ceiling"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, np.float64(3.0), "3"])
     def test_integer_fields_refuse_other_types(self, field, value):
         # a float or a bool is refused as a run setting, not truncated,
@@ -210,7 +228,7 @@ class TestRun:
         with pytest.raises(ParameterError, match=f"{field} must be an integer"):
             RunConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["seed", "max_iterations", "brute_force_ceiling"])
+    @pytest.mark.parametrize("field", ["seed", "brute_force_ceiling"])
     def test_integer_fields_take_numpy_integers(self, field):
         config = RunConfig(**{field: np.int64(3)})
         assert type(getattr(config, field)) is int and config == RunConfig(**{field: 3})

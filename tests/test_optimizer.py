@@ -157,9 +157,9 @@ class TestScanCeiling:
             brute_force_reference(h)
 
     def test_recombined_solve_adds_context(self):
+        # the exhaustive backend scans whatever it is given, up to the ceiling
         def solve(objective):
-            cfg = RunConfig(brute_force_ceiling=40)
-            return _solve_objective(objective, cfg, "auto", 0)
+            return _solve_objective(objective, RunConfig(), "exhaustive", 0)
 
         assert solve(_FixedScan(SCAN_CEILING, [(0, np.array([0.5, -0.5]))])) == (1, -0.5)
         with pytest.raises(ResourceError, match="^recombined solve: exhaustive scan over 31"):

@@ -39,7 +39,7 @@ from helpers import (
 )
 
 
-def _level_one(h, labels, eta=1.0, padding="repeat", compute_chi=True):
+def _level_one(h, labels, eta=1.0, padding="repeat"):
     d = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels))
     spectra, deltas = [], []
     for i, members in enumerate(d.members):
@@ -49,7 +49,7 @@ def _level_one(h, labels, eta=1.0, padding="repeat", compute_chi=True):
     encodings = [
         encode_community(spec, padding, delta=deltas[i]) for i, spec in enumerate(spectra)
     ]
-    rp = build_reduced(d, encodings, compute_chi)
+    rp = build_reduced(d, encodings)
     chain = DecodeChain(h.n_vars, [ChainLevel(d.members, tuple(encodings))])
     return d, rp, chain
 
@@ -229,12 +229,15 @@ class TestLevelZero:
         np.testing.assert_allclose(got, spin_energies(h), rtol=0, atol=1e-12)
 
 
-    @pytest.mark.parametrize("compute_chi", [True, False])
-    def test_j_tilde_is_abs_coeff(self, compute_chi):
+    @pytest.mark.parametrize("tables", [True, False])
+    def test_j_tilde_is_abs_coeff(self, monkeypatch, tables):
+        # with or without the level-0 tables (a cap of 0 builds none)
+        if not tables:
+            monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
         h = random_pubo(10, 24, 7, max_arity=4)
-        level0 = ReducedProblem.from_hamiltonian(h)
-        rp = ReducedProblem(level0.encodings, level0.couplings, compute_chi, 0)
+        rp = ReducedProblem.from_hamiltonian(h)
         assert rp.couplings
+        assert all((c._table is not None) == tables for c in rp.couplings.values())
         for subset, coupling in rp.couplings.items():
             assert _bits(rp.j_tilde(subset)) == _bits(abs(h.terms[subset]))
 
@@ -335,18 +338,22 @@ class TestContractedGraph:
         g = rp.contracted_graph()
         assert g.edges == pytest.approx({(0, 1): 0.8})
 
-    def test_bound_weight_without_chi(self):
+    def test_bound_weight_without_chi(self, monkeypatch):
+        # past the table cap, a coupling weighs its bound sum |c_t|
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
         h = PolyHamiltonian(4, {(0, 2): 0.5, (1, 3): -0.25, (0, 1): 0.9, (2, 3): 0.9})
-        _, rp, _ = _level_one(h, [0, 0, 1, 1], compute_chi=False)
+        _, rp, _ = _level_one(h, [0, 0, 1, 1])
         g = rp.contracted_graph()
         assert g.edges == pytest.approx({(0, 1): 0.75})
 
-    def test_exact_never_exceeds_bound(self):
+    def test_exact_never_exceeds_bound(self, monkeypatch):
         for seed in range(8):
             h = random_quadratic(10, 18, seed)
             p = level1_partition(h, seed)
-            _, rp_exact, _ = _level_one(h, p.community_of, compute_chi=True)
-            _, rp_bound, _ = _level_one(h, p.community_of, compute_chi=False)
+            _, rp_exact, _ = _level_one(h, p.community_of)
+            with monkeypatch.context() as patch:
+                patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
+                _, rp_bound, _ = _level_one(h, p.community_of)
             for footprint in rp_exact.couplings:
                 assert rp_exact.j_tilde(footprint) <= rp_bound.j_tilde(footprint) + 1e-12
 
@@ -382,7 +389,7 @@ def _two_level(h, seed=0, eta=1.0):
     return rp2, chain
 
 
-def _iterate_once(h, rp, chain, labels, eta=1.0, padding="repeat", compute_chi=True):
+def _iterate_once(h, rp, chain, labels, eta=1.0, padding="repeat"):
     """One manual iteration level under an explicit community grouping."""
     p = Partition.from_labels(labels)
     if p.n_communities == rp.n_communities:
@@ -397,7 +404,7 @@ def _iterate_once(h, rp, chain, labels, eta=1.0, padding="repeat", compute_chi=T
     encodings = [
         encode_community(s, padding, delta=deltas[l]) for l, s in enumerate(spectra)
     ]
-    new_rp = build_reduced_iter(rd, encodings, compute_chi)
+    new_rp = build_reduced_iter(rd, encodings)
     chain.levels.append(ChainLevel(tuple(rd.members), tuple(encodings)))
     return new_rp
 
@@ -417,15 +424,16 @@ class TestTableCap:
 
     def test_edge_in_build_reduced_iter(self, monkeypatch):
         h = random_quadratic(10, 18, 620)
-        d, _, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2], compute_chi=False)
+        d, _, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2])
         encodings = chain.levels[0].encodings
         footprint = (0, 2)
-        # a table exactly at the cap is built and gets its exact norm, which
-        # here is below the bound sum |c_t|
+        # a table exactly at the cap is built on its first read and gets its
+        # exact norm, which here is below the bound sum |c_t|
         monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16)
         rp = build_reduced_iter(d, encodings)
         coupling = rp.couplings[footprint]
         assert coupling.shape == (8, 16)
+        coupling.values([0, 0])
         assert coupling._table is not None
         exact = float(np.abs(coupling.table()).max())
         assert rp.j_tilde(footprint) == exact
@@ -439,8 +447,39 @@ class TestTableCap:
         with pytest.raises(ResourceError, match="materialization cap"):
             coupling.table()
         objective = rp.full_objective()
-        assert coupling._table is None
         _assert_scan_matches(objective)
+        assert coupling._table is None
+
+    def test_table_built_on_first_read(self, monkeypatch):
+        h = random_quadratic(10, 18, 620)
+        d, _, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2])
+        encodings = chain.levels[0].encodings
+        footprint = (0, 2)
+        grid = np.ix_(np.arange(8), np.arange(16))
+        # the entry-wise sums, from a twin built and read under a cap of 0
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
+            twin = build_reduced_iter(d, encodings).couplings[footprint]
+            expected = twin.values(grid)
+        assert twin.shape == (8, 16) and twin._table is None
+        # within the cap: no table after the build, one on the first read,
+        # equal to the entry-wise sums bit for bit
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16)
+        rp = build_reduced_iter(d, encodings)
+        assert all(c._table is None for c in rp.couplings.values())
+        coupling = rp.couplings[footprint]
+        first = coupling.values(grid)
+        assert coupling._table is not None
+        np.testing.assert_array_equal(_bits(first), _bits(expected))
+        np.testing.assert_array_equal(_bits(coupling.table()), _bits(expected))
+        # one entry past the cap: read, weighed and scanned, never built
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16 - 1)
+        rp = build_reduced_iter(d, encodings)
+        coupling = rp.couplings[footprint]
+        np.testing.assert_array_equal(_bits(coupling.values(grid)), _bits(expected))
+        rp.contracted_graph()
+        _assert_scan_matches(rp.full_objective())
+        assert coupling._table is None
 
 
 class TestIteration:
@@ -536,24 +575,28 @@ class TestIteration:
         seed=st.integers(0, 10**6),
         pubo=st.booleans(),
         padding=st.sampled_from(["repeat", "penalty"]),
-        compute_chi=st.booleans(),
+        tables=st.booleans(),
         eta=st.sampled_from([0.4, 1.0]),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_master_identity_property(self, seed, pubo, padding, compute_chi, eta, data):
-        # level 1 and one iteration level under drawn partitions
+    def test_master_identity_property(self, seed, pubo, padding, tables, eta, data):
+        # level 1 and one iteration level under drawn partitions, with
+        # coupling tables or (a cap of 0) entry-wise couplings and bounds
         n = 8
         h = random_pubo(n, 12, seed, max_arity=3) if pubo else random_quadratic(n, 12, seed)
-        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        _, rp, chain = _level_one(h, labels, eta, padding, compute_chi)
-        check = _check_master_identity if padding == "repeat" else _check_penalty_identity
-        check(h, rp, chain, h.constant)
-        k = rp.n_communities
-        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
-        rp2 = _iterate_once(h, rp, chain, labels, eta, padding, compute_chi)
-        if rp2 is not None:
-            check(h, rp2, chain, h.constant)
+        with pytest.MonkeyPatch.context() as patch:
+            if not tables:
+                patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
+            labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            _, rp, chain = _level_one(h, labels, eta, padding)
+            check = _check_master_identity if padding == "repeat" else _check_penalty_identity
+            check(h, rp, chain, h.constant)
+            k = rp.n_communities
+            labels = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+            rp2 = _iterate_once(h, rp, chain, labels, eta, padding)
+            if rp2 is not None:
+                check(h, rp2, chain, h.constant)
 
     @given(st.integers(0, 10**6), st.integers(0, 2**12 - 1))
     @settings(max_examples=40, deadline=None)
@@ -578,20 +621,21 @@ class TestIteration:
             if p.n_communities < 2:
                 continue
             monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
-            _, rp, chain = _level_one(h, p.community_of, compute_chi=True)
+            _, rp, chain = _level_one(h, p.community_of)
             assert all(not c.can_materialize for c in rp.couplings.values())
             # j_tilde degrades to the bound when nothing materializes
             for footprint in rp.couplings:
                 assert rp.j_tilde(footprint) == rp.couplings[footprint].bound
             _check_master_identity(h, rp, chain, h.constant)
-            monkeypatch.undo()
-            _, rp_mat, _ = _level_one(h, p.community_of, compute_chi=True)
+            # read entry-wise while the cap is 0, so no table is built
             rng = np.random.default_rng(seed)
-            for footprint, coupling in rp.couplings.items():
-                probes = [rng.integers(0, s, size=32) for s in coupling.shape]
+            probes = {fp: [rng.integers(0, s, size=32) for s in c.shape] for fp, c in rp.couplings.items()}
+            entries = {fp: c.values(probes[fp]) for fp, c in rp.couplings.items()}
+            monkeypatch.undo()
+            _, rp_mat, _ = _level_one(h, p.community_of)
+            for footprint, probe in probes.items():
                 np.testing.assert_allclose(
-                    coupling.values(probes),
-                    rp_mat.couplings[footprint].table()[tuple(probes)],
+                    entries[footprint], rp_mat.couplings[footprint].table()[tuple(probe)],
                 )
 
     def test_reduced_minimum_monotone_in_eta_for_fixed_partition(self):
@@ -644,13 +688,17 @@ def _check_range_splits(rp, subsets):
 
 
 class TestCouplingRange:
-    @pytest.mark.parametrize("compute_chi", [True, False])
-    def test_matches_meshgrid_reference(self, compute_chi):
+    @pytest.mark.parametrize("tables", [True, False])
+    def test_matches_meshgrid_reference(self, monkeypatch, tables):
+        # with coupling tables, or (a cap of 0) with entry-wise couplings
+        # and windows cut off by their bounds
+        if not tables:
+            monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
         hyper = padded = 0
         for seed in range(8):
             h = random_pubo(10, 22, seed + 400, max_arity=3)
             labels = [0, 0, 0, 1, 1, 1, 2, 2, 3, 3]
-            _, rp, _ = _level_one(h, labels, eta=0.6, padding="penalty", compute_chi=compute_chi)
+            _, rp, _ = _level_one(h, labels, eta=0.6, padding="penalty")
             hyper += any(len(fp) == 3 for fp in rp.couplings)
             padded += any(any(is_padded(enc)) for enc in rp.encodings)
             footprints = sorted(rp.couplings)
@@ -745,11 +793,14 @@ def _assert_scan_matches(objective):
 
 
 def _assert_tables_match(rp):
-    """Every coupling's table equals ``values`` on the full open grid of a
-    fresh coupling with the same terms and features, bit for bit."""
+    """Every coupling's table equals the entry-wise ``values`` on the full
+    open grid of a fresh coupling with the same terms and features (read
+    under a cap of 0, so it builds no table), bit for bit."""
     for coupling in rp.couplings.values():
         fresh = Coupling(coupling.coeffs, coupling.masks)
-        expected = fresh.values(np.ix_(*map(np.arange, coupling.shape)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
+            expected = fresh.values(np.ix_(*map(np.arange, coupling.shape)))
         np.testing.assert_array_equal(_bits(coupling.table()), _bits(expected))
 
 
@@ -774,19 +825,19 @@ def _random_reduced(rng, k):
         footprint = tuple(sorted(rng.choice(k, size, replace=False).tolist()))
         shape = tuple(encodings[c].d_tilde for c in footprint)
         couplings[footprint] = random_coupling(rng, shape, _GRID_VALUES)
-    return ReducedProblem(encodings, couplings, False, 0)
+    return ReducedProblem(encodings, couplings, 0)
 
 
 def _random_next(rng, rp):
     """The next level under a random coarser grouping, with random decode
-    tables; couplings stay unmaterialized."""
+    tables; its couplings have no tables until they are read."""
     labels = rng.integers(0, max(1, rp.n_communities - 1), rp.n_communities).tolist()
     rd = decompose(rp, Partition.from_labels(labels))
     encodings = [
         _random_encoding(rng, sum(rp.encodings[c].m_tilde for c in members))
         for members in rd.members
     ]
-    return build_reduced_iter(rd, encodings, compute_chi=False)
+    return build_reduced_iter(rd, encodings)
 
 
 class TestGridKernels:
@@ -814,7 +865,7 @@ class TestGridKernels:
         monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
         for seed in range(3):
             h = random_quadratic(10, 18, seed + 620)
-            _, rp, _ = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2], compute_chi=False)
+            _, rp, _ = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2])
             objective = rp.full_objective()
             assert all(c._table is None for _, c in objective.couplings)
             _assert_scan_matches(objective)
@@ -830,13 +881,15 @@ class TestGridKernels:
             TableObjective([m, 2], [rng.choice(_GRID_VALUES, 1 << m), np.zeros(4)], [((0, 1), coupling)])
         )
 
-    def test_values_match_table_on_every_index_form(self):
+    def test_values_match_table_on_every_index_form(self, monkeypatch):
         rng = np.random.default_rng(5)
         for _ in range(20):
             shape = tuple(int(size) for size in rng.integers(1, 9, size=3))
             coupling = random_coupling(rng, shape, _GRID_VALUES)
             lazy = Coupling(coupling.coeffs, coupling.masks)
             full = coupling.table()
+            # a cap of 0 keeps the twin entry-wise
+            monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
             point = tuple(int(rng.integers(0, size)) for size in shape)
             assert _bits(lazy.values(point)) == _bits(full[point])
             assert _bits(lazy.values([np.array(i) for i in point])) == _bits(full[point])
@@ -845,6 +898,7 @@ class TestGridKernels:
             cols = rng.integers(0, shape[1], 4)
             idx = (rows, cols, point[2])
             np.testing.assert_array_equal(_bits(lazy.values(idx)), _bits(full[idx]))
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("slab", [4, 1 << 16])
     def test_term_over_old_registers_of_one_new_register(self, monkeypatch, slab):
@@ -854,7 +908,7 @@ class TestGridKernels:
         merged = 0
         for seed in range(4):
             h = random_pubo(10, 24, seed + 640, max_arity=3)
-            _, rp, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.8, compute_chi=False)
+            _, rp, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.8)
             rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], eta=0.8)
             for subset in h.terms:
                 registers = {_register_of(chain, 0, v) for v in subset}
@@ -883,14 +937,14 @@ class TestGridKernels:
         labels = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
         for seed in range(4):
             h = random_quadratic(12, 22, seed + 660)
-            _, rp, chain = _level_one(h, labels, compute_chi=False)
+            _, rp, chain = _level_one(h, labels)
             for coupling in rp.couplings.values():
                 coupling.table()
-            eager = _iterate_once(h, rp, chain, [0, 0, 1, 1], compute_chi=False)
+            eager = _iterate_once(h, rp, chain, [0, 0, 1, 1])
             with monkeypatch.context() as patch:
                 patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
-                _, rp, chain = _level_one(h, labels, compute_chi=False)
-                lazy = _iterate_once(h, rp, chain, [0, 0, 1, 1], compute_chi=False)
+                _, rp, chain = _level_one(h, labels)
+                lazy = _iterate_once(h, rp, chain, [0, 0, 1, 1])
                 assert all(coupling._table is None for coupling in rp.couplings.values())
             assert lazy.couplings.keys() == eager.couplings.keys()
             for footprint, coupling in lazy.couplings.items():
