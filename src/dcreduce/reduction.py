@@ -563,10 +563,15 @@ def prune_dominated(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -
     they reach outside ``l``, R_g(x, z) is their summed entries at x's
     registers and outside indices z, and tol is the window's. Swapping x
     for y then lowers the energy of every configuration that uses x, so
-    every optimum of the retained product survives, at any eta. The rows
-    are read through ``Coupling.values`` (``_coupling_rows``); a community
-    whose rows would exceed ``MATERIALIZE_ENTRIES`` is left unpruned. The
-    window, and so E0, is kept.
+    within this level every optimum of the retained product survives, at
+    any eta. Across levels at eta < 1 it need not: the dropped states'
+    couplings can set the next level's cut-off, and a smaller cut-off
+    narrows that level's window. The candidates are compared a block at a
+    time, each block only with the states no earlier block dropped
+    (``_dead_ends``). The rows are read through ``Coupling.values``
+    (``_coupling_rows``); a community whose rows would exceed
+    ``MATERIALIZE_ENTRIES`` is left unpruned. The window, and so E0, is
+    kept.
     """
     if spectrum.d < 2:
         return spectrum
@@ -584,19 +589,45 @@ def prune_dominated(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -
 
 def _dead_ends(stacks, energies: np.ndarray, tol: float) -> np.ndarray:
     """Which states the dead-end test drops. Each stack is an array of
-    shape (groups, rows, d): column x of group g holds R_g(x, .). The
-    lowest states are compared with a block of states at a time."""
+    shape (groups, rows, d): column x of group g holds R_g(x, .).
+
+    The candidates, the lowest ``min(PRUNE_CANDIDATES, d)`` states whether
+    dropped or not, are taken in index order a block at a time, and each
+    block is compared only with the states no earlier block dropped, a chunk
+    of them at a time. A block holds as many candidates as fill
+    ``SLAB_ENTRIES`` with those states, but at least two, and it takes in
+    the last candidate rather than leave it a block of its own: with one
+    candidate and one state, numpy sums eight or more groups pairwise, not
+    in order, which can move a gain by an ulp. A state is dropped when any
+    candidate beats it, so leaving out the dropped ones changes no decision.
+    """
     d = energies.size
     k = min(PRUNE_CANDIDATES, d)
-    step = max(1, SLAB_ENTRIES // (k * max([1] + [s.shape[0] * s.shape[1] for s in stacks])))
+    width = max([1] + [s.shape[0] * s.shape[1] for s in stacks])
     dead = np.zeros(d, dtype=bool)
-    for x0 in range(0, d, step):
-        xs = slice(x0, x0 + step)
-        gain = energies[xs] - energies[:k, None]
-        for stack in stacks:
-            gain -= (stack[:, :, :k, None] - stack[:, :, None, xs]).max(axis=1).sum(axis=0)
-        dead[xs] = (gain > tol).any(axis=0)
-    return dead
+    live = None  # the states no earlier block dropped; None before the first
+    c0 = 0
+    while True:
+        # later blocks copy their states' columns, which count within the
+        # slab as one more candidate
+        n, copied = (d, 0) if live is None else (live.size, 1)
+        stop = c0 + max(2, SLAB_ENTRIES // (width * max(1, n)) - copied)
+        cs = slice(c0, k if stop >= k - 1 else stop)
+        step = max(1, SLAB_ENTRIES // (width * (cs.stop - c0 + copied)))
+        for x0 in range(0, n, step):
+            # later blocks gather their states with take: indexing the last
+            # axis with an array yields transposed temporaries, whose max
+            # over rows is several times slower
+            xs = slice(x0, x0 + step) if live is None else live[x0:x0 + step]
+            gain = energies[xs] - energies[cs, None]
+            for stack in stacks:
+                cols = stack[:, :, None, xs] if live is None else stack.take(xs, axis=2)[:, :, None]
+                gain -= (stack[:, :, cs, None] - cols).max(axis=1).sum(axis=0)
+            dead[xs] = (gain > tol).any(axis=0)
+        if cs.stop == k:
+            return dead
+        c0 = cs.stop
+        live = np.flatnonzero(~dead)
 
 
 def _coupling_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):

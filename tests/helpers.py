@@ -4,13 +4,16 @@ The oracles are deliberately naive: loop-based parity products, spin
 matrices, and a double-sum modularity. These never share code paths with
 the package internals they check. ``level1_partition`` is one
 exception: it clusters a Hamiltonian exactly as ``run()`` clusters level 1.
-``harvest_loop`` is the other: the sampled enumerator's harvest as a loop,
-which reads the package's window rule and penalty constants.
+``harvest_loop`` is another: the sampled enumerator's harvest as a loop,
+which reads the package's window rule and penalty constants. The last is
+``dead_end_gains``, the dead-end test in one all-pairs pass, which reads
+the package's candidate count.
 """
 
 import numpy as np
 
 import dcreduce.optimizer as optimizer_module
+import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition, WeightedGraph, louvain
 from dcreduce.errors import InternalError
 from dcreduce.hamiltonian import PolyHamiltonian, SpinConfig
@@ -212,3 +215,16 @@ def harvest_loop(energies, accepted, keys, floor, delta, eta, penalties):
             new_energies.append(energy)
             new_values.append(penalty)
     return floor, new_keys, new_energies, new_values
+
+
+def dead_end_gains(stacks, energies: np.ndarray) -> np.ndarray:
+    """The dead-end test's gains over every (candidate, state) pair in one
+    pass, the reference for ``reduction._dead_ends``: entry (y, x) is
+    E(x) - E(y) - sum_g max_z [R_g(y, z) - R_g(x, z)] for the lowest
+    ``PRUNE_CANDIDATES`` states y, with R_g(x, .) column x of group g of a
+    stack. State x is dropped when a gain in its column exceeds tol."""
+    k = min(reduction_module.PRUNE_CANDIDATES, energies.size)
+    gain = energies - energies[:k, None]
+    for stack in stacks:
+        gain -= (stack[:, :, :k, None] - stack[:, :, None, :]).max(axis=1).sum(axis=0)
+    return gain

@@ -1,8 +1,10 @@
 """Dead-end elimination: certified against brute force at levels 1 and 2.
 
 A state may be dropped only when another retained state beats it under
-every boundary, so every ground state survives an eta = 1 run, and the
-optimum of the retained product is unchanged at any eta.
+every boundary, so every ground state survives an eta = 1 run, and within
+one level the optimum of the retained product is unchanged at any eta.
+The blocked test with early exit drops exactly the states that the one-pass
+all-pairs test drops.
 """
 
 import itertools
@@ -25,7 +27,7 @@ from dcreduce.reduction import (
     iteration_delta,
     prune_dominated,
 )
-from helpers import energy_of_indices, indices_from_bits, random_pubo, random_quadratic, spin_energies
+from helpers import dead_end_gains, energy_of_indices, indices_from_bits, random_pubo, random_quadratic, spin_energies
 
 
 def _level(rd, eta, padding, prune, objectives):
@@ -157,6 +159,77 @@ def test_dropped_states_are_beaten_under_every_boundary(pubo):
                 )
                 dropped += 1
     assert dropped
+
+
+@pytest.mark.parametrize("pubo", [False, True])
+@pytest.mark.parametrize("slab", [None, 8])
+def test_prune_keeps_what_the_all_pairs_test_keeps(pubo, slab, monkeypatch):
+    # the seeds and partitions of the test above, at levels 1 and 2; a slab
+    # of 8 entries splits every window into blocks of candidates and chunks
+    # of states
+    if slab is not None:
+        monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
+    dropped = 0
+    for seed in range(12):
+        h = random_pubo(10, 15, seed, max_arity=3) if pubo else random_quadratic(10, 20, seed)
+        rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels([v % 3 for v in range(10)]))
+        _, encodings = _level(rd, 1.0, "repeat", True, h.split(rd.members))
+        rd2 = decompose(build_reduced_iter(rd, encodings), Partition.from_labels([0, 0, 1]))
+        for level in (rd, rd2):
+            for l, members in enumerate(level.members):
+                spectrum = enumerate_low_exhaustive(level.rp.local_objective(members), iteration_delta(level, l), 1.0)
+                if spectrum.d < 2:
+                    continue
+                rows = reduction_module._coupling_rows(level, l, spectrum.packed)
+                keep = ~(dead_end_gains(rows, spectrum.energies) > spectrum.window.tol).any(axis=0)
+                kept = prune_dominated(level, l, spectrum)
+                assert np.array_equal(kept.packed, spectrum.packed[keep])
+                dropped += spectrum.d - kept.d
+    assert dropped
+
+
+def _random_stacks(rng, d, buckets, integral):
+    """One (groups, rows, d) stack per row count, 1 to 10 groups each; float
+    groups differ in scale, so summing them in another order rounds
+    differently."""
+    stacks = []
+    for rows in rng.choice(np.arange(1, 9), buckets, replace=False):
+        shape = (int(rng.integers(1, 11)), int(rows), d)
+        if integral:
+            stacks.append(rng.integers(-2, 3, shape).astype(float))
+        else:
+            stacks.append(rng.normal(0.0, 0.3, shape) * 10.0 ** rng.integers(-4, 2, (shape[0], 1, 1)))
+    return stacks
+
+
+@pytest.mark.parametrize("slab", [None, 1, 700])
+@pytest.mark.parametrize("integral", [True, False])
+def test_dead_ends_match_the_all_pairs_test(slab, integral, monkeypatch):
+    # the lowest ``PRUNE_CANDIDATES`` states are the candidates, so d runs
+    # from 2 to past them; small slabs split the candidates into blocks and
+    # the states into chunks. Every tol is a gain: 0 and 1 of the integral
+    # stacks, and of the float ones some states' largest gains and the
+    # floats just below them, so a gain off by an ulp flips a decision.
+    if slab is not None:
+        monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
+    rng = np.random.default_rng([slab or 0, integral])
+    dropped = kept = 0
+    for d in (2, 3, 17, 63, 64, 65, 150):
+        for buckets in (1, 3):
+            energies = np.sort(rng.integers(-8, 9, d).astype(float) if integral else rng.normal(0.0, 2.0, d))
+            stacks = _random_stacks(rng, d, buckets, integral)
+            gains = dead_end_gains(stacks, energies)
+            if integral:
+                tols = [0.0, 1.0]
+            else:
+                edges = gains.max(axis=0)[rng.choice(d, min(d, 4), replace=False)]
+                tols = [*edges, *np.nextafter(edges, -np.inf)]
+            for tol in tols:
+                expected = (gains > tol).any(axis=0)
+                assert np.array_equal(reduction_module._dead_ends(stacks, energies, float(tol)), expected)
+                dropped += int(expected.sum())
+                kept += int((~expected).sum())
+    assert dropped and kept
 
 
 def test_rows_over_the_cap_leave_the_community_unpruned(monkeypatch):
