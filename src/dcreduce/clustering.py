@@ -5,8 +5,10 @@ maximize the modularity gain, followed by contraction of communities into
 vertices. Contraction doubles intra-community weight into Louvain's own
 per-vertex loop weights, so the contracted graph keeps the same modularity
 value; the input graph has no loops. Node visit order is reshuffled once
-per sweep by a seeded PRNG and ties between equal gains go to the lowest
-community id, which makes the output reproducible per seed.
+per sweep by a seeded PRNG. A visit reads its neighbours from per-vertex
+adjacency lists, in adjacency order, and among equal best gains keeps the
+lowest community id without sorting, which makes the output reproducible
+per seed.
 """
 
 from __future__ import annotations
@@ -57,13 +59,14 @@ class WeightedGraph:
         """m = the sum of the edge weights."""
         return sum(self.edges.values())
 
-    def adjacency(self, exponent: int) -> list[dict[int, float]]:
-        """Neighbour weights, each scaled by ``2**exponent``."""
-        adj: list[dict[int, float]] = [dict() for _ in range(self.n_vertices)]
+    def adjacency(self, exponent: int) -> list[list[tuple[int, float]]]:
+        """Per vertex, its (neighbour, weight) pairs in edge order, each
+        weight scaled by ``2**exponent``."""
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_vertices)]
         for (u, v), w in self.edges.items():
             w = math.ldexp(w, exponent)
-            adj[u][v] = adj[u].get(v, 0.0) + w
-            adj[v][u] = adj[v].get(u, 0.0) + w
+            adj[u].append((v, w))
+            adj[v].append((u, w))
         return adj
 
 
@@ -151,7 +154,7 @@ def louvain_with_history(g: WeightedGraph, seed: int = 0) -> tuple[Partition, li
     prev_q: float | None = None
     while True:
         n = len(adj)
-        k = [sum(adj[v].values()) + loops[v] for v in range(n)]
+        k = [sum(w for _, w in links) + loop for links, loop in zip(adj, loops)]
         labels = list(range(n))
         tot = k[:]
         moved_any = _phase_one(adj, k, m, labels, tot, rng)
@@ -182,28 +185,28 @@ def _require_nonnegative(g: WeightedGraph) -> None:
 def _phase_one(adj, k, m, labels, tot, rng) -> bool:
     """Sequential single-node moves until no move improves modularity."""
     n = len(adj)
+    two_m2 = 2.0 * m * m
     moved_any = False
     while True:
         moves = 0
-        for v in rng.permutation(n):
-            v = int(v)
+        for v in rng.permutation(n).tolist():
             home = labels[v]
             links: dict[int, float] = {}
-            for u, w in adj[v].items():
+            for u, w in adj[v]:
                 c = labels[u]
                 links[c] = links.get(c, 0.0) + w
-            k_home = links.get(home, 0.0)
+            k_home = links.pop(home, 0.0)
+            kv = _RESOLUTION * k[v]
             tot_home = tot[home] - k[v]
+            # -1 until a gain exceeds _MIN_GAIN: a gain equal to it moves nothing
             best_gain = _MIN_GAIN
-            best_comm = home
-            for c in sorted(links):
-                if c == home:
-                    continue
-                gain = (links[c] - k_home) / m - _RESOLUTION * k[v] * (tot[c] - tot_home) / (2.0 * m * m)
-                if gain > best_gain:
+            best_comm = -1
+            for c, k_c in links.items():
+                gain = (k_c - k_home) / m - kv * (tot[c] - tot_home) / two_m2
+                if gain > best_gain or (gain == best_gain and c < best_comm):
                     best_gain = gain
                     best_comm = c
-            if best_comm != home:
+            if best_comm >= 0:
                 labels[v] = best_comm
                 tot[home] -= k[v]
                 tot[best_comm] += k[v]
@@ -214,20 +217,21 @@ def _phase_one(adj, k, m, labels, tot, rng) -> bool:
 
 
 def _aggregate_modularity(adj, loops, k, labels, m) -> float:
-    groups: dict[int, list[int]] = {}
+    """Modularity of ``labels``; a community adds its nodes' loops, then their inside links."""
+    n = len(adj)
+    sigma_in = [0.0] * n
+    sigma_tot = [0.0] * n
     for v, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(v)
+        sigma_in[lab] += loops[v]
+        sigma_tot[lab] += k[v]
+    for v, lab in enumerate(labels):
+        for u, w in adj[v]:
+            if labels[u] == lab:
+                sigma_in[lab] += w
     two_m = 2.0 * m
     q = 0.0
-    for nodes in groups.values():
-        node_set = set(nodes)
-        sigma_in = sum(loops[v] for v in nodes)
-        sigma_tot = sum(k[v] for v in nodes)
-        for v in nodes:
-            for u, w in adj[v].items():
-                if u in node_set:
-                    sigma_in += w
-        q += sigma_in / two_m - _RESOLUTION * (sigma_tot / two_m) ** 2
+    for lab in dict.fromkeys(labels):
+        q += sigma_in[lab] / two_m - _RESOLUTION * (sigma_tot[lab] / two_m) ** 2
     return q
 
 
@@ -243,9 +247,9 @@ def _contract(adj, loops, members, labels):
         c = remap[lab]
         new_loops[c] += loops[v]
         new_members[c].extend(members[v])
-    for v in range(len(adj)):
-        cv = remap[labels[v]]
-        for u, w in adj[v].items():
+    for v, lab in enumerate(labels):
+        cv = remap[lab]
+        for u, w in adj[v]:
             if u <= v:
                 continue
             cu = remap[labels[u]]
@@ -256,4 +260,4 @@ def _contract(adj, loops, members, labels):
                 new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
     for comm in new_members:
         comm.sort()
-    return new_adj, new_loops, new_members
+    return [list(links.items()) for links in new_adj], new_loops, new_members

@@ -41,6 +41,7 @@ from .reduction import (
     ReducedProblem,
     build_reduced,
     build_reduced_iter,
+    community_objective,
     decompose,
     delta_pubo,
     delta_two_body,
@@ -262,7 +263,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
             preference, build = cfg.optimizer_o1, build_reduced
         else:
             deltas = [iteration_delta(rd, l) for l in range(partition.n_communities)]
-            objectives = (rd.rp.local_objective(members) for members in rd.members)
+            objectives = (community_objective(rd, l) for l in range(partition.n_communities))
             preference, build = cfg.optimizer_o2, build_reduced_iter
         encodings, trace = _enumerate_and_encode(rd, objectives, deltas, preference, iterations, cfg)
         rp = build(rd, encodings)

@@ -144,6 +144,7 @@ class Coupling:
         self.shape = tuple(len(mask[0]) for mask in masks)
         self._table = table
         self._sums = None
+        self._norm = None
         self.bound = float(sum(map(abs, coeffs))) if bound is None else bound
 
     @property
@@ -178,6 +179,22 @@ class Coupling:
                 ])
             self._table, self._sums = out, None
         return self._table
+
+    @property
+    def norm(self) -> float:
+        """The exact diagonal operator norm, the largest |entry| of the
+        table (padded indices repeat the entries of valid ones, since they
+        decode to ``decode[mu % d]``); past the table cap, the bound
+        sum_t |c_t|. A one-term coupling, as at level 0, takes its bound:
+        every entry is +-c, so the bound is that norm. Computed on the
+        first read and kept."""
+        if self._norm is None:
+            if len(self.coeffs) == 1 or not self.can_materialize:
+                self._norm = self.bound
+            else:
+                table = self.table()
+                self._norm = float(max(table.max(), -table.min()))  # no |table| temporary
+        return self._norm
 
     def _signed_sums(self, patterns) -> np.ndarray:
         """The entries at one sign pattern per word: a word's table holds
@@ -352,45 +369,20 @@ class ReducedProblem:
     def n_communities(self) -> int:
         return len(self.encodings)
 
-    def j_tilde(self, footprint) -> float:
-        """Edge weight for the contracted graph.
-
-        The exact diagonal operator norm, the largest |entry| of the
-        coupling's table (padded indices repeat the entries of valid ones,
-        since they decode to ``decode[mu % d]``); past the table cap, the
-        bound sum_t |c_t|. A one-term coupling, as at level 0, takes its
-        bound: every entry is +-c, so the bound is that norm.
-        """
-        coupling = self.couplings[tuple(footprint)]
-        if len(coupling.coeffs) == 1 or not coupling.can_materialize:
-            return coupling.bound
-        table = coupling.table()
-        return float(max(table.max(), -table.min()))  # no |table| temporary
-
-    def local_objective(self, members) -> TableObjective:
-        """Objective over the given communities: their energy tables plus
-        every coupling whose footprint lies inside the member set."""
-        members = tuple(sorted(members))
-        member_pos = {c: k for k, c in enumerate(members)}
-        tables = [self.encodings[c].energies for c in members]
-        local = []
-        for footprint, coupling in sorted(self.couplings.items()):
-            if all(c in member_pos for c in footprint):
-                local.append((tuple(member_pos[c] for c in footprint), coupling))
-        return TableObjective([self.encodings[c].m_tilde for c in members], tables, local)
-
     def full_objective(self) -> TableObjective:
-        return self.local_objective(range(self.n_communities))
+        """Objective over every energy table and coupling, in footprint order."""
+        return TableObjective(self.m_tildes, [e.energies for e in self.encodings], sorted(self.couplings.items()))
 
     def contracted_graph(self) -> WeightedGraph:
-        """One vertex per community; couplings contribute their j_tilde,
+        """One vertex per community; couplings contribute their weight
+        j_tilde, the ``Coupling.norm`` the two-body cut-off reads too,
         clique-expanded with pair-count normalization for hyper-footprints.
         At level 0 a k-variable term adds |J| / C(k, 2) to each of its
         pairs, and fields and the constant add nothing. Every j_tilde is
         non-negative, as Louvain requires, and no vertex has a loop."""
         edges: dict[tuple[int, int], float] = {}
-        for footprint in sorted(self.couplings):
-            weight = self.j_tilde(footprint)
+        for footprint, coupling in sorted(self.couplings.items()):
+            weight = coupling.norm
             if weight == 0.0:
                 continue
             if len(footprint) == 2:
@@ -415,34 +407,50 @@ EXACT_RANGE_VARS = 20
 @dataclass(frozen=True)
 class ReducedDecomposition:
     """A reduced problem regrouped under a partition of its communities (at
-    level 0, the input's variables; its straddling footprints are terms)."""
+    level 0, the input's variables; its straddling footprints are terms),
+    with the footprints inside each new community in ``inside_by_super``."""
 
     rp: ReducedProblem
     partition: Partition
     members: tuple[tuple[int, ...], ...]
     straddling_footprints: tuple[tuple[int, ...], ...]
     straddle_by_super: tuple[tuple[tuple[int, ...], ...], ...]
+    inside_by_super: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def decompose(rp: ReducedProblem, p: Partition) -> ReducedDecomposition:
     """Group the communities under ``p`` and index, in footprint order, the
-    couplings that straddle the new communities."""
+    couplings that straddle the new communities and those inside each."""
     if len(p.community_of) != rp.n_communities:
         raise DimensionError(f"partition covers {len(p.community_of)} vertices, not {rp.n_communities}")
     straddling: list = []
     straddle_by: list[list] = [[] for _ in range(p.n_communities)]
+    inside_by: list[list] = [[] for _ in range(p.n_communities)]
     for footprint in sorted(rp.couplings):
         supers = {p.community_of[c] for c in footprint}
         if len(supers) > 1:
             straddling.append(footprint)
             for s in supers:
                 straddle_by[s].append(footprint)
+        else:
+            inside_by[supers.pop()].append(footprint)
     return ReducedDecomposition(
         rp=rp,
         partition=p,
         members=tuple(tuple(c) for c in p.communities),
         straddling_footprints=tuple(straddling),
         straddle_by_super=tuple(tuple(f) for f in straddle_by),
+        inside_by_super=tuple(tuple(f) for f in inside_by),
+    )
+
+
+def community_objective(rd: ReducedDecomposition, l: int) -> TableObjective:
+    """Objective over new community ``l``: its members' energy tables plus
+    the couplings inside it, in footprint order."""
+    encodings, pos = rd.rp.encodings, {c: k for k, c in enumerate(rd.members[l])}
+    return TableObjective(
+        [encodings[c].m_tilde for c in pos], [encodings[c].energies for c in pos],
+        [(tuple(pos[c] for c in fp), rd.rp.couplings[fp]) for fp in rd.inside_by_super[l]],
     )
 
 
@@ -451,7 +459,7 @@ def delta_two_body(rd: ReducedDecomposition, l: int) -> float:
     of the straddling couplings (sum of |J| over straddling pairs at level 1)."""
     if not rd.rp.quadratic:
         raise DomainError("two-body cut-off requires a pure-quadratic Hamiltonian; use delta_pubo")
-    return float(sum(rd.rp.j_tilde(fp) for fp in rd.straddle_by_super[l]))
+    return float(sum(rd.rp.couplings[fp].norm for fp in rd.straddle_by_super[l]))
 
 
 def delta_pubo(rd: ReducedDecomposition, l: int) -> float:
@@ -472,7 +480,7 @@ def delta_pubo(rd: ReducedDecomposition, l: int) -> float:
     touched = sorted({c for fp in footprints for c in fp})
     if sum(rp.encodings[c].m_tilde for c in touched) <= EXACT_RANGE_VARS:
         return _coupling_range(rp, footprints, touched, set(rd.members[l]))
-    return 2.0 * float(sum(rp.j_tilde(fp) for fp in footprints))
+    return 2.0 * float(sum(rp.couplings[fp].norm for fp in footprints))
 
 
 def iteration_delta(rd: ReducedDecomposition, l: int) -> float:

@@ -5,13 +5,17 @@ matrices, and a double-sum modularity. These never share code paths with
 the package internals they check. ``level1_partition`` is one
 exception: it clusters a Hamiltonian exactly as ``run()`` clusters level 1.
 ``harvest_loop`` is another: the sampled enumerator's harvest as a loop,
-which reads the package's window rule and penalty constants. The last is
+which reads the package's window rule and penalty constants. Another is
 ``dead_end_gains``, the dead-end test in one all-pairs pass, which reads
-the package's candidate count.
+the package's candidate count, and ``reference_louvain`` is Louvain with a
+dict-and-``sorted`` move sweep, which reads the package's tolerances.
 """
+
+import math
 
 import numpy as np
 
+import dcreduce.clustering as clustering_module
 import dcreduce.optimizer as optimizer_module
 import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition, WeightedGraph, louvain
@@ -228,3 +232,104 @@ def dead_end_gains(stacks, energies: np.ndarray) -> np.ndarray:
     for stack in stacks:
         gain -= (stack[:, :, :k, None] - stack[:, :, None, :]).max(axis=1).sum(axis=0)
     return gain
+
+
+def reference_louvain(g: WeightedGraph, seed: int = 0) -> tuple[Partition, list[float]]:
+    """Louvain with a dict-and-``sorted`` move sweep, the reference for
+    ``clustering.louvain_with_history``: each visit rebuilds its links as a
+    dict and tries the other communities in ascending id order, so among
+    equal best gains the first, lowest id wins. Reads the package's
+    resolution and tolerances."""
+    resolution, min_gain, cycle_tol = (
+        clustering_module._RESOLUTION, clustering_module._MIN_GAIN, clustering_module._CYCLE_TOL)
+    m = g.total_weight()
+    if m <= 0.0:
+        return Partition.from_labels(range(g.n_vertices)), []
+    exponent = math.frexp(m)[1]
+    m = math.ldexp(m, -exponent)
+    rng = np.random.default_rng(seed)
+    adj = [dict() for _ in range(g.n_vertices)]
+    for (u, v), w in g.edges.items():
+        w = math.ldexp(w, -exponent)
+        adj[u][v] = adj[u].get(v, 0.0) + w
+        adj[v][u] = adj[v].get(u, 0.0) + w
+    loops = [0.0] * g.n_vertices
+    members = [[v] for v in range(g.n_vertices)]
+    history = []
+    prev_q = None
+    while True:
+        n = len(adj)
+        k = [sum(adj[v].values()) + loops[v] for v in range(n)]
+        labels = list(range(n))
+        tot = k[:]
+        moved_any = False
+        while True:  # move sweeps
+            moves = 0
+            for v in rng.permutation(n):
+                v = int(v)
+                home = labels[v]
+                links = {}
+                for u, w in adj[v].items():
+                    links[labels[u]] = links.get(labels[u], 0.0) + w
+                k_home = links.get(home, 0.0)
+                tot_home = tot[home] - k[v]
+                best_gain, best_comm = min_gain, home
+                for c in sorted(links):
+                    if c == home:
+                        continue
+                    gain = (links[c] - k_home) / m - resolution * k[v] * (tot[c] - tot_home) / (2.0 * m * m)
+                    if gain > best_gain:
+                        best_gain, best_comm = gain, c
+                if best_comm != home:
+                    labels[v] = best_comm
+                    tot[home] -= k[v]
+                    tot[best_comm] += k[v]
+                    moves += 1
+            if moves == 0:
+                break
+            moved_any = True
+        groups = {}
+        for v, lab in enumerate(labels):
+            groups.setdefault(lab, []).append(v)
+        q = 0.0
+        for nodes in groups.values():
+            sigma_in = sum(loops[v] for v in nodes)
+            sigma_tot = sum(k[v] for v in nodes)
+            node_set = set(nodes)
+            for v in nodes:
+                for u, w in adj[v].items():
+                    if u in node_set:
+                        sigma_in += w
+            q += sigma_in / (2.0 * m) - resolution * (sigma_tot / (2.0 * m)) ** 2
+        history.append(q)
+        if not moved_any or (prev_q is not None and q - prev_q <= cycle_tol):
+            break
+        prev_q = q
+        # contract: one vertex per community, inside weight doubled into its loop
+        remap = {lab: i for i, lab in enumerate(sorted(set(labels)))}
+        new_adj = [dict() for _ in remap]
+        new_loops = [0.0] * len(remap)
+        new_members = [[] for _ in remap]
+        for v, lab in enumerate(labels):
+            new_loops[remap[lab]] += loops[v]
+            new_members[remap[lab]].extend(members[v])
+        for v in range(n):
+            cv = remap[labels[v]]
+            for u, w in adj[v].items():
+                if u <= v:
+                    continue
+                cu = remap[labels[u]]
+                if cu == cv:
+                    new_loops[cv] += 2.0 * w
+                else:
+                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+                    new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
+        adj, loops, members = new_adj, new_loops, [sorted(c) for c in new_members]
+        if len(adj) == 1:
+            labels = [0]
+            break
+    final_labels = [0] * g.n_vertices
+    for node, label in enumerate(labels):
+        for original in members[node]:
+            final_labels[original] = label
+    return Partition.from_labels(final_labels), history

@@ -25,6 +25,7 @@ from dcreduce.reduction import (
     ReducedProblem,
     build_reduced,
     build_reduced_iter,
+    community_objective,
     decompose,
     delta_pubo,
     delta_two_body,
@@ -108,7 +109,7 @@ def _pipeline_levels(h, seed, eta):
         rd = decompose(rp, p2)
         spectra2, deltas2 = [], []
         for l in range(p2.n_communities):
-            objective = rd.rp.local_objective(rd.members[l])
+            objective = community_objective(rd, l)
             delta = iteration_delta(rd, l)
             deltas2.append(delta)
             spectra2.append(enumerate_low_exhaustive(objective, delta, eta))

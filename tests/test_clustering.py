@@ -19,7 +19,7 @@ from dcreduce.driver import RunConfig, run
 from dcreduce.errors import DomainError, FormatError
 from dcreduce.hamiltonian import PolyHamiltonian
 from dcreduce.reduction import ReducedProblem
-from helpers import all_partitions, naive_modularity, random_graph
+from helpers import all_partitions, naive_modularity, random_graph, reference_louvain
 
 
 def _triangle_pair():
@@ -188,6 +188,31 @@ class TestLouvain:
             assert q >= modularity(g, Partition.from_labels(range(10))) - 1e-12
             assert q >= modularity(g, Partition.from_labels([0] * 10)) - 1e-12
             assert q == pytest.approx(naive_modularity(g, p.community_of), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["float", "small_int", "disconnected"])
+    def test_matches_the_reference_sweep(self, kind):
+        # partition and history bit for bit against the dict-and-sorted sweep;
+        # weights of 1 and 2 tie many gains, so the lowest id must win them
+        rng = np.random.default_rng(["float", "small_int", "disconnected"].index(kind))
+        for trial in range(60):
+            n = int(rng.integers(2, 28))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            if kind == "disconnected":
+                # a few isolated vertices, the rest in parts with no edge between them
+                part = rng.integers(0, 3, n)
+                part[rng.choice(n, size=min(n, 3), replace=False)] = -1
+                pairs = [(u, v) for u, v in pairs if part[u] == part[v] >= 0]
+            chosen = rng.random(len(pairs)) < rng.uniform(0.1, 0.6)
+            if kind == "float":
+                weights = rng.uniform(0.05, 1.0, len(pairs))
+            else:
+                weights = rng.integers(1, 3, len(pairs)).astype(float)
+            g = WeightedGraph(n, {e: float(w) for e, w, keep in zip(pairs, weights, chosen) if keep})
+            seed = int(rng.integers(0, 1 << 32))
+            partition, history = louvain_with_history(g, seed)
+            ref_partition, ref_history = reference_louvain(g, seed)
+            assert partition == ref_partition
+            assert [q.hex() for q in history] == [q.hex() for q in ref_history]
 
     @given(st.integers(0, 10**6), st.integers(4, 10), st.integers(3, 16))
     @settings(max_examples=40, deadline=None)

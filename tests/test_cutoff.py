@@ -22,7 +22,9 @@ import dcreduce.reduction as reduction_module
 from dcreduce.reduction import (
     EXACT_RANGE_VARS,
     ReducedProblem,
+    TableObjective,
     build_reduced,
+    community_objective,
     decompose,
     delta_pubo,
     delta_two_body,
@@ -37,6 +39,29 @@ from helpers import (
 def _level0(h, labels):
     """The input's level-0 problem decomposed under a partition of its variables."""
     return decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels))
+
+
+def _two_levels(h, labels1, labels2):
+    """Level 1 (level 0 decomposed under labels1) and level 2 (its reduced
+    problem, windows at eta = 1, decomposed under labels2)."""
+    rd1 = _level0(h, labels1)
+    encodings = []
+    for l, members in enumerate(rd1.members):
+        delta = delta_pubo(rd1, l)
+        encodings.append(encode_community(enumerate_low_exhaustive(h.restrict(members), delta, 1.0), delta=delta))
+    return rd1, decompose(build_reduced(rd1, encodings), Partition.from_labels(labels2))
+
+
+def _scanned_objective(rp, members):
+    """The community objective built by scanning every coupling for the
+    footprints inside ``members``."""
+    pos = {c: k for k, c in enumerate(members)}
+    inside = [
+        (tuple(pos[c] for c in fp), coupling)
+        for fp, coupling in sorted(rp.couplings.items()) if all(c in pos for c in fp)
+    ]
+    return TableObjective([rp.encodings[c].m_tilde for c in members],
+                          [rp.encodings[c].energies for c in members], inside)
 
 
 def _delta_pubo_at(rd, l, threshold):
@@ -78,6 +103,33 @@ class TestDecompose:
         for i in range(3):
             assert rd.straddle_by_super[i] == ((0, 1, 2),)
         assert rd.straddling_footprints == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("pubo", [False, True])
+    def test_index_holds_every_footprint_once_in_order(self, pubo):
+        for seed in range(6):
+            h = random_pubo(10, 18, seed, max_arity=3) if pubo else random_quadratic(10, 18, seed)
+            for rd in _two_levels(h, [v % 3 for v in range(10)], [0, 0, 1]):
+                assert list(rd.straddling_footprints) == sorted(rd.straddling_footprints)
+                assert sum(map(len, rd.inside_by_super)) + len(rd.straddling_footprints) == len(rd.rp.couplings)
+                for fp in rd.rp.couplings:
+                    homes = [l for l, inside in enumerate(rd.inside_by_super) if fp in inside]
+                    assert len(homes) == (fp not in rd.straddling_footprints)
+                    assert all(c in rd.members[l] for l in homes for c in fp)
+                for inside in rd.inside_by_super:
+                    assert list(inside) == sorted(inside)
+
+    @pytest.mark.parametrize("pubo", [False, True])
+    def test_community_objective_equals_a_full_coupling_scan(self, pubo):
+        # at level 1 (variables) and level 2 (registers), bit for bit over every state
+        for seed in range(6):
+            h = random_pubo(10, 18, seed, max_arity=3) if pubo else random_quadratic(10, 18, seed)
+            for rd in _two_levels(h, [v % 3 for v in range(10)], [0, 0, 1]):
+                for l, members in enumerate(rd.members):
+                    got = community_objective(rd, l)
+                    want = _scanned_objective(rd.rp, members)
+                    assert got.n_vars == want.n_vars
+                    states = np.arange(1 << got.n_vars)
+                    assert got.energies(states).tobytes() == want.energies(states).tobytes()
 
     def test_partition_mismatch(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0})
@@ -158,7 +210,7 @@ class TestDeltaTwoBody:
         rp = build_reduced(rd, encodings)
         assert rd.rp.quadratic and rp.quadratic
         rd2 = decompose(rp, Partition.from_labels([0, 1]))
-        assert delta_two_body(rd2, 0) == pytest.approx(rp.j_tilde((0, 1)))
+        assert delta_two_body(rd2, 0) == pytest.approx(rp.couplings[(0, 1)].norm)
 
 
 def _straddling_range(h, labels, community):

@@ -22,6 +22,7 @@ from dcreduce.reduction import (
     DecodeChain,
     ReducedProblem,
     build_reduced_iter,
+    community_objective,
     decompose,
     encode_community,
     iteration_delta,
@@ -54,7 +55,7 @@ def _two_levels(h, labels1, labels2, eta, padding, prune):
     if p2.n_communities == rp1.n_communities:
         return rp1, None, chain
     rd2 = decompose(rp1, p2)
-    objectives = [rp1.local_objective(members) for members in rd2.members]
+    objectives = [community_objective(rd2, l) for l in range(len(rd2.members))]
     _, encodings2 = _level(rd2, eta, padding, prune, objectives)
     rp2 = build_reduced_iter(rd2, encodings2)
     chain.levels.append(ChainLevel(rd2.members, tuple(encodings2)))
@@ -176,8 +177,8 @@ def test_prune_keeps_what_the_all_pairs_test_keeps(pubo, slab, monkeypatch):
         _, encodings = _level(rd, 1.0, "repeat", True, h.split(rd.members))
         rd2 = decompose(build_reduced_iter(rd, encodings), Partition.from_labels([0, 0, 1]))
         for level in (rd, rd2):
-            for l, members in enumerate(level.members):
-                spectrum = enumerate_low_exhaustive(level.rp.local_objective(members), iteration_delta(level, l), 1.0)
+            for l in range(len(level.members)):
+                spectrum = enumerate_low_exhaustive(community_objective(level, l), iteration_delta(level, l), 1.0)
                 if spectrum.d < 2:
                     continue
                 rows = reduction_module._coupling_rows(level, l, spectrum.packed)
@@ -238,6 +239,6 @@ def test_rows_over_the_cap_leave_the_community_unpruned(monkeypatch):
     _, encodings = _level(rd, 1.0, "repeat", True, h.split(rd.members))
     rd2 = decompose(build_reduced_iter(rd, encodings), Partition.from_labels([0, 0, 1, 1]))
     monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
-    for l, members in enumerate(rd2.members):
-        spectrum = enumerate_low_exhaustive(rd2.rp.local_objective(members), iteration_delta(rd2, l), 1.0)
+    for l in range(len(rd2.members)):
+        spectrum = enumerate_low_exhaustive(community_objective(rd2, l), iteration_delta(rd2, l), 1.0)
         assert prune_dominated(rd2, l, spectrum) is spectrum

@@ -27,6 +27,7 @@ from dcreduce.reduction import (
     TableObjective,
     build_reduced,
     build_reduced_iter,
+    community_objective,
     decompose,
     delta_pubo,
     delta_two_body,
@@ -239,7 +240,7 @@ class TestLevelZero:
         assert rp.couplings
         assert all((c._table is not None) == tables for c in rp.couplings.values())
         for subset, coupling in rp.couplings.items():
-            assert _bits(rp.j_tilde(subset)) == _bits(abs(h.terms[subset]))
+            assert _bits(coupling.norm) == _bits(abs(h.terms[subset]))
 
 
 class TestSignVectors:
@@ -354,8 +355,43 @@ class TestContractedGraph:
             with monkeypatch.context() as patch:
                 patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
                 _, rp_bound, _ = _level_one(h, p.community_of)
-            for footprint in rp_exact.couplings:
-                assert rp_exact.j_tilde(footprint) <= rp_bound.j_tilde(footprint) + 1e-12
+                bounds = {fp: coupling.norm for fp, coupling in rp_bound.couplings.items()}
+            for footprint, coupling in rp_exact.couplings.items():
+                assert coupling.norm <= bounds[footprint] + 1e-12
+
+    def test_norm_is_the_largest_entry_or_the_bound(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        couplings = [random_coupling(rng, (5, 3)) for _ in range(12)]
+        multi = [c for c in couplings if len(c.coeffs) > 1]
+        assert multi
+        for coupling in multi:
+            assert coupling.norm == float(np.abs(coupling.table()).max())
+        # past the cap a multi-term coupling weighs its bound sum |c_t|
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 14)
+        rng = np.random.default_rng(11)
+        lazy = [c for c in (random_coupling(rng, (5, 3)) for _ in range(12)) if len(c.coeffs) > 1]
+        for coupling in lazy:
+            assert not coupling.can_materialize
+            assert coupling.norm == coupling.bound
+        # a one-term coupling's entries are all +-c, so its bound is its norm
+        one = Coupling((-0.375,), tuple((rng.integers(0, 2, size, dtype=np.uint16),) for size in (5, 3)))
+        assert one.norm == one.bound == 0.375
+
+    def test_norm_is_computed_once_for_graph_and_cut_off(self, monkeypatch):
+        h = random_quadratic(10, 18, 2)
+        _, rp, _ = _level_one(h, [v % 3 for v in range(10)])
+        table = Coupling.table
+        reads = []
+        monkeypatch.setattr(Coupling, "table", lambda self: reads.append(self) or table(self))
+        rp.contracted_graph()
+        multi_term = sum(len(c.coeffs) > 1 for c in rp.couplings.values())
+        assert len(reads) == multi_term > 0
+        # the second read, through the two-body cut-off, builds no table
+        rd = decompose(rp, Partition.from_labels(range(rp.n_communities)))
+        assert set(rd.straddling_footprints) == set(rp.couplings)
+        deltas = [delta_two_body(rd, l) for l in range(rp.n_communities)]
+        assert len(reads) == multi_term
+        assert deltas[0] == sum(rp.couplings[fp].norm for fp in rd.straddle_by_super[0])
 
     def test_hyper_footprint_clique_expansion(self):
         h = PolyHamiltonian(3, {(0, 1, 2): 0.6})
@@ -377,7 +413,7 @@ def _two_level(h, seed=0, eta=1.0):
     rd = decompose(rp, p2)
     spectra, deltas = [], []
     for l in range(p2.n_communities):
-        objective = rd.rp.local_objective(rd.members[l])
+        objective = community_objective(rd, l)
         delta = iteration_delta(rd, l)
         deltas.append(delta)
         spectra.append(enumerate_low_exhaustive(objective, delta, eta))
@@ -397,7 +433,7 @@ def _iterate_once(h, rp, chain, labels, eta=1.0, padding="repeat"):
     rd = decompose(rp, p)
     spectra, deltas = [], []
     for l in range(p.n_communities):
-        objective = rd.rp.local_objective(rd.members[l])
+        objective = community_objective(rd, l)
         delta = iteration_delta(rd, l)
         deltas.append(delta)
         spectra.append(enumerate_low_exhaustive(objective, delta, eta))
@@ -436,14 +472,14 @@ class TestTableCap:
         coupling.values([0, 0])
         assert coupling._table is not None
         exact = float(np.abs(coupling.table()).max())
-        assert rp.j_tilde(footprint) == exact
+        assert coupling.norm == exact
         assert exact < coupling.bound
         # one entry past the cap it stays lazy, everywhere
         monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 8 * 16 - 1)
         rp = build_reduced_iter(d, encodings)
         coupling = rp.couplings[footprint]
         assert coupling._table is None
-        assert rp.j_tilde(footprint) == coupling.bound
+        assert coupling.norm == coupling.bound
         with pytest.raises(ResourceError, match="materialization cap"):
             coupling.table()
         objective = rp.full_objective()
@@ -623,9 +659,9 @@ class TestIteration:
             monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
             _, rp, chain = _level_one(h, p.community_of)
             assert all(not c.can_materialize for c in rp.couplings.values())
-            # j_tilde degrades to the bound when nothing materializes
-            for footprint in rp.couplings:
-                assert rp.j_tilde(footprint) == rp.couplings[footprint].bound
+            # the norm degrades to the bound when nothing materializes
+            for coupling in rp.couplings.values():
+                assert coupling.norm == coupling.bound
             _check_master_identity(h, rp, chain, h.constant)
             # read entry-wise while the cap is 0, so no table is built
             rng = np.random.default_rng(seed)
