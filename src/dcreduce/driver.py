@@ -5,8 +5,9 @@ a 1-qubit register. Level 1 clusters the level-0 contracted graph, as every
 later level clusters the contracted graph of the level below. Unless that
 yields one community, every level then decomposes the reduced problem below
 it under the current partition, cuts off each community's window from its
-straddling couplings, enumerates it, drops the states another retained
-state beats under every boundary (``RunConfig.prune_dominated``),
+straddling couplings, enumerates it, replaces padded aliases by their
+twins and drops the states another retained state beats under every
+boundary (``RunConfig.prune_dominated``),
 re-encodes the survivors on fewer qubits, and clusters the contracted
 problem, until one of the recombination criteria fires; the remaining
 reduced system is then solved in one step and decoded back to original
@@ -63,8 +64,10 @@ class RunConfig:
     optimizer_o2: str = "auto"
     padding_mode: str = "repeat"
     brute_force_ceiling: int = 22
-    # Drop the window states that another retained state beats under every
-    # boundary (``reduction.prune_dominated``); off keeps the paper's windows.
+    # Replace padded aliases by their twins and drop the window states that
+    # another retained state beats under every boundary
+    # (``reduction.prune_dominated``); off keeps the paper's windows, aliases
+    # included.
     prune_dominated: bool = True
 
     def __post_init__(self):
@@ -97,7 +100,9 @@ class LevelTrace:
     """Per-iteration record: partition, windows, and encoding sizes.
 
     ``e0s`` and ``d_window`` describe each community's window as
-    enumerated, ``d_list`` the states encoded after dead-end pruning.
+    enumerated, padded aliases included; ``d_list`` counts the distinct
+    states encoded after pruning, which replaces each alias by its twin and
+    then drops dead ends. Without pruning the two counts are equal.
     """
 
     partition: tuple[int, ...]

@@ -138,6 +138,12 @@ class LocalSpectrum:
         object.__setattr__(self, "packed", readonly_array(self.packed, np.int64))
         object.__setattr__(self, "energies", readonly_array(self.energies, np.float64))
 
+    @classmethod
+    def in_order(cls, packed, energies, window: Window, complete: bool, n_vars: int) -> LocalSpectrum:
+        """The spectrum of these distinct states, sorted as every spectrum is."""
+        order = np.lexsort((_bit_reversal(packed, n_vars), energies))
+        return cls(packed[order], energies[order], window, complete, n_vars)
+
     @property
     def d(self) -> int:
         return self.packed.size
@@ -171,8 +177,7 @@ def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, com
     outside = ~_inside(claimed, win)
     if outside.any():
         raise InternalError(f"state energy {claimed[np.argmax(outside)]} lies outside the window {win}")
-    order = np.lexsort((_bit_reversal(states, n), claimed))
-    return LocalSpectrum(states[order], claimed[order], win, complete, n)
+    return LocalSpectrum.in_order(states, claimed, win, complete, n)
 
 
 # Each byte value with its eight bits in reverse order.

@@ -16,8 +16,9 @@ and energies ``[field, -field]``, and every multi-variable term a one-term
 coupling whose feature on each axis is the variable's bit. Every level, the
 first included, decomposes the previous level under a partition of its
 communities, bounds each new community's window by the couplings that
-straddle it, drops from the window the states another retained state beats
-under every boundary (``prune_dominated``), and carries the straddling
+straddle it, replaces each padded alias in the window by its twin and drops
+the states another retained state beats under every boundary
+(``prune_dominated``), and carries the straddling
 couplings' terms onto the new registers: each old feature is gathered
 through the new decode tables and XORed with the features of the term's
 other members inside the same new register. An entry sums its terms in one
@@ -562,10 +563,15 @@ PRUNE_CANDIDATES = 64
 
 
 def prune_dominated(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -> LocalSpectrum:
-    """Community ``l``'s spectrum without the states that another retained
-    state beats under every boundary (Goldstein's dead-end test).
+    """Community ``l``'s spectrum without padded aliases and without the
+    states that another retained state beats under every boundary
+    (Goldstein's dead-end test).
 
-    State x is dropped when one of the ``PRUNE_CANDIDATES`` lowest states y
+    First every state with a padded register index is replaced by its valid
+    twin and the duplicates are dropped (``_without_aliases``), so each
+    state is tested, encoded and recombined once; the spectrum's ``d`` then
+    counts distinct states. Then state x is dropped when one of the
+    ``PRUNE_CANDIDATES`` lowest states y
     satisfies  E(x) - E(y) > sum_g max_z [R_g(y, z) - R_g(x, z)] + tol,
     where g runs over the straddling couplings grouped by the communities
     they reach outside ``l``, R_g(x, z) is their summed entries at x's
@@ -578,9 +584,10 @@ def prune_dominated(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -
     time, each block only with the states no earlier block dropped
     (``_dead_ends``). The rows are read through ``Coupling.values``
     (``_coupling_rows``); a community whose rows would exceed
-    ``MATERIALIZE_ENTRIES`` is left unpruned. The window, and so E0, is
-    kept.
+    ``MATERIALIZE_ENTRIES`` keeps every distinct state. The window, and so
+    E0, is kept.
     """
+    spectrum = _without_aliases(rd, l, spectrum)
     if spectrum.d < 2:
         return spectrum
     rows = _coupling_rows(rd, l, spectrum.packed)
@@ -592,6 +599,41 @@ def prune_dominated(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -
     return LocalSpectrum(
         spectrum.packed[keep], spectrum.energies[keep], spectrum.window,
         spectrum.complete, spectrum.n_vars,
+    )
+
+
+def _without_aliases(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -> LocalSpectrum:
+    """The spectrum with each padded index of a repeat-padded member taken
+    mod its ``d``, and the duplicates that makes dropped.
+
+    Such an alias has its twin's energy and rows bit for bit, so dropping it
+    keeps every optimum's configuration. A complete window holds every
+    twin, so its aliases are masked out in order; a sampled one may lack a
+    twin, so its states are mapped, deduplicated (the first, lowest, of each
+    kept) and sorted again. Level-1 members are unpadded 1-qubit registers.
+    Under penalty padding an alias costs more than its twin, which the
+    dead-end test weighs like any other state.
+    """
+    packed = twins = spectrum.packed
+    offset = 0
+    for c in rd.members[l]:
+        enc = rd.rp.encodings[c]
+        if enc.d < enc.d_tilde and enc.padding_mode == "repeat":
+            # an index is below 2d, so mod d takes d off a padded one
+            padded = ((packed >> offset) & (enc.d_tilde - 1)) >= enc.d
+            twins = twins - padded * (enc.d << offset)
+        offset += enc.m_tilde
+    if twins is packed:
+        return spectrum
+    alias = twins != packed
+    if not alias.any():
+        return spectrum
+    if spectrum.complete:
+        keep = ~alias
+        return LocalSpectrum(packed[keep], spectrum.energies[keep], spectrum.window, True, spectrum.n_vars)
+    _, first = np.unique(twins, return_index=True)
+    return LocalSpectrum.in_order(
+        twins[first], spectrum.energies[first], spectrum.window, False, spectrum.n_vars
     )
 
 

@@ -9,6 +9,8 @@ which reads the package's window rule and penalty constants. Another is
 ``dead_end_gains``, the dead-end test in one all-pairs pass, which reads
 the package's candidate count, and ``reference_louvain`` is Louvain with a
 dict-and-``sorted`` move sweep, which reads the package's tolerances.
+``twin_states`` and ``without_aliases`` read the packed layout and the
+encodings of a ``ReducedDecomposition``.
 """
 
 import math
@@ -232,6 +234,38 @@ def dead_end_gains(stacks, energies: np.ndarray) -> np.ndarray:
     for stack in stacks:
         gain -= (stack[:, :, :k, None] - stack[:, :, None, :]).max(axis=1).sum(axis=0)
     return gain
+
+
+def twin_states(rd, l: int, packed) -> list[int]:
+    """Each packed state of community ``l`` with every repeat-padded member
+    index taken mod that member's ``d``, one state at a time."""
+    out = []
+    for state in np.asarray(packed).tolist():
+        twin, offset = 0, 0
+        for c in rd.members[l]:
+            enc = rd.rp.encodings[c]
+            idx = (state >> offset) & ((1 << enc.m_tilde) - 1)
+            if enc.padding_mode == "repeat":
+                idx %= enc.d
+            twin |= idx << offset
+            offset += enc.m_tilde
+        out.append(twin)
+    return out
+
+
+def without_aliases(rd, l: int, spectrum):
+    """The reference for ``reduction._without_aliases``: the spectrum's
+    states replaced by their twins, the first of each twin kept, sorted by
+    energy and then by bit string, bit 0 first."""
+    first: dict[int, float] = {}
+    for twin, energy in zip(twin_states(rd, l, spectrum.packed), spectrum.energies.tolist()):
+        first.setdefault(twin, energy)
+    n = spectrum.n_vars
+    order = sorted(first, key=lambda s: (first[s], [(s >> j) & 1 for j in range(n)]))
+    return optimizer_module.LocalSpectrum(
+        np.array(order, dtype=np.int64), np.array([first[s] for s in order]),
+        spectrum.window, spectrum.complete, n,
+    )
 
 
 def reference_louvain(g: WeightedGraph, seed: int = 0) -> tuple[Partition, list[float]]:

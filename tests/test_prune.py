@@ -3,8 +3,10 @@
 A state may be dropped only when another retained state beats it under
 every boundary, so every ground state survives an eta = 1 run, and within
 one level the optimum of the retained product is unchanged at any eta.
-The blocked test with early exit drops exactly the states that the one-pass
-all-pairs test drops.
+Before the test, every state with a padded register index is replaced by
+its valid twin, so each configuration is tested and encoded once; the
+blocked test with early exit then drops exactly the states that the
+one-pass all-pairs test drops from the window with its aliases replaced.
 """
 
 import itertools
@@ -14,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcreduce as dc
 import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition
-from dcreduce.optimizer import enumerate_low_exhaustive
+from dcreduce.optimizer import LocalSpectrum, enumerate_low_exhaustive
 from dcreduce.reduction import (
     ChainLevel,
     DecodeChain,
@@ -28,7 +31,10 @@ from dcreduce.reduction import (
     iteration_delta,
     prune_dominated,
 )
-from helpers import dead_end_gains, energy_of_indices, indices_from_bits, random_pubo, random_quadratic, spin_energies
+from helpers import (
+    dead_end_gains, energy_of_indices, indices_from_bits, random_pubo, random_quadratic, spin_energies,
+    twin_states, without_aliases,
+)
 
 
 def _level(rd, eta, padding, prune, objectives):
@@ -162,31 +168,147 @@ def test_dropped_states_are_beaten_under_every_boundary(pubo):
     assert dropped
 
 
+def _windows(pubo, seed, padding="repeat"):
+    """The seeds and partitions of the test above: every complete eta = 1
+    window at levels 1 and 2, as (decomposition, community, spectrum)."""
+    h = random_pubo(10, 15, seed, max_arity=3) if pubo else random_quadratic(10, 20, seed)
+    rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels([v % 3 for v in range(10)]))
+    _, encodings = _level(rd, 1.0, padding, True, h.split(rd.members))
+    rd2 = decompose(build_reduced_iter(rd, encodings), Partition.from_labels([0, 0, 1]))
+    for level in (rd, rd2):
+        for l in range(len(level.members)):
+            yield level, l, enumerate_low_exhaustive(community_objective(level, l), iteration_delta(level, l), 1.0)
+
+
+def _all_pairs_keeps(rd, l, spectrum):
+    """The all-pairs test's survivors of the window with its aliases replaced."""
+    spectrum = without_aliases(rd, l, spectrum)
+    if spectrum.d < 2:
+        return spectrum.packed
+    rows = reduction_module._coupling_rows(rd, l, spectrum.packed)
+    return spectrum.packed[~(dead_end_gains(rows, spectrum.energies) > spectrum.window.tol).any(axis=0)]
+
+
 @pytest.mark.parametrize("pubo", [False, True])
 @pytest.mark.parametrize("slab", [None, 8])
 def test_prune_keeps_what_the_all_pairs_test_keeps(pubo, slab, monkeypatch):
-    # the seeds and partitions of the test above, at levels 1 and 2; a slab
-    # of 8 entries splits every window into blocks of candidates and chunks
-    # of states
+    # a slab of 8 entries splits every window into blocks of candidates and
+    # chunks of states
     if slab is not None:
         monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
     dropped = 0
     for seed in range(12):
-        h = random_pubo(10, 15, seed, max_arity=3) if pubo else random_quadratic(10, 20, seed)
-        rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels([v % 3 for v in range(10)]))
-        _, encodings = _level(rd, 1.0, "repeat", True, h.split(rd.members))
-        rd2 = decompose(build_reduced_iter(rd, encodings), Partition.from_labels([0, 0, 1]))
-        for level in (rd, rd2):
-            for l in range(len(level.members)):
-                spectrum = enumerate_low_exhaustive(community_objective(level, l), iteration_delta(level, l), 1.0)
-                if spectrum.d < 2:
-                    continue
-                rows = reduction_module._coupling_rows(level, l, spectrum.packed)
-                keep = ~(dead_end_gains(rows, spectrum.energies) > spectrum.window.tol).any(axis=0)
-                kept = prune_dominated(level, l, spectrum)
-                assert np.array_equal(kept.packed, spectrum.packed[keep])
-                dropped += spectrum.d - kept.d
+        for rd, l, spectrum in _windows(pubo, seed):
+            kept = prune_dominated(rd, l, spectrum)
+            assert np.array_equal(kept.packed, _all_pairs_keeps(rd, l, spectrum))
+            dropped += spectrum.d - kept.d
     assert dropped
+
+
+def _decode(rd, l, packed):
+    """Each packed state of community ``l`` as the tuple of its members'
+    decoded states: equal tuples are one configuration of the variables."""
+    out = []
+    for state in np.asarray(packed).tolist():
+        config, offset = [], 0
+        for c in rd.members[l]:
+            enc = rd.rp.encodings[c]
+            config.append(int(enc.decode[(state >> offset) & ((1 << enc.m_tilde) - 1)]))
+            offset += enc.m_tilde
+        out.append(tuple(config))
+    return out
+
+
+@pytest.mark.parametrize("pubo", [False, True])
+def test_complete_level_two_window_is_pruned_to_distinct_states(pubo):
+    # every configuration of the window is tested and encoded once: the kept
+    # states have no padded index and decode to what the reference keeps
+    aliased = 0
+    for seed in range(12):
+        for rd, l, spectrum in _windows(pubo, seed):
+            twins = twin_states(rd, l, spectrum.packed)
+            if twins == spectrum.packed.tolist():
+                continue
+            aliased += 1
+            # an alias decodes to its twin's configuration
+            assert _decode(rd, l, twins) == _decode(rd, l, spectrum.packed)
+            kept = prune_dominated(rd, l, spectrum)
+            assert twin_states(rd, l, kept.packed) == kept.packed.tolist()
+            decoded = _decode(rd, l, kept.packed)
+            assert len(set(decoded)) == kept.d
+            assert set(decoded) == set(_decode(rd, l, _all_pairs_keeps(rd, l, spectrum)))
+    assert aliased
+
+
+def test_sampled_alias_without_its_twin_keeps_the_twin():
+    # a level-2 window of padded members, hand-thinned as a sampler might
+    # leave it: without the twin of an alias, with other aliases and twins
+    rd, l, spectrum, twins = next(
+        (rd, l, spectrum, twins) for rd, l, spectrum in _windows(False, 0)
+        for twins in [np.array(twin_states(rd, l, spectrum.packed))]
+        if len(set(twins[twins != spectrum.packed].tolist())) >= 2
+    )
+    alias = int(np.flatnonzero(twins != spectrum.packed)[0])
+    twin = int(twins[alias])
+    thinned = spectrum.packed != twin
+    sampled = LocalSpectrum(
+        spectrum.packed[thinned], spectrum.energies[thinned], spectrum.window, False, spectrum.n_vars
+    )
+    replaced = reduction_module._without_aliases(rd, l, sampled)
+    reference = without_aliases(rd, l, sampled)
+    assert np.array_equal(replaced.packed, reference.packed)
+    assert np.array_equal(replaced.energies, reference.energies)
+    assert twin in replaced.packed.tolist()
+    assert replaced.window == sampled.window and not replaced.complete
+    assert np.array_equal(prune_dominated(rd, l, sampled).packed, _all_pairs_keeps(rd, l, sampled))
+    # alone in its spectrum, the alias is encoded as its twin
+    alone = LocalSpectrum(spectrum.packed[alias:alias + 1], spectrum.energies[alias:alias + 1],
+                          spectrum.window, False, spectrum.n_vars)
+    assert prune_dominated(rd, l, alone).packed.tolist() == [twin]
+
+
+def _padded(encodings, members, packed):
+    """Which packed states hold an index past some member encoding's ``d``."""
+    out = []
+    for state in np.asarray(packed).tolist():
+        offset, padded = 0, False
+        for c in members:
+            padded |= (state >> offset) & ((1 << encodings[c].m_tilde) - 1) >= encodings[c].d
+            offset += encodings[c].m_tilde
+        out.append(padded)
+    return out
+
+
+def test_penalty_padded_alias_is_left_to_the_dead_end_test():
+    # under penalty padding an alias costs more than its twin, so it is not
+    # replaced: alone in a sampled spectrum, it stays at its own energy
+    rd, l, spectrum = next(
+        w for w in _windows(True, 5, "penalty") if any(_padded(w[0].rp.encodings, w[0].members[w[1]], w[2].packed))
+    )
+    i = _padded(rd.rp.encodings, rd.members[l], spectrum.packed).index(True)
+    alone = LocalSpectrum(spectrum.packed[i:i + 1], spectrum.energies[i:i + 1],
+                          spectrum.window, False, spectrum.n_vars)
+    assert prune_dominated(rd, l, alone) is alone
+
+
+def _level_two_aliases(result):
+    """Level-2 states that hold a padded index of a level-1 register, and
+    all level-2 states."""
+    below, level = result.chain.levels[0].encodings, result.chain.levels[1]
+    aliases = sum(sum(_padded(below, members, enc.decode[:enc.d]))
+                  for members, enc in zip(level.membership, level.encodings))
+    return aliases, sum(enc.d for enc in level.encodings)
+
+
+def test_aliases_stay_with_pruning_off():
+    # 3-regular |V| = 24, seed 3, eta 1 (before aliases were replaced, the
+    # pruned run encoded 4 aliases among its 10 level-2 states)
+    h = dc.benchgen.generate(dc.GraphSpec("k_regular", 24, 3, k=3))
+    pruned = dc.run(h, dc.RunConfig(eta=1.0, seed=3))
+    plain = dc.run(h, dc.RunConfig(eta=1.0, seed=3, prune_dominated=False))
+    assert _level_two_aliases(pruned) == (0, 6)
+    assert _level_two_aliases(plain) == (70, 126)
+    assert pruned.best_energy == plain.best_energy
 
 
 def _random_stacks(rng, d, buckets, integral):
