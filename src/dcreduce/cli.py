@@ -225,7 +225,6 @@ def _run_config_of(args, **fields) -> RunConfig:
     return RunConfig(
         optimizer_o1=args.optimizer,
         optimizer_o2=args.optimizer,
-        padding_mode=args.padding,
         prune_dominated=args.prune == "on",
         **fields,
     )
@@ -284,10 +283,13 @@ def _cmd_diagnostics(args) -> int:
     if args.bins < 1:
         raise ParameterError(f"--bins must be at least 1, got {args.bins}")
     config = _run_config_of(args, eta=args.eta, seed=args.seeds + args.instances - 1)
+    seeds = range(args.seeds, args.seeds + args.instances)
+    # every instance is generated before --out opens, so a bad seed or size
+    # is refused first
+    instances = [generate(family.spec_for(args.n, seed)) for seed in seeds]
     with _output(args.out) as fh:
         records = []
-        for seed in range(args.seeds, args.seeds + args.instances):
-            h = generate(family.spec_for(args.n, seed))
+        for seed, h in zip(seeds, instances):
             result = run(h, replace(config, seed=seed))
             records.extend((seed, diag) for diag in shift_diagnostics(h, result))
         _write_diagnostics(diagnostics_rows(records, args.family, args.n, args.eta, args.bins), fh)
@@ -349,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common_opt(p):
         """The run flags that ``_run_config_of`` reads."""
         p.add_argument("--optimizer", choices=("auto", "exhaustive", "annealing"), default="auto")
-        p.add_argument("--padding", choices=("repeat", "penalty"), default="repeat")
         p.add_argument("--prune", choices=("on", "off"), default="on",
                        help="dead-end pruning; off runs the paper's plain windows")
 

@@ -62,7 +62,6 @@ class RunConfig:
     seed: int = 0
     optimizer_o1: str = "auto"
     optimizer_o2: str = "auto"
-    padding_mode: str = "repeat"
     brute_force_ceiling: int = 22
     # Replace padded aliases by their twins and drop the window states that
     # another retained state beats under every boundary
@@ -89,8 +88,6 @@ class RunConfig:
             raise DomainError(f"eta must lie in [0, 1], got {self.eta}")
         if self.optimizer_o1 not in _BACKENDS or self.optimizer_o2 not in _BACKENDS:
             raise ParameterError(f"optimizer backends must be one of {_BACKENDS}")
-        if self.padding_mode not in ("repeat", "penalty"):
-            raise ParameterError("padding_mode must be 'repeat' or 'penalty'")
         if not 1 <= self.brute_force_ceiling <= SCAN_CEILING:
             raise ParameterError(f"brute_force_ceiling must lie in [1, {SCAN_CEILING}], got {self.brute_force_ceiling}")
 
@@ -317,10 +314,7 @@ def _enumerate_and_encode(rd, objectives, deltas, preference, level, cfg):
     kept = spectra
     if cfg.prune_dominated:
         kept = [prune_dominated(rd, i, spectrum) for i, spectrum in enumerate(spectra)]
-    encodings = tuple(
-        encode_community(spec, cfg.padding_mode, delta=delta)
-        for spec, delta in zip(kept, deltas)
-    )
+    encodings = tuple(encode_community(spec) for spec in kept)
     trace = LevelTrace(
         rd.partition.community_of,
         rd.partition.communities,

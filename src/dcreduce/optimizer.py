@@ -96,10 +96,6 @@ class Window:
     def contains(self, energy: float) -> bool:
         return self.lo - self.tol <= energy <= self.hi + self.tol
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def _check_window_args(delta: float, eta: float) -> None:
     """The rules on delta and eta that every window obeys."""

@@ -39,7 +39,7 @@ from itertools import combinations
 import numpy as np
 
 from .clustering import Partition, WeightedGraph
-from .errors import DimensionError, DomainError, InternalError, ParameterError, ResourceError
+from .errors import DimensionError, DomainError, InternalError, ResourceError
 from .hamiltonian import (
     SLAB_ENTRIES, PolyHamiltonian, SpinConfig, readonly_array,
 )
@@ -58,14 +58,13 @@ class EncodedCommunity:
     ``decode[mu]`` is the packed community state (local variable j on bit j)
     for reduced index ``mu``, and ``energies[mu]`` its energy-table entry;
     both are read-only arrays of length ``d_tilde``. Indices past the true
-    dimension d are padded: they decode to ``decode[mu % d]`` and repeat
-    its energy or, in penalty mode, are priced at ``e0 + delta + (delta + 1)``.
+    dimension d are padded: each repeats index ``mu % d``, its state and its
+    energy.
     """
 
     m_tilde: int
     decode: np.ndarray
     energies: np.ndarray
-    padding_mode: str
     d: int
     n_local_vars: int
 
@@ -78,32 +77,21 @@ class EncodedCommunity:
         return 1 << self.m_tilde
 
 
-def encode_community(
-    spectrum: LocalSpectrum, padding_mode: str = "repeat", delta: float | None = None
-) -> EncodedCommunity:
+def encode_community(spectrum: LocalSpectrum) -> EncodedCommunity:
     """Encode a local spectrum on ceil(log2(d)) qubits (1 qubit when d = 1).
 
     Reduced index ``mu`` takes the spectrum's state ``mu % d``, so the
     decode and energy tables are one gather of its packed states and their
-    energies; penalty padding then overwrites the padded energies with
-    ``e0 + width + (width + 1)``, e0 being the window's lower end (the
-    lowest energy before dead-end pruning) and width ``delta`` or the
-    window's.
+    energies, and every padded index repeats a retained state.
     """
-    if padding_mode not in ("repeat", "penalty"):
-        raise ParameterError(f"unknown padding mode {padding_mode!r}")
     d = spectrum.d
     if d < 1:
         raise InternalError("cannot encode an empty spectrum")
     # ceil(log2(d)) in exact integer arithmetic; one qubit when d = 1
     m_tilde = max(1, (d - 1).bit_length())
     source = np.arange(1 << m_tilde) % d
-    energies = spectrum.energies[source]
-    if padding_mode == "penalty":
-        width = delta if delta is not None else spectrum.window.width
-        energies[d:] = spectrum.window.lo + width + (width + 1.0)
     return EncodedCommunity(
-        m_tilde, spectrum.packed[source], energies, padding_mode, d, spectrum.n_vars
+        m_tilde, spectrum.packed[source], spectrum.energies[source], d, spectrum.n_vars
     )
 
 
@@ -363,7 +351,7 @@ class ReducedProblem:
                 tables = coeffs * functools_reduce(np.multiply.outer, [_SPINS] * k)
             for (subset, coeff), table in zip(items, tables):
                 couplings[subset] = Coupling((coeff,), masks, table, abs(coeff))
-        shared = {f: EncodedCommunity(1, [0, 1], [f, -f], "repeat", 2, 1) for f in set(fields)}
+        shared = {f: EncodedCommunity(1, [0, 1], [f, -f], 2, 1) for f in set(fields)}
         return cls([shared[f] for f in fields], couplings, 0, h.is_pure_quadratic())
 
     @property
@@ -603,22 +591,20 @@ def prune_dominated(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -
 
 
 def _without_aliases(rd: ReducedDecomposition, l: int, spectrum: LocalSpectrum) -> LocalSpectrum:
-    """The spectrum with each padded index of a repeat-padded member taken
-    mod its ``d``, and the duplicates that makes dropped.
+    """The spectrum with each padded index of a member taken mod its ``d``,
+    and the duplicates that makes dropped.
 
     Such an alias has its twin's energy and rows bit for bit, so dropping it
     keeps every optimum's configuration. A complete window holds every
     twin, so its aliases are masked out in order; a sampled one may lack a
     twin, so its states are mapped, deduplicated (the first, lowest, of each
     kept) and sorted again. Level-1 members are unpadded 1-qubit registers.
-    Under penalty padding an alias costs more than its twin, which the
-    dead-end test weighs like any other state.
     """
     packed = twins = spectrum.packed
     offset = 0
     for c in rd.members[l]:
         enc = rd.rp.encodings[c]
-        if enc.d < enc.d_tilde and enc.padding_mode == "repeat":
+        if enc.d < enc.d_tilde:
             # an index is below 2d, so mod d takes d off a padded one
             padded = ((packed >> offset) & (enc.d_tilde - 1)) >= enc.d
             twins = twins - padded * (enc.d << offset)
@@ -843,7 +829,6 @@ class DecodeChain:
                     "membership": [list(m) for m in level.membership],
                     "m_tilde": [enc.m_tilde for enc in level.encodings],
                     "d": [enc.d for enc in level.encodings],
-                    "padding_mode": [enc.padding_mode for enc in level.encodings],
                     "decode": [
                         [format(state, f"0{enc.n_local_vars}b")[::-1] for state in enc.decode.tolist()]
                         for enc in level.encodings

@@ -237,16 +237,14 @@ def dead_end_gains(stacks, energies: np.ndarray) -> np.ndarray:
 
 
 def twin_states(rd, l: int, packed) -> list[int]:
-    """Each packed state of community ``l`` with every repeat-padded member
-    index taken mod that member's ``d``, one state at a time."""
+    """Each packed state of community ``l`` with every member index taken
+    mod that member's ``d``, one state at a time."""
     out = []
     for state in np.asarray(packed).tolist():
         twin, offset = 0, 0
         for c in rd.members[l]:
             enc = rd.rp.encodings[c]
-            idx = (state >> offset) & ((1 << enc.m_tilde) - 1)
-            if enc.padding_mode == "repeat":
-                idx %= enc.d
+            idx = ((state >> offset) & ((1 << enc.m_tilde) - 1)) % enc.d
             twin |= idx << offset
             offset += enc.m_tilde
         out.append(twin)

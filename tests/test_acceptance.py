@@ -94,12 +94,10 @@ def _pipeline_levels(h, seed, eta):
     if p1.n_communities < 2:
         return []
     d = decompose(ReducedProblem.from_hamiltonian(h), p1)
-    spectra, deltas = [], []
+    encodings = []
     for i, members in enumerate(d.members):
         delta = delta_two_body(d, i) if h.is_pure_quadratic() else delta_pubo(d, i)
-        deltas.append(delta)
-        spectra.append(enumerate_low_exhaustive(h.restrict(members), delta, eta))
-    encodings = [encode_community(s, delta=deltas[i]) for i, s in enumerate(spectra)]
+        encodings.append(encode_community(enumerate_low_exhaustive(h.restrict(members), delta, eta)))
     rp = build_reduced(d, encodings)
     chain = DecodeChain(h.n_vars, [ChainLevel(d.members, tuple(encodings))])
     levels = [(rp, DecodeChain(h.n_vars, list(chain.levels)))]
@@ -107,13 +105,10 @@ def _pipeline_levels(h, seed, eta):
     p2 = Partition.from_labels(labels)
     if p2.n_communities < rp.n_communities:
         rd = decompose(rp, p2)
-        spectra2, deltas2 = [], []
-        for l in range(p2.n_communities):
-            objective = community_objective(rd, l)
-            delta = iteration_delta(rd, l)
-            deltas2.append(delta)
-            spectra2.append(enumerate_low_exhaustive(objective, delta, eta))
-        encodings2 = [encode_community(s, delta=deltas2[l]) for l, s in enumerate(spectra2)]
+        encodings2 = [
+            encode_community(enumerate_low_exhaustive(community_objective(rd, l), iteration_delta(rd, l), eta))
+            for l in range(p2.n_communities)
+        ]
         rp2 = build_reduced_iter(rd, encodings2)
         chain.levels.append(ChainLevel(tuple(rd.members), tuple(encodings2)))
         levels.append((rp2, DecodeChain(h.n_vars, list(chain.levels))))

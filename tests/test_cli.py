@@ -134,12 +134,23 @@ def test_run_flags_reach_run_config(command, path_problem, monkeypatch):
         "sweep": ["sweep", "--family", "ring_k2", "--n", "8", "--instances", "1"],
         "diagnostics": ["diagnostics", "--n", "8", "--instances", "1"],
     }[command]
-    main(argv + ["--padding", "penalty", "--optimizer", "annealing", "--prune", "off"])
+    main(argv + ["--optimizer", "annealing", "--prune", "off"])
     assert len(seen) == 1
     cfg = seen[0]
-    assert (
-        cfg.padding_mode, cfg.optimizer_o1, cfg.optimizer_o2, cfg.prune_dominated,
-    ) == ("penalty", "annealing", "annealing", False)
+    assert (cfg.optimizer_o1, cfg.optimizer_o2, cfg.prune_dominated) == ("annealing", "annealing", False)
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "diagnostics"])
+def test_padding_flag_is_refused(command, path_problem):
+    # every padded index repeats a retained state; there is no flag to choose
+    argv = {
+        "solve": ["solve", path_problem[1]],
+        "sweep": ["sweep", "--family", "ring_k2", "--n", "8"],
+        "diagnostics": ["diagnostics"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--padding", "penalty"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["sweep", "diagnostics"])
@@ -334,11 +345,15 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     for name, data in _BAD_FILES.items():
         (tmp_path / name).write_bytes(data)
     argv = [str(tmp_path / a) if a in _BAD_FILES else a for a in argv]
-    assert main(argv) == EXIT_INPUT
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert captured.out == ""
+    # refused before --out was opened
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -346,6 +361,8 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     ["diagnostics", "--n", "8", "--instances", "1", "--seeds", "-1"],
     ["sweep", "--family", "ring_k2", "--n", "8", "--instances", "2", "--seeds", "-1"],
     ["solve", "g.txt", "--seed", "-1"],
+    # only the first of the two instance seeds is negative
+    ["diagnostics", "--n", "8", "--instances", "2", "--seeds", "-1"],
 ])
 def test_negative_seed_is_refused_before_any_run(argv, tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
@@ -353,13 +370,16 @@ def test_negative_seed_is_refused_before_any_run(argv, tmp_path, monkeypatch, ca
 
     problem = tmp_path / "g.txt"
     problem.write_text("0 1 1.0\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n", encoding="utf-8")
     argv = [str(problem) if a == "g.txt" else a for a in argv]
     monkeypatch.setattr(cli_module, "run", fail)
-    assert main(argv) == EXIT_INPUT
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "-1" in err[0]
     assert captured.out == ""
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("argv", [

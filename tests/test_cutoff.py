@@ -47,8 +47,7 @@ def _two_levels(h, labels1, labels2):
     rd1 = _level0(h, labels1)
     encodings = []
     for l, members in enumerate(rd1.members):
-        delta = delta_pubo(rd1, l)
-        encodings.append(encode_community(enumerate_low_exhaustive(h.restrict(members), delta, 1.0), delta=delta))
+        encodings.append(encode_community(enumerate_low_exhaustive(h.restrict(members), delta_pubo(rd1, l), 1.0)))
     return rd1, decompose(build_reduced(rd1, encodings), Partition.from_labels(labels2))
 
 

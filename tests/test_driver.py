@@ -155,11 +155,6 @@ class TestRun:
         result = run(h, cfg)
         assert result.best_energy == pytest.approx(brute_min(h), abs=1e-9)
 
-    def test_penalty_padding_run(self):
-        h = random_quadratic(12, 22, 6)
-        result = run(h, RunConfig(eta=1.0, seed=6, padding_mode="penalty"))
-        assert result.best_energy == pytest.approx(brute_min(h), abs=1e-9)
-
     def test_chi_bound_run(self, monkeypatch):
         # a cap of 0 leaves every coupling entry-wise, weighed and cut off
         # by its bound sum |c_t|
@@ -280,15 +275,14 @@ class TestTrace:
             assert on[0].d_window == plain[0].d_window and on[0].e0s == plain[0].e0s
         assert pruned
 
-    @pytest.mark.parametrize("padding", ["repeat", "penalty"])
     @pytest.mark.parametrize("kind", ["quadratic", "pubo"])
-    def test_chain_section(self, kind, padding):
+    def test_chain_section(self, kind):
         # both instances iterate once and pad some encoding, dead-end pruning on
         if kind == "quadratic":
             h, seed = random_quadratic(16, 30, 4), 4
         else:
             h, seed = random_pubo(14, 22, 2), 2
-        result = run(h, RunConfig(eta=0.5, seed=seed, padding_mode=padding))
+        result = run(h, RunConfig(eta=0.5, seed=seed))
         data = result.to_json_dict()
         json.dumps(data)
         chain = data["chain"]
@@ -311,7 +305,6 @@ class TestTrace:
                 energies = level["energies"][c]
                 assert all(type(e) is float for e in energies)
                 assert energies == [float(e) for e in enc.energies]
-                assert level["padding_mode"][c] == padding
         assert padded
 
     def test_best_config_roundtrip(self):

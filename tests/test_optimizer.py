@@ -221,7 +221,7 @@ class TestSampled:
         # p = width + c1 |E| + c2 implies E + p > E0 + width for every found state
         h = random_quadratic(10, 18, 77)
         spectrum = enumerate_low_sampled(h, 2.0, 1.0, 9)
-        width = spectrum.window.width
+        width = spectrum.window.hi - spectrum.window.lo
         for energy in spectrum.energies.tolist():
             penalty = width + optimizer_module._C1 * abs(energy) + optimizer_module._C2
             assert energy + penalty > spectrum.e0 + width

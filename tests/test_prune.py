@@ -37,24 +37,23 @@ from helpers import (
 )
 
 
-def _level(rd, eta, padding, prune, objectives):
+def _level(rd, eta, prune, objectives):
     """Windows, pruned or not, and encodings of every community of rd."""
     spectra, encodings = [], []
     for l, objective in enumerate(objectives):
-        delta = iteration_delta(rd, l)
-        spectrum = enumerate_low_exhaustive(objective, delta, eta)
+        spectrum = enumerate_low_exhaustive(objective, iteration_delta(rd, l), eta)
         if prune:
             spectrum = prune_dominated(rd, l, spectrum)
         spectra.append(spectrum)
-        encodings.append(encode_community(spectrum, padding, delta=delta))
+        encodings.append(encode_community(spectrum))
     return spectra, encodings
 
 
-def _two_levels(h, labels1, labels2, eta, padding, prune):
+def _two_levels(h, labels1, labels2, eta, prune):
     """Level 1 under labels1, then level 2 under labels2 (None when labels2
     does not merge anything); returns the reduced problems and the chain."""
     rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels1))
-    _, encodings = _level(rd, eta, padding, prune, h.split(rd.members))
+    _, encodings = _level(rd, eta, prune, h.split(rd.members))
     rp1 = build_reduced_iter(rd, encodings)
     chain = DecodeChain(h.n_vars, [ChainLevel(rd.members, tuple(encodings))])
     p2 = Partition.from_labels(labels2[:rp1.n_communities])
@@ -62,7 +61,7 @@ def _two_levels(h, labels1, labels2, eta, padding, prune):
         return rp1, None, chain
     rd2 = decompose(rp1, p2)
     objectives = [community_objective(rd2, l) for l in range(len(rd2.members))]
-    _, encodings2 = _level(rd2, eta, padding, prune, objectives)
+    _, encodings2 = _level(rd2, eta, prune, objectives)
     rp2 = build_reduced_iter(rd2, encodings2)
     chain.levels.append(ChainLevel(rd2.members, tuple(encodings2)))
     return rp1, rp2, chain
@@ -81,13 +80,12 @@ def _product(rp, chain, depth):
 @given(
     seed=st.integers(0, 10**6),
     pubo=st.booleans(),
-    padding=st.sampled_from(["repeat", "penalty"]),
     n=st.integers(6, 11),
     eta=st.sampled_from([0.5, 1.0]),
     data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_ground_states_survive(seed, pubo, padding, n, eta, data):
+def test_ground_states_survive(seed, pubo, n, eta, data):
     h = random_pubo(n, int(1.5 * n), seed, max_arity=3) if pubo else random_quadratic(n, 2 * n, seed)
     energies = spin_energies(h) - h.constant
     e_min = float(energies.min())
@@ -97,8 +95,8 @@ def test_ground_states_survive(seed, pubo, padding, n, eta, data):
     }
     labels1 = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     labels2 = data.draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
-    pruned = _two_levels(h, labels1, labels2, eta, padding, prune=True)
-    plain = _two_levels(h, labels1, labels2, eta, padding, prune=False)
+    pruned = _two_levels(h, labels1, labels2, eta, prune=True)
+    plain = _two_levels(h, labels1, labels2, eta, prune=False)
     for depth in (0, 1):
         rp, rp_plain = pruned[depth], plain[depth]
         if rp is None:
@@ -117,13 +115,17 @@ def test_ground_states_survive(seed, pubo, padding, n, eta, data):
     raises=AssertionError,
     reason="ROADMAP item 10: pruning level 1 narrows level 2's cut-off at eta < 1",
 )
-def test_level_two_optimum_survives_pruning_at_eta_below_one():
-    # the recorded counterexample of ROADMAP item 10, run without a draw:
+@pytest.mark.parametrize("n, seed, labels1, labels2", [
     # pruned, level 2 retains -2.79760 where unpruned it retains -3.95664
-    h = random_quadratic(6, 12, 383479)
-    labels1, labels2 = [2, 0, 0, 1, 0, 1], [0, 1, 0, 0]
-    pruned = _two_levels(h, labels1, labels2, 0.5, "repeat", prune=True)
-    plain = _two_levels(h, labels1, labels2, 0.5, "repeat", prune=False)
+    (6, 383479, [2, 0, 0, 1, 0, 1], [0, 1, 0, 0]),
+    # pruned, level 2 retains -4.07756 where unpruned it retains -4.34588
+    (7, 926480, [0, 1, 1, 0, 0, 0, 2], [1, 0, 1, 0]),
+], ids=["seed383479", "seed926480"])
+def test_level_two_optimum_survives_pruning_at_eta_below_one(n, seed, labels1, labels2):
+    # the recorded counterexamples of ROADMAP item 10, run without a draw
+    h = random_quadratic(n, 2 * n, seed)
+    pruned = _two_levels(h, labels1, labels2, 0.5, prune=True)
+    plain = _two_levels(h, labels1, labels2, 0.5, prune=False)
     best = min(e for e, _ in _product(pruned[1], pruned[2], 1))
     assert best == pytest.approx(min(e for e, _ in _product(plain[1], plain[2], 1)), abs=1e-9)
 
@@ -168,12 +170,12 @@ def test_dropped_states_are_beaten_under_every_boundary(pubo):
     assert dropped
 
 
-def _windows(pubo, seed, padding="repeat"):
+def _windows(pubo, seed):
     """The seeds and partitions of the test above: every complete eta = 1
     window at levels 1 and 2, as (decomposition, community, spectrum)."""
     h = random_pubo(10, 15, seed, max_arity=3) if pubo else random_quadratic(10, 20, seed)
     rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels([v % 3 for v in range(10)]))
-    _, encodings = _level(rd, 1.0, padding, True, h.split(rd.members))
+    _, encodings = _level(rd, 1.0, True, h.split(rd.members))
     rd2 = decompose(build_reduced_iter(rd, encodings), Partition.from_labels([0, 0, 1]))
     for level in (rd, rd2):
         for l in range(len(level.members)):
@@ -279,18 +281,6 @@ def _padded(encodings, members, packed):
     return out
 
 
-def test_penalty_padded_alias_is_left_to_the_dead_end_test():
-    # under penalty padding an alias costs more than its twin, so it is not
-    # replaced: alone in a sampled spectrum, it stays at its own energy
-    rd, l, spectrum = next(
-        w for w in _windows(True, 5, "penalty") if any(_padded(w[0].rp.encodings, w[0].members[w[1]], w[2].packed))
-    )
-    i = _padded(rd.rp.encodings, rd.members[l], spectrum.packed).index(True)
-    alone = LocalSpectrum(spectrum.packed[i:i + 1], spectrum.energies[i:i + 1],
-                          spectrum.window, False, spectrum.n_vars)
-    assert prune_dominated(rd, l, alone) is alone
-
-
 def _level_two_aliases(result):
     """Level-2 states that hold a padded index of a level-1 register, and
     all level-2 states."""
@@ -358,7 +348,7 @@ def test_dead_ends_match_the_all_pairs_test(slab, integral, monkeypatch):
 def test_rows_over_the_cap_leave_the_community_unpruned(monkeypatch):
     h = random_quadratic(12, 24, 4)
     rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels([v % 4 for v in range(12)]))
-    _, encodings = _level(rd, 1.0, "repeat", True, h.split(rd.members))
+    _, encodings = _level(rd, 1.0, True, h.split(rd.members))
     rd2 = decompose(build_reduced_iter(rd, encodings), Partition.from_labels([0, 0, 1, 1]))
     monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
     for l in range(len(rd2.members)):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcreduce.clustering import Partition
-from dcreduce.errors import ParameterError, ResourceError
+from dcreduce.errors import ResourceError
 from dcreduce.hamiltonian import MAX_PACKED_VARS, PolyHamiltonian, bits_to_int, int_to_bits
 from dcreduce.optimizer import Window, _check_packable, _freeze, enumerate_low_exhaustive
 import dcreduce.reduction as reduction_module
@@ -40,16 +40,12 @@ from helpers import (
 )
 
 
-def _level_one(h, labels, eta=1.0, padding="repeat"):
+def _level_one(h, labels, eta=1.0):
     d = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels))
-    spectra, deltas = [], []
+    encodings = []
     for i, members in enumerate(d.members):
         delta = delta_two_body(d, i) if d.rp.quadratic else delta_pubo(d, i)
-        deltas.append(delta)
-        spectra.append(enumerate_low_exhaustive(h.restrict(members), delta, eta))
-    encodings = [
-        encode_community(spec, padding, delta=deltas[i]) for i, spec in enumerate(spectra)
-    ]
+        encodings.append(encode_community(enumerate_low_exhaustive(h.restrict(members), delta, eta)))
     rp = build_reduced(d, encodings)
     chain = DecodeChain(h.n_vars, [ChainLevel(d.members, tuple(encodings))])
     return d, rp, chain
@@ -66,45 +62,6 @@ def _check_master_identity(h, rp, chain, constant):
         reduced = energy_of_indices(rp, idx) + constant
         decoded = chain.decode_full(joint)
         assert reduced == pytest.approx(h.evaluate(decoded), abs=1e-9)
-
-
-def _uses_padded_index(chain, joint):
-    """True when the joint state or any state it decodes to below the top
-    level sits on a padded index."""
-    idx = []
-    offset = 0
-    for enc in chain.levels[-1].encodings:
-        idx.append((joint >> offset) & (enc.d_tilde - 1))
-        offset += enc.m_tilde
-    for depth in range(len(chain.levels) - 1, -1, -1):
-        level = chain.levels[depth]
-        if any(is_padded(enc)[i] for enc, i in zip(level.encodings, idx)):
-            return True
-        if depth == 0:
-            return False
-        below = chain.levels[depth - 1].encodings
-        lower = [0] * len(below)
-        for c, member_ids in enumerate(level.membership):
-            enc = level.encodings[c]
-            bits = int_to_bits(int(enc.decode[idx[c]]), enc.n_local_vars)
-            off = 0
-            for mid in member_ids:
-                lower[mid] = sum(b << r for r, b in enumerate(bits[off:off + below[mid].m_tilde]))
-                off += below[mid].m_tilde
-        idx = lower
-
-
-def _check_penalty_identity(h, rp, chain, constant):
-    """Penalty padding prices padded indices above every real state, so the
-    reduced energy bounds the decoded one from above, with equality unless
-    the joint state reaches a padded index at some level."""
-    for joint in range(1 << rp.total_qubits):
-        reduced = energy_of_indices(rp, indices_from_bits(rp, joint)) + constant
-        direct = h.evaluate(chain.decode_full(joint))
-        if _uses_padded_index(chain, joint):
-            assert reduced > direct
-        else:
-            assert reduced == pytest.approx(direct, abs=1e-9)
 
 
 class TestEncode:
@@ -150,27 +107,12 @@ class TestEncode:
         unpadded = [e for e, p in zip(enc.energies, is_padded(enc)) if not p]
         assert unpadded == sorted(unpadded)
 
-    def test_penalty_padding(self):
-        h = PolyHamiltonian(3, {(0,): -0.1, (0, 1): 1.0, (1, 2): 0.5, (0, 2): 0.25})
-        spec = enumerate_low_exhaustive(h, 1.6, 1.0)
-        assert spec.d == 5
-        enc = encode_community(spec, "penalty", delta=1.6)
-        pad_value = spec.e0 + 1.6 + 2.6  # e0 + delta + (delta + 1)
-        for mu in range(5, 8):
-            assert enc.energies[mu] == pytest.approx(pad_value)
-        assert max(enc.energies[:5]) < enc.energies[5]
-
-    def test_unknown_mode(self):
-        spec = self._spectrum(2)
-        with pytest.raises(ParameterError):
-            encode_community(spec, "wrap")
-
 
 class TestPackedStates:
     def test_arrays_are_read_only(self):
         h = PolyHamiltonian(3, {(0,): -0.1, (0, 1): 1.0, (1, 2): 0.5, (0, 2): 0.25})
         spec = enumerate_low_exhaustive(h, 1.6, 1.0)
-        enc = encode_community(spec, "penalty", delta=1.6)
+        enc = encode_community(spec)
         for array in (spec.packed, spec.energies, enc.decode, enc.energies):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -190,7 +132,7 @@ class TestPackedStates:
         enc = encode_community(spectrum)
         assert is_padded(enc).any()
 
-        old = [EncodedCommunity(2, rng.permutation(4), np.zeros(4), "repeat", 4, 2) for _ in range(31)]
+        old = [EncodedCommunity(2, rng.permutation(4), np.zeros(4), 4, 2) for _ in range(31)]
         rd = decompose(ReducedProblem(old, {}, False, 0), Partition.from_labels([0] * 31))
         gathers = _member_gathers(rd, [enc])
         for c in range(31):
@@ -318,19 +260,6 @@ class TestBuildReduced:
                     )
             assert rp.n_chi == expected
 
-    def test_padded_penalty_never_argmin(self):
-        for seed in range(5):
-            h = random_quadratic(9, 14, seed)
-            p = level1_partition(h, seed)
-            _, rp, _ = _level_one(h, p.community_of, padding="penalty")
-            best_joint = min(
-                range(1 << rp.total_qubits),
-                key=lambda j: energy_of_indices(rp, indices_from_bits(rp, j)),
-            )
-            idx = indices_from_bits(rp, best_joint)
-            for c, enc in enumerate(rp.encodings):
-                assert not is_padded(enc)[idx[c]]
-
 
 class TestContractedGraph:
     def test_exact_norm_weight(self):
@@ -411,34 +340,24 @@ def _two_level(h, seed=0, eta=1.0):
     if p2.n_communities == rp.n_communities:
         return None
     rd = decompose(rp, p2)
-    spectra, deltas = [], []
-    for l in range(p2.n_communities):
-        objective = community_objective(rd, l)
-        delta = iteration_delta(rd, l)
-        deltas.append(delta)
-        spectra.append(enumerate_low_exhaustive(objective, delta, eta))
     encodings = [
-        encode_community(s, delta=deltas[l]) for l, s in enumerate(spectra)
+        encode_community(enumerate_low_exhaustive(community_objective(rd, l), iteration_delta(rd, l), eta))
+        for l in range(p2.n_communities)
     ]
     rp2 = build_reduced_iter(rd, encodings)
     chain.levels.append(ChainLevel(tuple(rd.members), tuple(encodings)))
     return rp2, chain
 
 
-def _iterate_once(h, rp, chain, labels, eta=1.0, padding="repeat"):
+def _iterate_once(h, rp, chain, labels, eta=1.0):
     """One manual iteration level under an explicit community grouping."""
     p = Partition.from_labels(labels)
     if p.n_communities == rp.n_communities:
         return None
     rd = decompose(rp, p)
-    spectra, deltas = [], []
-    for l in range(p.n_communities):
-        objective = community_objective(rd, l)
-        delta = iteration_delta(rd, l)
-        deltas.append(delta)
-        spectra.append(enumerate_low_exhaustive(objective, delta, eta))
     encodings = [
-        encode_community(s, padding, delta=deltas[l]) for l, s in enumerate(spectra)
+        encode_community(enumerate_low_exhaustive(community_objective(rd, l), iteration_delta(rd, l), eta))
+        for l in range(p.n_communities)
     ]
     new_rp = build_reduced_iter(rd, encodings)
     chain.levels.append(ChainLevel(tuple(rd.members), tuple(encodings)))
@@ -610,13 +529,12 @@ class TestIteration:
     @given(
         seed=st.integers(0, 10**6),
         pubo=st.booleans(),
-        padding=st.sampled_from(["repeat", "penalty"]),
         tables=st.booleans(),
         eta=st.sampled_from([0.4, 1.0]),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_master_identity_property(self, seed, pubo, padding, tables, eta, data):
+    def test_master_identity_property(self, seed, pubo, tables, eta, data):
         # level 1 and one iteration level under drawn partitions, with
         # coupling tables or (a cap of 0) entry-wise couplings and bounds
         n = 8
@@ -625,14 +543,13 @@ class TestIteration:
             if not tables:
                 patch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
             labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-            _, rp, chain = _level_one(h, labels, eta, padding)
-            check = _check_master_identity if padding == "repeat" else _check_penalty_identity
-            check(h, rp, chain, h.constant)
+            _, rp, chain = _level_one(h, labels, eta)
+            _check_master_identity(h, rp, chain, h.constant)
             k = rp.n_communities
             labels = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
-            rp2 = _iterate_once(h, rp, chain, labels, eta, padding)
+            rp2 = _iterate_once(h, rp, chain, labels, eta)
             if rp2 is not None:
-                check(h, rp2, chain, h.constant)
+                _check_master_identity(h, rp2, chain, h.constant)
 
     @given(st.integers(0, 10**6), st.integers(0, 2**12 - 1))
     @settings(max_examples=40, deadline=None)
@@ -734,7 +651,7 @@ class TestCouplingRange:
         for seed in range(8):
             h = random_pubo(10, 22, seed + 400, max_arity=3)
             labels = [0, 0, 0, 1, 1, 1, 2, 2, 3, 3]
-            _, rp, _ = _level_one(h, labels, eta=0.6, padding="penalty")
+            _, rp, _ = _level_one(h, labels, eta=0.6)
             hyper += any(len(fp) == 3 for fp in rp.couplings)
             padded += any(any(is_padded(enc)) for enc in rp.encodings)
             footprints = sorted(rp.couplings)
@@ -747,20 +664,20 @@ class TestCouplingRange:
         monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
         for seed in range(4):
             h = random_pubo(10, 22, seed + 400, max_arity=3)
-            _, rp, _ = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.6, padding="penalty")
+            _, rp, _ = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.6)
             assert not any(c.can_materialize for c in rp.couplings.values())
             footprints = sorted(rp.couplings)
             _check_range_splits(rp, [footprints] + [[fp for fp in footprints if c in fp] for c in range(4)])
 
     def test_level_two_component_spans_two_registers(self):
-        # penalty-padded level-2 registers; with community 0 inside (the
+        # padded level-2 registers; with community 0 inside (the
         # first split), a footprint over the two others joins their
         # multi-qubit registers into one outside component
         spans = 0
         for seed in range(6):
             h = random_pubo(12, 30, seed + 500, max_arity=3)
-            _, rp, chain = _level_one(h, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5], eta=0.3, padding="penalty")
-            rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1, 2, 2], eta=0.3, padding="penalty")
+            _, rp, chain = _level_one(h, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5], eta=0.3)
+            rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1, 2, 2], eta=0.3)
             footprints = sorted(rp2.couplings)
             spans += (any(any(is_padded(enc)) for enc in rp2.encodings) and min(rp2.m_tildes[1:]) >= 2
                       and any({1, 2} <= set(fp) for fp in footprints))
@@ -850,7 +767,7 @@ def _random_encoding(rng, width):
     m = int(rng.integers(1, 4))
     decode = [bits_to_int(rng.integers(0, 2, width).tolist()) for _ in range(1 << m)]
     energies = rng.choice(_GRID_VALUES, 1 << m)
-    return EncodedCommunity(m, decode, energies, "repeat", 1 << m, width)
+    return EncodedCommunity(m, decode, energies, 1 << m, width)
 
 
 def _random_reduced(rng, k):
@@ -881,16 +798,15 @@ class TestGridKernels:
     ``Coupling.table`` equals ``values`` on the open grid, bit for bit."""
 
     @pytest.mark.parametrize("slab", [2, 16, 1 << 16])
-    @pytest.mark.parametrize("padding", ["repeat", "penalty"])
-    def test_scan_matches_energies_of(self, monkeypatch, slab, padding):
+    def test_scan_matches_energies_of(self, monkeypatch, slab):
         # slab 2 cuts inside every register wider than one qubit
         monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
         padded = 0
         for seed in range(3):
             h = random_pubo(10, 22, seed + 600, max_arity=3)
-            _, rp, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.7, padding=padding)
+            _, rp, chain = _level_one(h, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3], eta=0.7)
             _assert_scan_matches(rp.full_objective())
-            rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], eta=0.7, padding=padding)
+            rp2 = _iterate_once(h, rp, chain, [0, 0, 1, 1], eta=0.7)
             _assert_scan_matches(rp2.full_objective())
             padded += any(any(is_padded(enc)) for enc in rp.encodings + rp2.encodings)
         assert padded
