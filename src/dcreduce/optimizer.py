@@ -259,22 +259,18 @@ def enumerate_low_exhaustive(objective, delta: float, eta: float) -> LocalSpectr
 def _draw_chains(rng, n: int, chains: int):
     """Start states, flip variables and accept draws for one round.
 
-    Each chain draws its start, then its flips, then its accept draws, one
-    chain after the other. Returns the starts as Python ints and the flips
-    and draws as (steps, chains) arrays.
+    One generator call per array, in this order: every chain's start, then
+    the flips, then the accept draws, both drawn in the (steps, chains)
+    layout ``_anneal`` reads. Above ``MAX_PACKED_VARS`` variables the starts
+    are one (chains, n) bit draw, one row per chain. Returns the starts as
+    Python ints and the flips and draws as (steps, chains) arrays.
     """
     steps = _STEPS_PER_VAR * n
-    starts = []
-    flips = np.empty((chains, steps), dtype=np.int64)
-    draws = np.empty((chains, steps))
-    for c in range(chains):
-        if n <= MAX_PACKED_VARS:
-            starts.append(int(rng.integers(0, 1 << n)))
-        else:
-            starts.append(bits_to_int(rng.integers(0, 2, size=n).tolist()))
-        flips[c] = rng.integers(0, n, size=steps)
-        draws[c] = rng.random(size=steps)
-    return starts, np.ascontiguousarray(flips.T), np.ascontiguousarray(draws.T)
+    if n <= MAX_PACKED_VARS:
+        starts = rng.integers(0, 1 << n, size=chains).tolist()
+    else:
+        starts = [bits_to_int(row) for row in rng.integers(0, 2, size=(chains, n)).tolist()]
+    return starts, rng.integers(0, n, size=(steps, chains)), rng.random((steps, chains))
 
 
 def _penalty_of(keys: np.ndarray, values: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -513,17 +509,18 @@ def solve_ground_objective(objective, seed: int) -> tuple[int, float]:
 
     Each round runs ``_CHAINS`` chains drawn from ``default_rng(seed)``.
     The rounds visit the chains' states in chain order and keep the first
-    one that undercuts the best so far by more than 1e-15. Rounds stop
-    after ``_STALL_ROUNDS`` rounds without a new best, or after
-    ``_MAX_ROUNDS`` rounds. On a dense table (n <= 16) they also stop once
-    the best is the table's minimum, which no later state can undercut, so
-    the result is the full schedule's.
+    one that undercuts the best so far by more than 1e-15 times its
+    magnitude, a margin that scales with the objective; the first state
+    visited is always kept. Rounds stop after ``_STALL_ROUNDS`` rounds
+    without a new best, or after ``_MAX_ROUNDS`` rounds. On a dense table
+    (n <= 16) they also stop once the best is the table's minimum, which no
+    later state can undercut, so the result is the full schedule's.
 
     Unlike sampled windows, the ground search keeps every round whole. Among
-    tied states, or states within 1e-15 of the minimum, the chain order
-    picks the one returned: a chain's later steps are read before the next
-    chain's, so a round cut once the minimum was visited could return
-    another state.
+    tied states, or states within 1e-15 times the minimum's magnitude of it,
+    the chain order picks the one returned: a chain's later steps are read
+    before the next chain's, so a round cut once the minimum was visited
+    could return another state.
     """
     rng = np.random.default_rng(seed)
     table = _dense_table(objective)
@@ -540,7 +537,8 @@ def solve_ground_objective(objective, seed: int) -> tuple[int, float]:
             trace = energies[:, c]
             step = 0
             while True:
-                lower = np.flatnonzero(trace[step:] < best_e - 1e-15)
+                bar = best_e - 1e-15 * abs(best_e) if best_e < math.inf else math.inf
+                lower = np.flatnonzero(trace[step:] < bar)
                 if lower.size == 0:
                     break
                 step += int(lower[0])
