@@ -44,6 +44,15 @@ def _check_packable(objective, what: str) -> None:
         )
 
 
+def column_sums(block: np.ndarray) -> np.ndarray:
+    """Column sums of a (terms, states) block, each column added from its
+    first row down. numpy adds the rows of a wider block in order but sums
+    a lone column pairwise, so that one goes through ``cumsum``."""
+    if block.shape[1] == 1:
+        block = block.cumsum(axis=0)[-1:]
+    return block.sum(axis=0)
+
+
 def bits_to_int(x: SpinConfig) -> int:
     """Pack a bit sequence into an integer (variable j is bit j)."""
     out = 0
@@ -72,9 +81,9 @@ class PolyHamiltonian:
     ``terms`` maps strictly ascending index tuples to finite nonzero
     coefficients. Instances are immutable after construction and safe to
     share across threads; :meth:`evaluate` is pure. A Hamiltonian of up to
-    ``MAX_PACKED_VARS`` variables is also an optimizer objective: ``energies``,
-    ``scan_chunks``, ``replica_energies`` and ``replica_terms`` read its terms
-    on packed states, variable j on bit j.
+    ``MAX_PACKED_VARS`` variables is also an optimizer objective: ``energies``
+    and ``scan_chunks`` read its terms on packed states, variable j on bit
+    j, adding a state's terms in sorted order as :meth:`evaluate` does.
     """
 
     n_vars: int
@@ -165,8 +174,8 @@ class PolyHamiltonian:
     @cached_property
     def _term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Every term as an int64 bit mask and its coefficient, in sorted
-        term order; every vectorized evaluation reads these. Refuses more
-        than ``MAX_PACKED_VARS`` variables, which int64 states cannot name."""
+        term order; ``energies`` reads these. Refuses more than
+        ``MAX_PACKED_VARS`` variables, which int64 states cannot name."""
         _check_packable(self, "a polynomial objective")
         subsets = sorted(self.terms)
         masks = np.array(
@@ -175,28 +184,21 @@ class PolyHamiltonian:
         coeffs = np.array([self.terms[s] for s in subsets], dtype=np.float64)
         return masks, coeffs
 
-    @property
-    def replica_terms(self) -> int:
-        """The number of terms ``replica_energies`` sums per state."""
-        return len(self.terms)
-
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Vectorized energies for an array of packed state integers.
 
-        Each term's signed values for a block of states come from one
-        (terms, states) parity matrix of about ``SLAB_ENTRIES`` entries, and
-        are added onto zeros one term at a time, in sorted term order.
+        Each block of states is one (terms, states) matrix of signed term
+        values, about ``SLAB_ENTRIES`` entries, whose ``column_sums`` add
+        every state's terms in sorted term order whatever the block.
         """
         states = np.asarray(states, dtype=np.int64)
         flat = states.ravel()
-        out = np.zeros(flat.shape, dtype=np.float64)
+        out = np.empty(flat.shape)
         masks, coeffs = self._term_arrays
         step = max(1, SLAB_ENTRIES // max(1, masks.size))
         for lo in range(0, flat.size, step):
-            parity = np.bitwise_count(flat[lo:lo + step] & masks[:, None]) & 1
-            block = out[lo:lo + step]
-            for signed in coeffs[:, None] * (1.0 - 2.0 * parity):
-                block += signed
+            odd = np.bitwise_count(flat[lo:lo + step] & masks[:, None]) & 1
+            out[lo:lo + step] = column_sums(np.where(odd, -coeffs[:, None], coeffs[:, None]))
         return out.reshape(states.shape)
 
     def scan_chunks(self):
@@ -206,13 +208,6 @@ class PolyHamiltonian:
         for start in range(0, total, SLAB_ENTRIES):
             stop = min(start + SLAB_ENTRIES, total)
             yield start, self.energies(np.arange(start, stop, dtype=np.int64))
-
-    def replica_energies(self, states: np.ndarray) -> np.ndarray:
-        """Energies of a 1-d array of packed states, each summed along its
-        own row, so that a state's energy does not depend on its batch."""
-        masks, coeffs = self._term_arrays
-        odd = np.bitwise_count(states[:, None] & masks) & 1
-        return np.where(odd, -coeffs, coeffs).sum(axis=1)
 
     # -- conversions ------------------------------------------------------
 
@@ -339,6 +334,7 @@ def parse_edge_list(text: str) -> PolyHamiltonian:
     duplicate pair, are rejected.
     """
     terms: dict[Subset, float] = {}
+    seen: set[Subset] = set()
     n_vars, max_index, max_line = None, -1, 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -358,8 +354,9 @@ def parse_edge_list(text: str) -> PolyHamiltonian:
         if u == v:
             raise FormatError(f"line {lineno}: self-coupling {u} {v} is not allowed")
         key = (min(u, v), max(u, v))
-        if key in terms:
+        if key in seen:
             raise FormatError(f"line {lineno}: duplicate edge {key}")
+        seen.add(key)
         if w != 0.0:
             terms[key] = w
         if max(u, v) > max_index:

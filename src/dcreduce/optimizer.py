@@ -17,18 +17,16 @@ objective exposes
   - ``n_vars``: number of binary variables,
   - ``scan_chunks()``: energies of all 2^n packed states in index order, as
     (first state, energies) chunks, which the exhaustive scans read,
-  - ``energies(states)``: vectorized energies for packed state integers,
-    which re-check every spectrum independently of the scan,
-  - ``replica_energies(keys)``: energies of a 1-d array of packed states,
-    each on its own so that a state's energy does not depend on the batch
-    it sits in, which annealing reads,
-  - ``replica_terms``: the number of terms that evaluation sums per state.
+  - ``energies(keys)``: energies of a 1-d array of packed states, each
+    summed in one fixed order so that a state's energy does not depend on
+    the batch it sits in, which annealing and every spectrum's re-check
+    read.
 
 Every scan, annealer and spectrum holds states packed into int64 integers,
 variable j on bit j. Only a recombined anneal may exceed ``MAX_PACKED_VARS``
 variables; its states are Python ints in an object array.
 
-A polynomial objective's chunks evaluate its terms on blocks of states. A
+A polynomial objective's chunks are its ``energies`` of blocks of states. A
 table objective's chunks are slabs of its register product grid: register k
 on axis K-1-k, so a grid point's C-order flat index is its packed state,
 and each energy or coupling table is broadcast-added onto the slab in the
@@ -41,10 +39,9 @@ subproblem gets is the driver's choice.
 One annealing kernel runs a round's chains in lockstep, and a replica is
 its packed state: each step flips one bit of every replica with an XOR. An
 objective with 2^n <= ``SLAB_ENTRIES`` states (n <= 16) anneals on a dense
-table: its 2^n energies are evaluated once per call through
-``replica_energies``, and each step gathers the energy and penalty of every
-proposal from the table. Larger objectives evaluate every proposal through
-``replica_energies``. Both paths take the same Metropolis decisions on the
+table, its one scan chunk, and each step gathers the energy and penalty of
+every proposal from the table. Larger objectives evaluate every proposal
+through ``energies``. Both paths take the same Metropolis decisions on the
 same numbers, so they visit the same states. The sampled enumerator stands in
 for a quantum optimizer: each round's chains harvest low configurations
 under fixed additive penalties on the states found in earlier rounds, and
@@ -285,18 +282,12 @@ def _dense_table(objective) -> np.ndarray | None:
     """The objective's energies of all 2^n packed states, or None when 2^n
     exceeds ``SLAB_ENTRIES``; the one place that picks the annealing path.
 
-    The table is evaluated through ``replica_energies`` in blocks of about
-    ``SLAB_ENTRIES`` temporary entries; a key's energy does not depend on
-    its batch, so every entry equals what the replica path computes.
+    The table is the objective's one scan chunk, so its entries are the
+    exhaustive scan's, and ``energies`` of every key, bit for bit.
     """
-    total = 1 << objective.n_vars
-    if total > SLAB_ENTRIES:
+    if 1 << objective.n_vars > SLAB_ENTRIES:
         return None
-    rows = max(1, SLAB_ENTRIES // max(1, objective.replica_terms))
-    table = np.empty(total)
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        table[start:stop] = objective.replica_energies(np.arange(start, stop, dtype=np.int64))
+    [(_, table)] = objective.scan_chunks()
     return table
 
 
@@ -311,7 +302,7 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
     temperature. ``table`` is ``_dense_table(objective)``; when it is an
     array, energies are gathered from it and ``penalties``, if given, is a
     dense array over all packed states. Otherwise energies come from
-    ``replica_energies`` and ``penalties`` is a (sorted keys, values) pair
+    ``energies`` and ``penalties`` is a (sorted keys, values) pair
     over packed states, or None. The rule ``draw < exp(-delta / T)`` needs
     no ``max(delta, 0)``: for delta <= 0 the exponential is at least 1, or
     inf where it overflows, and draws lie in [0, 1).
@@ -345,7 +336,7 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
     else:
         # recorded row by row; the dense path gathers them after the loop
         energies = np.empty((steps + 1, chains))
-        energies[0] = current = objective.replica_energies(key)
+        energies[0] = current = objective.energies(key)
         rows = energies[1:]
     if penalties is not None:
         current_penalty = penalties[key] if dense else _penalty_of(*penalties, key)
@@ -361,7 +352,7 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
             if dense:
                 np.subtract(table[proposal], current, out=delta)
             else:
-                proposed = objective.replica_energies(proposal)
+                proposed = objective.energies(proposal)
                 np.subtract(proposed, current, out=delta)
             if penalties is not None:
                 proposal_penalty = penalties[proposal] if dense else _penalty_of(*penalties, proposal)

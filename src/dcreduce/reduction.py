@@ -41,7 +41,7 @@ import numpy as np
 from .clustering import Partition, WeightedGraph
 from .errors import DimensionError, DomainError, InternalError, ResourceError
 from .hamiltonian import (
-    SLAB_ENTRIES, PolyHamiltonian, SpinConfig, readonly_array,
+    SLAB_ENTRIES, PolyHamiltonian, SpinConfig, column_sums, readonly_array,
 )
 from .optimizer import LocalSpectrum
 
@@ -205,36 +205,49 @@ class TableObjective:
 
     Implements the optimizer's objective interface via table lookups; this
     is the default execution path for reduced problems. ``couplings`` are
-    ``(positions, Coupling)`` pairs, read through ``Coupling.values``;
-    ``replica_energies`` reads every table within the cap through one flat
-    gather array, and also takes Python-int keys, so an annealed register
-    may exceed 62 qubits.
+    ``(positions, Coupling)`` pairs, kept in the given order except that
+    the couplings past the table cap go last. A state's energy adds, onto
+    zero, every energy table and then every coupling in that order:
+    ``scan_chunks`` reads them on broadcast grids, and ``energies`` reads
+    every table within the cap through one flat gather, so the two agree
+    bit for bit. ``energies`` also takes Python-int keys, so an annealed
+    register may exceed 62 qubits.
     """
 
     def __init__(self, m_list, energy_tables, couplings):
         self.m_list = list(m_list)
         self.energy_tables = [np.asarray(t, dtype=np.float64) for t in energy_tables]
-        self.couplings = [(tuple(pos), coupling) for pos, coupling in couplings]
+        self.couplings = sorted(
+            ((tuple(pos), coupling) for pos, coupling in couplings), key=lambda pc: not pc[1].can_materialize
+        )
         self.offsets = []
         off = 0
         for m in self.m_list:
             self.offsets.append(off)
             off += m
         self.n_vars = off
-        self.replica_terms = len(self.energy_tables) + len(self.couplings)
-        m = np.array(self.m_list, dtype=np.int64)
-        self._register_bits = (np.array(self.offsets, dtype=np.int64), (np.int64(1) << m) - 1)
+        m = np.array(self.m_list, dtype=np.int64)[:, None]
+        self._register_bits = (np.array(self.offsets, dtype=np.int64)[:, None], (np.int64(1) << m) - 1)
         self._gather = None
 
-    def indices_of(self, states: np.ndarray) -> list[np.ndarray]:
-        states = np.asarray(states, dtype=np.int64)
-        return [
-            ((states >> off) & ((1 << m) - 1))
-            for off, m in zip(self.offsets, self.m_list)
-        ]
-
-    def energies(self, states: np.ndarray) -> np.ndarray:
-        return self._energies_at(self.indices_of(states), np.asarray(states).shape)
+    def energies(self, keys: np.ndarray) -> np.ndarray:
+        """Energies of a 1-d array of packed keys, int64 or (above 62 qubits)
+        Python ints, in blocks of about ``SLAB_ENTRIES`` gathered entries: a
+        block's registers are read with one broadcast shift and mask into a
+        (registers, states) index array, every materialized table with one
+        flat gather into a (tables, states) block, and its ``column_sums``
+        are added onto zeros."""
+        flat, strides, base, lazy = self._gather_plan()
+        offsets, masks = self._register_bits
+        out = np.zeros(len(keys))
+        rows = max(1, SLAB_ENTRIES // base.size)
+        for lo in range(0, len(keys), rows):
+            idx = np.asarray((keys[lo:lo + rows] >> offsets) & masks, dtype=np.int64)
+            block = out[lo:lo + rows]
+            block += column_sums(flat[strides @ idx + base])
+            for pos, coupling in lazy:
+                block += coupling.values([idx[p] for p in pos])
+        return out
 
     def _energies_at(self, idx, shape) -> np.ndarray:
         """Every energy table, then every coupling, gathered once at the
@@ -254,8 +267,7 @@ class TableObjective:
         axis K-1-k, so a grid point's C-order flat index is its packed
         state. A slab fixes the registers above its low bits and reads the
         ones below, the highest of them perhaps in part, as broadcast
-        ``arange`` grids; the terms are read there as ``energies`` reads
-        them, so each entry is bit-identical to it.
+        ``arange`` grids.
         """
         total = 1 << self.n_vars
         size = min(SLAB_ENTRIES, total)
@@ -265,30 +277,18 @@ class TableObjective:
         ndim = len(widths)
         shape = [1 << w for w in reversed(widths)]
         for start in range(0, total, size):
-            idx = [int(i) for i in self.indices_of(start)]
+            idx = [(start >> off) & ((1 << m) - 1) for off, m in zip(self.offsets, self.m_list)]
             for k, w in enumerate(widths):
                 idx[k] = np.arange(idx[k], idx[k] + (1 << w)).reshape(
                     [-1 if a == ndim - 1 - k else 1 for a in range(ndim)]
                 )
             yield start, self._energies_at(idx, shape).ravel()
 
-    def replica_energies(self, keys: np.ndarray) -> np.ndarray:
-        """Energies of a 1-d array of packed keys, int64 or (above 62 qubits)
-        Python ints: the registers are read with one broadcast shift and
-        mask, and every materialized table with one flat gather."""
-        flat, strides, base, lazy = self._gather_plan()
-        offsets, masks = self._register_bits
-        idx = np.asarray((keys[:, None] >> offsets) & masks, dtype=np.int64)
-        out = flat[idx @ strides + base].sum(axis=1)
-        for pos, coupling in lazy:
-            out += coupling.values([idx[:, p] for p in pos])
-        return out
-
     def _gather_plan(self):
         """Every table within the cap raveled into one flat array, with the
-        per-register strides (K, T) and table offsets (T,) that turn an
-        (R, K) register index array into flat positions; plus the couplings
-        past the cap."""
+        per-register strides (T, K) and table offsets (T, 1) that turn a
+        (K, R) register index array into (T, R) flat positions; plus the
+        couplings past the cap."""
         if self._gather is None:
             tables = [((k,), table) for k, table in enumerate(self.energy_tables)]
             lazy = []
@@ -297,12 +297,12 @@ class TableObjective:
                     tables.append((pos, np.ascontiguousarray(coupling.table())))
                 else:
                     lazy.append((pos, coupling))
-            strides = np.zeros((len(self.m_list), len(tables)), dtype=np.int64)
-            base = np.zeros(len(tables), dtype=np.int64)
+            strides = np.zeros((len(tables), len(self.m_list)), dtype=np.int64)
+            base = np.zeros((len(tables), 1), dtype=np.int64)
             offset = 0
             for t, (pos, table) in enumerate(tables):
                 for p, stride in zip(pos, table.strides):
-                    strides[p, t] = stride // table.itemsize
+                    strides[t, p] = stride // table.itemsize
                 base[t] = offset
                 offset += table.size
             flat = np.concatenate([table.ravel() for _, table in tables])

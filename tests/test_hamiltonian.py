@@ -306,8 +306,10 @@ class TestSerialization:
         assert parse_edge_list("0 5 1.0\n").n_vars == 6
 
     def test_edge_list_duplicates_rejected(self):
-        with pytest.raises(FormatError):
-            parse_edge_list("0 1 0.5\n1 0 0.25\n")
+        # a zero weight is not stored, but its pair still counts as seen
+        for text in ("0 1 0.5\n1 0 0.25\n", "0 1 0.0\n0 1 0.5\n", "0 1 0.5\n1 0 0.0\n"):
+            with pytest.raises(FormatError, match="duplicate edge"):
+                parse_edge_list(text)
 
     def test_edge_list_self_loop_rejected(self):
         with pytest.raises(FormatError):

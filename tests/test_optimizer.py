@@ -259,18 +259,13 @@ class TestSampled:
         # on a dense table sampling stops once every window state is pooled,
         # so the spectrum is the exhaustive one whatever the seeded stream
         objective = {"pubo": lambda: random_pubo(10, 40, 8), "table": lambda: random_table_objective(6)}[kind]()
-        table = _dense_table(objective)
         for delta, eta in ((2.0, 1.0), (12.0, 0.5)):
             exhaustive = enumerate_low_exhaustive(objective, delta, eta)
             assert exhaustive.d > 1
-            # the table's energies; a polynomial's scan sums its terms in
-            # another order, so its energies may differ from them by an ulp
-            energies = table[exhaustive.packed]
-            assert energies == pytest.approx(exhaustive.energies, rel=1e-12, abs=0.0)
             for seed in range(10):
                 sampled = enumerate_low_sampled(objective, delta, eta, seed)
                 assert sampled.packed.tolist() == exhaustive.packed.tolist()
-                assert sampled.energies.view(np.int64).tolist() == energies.view(np.int64).tolist()
+                assert sampled.energies.view(np.int64).tolist() == exhaustive.energies.view(np.int64).tolist()
 
 
 def synthetic_round(seed, n, chains, steps, width, pooled_share, dense):
@@ -508,18 +503,18 @@ def replay(starts, flips, accepted):
 
 def assert_trajectory(objective, starts, flips, energies, accepted, keys):
     """The recorded keys are the replayed states, and the recorded energies
-    are ``replica_energies`` of those keys, bit for bit."""
+    are ``energies`` of those keys, bit for bit."""
     assert accepted.any() and not accepted.all()
     assert keys.tolist() == replay(starts, flips, accepted)
-    expected = objective.replica_energies(keys.ravel()).reshape(keys.shape)
+    expected = objective.energies(keys.ravel()).reshape(keys.shape)
     assert energies.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def array_objective(energies):
     """An objective whose energies are the given array over packed states."""
     return SimpleNamespace(
-        n_vars=energies.size.bit_length() - 1, replica_terms=1,
-        energies=lambda states: energies[states], replica_energies=lambda states: energies[states],
+        n_vars=energies.size.bit_length() - 1,
+        scan_chunks=lambda: iter([(0, energies)]), energies=lambda states: energies[states],
     )
 
 
@@ -595,40 +590,34 @@ class TestAnnealKernel:
             assert energy == pytest.approx(ref_energy, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["poly", "pubo", "table"])
-    @pytest.mark.parametrize("terms", [None, SLAB_ENTRIES])
-    def test_dense_table_is_replica_energies_bit_for_bit(self, kind, terms, monkeypatch):
-        # terms = SLAB_ENTRIES forces blocks of one row, so the table is
-        # built in many blocks; the replica path evaluates a default round's
-        # 16 replicas per call
+    def test_dense_table_is_the_scan_and_energies_bit_for_bit(self, kind, monkeypatch):
+        # a state's energy does not depend on the path that reads it, on
+        # the batch it sits in, or on the block of its evaluation
         objective = {
             "poly": lambda: random_quadratic(12, 40, 3),
             "pubo": lambda: random_pubo(10, 60, 4),
-            "table": lambda: random_table_objective(5),
+            # 24 tables, more than numpy sums in order before going pairwise
+            "table": lambda: singleton_reduced_problem(12, 5).full_objective(),
         }[kind]()
-        if terms is not None:
-            # a frozen PolyHamiltonian takes the count on its class
-            owner = PolyHamiltonian if kind != "table" else objective
-            monkeypatch.setattr(owner, "replica_terms", terms)
+        states = np.arange(1 << objective.n_vars, dtype=np.int64)
         table = _dense_table(objective)
-        assert table.shape == (1 << objective.n_vars,)
-        rng = np.random.default_rng(7)
-        for _ in range(64):
-            starts = rng.integers(0, 1 << objective.n_vars, size=16)
-            energies = objective.replica_energies(starts)
-            assert table[starts].view(np.int64).tolist() == energies.view(np.int64).tolist()
-
-    @pytest.mark.parametrize("terms", [40, 200, 1000])
-    def test_replica_energy_does_not_depend_on_the_batch(self, terms):
-        # a state's energy must not depend on the row it sits in, or on how
-        # many rows its batch has
-        objective = random_pubo(12, terms, terms)
-        states = np.arange(1 << 12, dtype=np.int64)
-        by_rows = {}
+        expected = table.view(np.int64).tolist()
+        scan = np.concatenate([energies for _, energies in objective.scan_chunks()])
+        assert scan.view(np.int64).tolist() == expected
+        if kind != "table":
+            # the reference loop adds the same terms in the same order
+            loop = np.array([objective.evaluate(int_to_bits(s, objective.n_vars)) for s in states.tolist()])
+            assert loop.view(np.int64).tolist() == expected
         for rows in (1, 2, 3, 16):
-            batches = [states[i:i + rows] for i in range(0, states.size, rows)]
-            energies = np.concatenate([objective.replica_energies(b) for b in batches])
-            by_rows[rows] = energies.view(np.int64).tolist()
-        assert by_rows[1] == by_rows[2] == by_rows[3] == by_rows[16]
+            batches = [objective.energies(states[i:i + rows]) for i in range(0, states.size, rows)]
+            assert np.concatenate(batches).view(np.int64).tolist() == expected
+        # blocks of 2^n - 1 states leave the last state a block of its own
+        if kind == "table":
+            terms = len(objective.energy_tables) + len(objective.couplings)
+            monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", terms * (states.size - 1))
+        else:
+            monkeypatch.setattr(hamiltonian_module, "SLAB_ENTRIES", len(objective.terms) * (states.size - 1))
+        assert objective.energies(states).view(np.int64).tolist() == expected
 
     @pytest.mark.parametrize("kind", ["poly", "table"])
     def test_round_identical_on_both_paths(self, kind):
@@ -772,13 +761,10 @@ class TestAnnealKernel:
                             best = (states[step][c], energy)
             assert found == best
 
-    def test_sampling_and_annealing_read_four_members(self, monkeypatch):
+    def test_sampling_and_annealing_read_three_members(self, monkeypatch):
         # an objective with only the members sampling and annealing read
         poly = random_pubo(10, 30, 9)
-        bare = SimpleNamespace(
-            n_vars=poly.n_vars, replica_terms=poly.replica_terms,
-            energies=poly.energies, replica_energies=poly.replica_energies,
-        )
+        bare = SimpleNamespace(n_vars=poly.n_vars, scan_chunks=poly.scan_chunks, energies=poly.energies)
         for slab in PATHS.values():
             monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", slab)
             expected = enumerate_low_sampled(poly, 2.0, 1.0, 2)
@@ -955,16 +941,16 @@ class TestAnnealKernel:
     def test_polynomial_above_62_variables_refused_before_a_step(self, monkeypatch):
         h = PolyHamiltonian(MAX_PACKED_VARS + 1, {(0, 1): 1.0, (1, MAX_PACKED_VARS): -0.5})
         evaluated = []
-        replica_energies = PolyHamiltonian.replica_energies
+        energies = PolyHamiltonian.energies
 
         def starts_only(self, states):
             # the first call reads a round's starts, every later one a step
             if evaluated:
                 raise AssertionError("an annealing step ran")
             evaluated.append(states.size)
-            return replica_energies(self, states)
+            return energies(self, states)
 
-        monkeypatch.setattr(PolyHamiltonian, "replica_energies", starts_only)
+        monkeypatch.setattr(PolyHamiltonian, "energies", starts_only)
         with pytest.raises(ResourceError, match="63 variables exceed the 62-variable limit"):
             solve_ground_objective(h, 0)
         with pytest.raises(ResourceError, match="63 variables exceed the 62-variable limit"):
@@ -993,7 +979,7 @@ PINNED_STREAMS = {
     "poly": {
         "default": (5.0, []),
         "short": (2.0, [2444, 1651, 396, 2436, 1659, 2508, 2468, 1627, 388, 2484, 1611]),
-        "ground": (2444, "-0x1.14a4d82d701f5p+3"),
+        "ground": (2444, "-0x1.14a4d82d701f4p+3"),
     },
     "table": {
         "default": (1.0, []),
