@@ -590,6 +590,41 @@ class TestAnnealKernel:
             assert energy == pytest.approx(ref_energy, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["poly", "pubo", "table"])
+    @pytest.mark.parametrize("terms", [None, SLAB_ENTRIES])
+    def test_dense_table_is_replica_energies_bit_for_bit(self, kind, terms, monkeypatch):
+        # the replica path evaluates a default round's 16 replicas per
+        # `energies` call; a block holds about SLAB_ENTRIES / terms states,
+        # so terms = SLAB_ENTRIES makes every state a block of its own
+        objective = {
+            "poly": lambda: random_quadratic(12, 40, 3),
+            "pubo": lambda: random_pubo(10, 60, 4),
+            "table": lambda: random_table_objective(5),
+        }[kind]()
+        table = _dense_table(objective)
+        assert table.shape == (1 << objective.n_vars,)
+        if terms is not None:
+            monkeypatch.setattr(hamiltonian_module, "SLAB_ENTRIES", SLAB_ENTRIES // terms)
+            monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", SLAB_ENTRIES // terms)
+        rng = np.random.default_rng(7)
+        for _ in range(64):
+            starts = rng.integers(0, 1 << objective.n_vars, size=16)
+            energies = objective.energies(starts)
+            assert table[starts].view(np.int64).tolist() == energies.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("terms", [40, 200, 1000])
+    def test_replica_energy_does_not_depend_on_the_batch(self, terms):
+        # a state's energy must not depend on the row it sits in, or on how
+        # many rows its batch has
+        objective = random_pubo(12, terms, terms)
+        states = np.arange(1 << 12, dtype=np.int64)
+        by_rows = {}
+        for rows in (1, 2, 3, 16):
+            batches = [states[i:i + rows] for i in range(0, states.size, rows)]
+            energies = np.concatenate([objective.energies(b) for b in batches])
+            by_rows[rows] = energies.view(np.int64).tolist()
+        assert by_rows[1] == by_rows[2] == by_rows[3] == by_rows[16]
+
+    @pytest.mark.parametrize("kind", ["poly", "pubo", "table"])
     def test_dense_table_is_the_scan_and_energies_bit_for_bit(self, kind, monkeypatch):
         # a state's energy does not depend on the path that reads it, on
         # the batch it sits in, or on the block of its evaluation
