@@ -97,9 +97,10 @@ class LevelTrace:
     """Per-iteration record: partition, windows, and encoding sizes.
 
     ``e0s`` and ``d_window`` describe each community's window as
-    enumerated, padded aliases included; ``d_list`` counts the distinct
-    states encoded after pruning, which replaces each alias by its twin and
-    then drops dead ends. Without pruning the two counts are equal.
+    enumerated, padded aliases included, its energies without the input's
+    constant; ``d_list`` counts the distinct states encoded after pruning,
+    which replaces each alias by its twin and then drops dead ends. Without
+    pruning the two counts are equal.
     """
 
     partition: tuple[int, ...]
@@ -235,8 +236,11 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     levels: list[LevelTrace] = []
 
     if partition.n_communities == 1:
+        # the level-0 objective takes Python-int keys, so it anneals past 62 variables
         invocations.append(n)
-        bits_int, reduced_energy = _solve_objective(h, cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 999))
+        bits_int, reduced_energy = _solve_objective(
+            rp.full_objective(), cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 999)
+        )
         levels.append(
             LevelTrace(
                 partition.community_of,
@@ -246,7 +250,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
             )
         )
         return _finish(
-            h, int_to_bits(bits_int, n), reduced_energy - h.constant,
+            h, int_to_bits(bits_int, n), reduced_energy,
             invocations, 1, 3, cfg, levels, chain=None,
         )
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce as functools_reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -103,6 +103,16 @@ _WORD = 16
 
 # The sign feature of a one-qubit level-0 register: index 1 flips the term.
 _PARITY = (readonly_array([0, 1], np.uint16),)
+
+
+def _register_layout(widths):
+    """Bit offsets and masks, as (K, 1) int64 columns, of K registers of
+    ``widths`` bits packed in order from bit 0, as a community's members sit
+    in its states: ``(states >> offsets) & masks`` reads every register of a
+    1-d array of packed states into one (K, states) array."""
+    offsets = list(accumulate(widths, initial=0))[:-1]
+    layout = np.array([offsets, [(1 << m) - 1 for m in widths]], dtype=np.int64)[:, :, None]
+    return layout[0], layout[1]
 
 
 class Coupling:
@@ -211,7 +221,9 @@ class TableObjective:
     ``scan_chunks`` reads them on broadcast grids, and ``energies`` reads
     every table within the cap through one flat gather, so the two agree
     bit for bit. ``energies`` also takes Python-int keys, so an annealed
-    register may exceed 62 qubits.
+    register may exceed 62 qubits. Register k sits at the bits
+    ``_register_layout(m_list)`` gives it, so ``energies`` splits a block of
+    keys into every register with one broadcast.
     """
 
     def __init__(self, m_list, energy_tables, couplings):
@@ -220,14 +232,9 @@ class TableObjective:
         self.couplings = sorted(
             ((tuple(pos), coupling) for pos, coupling in couplings), key=lambda pc: not pc[1].can_materialize
         )
-        self.offsets = []
-        off = 0
-        for m in self.m_list:
-            self.offsets.append(off)
-            off += m
-        self.n_vars = off
-        m = np.array(self.m_list, dtype=np.int64)[:, None]
-        self._register_bits = (np.array(self.offsets, dtype=np.int64)[:, None], (np.int64(1) << m) - 1)
+        self._register_bits = _register_layout(self.m_list)
+        self.offsets = self._register_bits[0].ravel().tolist()
+        self.n_vars = sum(self.m_list)
         self._gather = None
 
     def energies(self, keys: np.ndarray) -> np.ndarray:
@@ -363,11 +370,11 @@ class ReducedProblem:
         return TableObjective(self.m_tildes, [e.energies for e in self.encodings], sorted(self.couplings.items()))
 
     def contracted_graph(self) -> WeightedGraph:
-        """One vertex per community; couplings contribute their weight
-        j_tilde, the ``Coupling.norm`` the two-body cut-off reads too,
+        """One vertex per community; couplings contribute their weight,
+        the ``Coupling.norm`` the two-body cut-off reads too,
         clique-expanded with pair-count normalization for hyper-footprints.
         At level 0 a k-variable term adds |J| / C(k, 2) to each of its
-        pairs, and fields and the constant add nothing. Every j_tilde is
+        pairs, and fields and the constant add nothing. Every weight is
         non-negative, as Louvain requires, and no vertex has a loop."""
         edges: dict[tuple[int, int], float] = {}
         for footprint, coupling in sorted(self.couplings.items()):
@@ -671,9 +678,11 @@ def _coupling_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):
     entry's terms in the coupling's fixed order (or reads its table): for
     each group, the summed entries at its inside registers over the product
     of the outside communities' valid indices (padded ones repeat them).
-    Groups with as many rows share one stack, so the test makes one pass per
-    distinct row count. None when the rows would exceed
-    ``MATERIALIZE_ENTRIES``."""
+    The states are split into the members' registers with one broadcast of
+    their ``_register_layout``, and the outside index grids are built once
+    per outside shape. Groups with as many rows share one stack, one
+    ``np.array`` of their rows, so the test makes one pass per distinct row
+    count. None when the rows would exceed ``MATERIALIZE_ENTRIES``."""
     rp = rd.rp
     community_of = rd.partition.community_of
     groups: dict[tuple[int, ...], list] = {}
@@ -683,18 +692,20 @@ def _coupling_rows(rd: ReducedDecomposition, l: int, packed: np.ndarray):
     shapes = [tuple(rp.encodings[c].d for c in outside) for outside in groups]
     if d * sum(math.prod(shape) for shape in shapes) > MATERIALIZE_ENTRIES:
         return None
-    registers = _split_registers([packed], [rd.members[l]], rp.m_tildes)
+    offsets, masks = _register_layout([rp.m_tildes[c] for c in rd.members[l]])
+    registers = dict(zip(rd.members[l], (packed >> offsets) & masks))
+    grids: dict[tuple[int, ...], list] = {}
     by_rows: dict[int, list] = {}
     for (outside, fps), shape in zip(groups.items(), shapes):
         # outside axes first, states last; every coupling of the group
         # reaches all of them, so each term has the group's full shape
-        for j, (c, size) in enumerate(zip(outside, shape)):
-            registers[c] = np.arange(size).reshape((-1,) + (1,) * (len(shape) - j))
+        registers.update(zip(outside, grids.get(shape) or grids.setdefault(shape, [
+            np.arange(size).reshape((-1,) + (1,) * (len(shape) - j)) for j, size in enumerate(shape)])))
         total = rp.couplings[fps[0]].values([registers[c] for c in fps[0]])
         for fp in fps[1:]:
             total += rp.couplings[fp].values([registers[c] for c in fp])
         by_rows.setdefault(total.size // d, []).append(total.reshape(-1, d))
-    return [np.stack(rows) for rows in by_rows.values()]
+    return [np.array(rows) for rows in by_rows.values()]
 
 
 def build_reduced(rd: ReducedDecomposition, encodings) -> ReducedProblem:
@@ -753,9 +764,9 @@ def build_reduced_iter(rd: ReducedDecomposition, encodings) -> ReducedProblem:
 
 
 def _split_registers(states, groups, widths) -> list:
-    """Register of every member out of packed states: ``states[g]`` holds
-    the registers of the members ``groups[g]`` in order from bit 0, member
-    ``c`` on ``widths[c]`` bits. A state is an int or an int64 array."""
+    """Register of every member out of packed Python-int states, which may
+    exceed 62 bits: ``states[g]`` holds the registers of the members
+    ``groups[g]`` in order from bit 0, member ``c`` on ``widths[c]`` bits."""
     out = [0] * len(widths)
     for state, members in zip(states, groups):
         offset = 0
@@ -767,9 +778,15 @@ def _split_registers(states, groups, widths) -> list:
 
 def _member_gathers(rd: ReducedDecomposition, encodings) -> list[np.ndarray]:
     """Reduced index of every old community under each decode entry of the
-    super-community encoding that contains it."""
-    widths = [enc.m_tilde for enc in rd.rp.encodings]
-    return _split_registers([enc.decode for enc in encodings], rd.members, widths)
+    super-community encoding that contains it: each decode table is split
+    into its members' registers with one broadcast of their
+    ``_register_layout``, and member c's gather is a row of that split."""
+    out = [None] * rd.rp.n_communities
+    for members, enc in zip(rd.members, encodings):
+        offsets, masks = _register_layout([rd.rp.m_tildes[c] for c in members])
+        for c, register in zip(members, (enc.decode >> offsets) & masks):
+            out[c] = register
+    return out
 
 
 # -- decode chain ---------------------------------------------------------------

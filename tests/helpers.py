@@ -10,7 +10,8 @@ which reads the package's window rule and penalty constants. Another is
 the package's candidate count, and ``reference_louvain`` is Louvain with a
 dict-and-``sorted`` move sweep, which reads the package's tolerances.
 ``twin_states`` and ``without_aliases`` read the packed layout and the
-encodings of a ``ReducedDecomposition``.
+encodings of a ``ReducedDecomposition``, and ``coupling_rows`` reads its
+couplings through ``Coupling.values``.
 """
 
 import math
@@ -64,13 +65,19 @@ def energy_of_indices(rp: ReducedProblem, idx) -> float:
     return total
 
 
+def split_registers(state: int, widths) -> list[int]:
+    """Registers of widths ``widths``, packed in order from bit 0, out of one
+    Python-int state, one register at a time."""
+    out, offset = [], 0
+    for m in widths:
+        out.append((state >> offset) & ((1 << m) - 1))
+        offset += m
+    return out
+
+
 def indices_from_bits(rp: ReducedProblem, bits_int: int) -> tuple[int, ...]:
     """Register indices of a packed joint state, community 0 from bit 0."""
-    out, offset = [], 0
-    for m in rp.m_tildes:
-        out.append((bits_int >> offset) & ((1 << m) - 1))
-        offset += m
-    return tuple(out)
+    return tuple(split_registers(bits_int, rp.m_tildes))
 
 
 def is_padded(enc) -> np.ndarray:
@@ -365,3 +372,32 @@ def reference_louvain(g: WeightedGraph, seed: int = 0) -> tuple[Partition, list[
         for original in members[node]:
             final_labels[original] = label
     return Partition.from_labels(final_labels), history
+
+
+def coupling_rows(rd, l: int, packed: np.ndarray):
+    """The reference for ``reduction._coupling_rows``: each member's register
+    read out of the states one member at a time, each group's outside index
+    grids built afresh, its couplings' entries added footprint by footprint
+    through ``Coupling.values``, and each row count's groups joined with
+    ``np.stack``. None when the rows would exceed ``MATERIALIZE_ENTRIES``."""
+    rp, community_of = rd.rp, rd.partition.community_of
+    groups: dict[tuple[int, ...], list] = {}
+    for fp in rd.straddle_by_super[l]:
+        groups.setdefault(tuple(c for c in fp if community_of[c] != l), []).append(fp)
+    d = packed.size
+    shapes = [tuple(rp.encodings[c].d for c in outside) for outside in groups]
+    if d * sum(math.prod(shape) for shape in shapes) > reduction_module.MATERIALIZE_ENTRIES:
+        return None
+    registers, offset = {}, 0
+    for c in rd.members[l]:
+        registers[c] = (packed >> offset) & ((1 << rp.m_tildes[c]) - 1)
+        offset += rp.m_tildes[c]
+    by_rows: dict[int, list] = {}
+    for (outside, fps), shape in zip(groups.items(), shapes):
+        for j, (c, size) in enumerate(zip(outside, shape)):
+            registers[c] = np.arange(size).reshape((-1,) + (1,) * (len(shape) - j))
+        total = rp.couplings[fps[0]].values([registers[c] for c in fps[0]])
+        for fp in fps[1:]:
+            total += rp.couplings[fp].values([registers[c] for c in fp])
+        by_rows.setdefault(total.size // d, []).append(total.reshape(-1, d))
+    return [np.stack(rows) for rows in by_rows.values()]

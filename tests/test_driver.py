@@ -98,6 +98,19 @@ class TestRun:
         assert result.iterations_used == 1
         assert result.best_energy == pytest.approx(-1.0)
 
+    def test_one_community_past_62_variables(self):
+        # a 64-vertex star is one Louvain community too wide for int64
+        # states: its one solve anneals the level-0 objective on Python-int
+        # keys and sets every leaf against the centre; like every level's,
+        # its e0s leave out the constant
+        leaves = {(0, v): 0.5 + (v % 50) / 100 for v in range(1, 64)}
+        h = PolyHamiltonian(64, {(): 2.0, **leaves})
+        result = run(h, RunConfig(eta=1.0, seed=0))
+        assert (result.criterion, result.n_q, result.chain) == (3, 64, None)
+        assert result.best_energy == pytest.approx(2.0 - sum(leaves.values()), abs=1e-9)
+        assert result.trace.levels[0].e0s == (result.trace.final_reduced_energy,)
+        assert result.trace.final_reduced_energy == pytest.approx(result.best_energy - 2.0, abs=1e-9)
+
     def test_metrics_ranges(self):
         for seed in range(8):
             h = random_quadratic(14, 26, seed)

@@ -32,8 +32,8 @@ from dcreduce.reduction import (
     prune_dominated,
 )
 from helpers import (
-    dead_end_gains, energy_of_indices, indices_from_bits, random_pubo, random_quadratic, spin_energies,
-    twin_states, without_aliases,
+    coupling_rows, dead_end_gains, energy_of_indices, indices_from_bits, random_pubo, random_quadratic,
+    spin_energies, twin_states, without_aliases,
 )
 
 
@@ -205,6 +205,32 @@ def test_prune_keeps_what_the_all_pairs_test_keeps(pubo, slab, monkeypatch):
             assert np.array_equal(kept.packed, _all_pairs_keeps(rd, l, spectrum))
             dropped += spectrum.d - kept.d
     assert dropped
+
+
+@pytest.mark.parametrize("pubo", [False, True])
+@pytest.mark.parametrize("cap", [None, 16])
+def test_coupling_rows_match_the_member_by_member_reference(pubo, cap, monkeypatch):
+    # the rows of every level-1 and level-2 window and of its two lowest
+    # states, padded members included, equal the reference's bit for bit,
+    # stack by stack in the same order; under a cap of 16 entries the rows
+    # of two states still fit where some level-2 couplings are read entry-wise
+    if cap is not None:
+        monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", cap)
+    padded = lazy = 0
+    for seed in range(12):
+        for rd, l, spectrum in _windows(pubo, seed):
+            for packed in (spectrum.packed, spectrum.packed[:2]):
+                rows = reduction_module._coupling_rows(rd, l, packed)
+                reference = coupling_rows(rd, l, packed)
+                if reference is None:
+                    assert rows is None
+                    continue
+                assert [(s.dtype, s.shape) for s in rows] == [(s.dtype, s.shape) for s in reference]
+                assert [s.tobytes() for s in rows] == [s.tobytes() for s in reference]
+                padded += any(rd.rp.encodings[c].d < rd.rp.encodings[c].d_tilde for c in rd.members[l])
+                lazy += any(not rd.rp.couplings[fp].can_materialize for fp in rd.straddle_by_super[l])
+    assert padded
+    assert lazy if cap is not None else not lazy
 
 
 def _decode(rd, l, packed):

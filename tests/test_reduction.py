@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dcreduce.clustering import Partition
 from dcreduce.errors import ResourceError
 from dcreduce.hamiltonian import MAX_PACKED_VARS, PolyHamiltonian, bits_to_int, int_to_bits
-from dcreduce.optimizer import Window, _check_packable, _freeze, enumerate_low_exhaustive
+from dcreduce.optimizer import LocalSpectrum, Window, _check_packable, _freeze, enumerate_low_exhaustive
 import dcreduce.reduction as reduction_module
 from dcreduce.reduction import (
     ChainLevel,
@@ -36,7 +36,7 @@ from dcreduce.reduction import (
 )
 from helpers import (
     energy_of_indices, indices_from_bits, is_padded, level1_partition, random_coupling, random_pubo,
-    random_quadratic, spin_energies,
+    random_quadratic, spin_energies, split_registers, without_aliases,
 )
 
 
@@ -155,6 +155,95 @@ class TestPackedStates:
         _check_packable(h, "a spectrum")
         with pytest.raises(ResourceError, match="63 variables"):
             _check_packable(PolyHamiltonian(n + 1, {(0, n): 1.0}), "a spectrum")
+
+
+def _widths(rng, total):
+    """Random register widths of 1 to 4 bits that sum to ``total``."""
+    widths = []
+    while sum(widths) < total:
+        widths.append(min(int(rng.integers(1, 5)), total - sum(widths)))
+    return widths
+
+
+class TestRegisterLayout:
+    """The broadcast splits by ``_register_layout`` equal a split one
+    register at a time, with registers up to bit 61 and, for Python-int
+    keys, past it."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_member_gathers(self, seed):
+        # two new communities of 62 bits each, their members interleaved
+        rng = np.random.default_rng(seed + 700)
+        sizes = [_widths(rng, MAX_PACKED_VARS), _widths(rng, MAX_PACKED_VARS)]
+        labels = rng.permutation([0] * len(sizes[0]) + [1] * len(sizes[1])).tolist()
+        partition = Partition.from_labels(labels)
+        widths = [0] * len(labels)
+        for members, group in zip(partition.communities, sizes):
+            for c, m in zip(members, group):
+                widths[c] = m
+        old = [EncodedCommunity(m, np.arange(1 << m), np.zeros(1 << m), 1 << m, m) for m in widths]
+        rd = decompose(ReducedProblem(old, {}, 0), partition)
+        assert [sum(widths[c] for c in members) for members in rd.members] == [MAX_PACKED_VARS] * 2
+        encodings = []
+        for _ in rd.members:
+            decode = rng.integers(0, 1 << MAX_PACKED_VARS, 8, dtype=np.int64)
+            decode[::2] |= 1 << (MAX_PACKED_VARS - 1)
+            encodings.append(EncodedCommunity(3, decode, np.zeros(8), 8, MAX_PACKED_VARS))
+        gathers = _member_gathers(rd, encodings)
+        for members, enc in zip(rd.members, encodings):
+            expected = [split_registers(state, [widths[c] for c in members]) for state in enc.decode.tolist()]
+            for k, c in enumerate(members):
+                assert gathers[c].dtype == np.int64
+                assert gathers[c].tolist() == [registers[k] for registers in expected]
+            assert (gathers[members[-1]] >> (widths[members[-1]] - 1))[::2].all()
+
+    @pytest.mark.parametrize("bits", [MAX_PACKED_VARS, MAX_PACKED_VARS + 8])
+    def test_table_objective_energies(self, bits):
+        # int64 keys up to bit 61, and Python-int keys past it
+        rng = np.random.default_rng(bits)
+        widths = _widths(rng, bits)
+        couplings = []
+        for _ in widths:
+            pos = tuple(sorted(rng.choice(len(widths), 2, replace=False).tolist()))
+            couplings.append((pos, random_coupling(rng, tuple(1 << widths[p] for p in pos), _GRID_VALUES)))
+        objective = TableObjective(widths, [rng.choice(_GRID_VALUES, 1 << m) for m in widths], couplings)
+        keys = [bits_to_int(rng.integers(0, 2, bits).tolist()) | (k % 2) << (bits - 1) for k in range(40)]
+        idx = np.array([split_registers(key, widths) for key in keys]).T
+        expected = objective._energies_at(list(idx), (len(keys),))
+        packed = np.array(keys, dtype=np.int64 if bits <= MAX_PACKED_VARS else object)
+        np.testing.assert_array_equal(_bits(objective.energies(packed)), _bits(expected))
+
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_without_aliases(self, complete):
+        # every member padded; each alias takes one member's index up by its
+        # d, and an alias of the top member sets bit 61
+        rng = np.random.default_rng(710 + complete)
+        widths = _widths(rng, MAX_PACKED_VARS)
+        ds = [1 if m == 1 else int(rng.integers((1 << (m - 1)) + 1, 1 << m)) for m in widths]
+        old = [EncodedCommunity(m, np.arange(1 << m), np.zeros(1 << m), d, m) for m, d in zip(widths, ds)]
+        rd = decompose(ReducedProblem(old, {}, 0), Partition.from_labels([0] * len(old)))
+        offsets = np.cumsum([0] + widths[:-1]).tolist()
+        states = {}
+        for t in range(30):
+            index = [int(rng.integers(0, d)) for d in ds]
+            twin = sum(i << off for i, off in zip(index, offsets))
+            energy = float(rng.integers(0, 8)) / 2
+            if complete or t % 3:
+                states[twin] = energy
+            for k in rng.choice(len(ds), 3).tolist() + [len(ds) - 1] * (t == 0):
+                if index[k] + ds[k] < 1 << widths[k]:
+                    states[twin + (ds[k] << offsets[k])] = energy
+        packed = np.array(list(states), dtype=np.int64)
+        spectrum = LocalSpectrum.in_order(
+            packed, np.array(list(states.values())), Window(0.0, 3.5, 1e-9), complete, MAX_PACKED_VARS
+        )
+        assert (packed >> (MAX_PACKED_VARS - 1)).any()
+        replaced = reduction_module._without_aliases(rd, 0, spectrum)
+        reference = without_aliases(rd, 0, spectrum)
+        assert replaced.d < spectrum.d
+        assert replaced.packed.tolist() == reference.packed.tolist()
+        np.testing.assert_array_equal(_bits(replaced.energies), _bits(reference.energies))
+        assert replaced.complete == complete
 
 
 class TestLevelZero:
