@@ -253,17 +253,17 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_list(text: str, kind, flag: str) -> tuple:
-    """Comma-separated values of ``kind``; ParameterError names ``flag``."""
+    """Comma-separated values of ``kind``, each stripped, empty items
+    skipped; ParameterError names ``flag``."""
     try:
-        return tuple(kind(x) for x in text.split(",") if x.strip())
+        return tuple(kind(x.strip()) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ParameterError(f"{flag} takes comma-separated {kind.__name__} values, got {text!r}") from exc
 
 
 def _cmd_sweep(args) -> int:
-    families = tuple(x.strip() for x in args.family.split(",") if x.strip())
     spec = SweepSpec(
-        families=families,
+        families=_parse_list(args.family, str, "--family"),
         sizes=_parse_list(args.n, int, "--n"),
         etas=_parse_list(args.eta, float, "--eta"),
         instances=args.instances,

@@ -47,14 +47,6 @@ class WeightedGraph:
             if not math.isfinite(w):
                 raise FormatError(f"edge ({u}, {v}) has non-finite weight")
 
-    def degree_weights(self) -> np.ndarray:
-        """k_i = sum of incident edge weights."""
-        k = np.zeros(self.n_vertices)
-        for (u, v), w in self.edges.items():
-            k[u] += w
-            k[v] += w
-        return k
-
     def total_weight(self) -> float:
         """m = the sum of the edge weights."""
         return sum(self.edges.values())
@@ -115,16 +107,9 @@ def modularity(g: WeightedGraph, p: Partition) -> float:
     m = g.total_weight()
     if m <= 0.0:
         raise DomainError("modularity is undefined for graphs with zero total weight")
-    k = g.degree_weights()
-    sigma_in = np.zeros(p.n_communities)
-    sigma_tot = np.zeros(p.n_communities)
-    for (u, v), w in g.edges.items():
-        if p.community_of[u] == p.community_of[v]:
-            sigma_in[p.community_of[u]] += 2.0 * w
-    for vertex, comm in enumerate(p.community_of):
-        sigma_tot[comm] += k[vertex]
-    two_m = 2.0 * m
-    return float(np.sum(sigma_in / two_m) - np.sum((sigma_tot / two_m) ** 2))
+    adj, m = _scaled(g, m)
+    k = [sum(w for _, w in links) for links in adj]
+    return _aggregate_modularity(adj, [0.0] * g.n_vertices, k, p.community_of, m)
 
 
 def louvain(g: WeightedGraph, seed: int = 0) -> Partition:
@@ -141,12 +126,8 @@ def louvain_with_history(g: WeightedGraph, seed: int = 0) -> tuple[Partition, li
     if m <= 0.0:
         return Partition.from_labels(range(g.n_vertices)), []
 
-    # Gains and modularity are scale-free: scaling by the power of two that puts
-    # m in [0.5, 1) rounds nothing and keeps the gain's 2 m^2 finite and nonzero.
-    exponent = math.frexp(m)[1]
-    m = math.ldexp(m, -exponent)
+    adj, m = _scaled(g, m)
     rng = np.random.default_rng(seed)
-    adj = g.adjacency(-exponent)
     loops = [0.0] * g.n_vertices
     members: list[list[int]] = [[v] for v in range(g.n_vertices)]
 
@@ -175,6 +156,15 @@ def louvain_with_history(g: WeightedGraph, seed: int = 0) -> tuple[Partition, li
         for original in members[node]:
             final_labels[original] = label
     return Partition.from_labels(final_labels), history
+
+
+def _scaled(g: WeightedGraph, m: float) -> tuple[list[list[tuple[int, float]]], float]:
+    """The adjacency lists and total weight ``m`` of ``g``, scaled by the
+    power of two that puts m in [0.5, 1). Gains and modularity are
+    scale-free, so this rounds nothing and keeps a gain's 2 m^2 finite and
+    nonzero."""
+    exponent = math.frexp(m)[1]
+    return g.adjacency(-exponent), math.ldexp(m, -exponent)
 
 
 def _require_nonnegative(g: WeightedGraph) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .clustering import Partition, louvain
 from .errors import DomainError, InternalError, ParameterError, ResourceError
 from .hamiltonian import PolyHamiltonian, SpinConfig, int_to_bits
 from .optimizer import (
-    SCAN_CEILING,
     enumerate_low_exhaustive,
     enumerate_low_sampled,
     scan_minimum,
@@ -62,7 +62,8 @@ class RunConfig:
     seed: int = 0
     optimizer_o1: str = "auto"
     optimizer_o2: str = "auto"
-    brute_force_ceiling: int = 22
+    # The largest subproblem the auto backend scans; a constant, not a field.
+    brute_force_ceiling: ClassVar[int] = 22
     # Replace padded aliases by their twins and drop the window states that
     # another retained state beats under every boundary
     # (``reduction.prune_dominated``); off keeps the paper's windows, aliases
@@ -70,12 +71,10 @@ class RunConfig:
     prune_dominated: bool = True
 
     def __post_init__(self):
-        for name in ("seed", "brute_force_ceiling"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            # a numpy integer becomes a Python int, which the JSON trace can hold
-            object.__setattr__(self, name, int(value))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
+        # a numpy integer becomes a Python int, which the JSON trace can hold
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed < 1 << 32:
             raise ParameterError(f"seed must lie in [0, 2^32), got {self.seed}")
         if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real):
@@ -88,8 +87,6 @@ class RunConfig:
             raise DomainError(f"eta must lie in [0, 1], got {self.eta}")
         if self.optimizer_o1 not in _BACKENDS or self.optimizer_o2 not in _BACKENDS:
             raise ParameterError(f"optimizer backends must be one of {_BACKENDS}")
-        if not 1 <= self.brute_force_ceiling <= SCAN_CEILING:
-            raise ParameterError(f"brute_force_ceiling must lie in [1, {SCAN_CEILING}], got {self.brute_force_ceiling}")
 
 
 @dataclass(frozen=True)

@@ -129,15 +129,10 @@ class PolyHamiltonian:
         """True iff every non-constant term acts on exactly two variables."""
         return all(len(s) == 2 for s in self.terms if s)
 
-    def restrict(self, members) -> "PolyHamiltonian":
-        """The terms on ascending variables ``members``, variable
-        ``members[j]`` re-indexed to j; the constant and every term reaching
-        outside ``members`` are dropped."""
-        return self.split([members])[0]
-
     def split(self, communities) -> list["PolyHamiltonian"]:
-        """``restrict`` of every one of some disjoint ascending member
-        tuples, in one pass over the terms."""
+        """Per disjoint ascending member tuple, the terms on those variables,
+        ``members[j]`` re-indexed to j, in one pass over the terms; the
+        constant and every term reaching outside its community are dropped."""
         place = {v: (c, j) for c, members in enumerate(communities) for j, v in enumerate(members)}
         parts: list[dict[Subset, float]] = [{} for _ in communities]
         for subset, coeff in self.terms.items():
@@ -243,38 +238,6 @@ class PolyHamiltonian:
             coeff = float(spectrum[mask])
             if abs(coeff) > COEFF_PRUNE:
                 terms[tuple(j for j in range(n) if (mask >> j) & 1)] = coeff
-        return cls(n, terms)
-
-    @classmethod
-    def from_qubo(cls, q, constant: float = 0.0) -> "PolyHamiltonian":
-        """Spin form of  x^T Q x + c  over binary x (x_i = (1 - z_i) / 2)."""
-        q = np.asarray(q, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise FormatError("Q must be a square matrix")
-        if not np.all(np.isfinite(q)):
-            raise FormatError("Q entries must be finite")
-        n = q.shape[0]
-        if n < 1:
-            raise FormatError("Q must have at least one row")
-        const = float(constant)
-        linear = np.zeros(n)
-        terms: dict[Subset, float] = {}
-        for i in range(n):
-            const += q[i, i] / 2.0
-            linear[i] -= q[i, i] / 2.0
-            for j in range(i + 1, n):
-                pair = q[i, j] + q[j, i]
-                if pair == 0.0:
-                    continue
-                const += pair / 4.0
-                linear[i] -= pair / 4.0
-                linear[j] -= pair / 4.0
-                terms[(i, j)] = pair / 4.0
-        for i in range(n):
-            if linear[i] != 0.0:
-                terms[(i,)] = linear[i]
-        if const != 0.0:
-            terms[()] = const
         return cls(n, terms)
 
     # -- serialization ----------------------------------------------------

@@ -6,9 +6,9 @@ energy lies within delta of the community ground energy, where delta bounds
 the community's interactions with the rest of the system. The cut-offs that
 compute delta live with the decomposition they read, in ``reduction``; the
 window they define, [E0, E0 + eta * delta] with a scale-relative tolerance,
-is ``window`` here. Every test of a state against a window reads one built
-by ``window``, or, in the sampled harvest, its formula applied to every
-chain's floor at once; every spectrum carries one.
+is ``window`` here. Every test of a state against a window is the
+``contains`` of one built by ``window``, which the sampled harvest builds
+over every chain's floor at once; every spectrum carries one.
 
 Two kinds of diagonal objective share one duck-typed interface:
 ``PolyHamiltonian`` and the reduction stage's ``TableObjective``. An
@@ -84,14 +84,17 @@ _C1 = _C2 = 0.01
 
 @dataclass(frozen=True)
 class Window:
-    """Closed energy interval with a scale-relative inclusion tolerance."""
+    """Closed energy interval with a scale-relative inclusion tolerance, or
+    one per entry when ``window`` is given an array of ground energies."""
 
     lo: float
     hi: float
     tol: float
 
-    def contains(self, energy: float) -> bool:
-        return self.lo - self.tol <= energy <= self.hi + self.tol
+    def contains(self, energy):
+        """Whether ``energy`` lies in the interval, widened by ``tol`` on
+        each side; elementwise, broadcast against the bounds, on arrays."""
+        return (energy >= self.lo - self.tol) & (energy <= self.hi + self.tol)
 
 
 def _check_window_args(delta: float, eta: float) -> None:
@@ -102,8 +105,9 @@ def _check_window_args(delta: float, eta: float) -> None:
         raise DomainError(f"delta must be finite and non-negative, got {delta}")
 
 
-def window(e0: float, delta: float, eta: float) -> Window:
-    """The retained interval [e0, e0 + eta * delta]."""
+def window(e0, delta: float, eta: float) -> Window:
+    """The retained interval [e0, e0 + eta * delta], or one per entry of an
+    array ``e0``."""
     _check_window_args(delta, eta)
     tol = 1e-9 * (abs(e0) + delta)
     return Window(e0, e0 + eta * delta, tol)
@@ -167,7 +171,7 @@ def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, com
     if wrong.any():
         i = int(np.argmax(wrong))
         raise InternalError(f"stored energy {claimed[i]} disagrees with evaluation {actual[i]}")
-    outside = ~_inside(claimed, win)
+    outside = ~win.contains(claimed)
     if outside.any():
         raise InternalError(f"state energy {claimed[np.argmax(outside)]} lies outside the window {win}")
     return LocalSpectrum.in_order(states, claimed, win, complete, n)
@@ -190,11 +194,6 @@ def _bit_reversal(states: np.ndarray, n: int) -> np.ndarray:
     key.byteswap(inplace=True)
     key >>= np.uint64(64 - n)
     return key
-
-
-def _inside(energies: np.ndarray, win: Window) -> np.ndarray:
-    """Vectorized ``Window.contains``."""
-    return (energies >= win.lo - win.tol) & (energies <= win.hi + win.tol)
 
 
 # -- exhaustive enumeration --------------------------------------------------
@@ -246,7 +245,7 @@ def enumerate_low_exhaustive(objective, delta: float, eta: float) -> LocalSpectr
         kept_energies.append(energies[keep])
     win = window(e0, delta, eta)
     states, energies = np.concatenate(kept_states), np.concatenate(kept_energies)
-    inside = _inside(energies, win)
+    inside = win.contains(energies)
     return _freeze(objective, states[inside], energies[inside], win, True)
 
 
@@ -406,10 +405,8 @@ def _harvest(energies: np.ndarray, accepted: np.ndarray, keys: np.ndarray, floor
     visited = np.ones(keys.shape, dtype=bool)
     visited[1:] = accepted
     floors = np.minimum.accumulate(np.minimum(np.where(visited, energies, np.inf).min(axis=0), floor))
-    # window(floors[c], delta, eta) for every chain c at once, by its formula
-    hi = floors + eta * delta
-    tol = 1e-9 * (np.abs(floors) + delta)
-    inside = visited & (energies >= floors - tol) & (energies <= hi + tol)
+    win = window(floors, delta, eta)
+    inside = visited & win.contains(energies)
     chain, step = np.nonzero(inside.T)
     found = keys[step, chain]
     _, first = np.unique(found, return_index=True)
@@ -418,7 +415,7 @@ def _harvest(energies: np.ndarray, accepted: np.ndarray, keys: np.ndarray, floor
     first = first[earlier == 0.0]
     chain, found, found_energies = chain[first], found[first], energies[step[first], chain[first]]
     values = eta * delta + _C1 * np.abs(found_energies) + _C2
-    if not (found_energies + values > hi[chain]).all():
+    if not (found_energies + values > win.hi[chain]).all():
         raise InternalError("penalty does not clear the window upper edge")
     return float(floors[-1]), found, found_energies, values
 
@@ -456,7 +453,7 @@ def enumerate_low_sampled(objective, delta: float, eta: float, seed: int) -> Loc
     table = _dense_table(objective)
     if table is not None:
         penalties = np.zeros(table.size)
-        targets = np.flatnonzero(_inside(table, window(table.min(), delta, eta)))
+        targets = np.flatnonzero(window(table.min(), delta, eta).contains(table))
     else:
         penalties = (np.empty(0, dtype=np.int64), np.empty(0))
     pool: dict[int, float] = {}
@@ -488,7 +485,7 @@ def enumerate_low_sampled(objective, delta: float, eta: float, seed: int) -> Loc
     win = window(min(pool.values()), delta, eta)
     states = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
     found = np.fromiter(pool.values(), dtype=np.float64, count=len(pool))
-    inside = _inside(found, win)
+    inside = win.contains(found)
     return _freeze(objective, states[inside], found[inside], win, complete=False)
 
 

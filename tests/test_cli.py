@@ -312,6 +312,13 @@ class TestSweep:
         assert strip(read_csv(out)) == strip(csv.DictReader(io.StringIO(expected.getvalue())))
 
 
+def test_comma_lists_strip_every_item():
+    # --family, --n and --eta share one rule: items stripped, empty ones skipped
+    assert cli_module._parse_list(" 3reg , ring_k2,", str, "--family") == ("3reg", "ring_k2")
+    assert cli_module._parse_list(" 8, 12 ,", int, "--n") == (8, 12)
+    assert cli_module._parse_list("1.0 , 0.5", float, "--eta") == (1.0, 0.5)
+
+
 # Problem files the bad-input cases read, written under tmp_path.
 _BAD_FILES = {
     "not-utf8.txt": b"\xff\xfe",

@@ -47,7 +47,7 @@ def _two_levels(h, labels1, labels2):
     rd1 = _level0(h, labels1)
     encodings = []
     for l, members in enumerate(rd1.members):
-        encodings.append(encode_community(enumerate_low_exhaustive(h.restrict(members), delta_pubo(rd1, l), 1.0)))
+        encodings.append(encode_community(enumerate_low_exhaustive(h.split([members])[0], delta_pubo(rd1, l), 1.0)))
     return rd1, decompose(build_reduced(rd1, encodings), Partition.from_labels(labels2))
 
 
@@ -83,7 +83,7 @@ class TestDecompose:
     def test_single_community(self):
         h = PolyHamiltonian(3, {(): 1.0, (0, 1): 0.5, (1, 2): -0.25})
         rd = _level0(h, [0, 0, 0])
-        assert h.restrict(rd.members[0]).terms == {(0, 1): 0.5, (1, 2): -0.25}
+        assert h.split([rd.members[0]])[0].terms == {(0, 1): 0.5, (1, 2): -0.25}
         assert rd.straddling_footprints == ()
         # the constant stays out of every level
         assert energy_of_indices(rd.rp, (0, 0, 0)) == h.evaluate((0, 0, 0)) - 1.0
@@ -91,8 +91,8 @@ class TestDecompose:
     def test_path_graph_bridge(self):
         h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0})
         rd = _level0(h, [0, 0, 1])
-        assert h.restrict(rd.members[0]).terms == {(0, 1): 1.0}
-        assert h.restrict(rd.members[1]).terms == {}
+        assert h.split([rd.members[0]])[0].terms == {(0, 1): 1.0}
+        assert h.split([rd.members[1]])[0].terms == {}
         assert rd.straddle_by_super[0] == ((1, 2),)
         assert rd.straddle_by_super[1] == ((1, 2),)
 
@@ -141,7 +141,7 @@ class TestDecompose:
             p = level1_partition(h, seed)
             rd = _level0(h, p.community_of)
             n_constant = 1 if () in h.terms else 0
-            counted = sum(len(h.restrict(m).terms) for m in rd.members)
+            counted = sum(len(h.split([m])[0].terms) for m in rd.members)
             assert counted + len(rd.straddling_footprints) + n_constant == len(h.terms)
 
     def test_energy_conservation(self):
@@ -152,7 +152,7 @@ class TestDecompose:
             x = tuple(int(b) for b in rng.integers(0, 2, size=9))
             total = h.constant
             for members in rd.members:
-                total += h.restrict(members).evaluate(tuple(x[v] for v in members))
+                total += h.split([members])[0].evaluate(tuple(x[v] for v in members))
             for subset in rd.straddling_footprints:
                 total += h.terms[subset] * _sign(subset, x)
             assert total == pytest.approx(h.evaluate(x), abs=1e-9)
@@ -160,8 +160,8 @@ class TestDecompose:
     def test_restrict_reindexing(self):
         h = PolyHamiltonian(4, {(1, 3): 0.5, (0, 2): -1.0})
         rd = _level0(h, [0, 1, 0, 1])
-        assert h.restrict(rd.members[0]).terms == {(0, 1): -1.0}
-        assert h.restrict(rd.members[1]).terms == {(0, 1): 0.5}
+        assert h.split([rd.members[0]])[0].terms == {(0, 1): -1.0}
+        assert h.split([rd.members[1]])[0].terms == {(0, 1): 0.5}
 
 
 class TestDeltaTwoBody:
@@ -191,7 +191,7 @@ class TestDeltaTwoBody:
         h = PolyHamiltonian(4, {(0, 1): 0.5, (1, 2): -1.0, (1, 2, 3): 0.25, (0, 3): 0.75})
         rd = _level0(h, [0, 0, 1, 1])
         encodings = [
-            encode_community(enumerate_low_exhaustive(h.restrict(m), delta_pubo(rd, i), 1.0))
+            encode_community(enumerate_low_exhaustive(h.split([m])[0], delta_pubo(rd, i), 1.0))
             for i, m in enumerate(rd.members)
         ]
         rp = build_reduced(rd, encodings)
@@ -203,7 +203,7 @@ class TestDeltaTwoBody:
         h = random_quadratic(6, 9, 4)
         rd = _level0(h, [0, 0, 0, 1, 1, 1])
         encodings = [
-            encode_community(enumerate_low_exhaustive(h.restrict(m), delta_two_body(rd, i), 1.0))
+            encode_community(enumerate_low_exhaustive(h.split([m])[0], delta_two_body(rd, i), 1.0))
             for i, m in enumerate(rd.members)
         ]
         rp = build_reduced(rd, encodings)
@@ -347,6 +347,29 @@ class TestWindow:
         w = window(-100.0, 50.0, 1.0)
         assert w.contains(-50.0 + 1e-8)  # tol = 1e-9 * 150
 
+    def test_array_window_is_every_chains_scalar_window(self):
+        # the sampled harvest tests a (steps, chains) block against one window
+        # per chain floor; each column must be that chain's scalar window,
+        # bit for bit, also exactly on a tolerance edge and one ulp past it
+        floors = np.array([-3.0, -1e6, 0.0, 12.5, -0.1, 7e-300])
+        delta, eta = 2.5, 0.75
+        rng = np.random.default_rng(3)
+        columns = []
+        for floor in floors.tolist():
+            w = window(floor, delta, eta)
+            top, bottom = w.hi + w.tol, w.lo - w.tol
+            edges = [top, np.nextafter(top, np.inf), bottom, np.nextafter(bottom, -np.inf), w.lo, w.hi]
+            columns.append(edges + (floor + rng.uniform(-1.0, 3.0, size=6)).tolist())
+        energies = np.array(columns).T
+        got = window(floors, delta, eta).contains(energies)
+        expected = [
+            [window(floor, delta, eta).contains(e) for floor, e in zip(floors.tolist(), row)]
+            for row in energies.tolist()
+        ]
+        assert got.dtype == bool and got.shape == energies.shape
+        assert got.tolist() == expected
+        assert got[[0, 2, 4, 5]].all() and not got[[1, 3]].any()
+
 
 class TestCertification:
     """Global ground state's local energies always fall inside the windows."""
@@ -360,7 +383,7 @@ class TestCertification:
         rd = _level0(h, rng.integers(0, max(2, n // 4), size=n).tolist())
         for i, members in enumerate(rd.members):
             delta = delta_two_body(rd, i)
-            local = h.restrict(members)
+            local = h.split([members])[0]
             spectrum_min = float(spin_energies(local).min())
             restricted = tuple(ground[v] for v in members)
             local_energy = local.evaluate(restricted)
@@ -377,7 +400,7 @@ class TestCertification:
         for i, members in enumerate(rd.members):
             for threshold in (0, 20):
                 delta = _delta_pubo_at(rd, i, threshold)
-                local = h.restrict(members)
+                local = h.split([members])[0]
                 spectrum_min = float(spin_energies(local).min())
                 restricted = tuple(ground[v] for v in members)
                 w = window(spectrum_min, delta, 1.0)

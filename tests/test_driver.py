@@ -1,5 +1,6 @@
 """End-to-end run, recombination criteria, and metric tests."""
 
+import dataclasses
 import json
 import math
 
@@ -18,6 +19,7 @@ from dcreduce.driver import (
 )
 from dcreduce.errors import DomainError, ParameterError
 from dcreduce.hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, int_to_bits
+from dcreduce.optimizer import SCAN_CEILING
 import dcreduce.reduction as reduction_module
 from helpers import brute_min, random_pubo, random_quadratic
 
@@ -209,10 +211,7 @@ class TestRun:
         with pytest.raises(ParameterError):
             RunConfig(optimizer_o1="quantum")
         # the backend switch never asks a scan for more than SCAN_CEILING variables
-        assert RunConfig(brute_force_ceiling=30).brute_force_ceiling == 30
-        for ceiling in (0, 31):
-            with pytest.raises(ParameterError, match=f"30.*got {ceiling}"):
-                RunConfig(brute_force_ceiling=ceiling)
+        assert RunConfig.brute_force_ceiling <= SCAN_CEILING
         # run seeds are 32-bit: a seed outside [0, 2^32) would alias another
         for seed in (-1, 2**32):
             with pytest.raises(ParameterError, match=str(seed)):
@@ -228,7 +227,12 @@ class TestRun:
         assert config == RunConfig(eta=0.5, prune_dominated=False)
         json.dumps(run(random_quadratic(6, 8, 1), config).to_json_dict())
 
-    @pytest.mark.parametrize("field", ["seed", "brute_force_ceiling"])
+    def test_config_fields(self):
+        # the scan ceiling is a class constant, not a setting
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert names == ["eta", "seed", "optimizer_o1", "optimizer_o2", "prune_dominated"]
+
+    @pytest.mark.parametrize("field", ["seed"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, np.float64(3.0), "3"])
     def test_integer_fields_refuse_other_types(self, field, value):
         # a float or a bool is refused as a run setting, not truncated,
@@ -236,7 +240,7 @@ class TestRun:
         with pytest.raises(ParameterError, match=f"{field} must be an integer"):
             RunConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["seed", "brute_force_ceiling"])
+    @pytest.mark.parametrize("field", ["seed"])
     def test_integer_fields_take_numpy_integers(self, field):
         config = RunConfig(**{field: np.int64(3)})
         assert type(getattr(config, field)) is int and config == RunConfig(**{field: 3})
@@ -361,7 +365,7 @@ class TestShiftDiagnostics:
         for i, members in enumerate(p.communities):
             if level0.deltas[i] <= 0.0:
                 restricted = tuple(result.best_config[v] for v in members)
-                total_local += h.restrict(members).evaluate(restricted)
+                total_local += h.split([members])[0].evaluate(restricted)
         assert total_local + total_inter / 2.0 + h.constant == pytest.approx(
             result.best_energy, abs=1e-9
         )

@@ -138,35 +138,6 @@ class TestBooleanTable:
         np.testing.assert_allclose(h.energies(np.arange(1 << n)), table, atol=1e-9)
 
 
-class TestQubo:
-    def test_single_diagonal(self):
-        h = PolyHamiltonian.from_qubo([[1.0]])
-        assert h.terms == pytest.approx({(): 0.5, (0,): -0.5})
-
-    def test_constant_only(self):
-        h = PolyHamiltonian.from_qubo(np.zeros((2, 2)), constant=3.0)
-        assert h.terms == {(): 3.0}
-
-    def test_off_diagonal(self):
-        h = PolyHamiltonian.from_qubo([[0.0, 4.0], [0.0, 0.0]])
-        assert h.terms == pytest.approx({(): 1.0, (0,): -1.0, (1,): -1.0, (0, 1): 1.0})
-
-    def test_non_finite_entries(self):
-        with pytest.raises(FormatError):
-            PolyHamiltonian.from_qubo([[float("nan")]])
-
-    @pytest.mark.parametrize("n", [1, 3, 6, 9, 12])
-    def test_exhaustive_agreement(self, n):
-        rng = np.random.default_rng(n)
-        q = np.triu(rng.uniform(-2.0, 2.0, size=(n, n)))
-        c = float(rng.uniform(-1.0, 1.0))
-        h = PolyHamiltonian.from_qubo(q, c)
-        states = np.arange(1 << n)
-        x = ((states[:, None] >> np.arange(n)) & 1).astype(float)
-        direct = np.einsum("si,ij,sj->s", x, q, x) + c
-        np.testing.assert_allclose(h.energies(states), direct, atol=1e-9)
-
-
 class TestQuadratize:
     @pytest.mark.parametrize("seed", range(6))
     def test_restricted_spectrum_equality(self, seed):
@@ -198,7 +169,7 @@ class TestRestrict:
             (): 0.3, (1,): 0.5, (4,): -0.25, (2,): 0.75,
             (1, 4): -1.0, (1, 2): 0.125, (1, 4, 5): 0.625, (0, 3): 2.0,
         })
-        local = h.restrict((1, 4, 5))
+        local = h.split([(1, 4, 5)])[0]
         # fields kept, constant and the crossing terms (2,), (1, 2), (0, 3) dropped
         assert local.n_vars == 3
         assert local.terms == {(0,): 0.5, (1,): -0.25, (0, 1): -1.0, (0, 1, 2): 0.625}
@@ -208,7 +179,7 @@ class TestRestrict:
         rng = np.random.default_rng(seed)
         h = random_pubo(9, 18, seed)
         members = tuple(sorted(rng.choice(9, size=4, replace=False).tolist()))
-        local = h.restrict(members)
+        local = h.split([members])[0]
         inside = {s: c for s, c in h.terms.items() if s and set(s) <= set(members)}
         for _ in range(8):
             x = tuple(int(b) for b in rng.integers(0, 2, size=9))

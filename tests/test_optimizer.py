@@ -481,7 +481,7 @@ def first_level(h, labels):
     """First-level reduced problem of a quadratic h under a partition, at eta 1."""
     d = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(labels))
     encodings = [
-        encode_community(enumerate_low_exhaustive(h.restrict(m), delta_two_body(d, i), 1.0))
+        encode_community(enumerate_low_exhaustive(h.split([m])[0], delta_two_body(d, i), 1.0))
         for i, m in enumerate(d.members)
     ]
     return build_reduced(d, encodings)

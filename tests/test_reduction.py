@@ -45,7 +45,7 @@ def _level_one(h, labels, eta=1.0):
     encodings = []
     for i, members in enumerate(d.members):
         delta = delta_two_body(d, i) if d.rp.quadratic else delta_pubo(d, i)
-        encodings.append(encode_community(enumerate_low_exhaustive(h.restrict(members), delta, eta)))
+        encodings.append(encode_community(enumerate_low_exhaustive(h.split([members])[0], delta, eta)))
     rp = build_reduced(d, encodings)
     chain = DecodeChain(h.n_vars, [ChainLevel(d.members, tuple(encodings))])
     return d, rp, chain
@@ -608,7 +608,7 @@ class TestIteration:
             d = decompose(ReducedProblem.from_hamiltonian(h), p)
             for i, members in enumerate(d.members):
                 delta = delta_two_body(d, i)
-                local = h.restrict(members)
+                local = h.split([members])[0]
                 previous = 0
                 for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
                     count = enumerate_low_exhaustive(local, delta, eta).d
