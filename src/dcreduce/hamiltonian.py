@@ -253,7 +253,9 @@ class PolyHamiltonian:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolyHamiltonian":
         """Inverse of ``to_json_dict``. ``n`` and every ``vars`` entry must
-        be integral numbers, not booleans; anything else raises FormatError."""
+        be integral numbers and every ``coeff`` a number, none of them a
+        boolean or a string; anything else raises FormatError naming the
+        field or the term entry."""
         try:
             n = _json_int(data["n"])
             raw = data["terms"]
@@ -265,8 +267,8 @@ class PolyHamiltonian:
         for entry in raw:
             try:
                 subset = tuple(_json_int(v) for v in entry["vars"])
-                coeff = float(entry["coeff"])
-            except (KeyError, TypeError, ValueError) as exc:
+                coeff = _json_number(entry["coeff"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"bad term entry {entry!r}: {exc}") from exc
             if list(subset) != sorted(set(subset)):
                 raise FormatError(f"term vars {list(subset)} must be ascending and distinct")
@@ -274,6 +276,15 @@ class PolyHamiltonian:
                 raise FormatError(f"duplicate subset {list(subset)}")
             terms[subset] = coeff
         return cls(n, {s: c for s, c in terms.items() if c != 0.0})
+
+
+def _json_number(value) -> float:
+    """A real field of problem JSON: an int or a float; a boolean or
+    anything else raises ValueError, and an int past the float range
+    OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _json_int(value) -> int:

@@ -46,9 +46,9 @@ same numbers, so they visit the same states. The sampled enumerator stands in
 for a quantum optimizer: each round's chains harvest low configurations
 under fixed additive penalties on the states found in earlier rounds, and
 rounds continue until no new in-window state appears. On a dense table a
-round ends, and sampling stops, as soon as every window state of the table
-has been visited, which leaves every result as the full schedule returns
-it.
+round ends as soon as its chains have visited every window state of the
+table not pooled yet, and such a round returns those window states, with no
+harvest, which leaves every result as the full schedule returns it.
 """
 
 from __future__ import annotations
@@ -302,9 +302,13 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
     array, energies are gathered from it and ``penalties``, if given, is a
     dense array over all packed states. Otherwise energies come from
     ``energies`` and ``penalties`` is a (sorted keys, values) pair
-    over packed states, or None. The rule ``draw < exp(-delta / T)`` needs
-    no ``max(delta, 0)``: for delta <= 0 the exponential is at least 1, or
-    inf where it overflows, and draws lie in [0, 1).
+    over packed states, or None. Each step writes its proposals straight
+    into the trajectory row and puts the rejected replicas' keys back,
+    rejecting where ``draw >= exp(-delta / T)``: the exact complement of
+    the rule ``draw < exp(-delta / T)`` on the non-NaN values ``exp``
+    returns. The rule needs no ``max(delta, 0)``: for delta <= 0 the
+    exponential is at least 1, or inf where it overflows, and draws lie in
+    [0, 1).
 
     ``pending``, given on the dense path only, is an int64 array of states
     the round must reach. Every ``n_vars`` steps the states the chains
@@ -344,34 +348,34 @@ def _anneal(objective, table, starts, flips: np.ndarray, draws: np.ndarray, pena
         visited[key] = True
         block = objective.n_vars
     delta = np.empty(chains)
-    accept = np.empty(chains, dtype=bool)
+    reject = np.empty(chains, dtype=bool)
     with np.errstate(over="ignore"):
         for step, (mask, draw, following, row) in enumerate(zip(masks, draws, keys[1:], rows), start=1):
-            proposal = key ^ mask
+            np.bitwise_xor(key, mask, out=following)
             if dense:
-                np.subtract(table[proposal], current, out=delta)
+                np.subtract(table[following], current, out=delta)
             else:
-                proposed = objective.energies(proposal)
+                proposed = objective.energies(following)
                 np.subtract(proposed, current, out=delta)
             if penalties is not None:
-                proposal_penalty = penalties[proposal] if dense else _penalty_of(*penalties, proposal)
+                proposal_penalty = penalties[following] if dense else _penalty_of(*penalties, following)
                 np.add(delta, proposal_penalty, out=delta)
                 np.subtract(delta, current_penalty, out=delta)
             np.divide(delta, -temperature, out=delta)
-            np.less(draw, np.exp(delta, out=delta), out=accept)
-            following[...] = key
-            np.copyto(following, proposal, where=accept)
+            np.greater_equal(draw, np.exp(delta, out=delta), out=reject)
+            np.copyto(following, key, where=reject)
             # the dense path gathers, which is cheaper than a masked copy
             if dense:
                 current = table[following]
                 if penalties is not None:
                     current_penalty = penalties[following]
             else:
-                row[...] = current
-                np.copyto(row, proposed, where=accept)
+                row[...] = proposed
+                np.copyto(row, current, where=reject)
                 current = row
                 if penalties is not None:
-                    np.copyto(current_penalty, proposal_penalty, where=accept)
+                    np.copyto(proposal_penalty, current_penalty, where=reject)
+                    current_penalty = proposal_penalty
             key = following
             temperature *= cool
             if pending is not None and step % block == 0:
@@ -440,12 +444,16 @@ def enumerate_low_sampled(objective, delta: float, eta: float, seed: int) -> Loc
     best-effort (``complete=False``).
 
     On a dense table (n <= 16) the targets are the table states inside
-    ``window(table.min(), delta, eta)``. Sampling stops before a round once
-    every target is pooled, and ``_anneal`` ends a round at the first check
-    at which its chains have visited every target not yet pooled. Pooling
-    them all pools the table minimum, so the floor is final and no later
-    round could pool a state the final window keeps: the spectrum is the
-    full schedule's.
+    ``window(table.min(), delta, eta)``, and ``_anneal`` ends a round at the
+    first check at which its chains have visited every target not yet
+    pooled. Such a round returns the targets, unharvested: its harvest
+    would pool every target left, the table minimum among them, so the
+    floor would be final, the pool's states inside the final window would
+    be the targets, and no later round would read its penalties. The
+    spectrum is the full schedule's. A round whose chains reach the last
+    target only in the block of its final check runs its whole schedule,
+    so it is harvested, and sampling stops before the next round because
+    every target is pooled.
     """
     _check_window_args(delta, eta)
     _check_packable(objective, "sampled enumeration")
@@ -453,7 +461,8 @@ def enumerate_low_sampled(objective, delta: float, eta: float, seed: int) -> Loc
     table = _dense_table(objective)
     if table is not None:
         penalties = np.zeros(table.size)
-        targets = np.flatnonzero(window(table.min(), delta, eta).contains(table))
+        final = window(float(table.min()), delta, eta)
+        targets = np.flatnonzero(final.contains(table))
     else:
         penalties = (np.empty(0, dtype=np.int64), np.empty(0))
     pool: dict[int, float] = {}
@@ -470,6 +479,9 @@ def enumerate_low_sampled(objective, delta: float, eta: float, seed: int) -> Loc
         energies, accepted, keys = _anneal(
             objective, table, starts, flips, draws, penalties if pool else None, pending
         )
+        if keys.shape[0] <= flips.shape[0]:
+            # cut short: the chains visited every target not yet pooled
+            return _freeze(objective, targets, table[targets], final, complete=False)
         floor, new_keys, new_energies, new_values = _harvest(energies, accepted, keys, floor, delta, eta, penalties)
         pool.update(zip(new_keys.tolist(), new_energies.tolist()))
         if new_keys.size and table is not None:

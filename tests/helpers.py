@@ -5,7 +5,9 @@ matrices, and a double-sum modularity. These never share code paths with
 the package internals they check. ``level1_partition`` is one
 exception: it clusters a Hamiltonian exactly as ``run()`` clusters level 1.
 ``harvest_loop`` is another: the sampled enumerator's harvest as a loop,
-which reads the package's window rule and penalty constants. Another is
+which reads the package's window rule and penalty constants, and
+``sampled_rounds`` runs the enumerator's rounds through the package's own
+annealing kernel and harvest, harvesting every round. Another is
 ``dead_end_gains``, the dead-end test in one all-pairs pass, which reads
 the package's candidate count, and ``reference_louvain`` is Louvain with a
 dict-and-``sorted`` move sweep, which reads the package's tolerances.
@@ -228,6 +230,51 @@ def harvest_loop(energies, accepted, keys, floor, delta, eta, penalties):
             new_energies.append(energy)
             new_values.append(penalty)
     return floor, new_keys, new_energies, new_values
+
+
+def sampled_rounds(objective, delta, eta, seed):
+    """The sampled enumerator with every round harvested and the pool
+    filtered against the final window at the end: the reference for
+    ``optimizer.enumerate_low_sampled``, which returns the dense table's
+    targets unharvested once a round's chains have visited them all.
+
+    It reads the package's round constants, ``_draw_chains``, ``_anneal``
+    and ``_harvest``, so a difference lies in the rounds' ending alone.
+    """
+    opt = optimizer_module
+    rng = np.random.default_rng(seed)
+    table = opt._dense_table(objective)
+    if table is not None:
+        penalties = np.zeros(table.size)
+        targets = np.flatnonzero(opt.window(table.min(), delta, eta).contains(table))
+    else:
+        penalties = (np.empty(0, dtype=np.int64), np.empty(0))
+    pool, floor, rounds, stall = {}, math.inf, 0, 0
+    while rounds < opt._MAX_ROUNDS and stall < opt._STALL_ROUNDS:
+        pending = None
+        if table is not None:
+            pending = targets[penalties[targets] == 0.0]
+            if pending.size == 0:
+                break
+        starts, flips, draws = opt._draw_chains(rng, objective.n_vars, opt._CHAINS)
+        energies, accepted, keys = opt._anneal(
+            objective, table, starts, flips, draws, penalties if pool else None, pending
+        )
+        floor, new_keys, new_energies, new_values = opt._harvest(energies, accepted, keys, floor, delta, eta, penalties)
+        pool.update(zip(new_keys.tolist(), new_energies.tolist()))
+        if table is not None:
+            penalties[new_keys] = new_values
+        else:
+            merged = np.concatenate((penalties[0], new_keys))
+            order = np.argsort(merged)
+            penalties = (merged[order], np.concatenate((penalties[1], new_values))[order])
+        rounds += 1
+        stall = stall + 1 if not new_keys.size else 0
+    win = opt.window(min(pool.values()), delta, eta)
+    states = np.array(list(pool), dtype=np.int64)
+    found = np.array(list(pool.values()))
+    inside = win.contains(found)
+    return opt._freeze(objective, states[inside], found[inside], win, complete=False)
 
 
 def dead_end_gains(stacks, energies: np.ndarray) -> np.ndarray:

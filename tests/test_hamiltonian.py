@@ -247,6 +247,19 @@ class TestSerialization:
         with pytest.raises(FormatError):
             PolyHamiltonian.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "coeff", [True, False, "0.5", None, 10**400], ids=["true", "false", "string", "null", "past-float-range"]
+    )
+    def test_json_bad_coefficient_rejected(self, coeff):
+        # a boolean would be read as 1.0 or 0.0, a string parsed as a number,
+        # and an integer past the float range would overflow
+        with pytest.raises(FormatError, match="bad term entry"):
+            PolyHamiltonian.from_json_dict({"n": 2, "terms": [{"vars": [0, 1], "coeff": coeff}]})
+
+    def test_json_integer_coefficient_accepted(self):
+        h = PolyHamiltonian.from_json_dict({"n": 2, "terms": [{"vars": [0, 1], "coeff": -2}]})
+        assert h == PolyHamiltonian(2, {(0, 1): -2.0})
+
     @pytest.mark.parametrize("terms", [5, None])
     def test_json_terms_not_a_list_rejected(self, terms):
         with pytest.raises(FormatError, match="'terms' must be a list"):

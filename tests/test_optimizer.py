@@ -32,7 +32,8 @@ from dcreduce.reduction import (
     ReducedProblem, TableObjective, build_reduced, decompose, delta_two_body, encode_community,
 )
 from helpers import (
-    energy_of_indices, harvest_loop, indices_from_bits, random_coupling, random_pubo, random_quadratic, spin_energies,
+    energy_of_indices, harvest_loop, indices_from_bits, random_coupling, random_pubo, random_quadratic, sampled_rounds,
+    spin_energies,
 )
 
 
@@ -727,7 +728,8 @@ class TestAnnealKernel:
         enumerate_low_sampled(objective, 6.0, 1.0, 0)
         bare = [flag for kind, flag in events if kind == "anneal"]
         pooled = [flag for kind, flag in events if kind == "harvest"]
-        assert len(bare) == len(pooled) > 1
+        # on the table the last round visits every target and is not harvested
+        assert len(bare) - (path == "table") == len(pooled) > 1
         # a round runs without penalties exactly when no earlier round pooled a state
         assert bare == [not any(pooled[:r]) for r in range(len(bare))]
         assert bare[0] and not all(bare)
@@ -843,6 +845,71 @@ class TestAnnealKernel:
         assert len(rounds["table"]) < 1 + optimizer_module._STALL_ROUNDS == len(rounds["replica"])
         assert bits_of(spectra["table"]) == bits_of(spectra["replica"])
         assert set(spectra["table"].packed.tolist()) == set(exhaustive.packed.tolist())
+
+    @given(
+        n=st.integers(2, 14),
+        seed=st.integers(0, 2**16),
+        eta=st.sampled_from([0.25, 0.5, 1.0]),
+        delta=st.sampled_from([0.5, 2.0, 8.0, 32.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_spectra_equal_the_always_harvest_loop(self, n, seed, eta, delta):
+        # the widest windows of 11 to 14 variables stall before every
+        # target is visited and end on the harvest, the others on the
+        # round that visits their targets
+        objective = random_pubo(n, 2 * n, seed, max_arity=min(n, 3))
+        assert bits_of(enumerate_low_sampled(objective, delta, eta, seed)) == bits_of(
+            sampled_rounds(objective, delta, eta, seed)
+        )
+
+    def test_stalled_window_ends_on_the_harvest(self, monkeypatch):
+        # a window of 14 variables too wide for the rounds to visit all of it
+        objective = random_pubo(14, 28, 0, max_arity=3)
+        events = []
+        anneal, harvest = optimizer_module._anneal, optimizer_module._harvest
+        monkeypatch.setattr(
+            optimizer_module, "_anneal", lambda *args: events.append("anneal") or anneal(*args)
+        )
+        monkeypatch.setattr(
+            optimizer_module, "_harvest", lambda *args: events.append("harvest") or harvest(*args)
+        )
+        spectrum = enumerate_low_sampled(objective, 32.0, 1.0, 0)
+        assert events[-2:] == ["anneal", "harvest"]
+        assert spectrum.d < enumerate_low_exhaustive(objective, 32.0, 1.0).d
+        assert bits_of(spectrum) == bits_of(sampled_rounds(objective, 32.0, 1.0, 0))
+
+    def test_replica_path_equals_the_always_harvest_loop(self, monkeypatch):
+        # no replica round is cut, so each is harvested as before
+        objective = random_pubo(9, 18, 3, max_arity=3)
+        monkeypatch.setattr(optimizer_module, "SLAB_ENTRIES", PATHS["replica"])
+        spectrum = enumerate_low_sampled(objective, 2.0, 1.0, 3)
+        assert spectrum.d > 1
+        assert bits_of(spectrum) == bits_of(sampled_rounds(objective, 2.0, 1.0, 3))
+
+    def test_window_that_ends_on_its_targets_is_not_harvested(self, monkeypatch):
+        objective = random_pubo(11, 22, 0, max_arity=3)
+        events = []
+        anneal, harvest = optimizer_module._anneal, optimizer_module._harvest
+
+        def recording_anneal(*args):
+            out = anneal(*args)
+            events.append(("anneal", out[2].shape[0] - 1 < args[3].shape[0]))
+            return out
+
+        monkeypatch.setattr(optimizer_module, "_anneal", recording_anneal)
+        monkeypatch.setattr(
+            optimizer_module, "_harvest", lambda *args: events.append(("harvest", None)) or harvest(*args)
+        )
+        spectrum = enumerate_low_sampled(objective, 4.0, 1.0, 0)
+        # the last round is cut at the check that finds every target and
+        # no harvest follows it; the earlier rounds are each harvested
+        assert [kind for kind, _ in events] == ["anneal", "harvest"] * 2 + ["anneal"]
+        assert [cut for kind, cut in events if kind == "anneal"] == [False, False, True]
+        table = _dense_table(objective)
+        targets = np.flatnonzero(window(table.min(), 4.0, 1.0).contains(table))
+        assert sorted(spectrum.packed.tolist()) == targets.tolist()
+        assert spectrum.window == window(table.min(), 4.0, 1.0)
+        assert bits_of(spectrum) == bits_of(sampled_rounds(objective, 4.0, 1.0, 0))
 
     def test_cut_round_is_a_prefix_of_the_full_round(self):
         objective = random_pubo(10, 40, 8)
