@@ -235,9 +235,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     if partition.n_communities == 1:
         # the level-0 objective takes Python-int keys, so it anneals past 62 variables
         invocations.append(n)
-        bits_int, reduced_energy = _solve_objective(
-            rp.full_objective(), cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 999)
-        )
+        bits_int, reduced_energy = _solve_objective(rp.full_objective(), cfg, cfg.optimizer_o2, 999)
         levels.append(
             LevelTrace(
                 partition.community_of,
@@ -282,9 +280,7 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     # -- recombined solve ---------------------------------------------------
     final_objective = rp.full_objective()
     invocations.append(final_objective.n_vars)
-    bits_int, reduced_energy = _solve_objective(
-        final_objective, cfg, cfg.optimizer_o2, _sub_seed(cfg.seed, 1000)
-    )
+    bits_int, reduced_energy = _solve_objective(final_objective, cfg, cfg.optimizer_o2, 1000)
     return _finish(
         h, chain.decode_full(bits_int), reduced_energy,
         invocations, iterations, criterion, cfg, levels, chain,
@@ -330,14 +326,15 @@ def _enumerate_and_encode(rd, objectives, deltas, preference, level, cfg):
     return encodings, trace
 
 
-def _solve_objective(objective, cfg, preference, seed):
-    """The recombined solve: a scan or annealing, as ``_pick_backend`` says."""
+def _solve_objective(objective, cfg, preference, key):
+    """The recombined solve: a scan or annealing, as ``_pick_backend`` says;
+    only annealing derives its seed, ``_sub_seed(cfg.seed, key)``."""
     if _pick_backend(preference, objective.n_vars, cfg.brute_force_ceiling) == "exhaustive":
         try:
             return scan_minimum(objective)
         except ResourceError as exc:
             raise ResourceError(f"recombined solve: {exc}") from exc
-    return solve_ground_objective(objective, seed)
+    return solve_ground_objective(objective, _sub_seed(cfg.seed, key))
 
 
 def _finish(h, config, reduced_energy, invocations, iterations, criterion, cfg, levels, chain):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,6 +93,8 @@ class PolyHamiltonian:
     def __post_init__(self):
         if self.n_vars < 1:
             raise DomainError("n_vars must be a positive integer")
+        if self.n_vars > sys.maxsize:
+            raise DomainError(f"n_vars must be at most {sys.maxsize}")
         for subset, coeff in self.terms.items():
             if not isinstance(subset, tuple):
                 raise FormatError(f"subset {subset!r} must be a tuple")
@@ -167,34 +170,35 @@ class PolyHamiltonian:
         return total
 
     @cached_property
-    def _term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every term as an int64 bit mask and its coefficient, in sorted
-        term order; ``energies`` reads these. Refuses more than
-        ``MAX_PACKED_VARS`` variables, which int64 states cannot name."""
+    def _term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every term's int64 bit mask, coefficient and negated coefficient,
+        as (terms, 1) columns in sorted term order; ``energies`` reads
+        these. Refuses more than ``MAX_PACKED_VARS`` variables, which int64
+        states cannot name."""
         _check_packable(self, "a polynomial objective")
         subsets = sorted(self.terms)
-        masks = np.array(
-            [sum(1 << j for j in s) for s in subsets], dtype=np.int64
-        )
-        coeffs = np.array([self.terms[s] for s in subsets], dtype=np.float64)
-        return masks, coeffs
+        masks = np.array([sum(1 << j for j in s) for s in subsets], dtype=np.int64)[:, None]
+        coeffs = np.array([self.terms[s] for s in subsets], dtype=np.float64)[:, None]
+        return masks, coeffs, -coeffs
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Vectorized energies for an array of packed state integers.
 
         Each block of states is one (terms, states) matrix of signed term
         values, about ``SLAB_ENTRIES`` entries, whose ``column_sums`` add
-        every state's terms in sorted term order whatever the block.
+        every state's terms in sorted term order whatever the block; a
+        batch of one block is returned as its sums.
         """
         states = np.asarray(states, dtype=np.int64)
         flat = states.ravel()
-        out = np.empty(flat.shape)
-        masks, coeffs = self._term_arrays
+        masks, plus, minus = self._term_arrays
         step = max(1, SLAB_ENTRIES // max(1, masks.size))
-        for lo in range(0, flat.size, step):
-            odd = np.bitwise_count(flat[lo:lo + step] & masks[:, None]) & 1
-            out[lo:lo + step] = column_sums(np.where(odd, -coeffs[:, None], coeffs[:, None]))
-        return out.reshape(states.shape)
+        # an empty batch is one empty block
+        blocks = [
+            column_sums(np.where(np.bitwise_count(flat[lo:lo + step] & masks) & 1, minus, plus))
+            for lo in range(0, max(1, flat.size), step)
+        ]
+        return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).reshape(states.shape)
 
     def scan_chunks(self):
         """Energies of all packed states in index order, as (first state,

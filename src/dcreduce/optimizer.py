@@ -31,8 +31,10 @@ table objective's chunks are slabs of its register product grid: register k
 on axis K-1-k, so a grid point's C-order flat index is its packed state,
 and each energy or coupling table is broadcast-added onto the slab in the
 order ``energies`` adds it, so the two agree bit for bit. An exhaustive
-window is one pass: each chunk keeps its states inside the window of the
-running minimum, and the kept states are filtered against the final one.
+window is one pass: each chunk is held back until the next arrives and then
+keeps its states inside the window of the running minimum, and the last
+chunk, the only one of a window over at most 16 variables, is filtered
+once against the final window, as the earlier chunks' kept states are.
 The scans refuse more than ``SCAN_CEILING`` variables; which backend a
 subproblem gets is the driver's choice.
 
@@ -167,13 +169,17 @@ def _freeze(objective, states: np.ndarray, claimed: np.ndarray, win: Window, com
     _check_packable(objective, "a spectrum")
     n = objective.n_vars
     actual = objective.energies(states)
-    wrong = np.abs(claimed - actual) > 1e-9 * np.maximum(1.0, np.abs(claimed))
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        raise InternalError(f"stored energy {claimed[i]} disagrees with evaluation {actual[i]}")
-    outside = ~win.contains(claimed)
-    if outside.any():
-        raise InternalError(f"state energy {claimed[np.argmax(outside)]} lies outside the window {win}")
+    # equal energies meet the tolerance and the extremes decide the window;
+    # a NaN equals nothing, and fails the window test
+    if (claimed != actual).any():
+        wrong = np.abs(claimed - actual) > 1e-9 * np.maximum(1.0, np.abs(claimed))
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            raise InternalError(f"stored energy {claimed[i]} disagrees with evaluation {actual[i]}")
+    if not (claimed.min() >= win.lo - win.tol and claimed.max() <= win.hi + win.tol):
+        outside = ~win.contains(claimed)
+        if outside.any():
+            raise InternalError(f"state energy {claimed[np.argmax(outside)]} lies outside the window {win}")
     return LocalSpectrum.in_order(states, claimed, win, complete, n)
 
 
@@ -185,15 +191,12 @@ def _bit_reversal(states: np.ndarray, n: int) -> np.ndarray:
     """The tie-break key of packed states: their n low bits in reverse order,
     so that bit 0 is the key's most significant digit.
 
-    Reversing the bits of every byte and then the byte order reverses all 64
-    bits, in either byte order of the host; the shift drops the 64 - n bits
-    above n, which are zero.
+    Reversing the bits of every little-endian byte and reading the bytes as
+    one big-endian word reverses all 64 bits, in either byte order of the
+    host; the shift drops the 64 - n bits above n, which are zero.
     """
-    as_bytes = np.ascontiguousarray(states, dtype=np.int64).view(np.uint8)
-    key = _REVERSED_BYTES[as_bytes].view(np.uint64)
-    key.byteswap(inplace=True)
-    key >>= np.uint64(64 - n)
-    return key
+    as_bytes = np.ascontiguousarray(states, dtype="<i8").view(np.uint8)
+    return _REVERSED_BYTES[as_bytes].view(">u8") >> np.uint64(64 - n)
 
 
 # -- exhaustive enumeration --------------------------------------------------
@@ -225,28 +228,40 @@ def scan_minimum(objective) -> tuple[int, float]:
 def enumerate_low_exhaustive(objective, delta: float, eta: float) -> LocalSpectrum:
     """Exhaustive [E0, E0 + eta * delta] enumeration in one pass.
 
-    Each chunk keeps its states inside the window of the running minimum
-    (with doubled tolerance, which absorbs the rounding of its upper edge).
-    That window contains every state of the final one, because E0 is at most
-    the running minimum and the tolerance grows with |E0| by far less than
-    E0 falls below it. The kept states are then filtered against the final
-    window, so the result equals a scan for E0 followed by a window scan.
+    Each chunk is held back until the next one arrives, and then keeps its
+    states inside the window of the running minimum (with doubled
+    tolerance, which absorbs the rounding of its upper edge). That window
+    contains every state of the final one, because E0 is at most the
+    running minimum and the tolerance grows with |E0| by far less than E0
+    falls below it. The last chunk, the only one of a scan over at most
+    ``SLAB_ENTRIES`` states, is filtered once against the final window, and
+    the states the earlier chunks kept are filtered against it too, so the
+    result equals a scan for E0 followed by a window scan.
     """
     _check_scan(objective)
     e0 = math.inf
     kept_states, kept_energies = [], []
+    held = None
     for start, energies in objective.scan_chunks():
         pos = int(np.argmin(energies))
         if energies[pos] < e0:
             e0 = float(energies[pos])
-        running = window(e0, delta, eta)
-        keep = np.flatnonzero(energies <= running.hi + 2.0 * running.tol)
-        kept_states.append(start + keep)
-        kept_energies.append(energies[keep])
+        if held is not None:
+            running = window(e0, delta, eta)
+            keep = np.flatnonzero(held[1] <= running.hi + 2.0 * running.tol)
+            kept_states.append(held[0] + keep)
+            kept_energies.append(held[1][keep])
+        held = start, energies
     win = window(e0, delta, eta)
-    states, energies = np.concatenate(kept_states), np.concatenate(kept_energies)
-    inside = win.contains(energies)
-    return _freeze(objective, states[inside], energies[inside], win, True)
+    start, energies = held
+    inside = np.flatnonzero(win.contains(energies))
+    states, energies = start + inside, energies[inside]
+    if kept_states:
+        earlier = np.concatenate(kept_energies)
+        inside = win.contains(earlier)
+        states = np.concatenate((np.concatenate(kept_states)[inside], states))
+        energies = np.concatenate((earlier[inside], energies))
+    return _freeze(objective, states, energies, win, True)
 
 
 # -- replica-batched annealing -------------------------------------------------

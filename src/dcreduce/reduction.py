@@ -89,10 +89,11 @@ def encode_community(spectrum: LocalSpectrum) -> EncodedCommunity:
         raise InternalError("cannot encode an empty spectrum")
     # ceil(log2(d)) in exact integer arithmetic; one qubit when d = 1
     m_tilde = max(1, (d - 1).bit_length())
-    source = np.arange(1 << m_tilde) % d
-    return EncodedCommunity(
-        m_tilde, spectrum.packed[source], spectrum.energies[source], d, spectrum.n_vars
-    )
+    packed, energies = spectrum.packed, spectrum.energies
+    if d < 1 << m_tilde:
+        source = np.arange(1 << m_tilde) % d
+        packed, energies = packed[source], energies[source]
+    return EncodedCommunity(m_tilde, packed, energies, d, spectrum.n_vars)
 
 
 # Z eigenvalues of bit 0 and bit 1: one axis of a level-0 coupling table.
@@ -243,18 +244,21 @@ class TableObjective:
         block's registers are read with one broadcast shift and mask into a
         (registers, states) index array, every materialized table with one
         flat gather into a (tables, states) block, and its ``column_sums``
-        are added onto zeros."""
+        are added onto zero, then every coupling past the cap. A batch of
+        one block is returned as that block."""
         flat, strides, base, lazy = self._gather_plan()
         offsets, masks = self._register_bits
-        out = np.zeros(len(keys))
         rows = max(1, SLAB_ENTRIES // base.size)
-        for lo in range(0, len(keys), rows):
+        blocks = []
+        # an empty batch is one empty block
+        for lo in range(0, max(1, len(keys)), rows):
             idx = np.asarray((keys[lo:lo + rows] >> offsets) & masks, dtype=np.int64)
-            block = out[lo:lo + rows]
-            block += column_sums(flat[strides @ idx + base])
+            # + 0.0 turns a sum of -0.0 into 0.0, as the scan's zeros do
+            block = column_sums(flat[strides @ idx + base]) + 0.0
             for pos, coupling in lazy:
                 block += coupling.values([idx[p] for p in pos])
-        return out
+            blocks.append(block)
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     def _energies_at(self, idx, shape) -> np.ndarray:
         """Every energy table, then every coupling, gathered once at the

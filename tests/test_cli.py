@@ -324,6 +324,8 @@ _BAD_FILES = {
     "not-utf8.txt": b"\xff\xfe",
     "terms-int.json": b'{"n": 3, "terms": 5}',
     "terms-null.json": b'{"n": 3, "terms": null}',
+    "huge-n.json": b'{"n": 1000000000000000000000000000000, "terms": []}',
+    "huge-n.txt": b"# n=1000000000000000000000000000000\n0 1 1.0\n",
 }
 
 
@@ -347,6 +349,8 @@ _BAD_FILES = {
     ["solve", "not-utf8.txt"],
     ["solve", "terms-int.json"],
     ["solve", "terms-null.json"],
+    ["solve", "huge-n.json"],
+    ["solve", "huge-n.txt"],
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     for name, data in _BAD_FILES.items():

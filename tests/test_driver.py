@@ -20,6 +20,7 @@ from dcreduce.driver import (
 from dcreduce.errors import DomainError, ParameterError
 from dcreduce.hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, int_to_bits
 from dcreduce.optimizer import SCAN_CEILING
+import dcreduce.driver as driver_module
 import dcreduce.reduction as reduction_module
 from helpers import brute_min, random_pubo, random_quadratic
 
@@ -169,6 +170,28 @@ class TestRun:
         cfg = RunConfig(eta=1.0, seed=5, optimizer_o1="annealing", optimizer_o2="annealing")
         result = run(h, cfg)
         assert result.best_energy == pytest.approx(brute_min(h), abs=1e-9)
+
+    @pytest.mark.parametrize("backend", ["auto", "annealing"])
+    @pytest.mark.parametrize("one_community", [False, True])
+    def test_solve_seed_is_derived_only_to_anneal(self, monkeypatch, backend, one_community):
+        # the recombined solve reads key 1000, and the one-community solve
+        # key 999, only when it anneals; auto scans both of these problems
+        keys = []
+        sub_seed = driver_module._sub_seed
+
+        def record(base, *key):
+            keys.append(key)
+            return sub_seed(base, *key)
+
+        monkeypatch.setattr(driver_module, "_sub_seed", record)
+        h = random_quadratic(12, 22, 5)
+        if one_community:
+            h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
+        result = run(h, RunConfig(eta=1.0, seed=5, optimizer_o2=backend))
+        assert (result.chain is None) == one_community
+        key = (999,) if one_community else (1000,)
+        assert keys.count(key) == (backend == "annealing")
+        assert keys[0] == (0,)
 
     def test_chi_bound_run(self, monkeypatch):
         # a cap of 0 leaves every coupling entry-wise, weighed and cut off

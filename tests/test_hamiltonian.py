@@ -1,5 +1,7 @@
 """Hamiltonian representation, evaluation, and conversion tests."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import dcreduce.hamiltonian as hamiltonian_module
 from dcreduce.driver import RunConfig, run
-from dcreduce.errors import DimensionError, FormatError, ResourceError
+from dcreduce.errors import DimensionError, DomainError, FormatError, ResourceError
 from dcreduce.hamiltonian import (
     MAX_PACKED_VARS,
     PolyHamiltonian,
@@ -65,6 +67,20 @@ class TestEvaluate:
             got = h.energies(states)
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
+    @pytest.mark.parametrize("per_block", [1, 8, None])
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_energies_are_evaluate_bit_for_bit(self, monkeypatch, per_block, count):
+        # an empty batch, and batches of one block and of many: blocks of
+        # per_block states, or the default slab
+        h = PolyHamiltonian.from_terms(9, [*random_pubo(9, 14, 5).terms.items(), ((), -0.7)])
+        if per_block is not None:
+            monkeypatch.setattr(hamiltonian_module, "SLAB_ENTRIES", per_block * len(h.terms))
+        states = np.random.default_rng(count).integers(0, 1 << 9, size=count)
+        got = h.energies(states)
+        assert got.shape == (count,) and got.dtype == np.float64
+        expected = [h.evaluate(tuple((s >> j) & 1 for j in range(9))) for s in states.tolist()]
+        assert got.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
     def test_energies_refuse_states_past_the_packing_limit(self):
         h = PolyHamiltonian(MAX_PACKED_VARS + 1, {(0, MAX_PACKED_VARS): 1.0})
         with pytest.raises(ResourceError, match="63 variables exceed the 62-variable limit"):
@@ -101,6 +117,16 @@ class TestValidation:
             PolyHamiltonian(3, {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308})
         # a quarter of the largest float still leaves the headroom
         PolyHamiltonian(3, {(0, 1): 1e307, (0, 2): 1e307, (1, 2): 1e307})
+
+    def test_n_vars_past_the_index_range(self):
+        # a count no index can reach is refused as input, by both loaders
+        PolyHamiltonian(sys.maxsize, {})
+        with pytest.raises(DomainError, match="n_vars must be at most"):
+            PolyHamiltonian(sys.maxsize + 1, {})
+        with pytest.raises(DomainError, match="n_vars must be at most"):
+            PolyHamiltonian.from_json_dict({"n": 10**30, "terms": []})
+        with pytest.raises(DomainError, match="n_vars must be at most"):
+            parse_edge_list(f"# n={10**30}\n0 1 1.0\n")
 
     def test_from_terms_merges_duplicates(self):
         h = PolyHamiltonian.from_terms(3, [((0, 1), 1.0), ((0, 1), 0.5), ((2,), -1.0)])

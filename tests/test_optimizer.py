@@ -1,6 +1,7 @@
 """Exhaustive and sampled enumerator tests."""
 
 import math
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -104,18 +105,41 @@ class TestExhaustive:
         with pytest.raises(ResourceError, match="31 variables"):
             enumerate_low_exhaustive(_FixedScan(SCAN_CEILING + 1), 1.0, 1.0)
 
-    @pytest.mark.parametrize("slab", [4, 1 << 16])
+    @pytest.mark.parametrize("slab", [4, "e0-in-last-chunk", "e0-before-last-chunk", 1 << 16])
     def test_one_pass_matches_scan_then_window(self, monkeypatch, slab):
-        # small chunks: the running minimum falls from chunk to chunk, so
-        # early chunks keep states that the final window drops
-        monkeypatch.setattr(hamiltonian_module, "SLAB_ENTRIES", slab)
-        monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
+        # chunks of 4: the running minimum falls from chunk to chunk, so
+        # early chunks keep states that the final window drops; the most
+        # chunks whose last one holds E0; the fewest whose last one misses
+        # it; and one chunk
         reduced = first_level(random_quadratic(10, 18, 41), [0] * 5 + [1] * 5)
-        objectives = [random_quadratic(10, 18, 40), reduced.full_objective()]
-        for objective in objectives:
-            for delta, eta in ((0.0, 1.0), (1.3, 0.5), (2.5, 1.0)):
-                expected = scan_then_window(objective, delta, eta)
-                assert bits_of(enumerate_low_exhaustive(objective, delta, eta)) == bits_of(expected)
+        checked = 0
+        for objective in (random_quadratic(10, 18, 40), reduced.full_objective()):
+            size = slab
+            if isinstance(slab, str):
+                [(_, table)] = objective.scan_chunks()
+                ground = table == table.min()
+                # the last chunk of a slab of s states is the top s states
+                fits = [s for s in (1 << k for k in range(2, objective.n_vars))
+                        if ground[-s:].any() == (slab == "e0-in-last-chunk")]
+                if not fits:
+                    continue
+                size = fits[0] if slab == "e0-in-last-chunk" else fits[-1]
+            with monkeypatch.context() as patch:
+                patch.setattr(hamiltonian_module, "SLAB_ENTRIES", size)
+                patch.setattr(reduction_module, "SLAB_ENTRIES", size)
+                for delta, eta in ((0.0, 1.0), (1.3, 0.5), (2.5, 1.0)):
+                    got = enumerate_low_exhaustive(objective, delta, eta)
+                    expected = scan_then_window(objective, delta, eta)
+                    assert bits_of(got) == bits_of(expected)
+                    assert window_bits(got) == window_bits(expected)
+            checked += 1
+        assert checked
+
+
+def window_bits(spectrum):
+    """A spectrum's E0 and window bounds as raw bits."""
+    w = spectrum.window
+    return np.array([spectrum.e0, w.lo, w.hi, w.tol]).view(np.int64).tolist()
 
 
 def scan_then_window(objective, delta, eta):
@@ -188,6 +212,46 @@ class TestSpectrumValidation:
         h = PolyHamiltonian(2, {(0, 1): 1.0})
         with pytest.raises(InternalError):
             freeze(h, {}, Window(-1.0, 1.0, 1e-9))
+
+    def test_energy_off_by_the_relative_tolerance(self):
+        # state 1 has energy 0.0, where the tolerance is 1e-9 itself: an
+        # energy off by exactly that is kept, one ulp more is rejected
+        h = PolyHamiltonian(2, {(0,): 1.0, (1,): 1.0})
+        win = Window(-2.0, 2.0, 1e-9)
+        assert freeze(h, {1: 1e-9}, win).energies.tolist() == [1e-9]
+        above = float(np.nextafter(1e-9, 1.0))
+        with pytest.raises(InternalError, match=re.escape(f"stored energy {above!r} disagrees with evaluation 0.0")):
+            freeze(h, {1: above}, win)
+        # at energy 1000 the tolerance is 1e-6
+        h = PolyHamiltonian(2, {(0, 1): 1000.0})
+        win = Window(-1000.0, 2000.0, 1e-9)
+        assert freeze(h, {0: 1000.0000005}, win).energies.tolist() == [1000.0000005]
+        with pytest.raises(InternalError, match=re.escape(
+            "stored energy 1000.000002 disagrees with evaluation 1000.0"
+        )):
+            freeze(h, {0: 1000.000002}, win)
+
+    def test_nan_energy_rejected(self):
+        # a NaN meets no tolerance test and lies in no window
+        h = PolyHamiltonian(2, {(0, 1): 1.0})
+        with pytest.raises(InternalError, match=re.escape(
+            "state energy nan lies outside the window Window(lo=-1.0, hi=1.0, tol=1e-09)"
+        )):
+            freeze(h, {0: 1.0, 1: math.nan}, Window(-1.0, 1.0, 1e-9))
+
+    def test_energy_one_ulp_outside_the_widened_window(self):
+        # the window widened by tol is [-0.75, 0.75] on both windows; state 0
+        # sits on its edge or one ulp past it
+        for edge in (0.75, -0.75):
+            h = PolyHamiltonian(1, {(0,): edge})
+            win = Window(-0.5, 0.5, 0.25)
+            assert freeze(h, {0: edge, 1: -edge}, win).d == 2
+            past = float(np.nextafter(edge, 2.0 * edge))
+            h = PolyHamiltonian(1, {(0,): past})
+            with pytest.raises(InternalError, match=re.escape(
+                f"state energy {past!r} lies outside the window {win}"
+            )):
+                freeze(h, {0: past, 1: -past}, win)
 
 
 class TestSampled:

@@ -213,6 +213,35 @@ class TestRegisterLayout:
         packed = np.array(keys, dtype=np.int64 if bits <= MAX_PACKED_VARS else object)
         np.testing.assert_array_equal(_bits(objective.energies(packed)), _bits(expected))
 
+    @pytest.mark.parametrize("slab", [1, 8, None])
+    @pytest.mark.parametrize("couplings", ["none", "tables", "lazy"])
+    def test_table_objective_energies_are_its_scan(self, monkeypatch, slab, couplings):
+        # in one block or in many, every key's energy is its scan entry bit
+        # for bit: lazy couplings (a cap of 0) add after the gathered tables,
+        # and state 0's -0.0 tables sum to 0.0 on both paths
+        rng = np.random.default_rng(11)
+        widths = [1, 2, 3, 2]
+        tables = [rng.choice([-0.0, 0.5, -1.25], 1 << m) for m in widths]
+        for table in tables:
+            table[0] = -0.0
+        pairs = []
+        if couplings != "none":
+            pairs = [((0, 2), random_coupling(rng, (2, 8))), ((1, 3), random_coupling(rng, (4, 4)))]
+        if couplings == "lazy":
+            monkeypatch.setattr(reduction_module, "MATERIALIZE_ENTRIES", 0)
+        if slab is not None:
+            monkeypatch.setattr(reduction_module, "SLAB_ENTRIES", slab)
+        objective = TableObjective(widths, tables, pairs)
+        assert all(c.can_materialize == (couplings == "tables") for _, c in objective.couplings)
+        scan = np.concatenate([energies for _, energies in objective.scan_chunks()])
+        if couplings == "none":
+            assert _bits(scan[0]) == _bits(0.0)
+        keys = np.arange(scan.size)
+        for batch in (keys, rng.permutation(keys)[:16], keys[:1], keys[:0]):
+            got = objective.energies(batch)
+            assert got.shape == batch.shape
+            np.testing.assert_array_equal(_bits(got), _bits(scan[batch]))
+
     @pytest.mark.parametrize("complete", [True, False])
     def test_without_aliases(self, complete):
         # every member padded; each alias takes one member's index up by its
