@@ -6,9 +6,10 @@ point that fails becomes one ``kind=error`` row per eta with its message in
 the ``error`` column. Approximation ratios use the exhaustive oracle up to
 the 30-variable scan ceiling and the eta = 1 run on the same instance
 beyond that. Sweep points are independent and seeded; DC_REDUCE_THREADS > 1
-dispatches them to a process pool. Every command refuses bad input, then
-opens ``--out`` (or takes stdout), before its first run. ``--prune off``
-runs the paper's plain windows, without dead-end pruning.
+dispatches them to a process pool of at most one worker per point. Every
+command refuses bad input, then opens ``--out`` (or takes stdout), before
+its first run. ``--prune off`` runs the paper's plain windows, without
+dead-end pruning.
 """
 
 from __future__ import annotations
@@ -146,13 +147,14 @@ def run_sweep(spec: SweepSpec, log=None) -> list[dict]:
     ParameterError for a DC_REDUCE_THREADS that is not a positive integer.
     """
     log = log if log is not None else (lambda msg: print(msg, file=sys.stderr))
-    workers = _worker_count()
     tasks = [
         (label, n, spec.seed0 + i, tuple(spec.etas), spec.config)
         for label in spec.families
         for n in spec.sizes
         for i in range(spec.instances)
     ]
+    # a forked pool starts all its workers on the first submit: no more than the points
+    workers = min(_worker_count(), len(tasks))
     rows: list[dict] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # Each point's rows, computed here on demand or read from its future.

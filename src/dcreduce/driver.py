@@ -2,17 +2,17 @@
 
 The run loop builds the level-0 reduced problem, in which every variable is
 a 1-qubit register. Level 1 clusters the level-0 contracted graph, as every
-later level clusters the contracted graph of the level below. Unless that
-yields one community, every level then decomposes the reduced problem below
-it under the current partition, cuts off each community's window from its
-straddling couplings, enumerates it, replaces padded aliases by their
-twins and drops the states another retained state beats under every
-boundary (``RunConfig.prune_dominated``),
+later level clusters the contracted graph of the level below. Every level
+decomposes the reduced problem below it under the current partition, cuts
+off each community's window from its straddling couplings, enumerates it,
+replaces padded aliases by their twins and drops the states another
+retained state beats under every boundary (``RunConfig.prune_dominated``),
 re-encodes the survivors on fewer qubits, and clusters the contracted
-problem, until one of the recombination criteria fires; the remaining
-reduced system is then solved in one step and decoded back to original
-variables. ``n_q`` is the maximum variable count
-over every optimizer invocation, including the final recombined solve.
+problem, until one of the recombination criteria fires; one community at
+level 0 is criterion 3 before any level. The remaining reduced system is
+then solved in one step and decoded back to original variables through the
+decode chain, empty when no level ran. ``n_q`` is the maximum variable
+count over every optimizer invocation, including the final recombined solve.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .clustering import Partition, louvain
 from .errors import DomainError, InternalError, ParameterError, ResourceError
-from .hamiltonian import PolyHamiltonian, SpinConfig, int_to_bits
+from .hamiltonian import PolyHamiltonian, SpinConfig
 from .optimizer import (
     enumerate_low_exhaustive,
     enumerate_low_sampled,
@@ -127,6 +127,7 @@ class RunResult:
 
     ``best_energy`` equals re-evaluating ``best_config`` on the original
     Hamiltonian; ``r = 1 - n_q / |V|`` measures the qubit reduction.
+    ``iterations_used`` counts the levels built, 0 for one community.
     """
 
     best_config: SpinConfig
@@ -139,11 +140,11 @@ class RunResult:
     seed: int
     n_vars: int
     trace: RunTrace
-    chain: DecodeChain | None = None
+    chain: DecodeChain
 
     def to_json_dict(self) -> dict:
         return {
-            "chain": self.chain.to_json_dict() if self.chain is not None else None,
+            "chain": self.chain.to_json_dict(),
             "best_config": "".join(str(b) for b in self.best_config),
             "best_energy": self.best_energy,
             "n_q": self.n_q,
@@ -225,37 +226,19 @@ def _pick_backend(preference: str, n_vars: int, ceiling: int) -> str:
 def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
     """Execute the divide-and-conquer loop on a Hamiltonian."""
     cfg = cfg or RunConfig()
-    n = h.n_vars
     rp = ReducedProblem.from_hamiltonian(h)
     partition = louvain(rp.contracted_graph(), seed=_sub_seed(cfg.seed, 0))
-
+    chain = DecodeChain(n_vars=h.n_vars, levels=[])
     invocations: list[int] = []
     levels: list[LevelTrace] = []
 
-    if partition.n_communities == 1:
-        # the level-0 objective takes Python-int keys, so it anneals past 62 variables
-        invocations.append(n)
-        bits_int, reduced_energy = _solve_objective(rp.full_objective(), cfg, cfg.optimizer_o2, 999)
-        levels.append(
-            LevelTrace(
-                partition.community_of,
-                partition.communities,
-                (0.0,), (reduced_energy,), (1,), (1,), (n,),
-                (n,), (True,),
-            )
-        )
-        return _finish(
-            h, int_to_bits(bits_int, n), reduced_energy,
-            invocations, 1, 3, cfg, levels, chain=None,
-        )
-
     # -- every level: decompose the previous one, cut off, enumerate, encode --
-    chain = DecodeChain(n_vars=n, levels=[])
-    iterations = 0
-    while True:
-        iterations += 1
+    # one community recombines before the first level
+    criterion = 3 if partition.n_communities == 1 else None
+    while criterion is None:
+        level = len(levels) + 1
         rd = decompose(rp, partition)
-        if iterations == 1:
+        if level == 1:
             deltas = [
                 delta_two_body(rd, i) if rp.quadratic else delta_pubo(rd, i)
                 for i in range(partition.n_communities)
@@ -266,24 +249,46 @@ def run(h: PolyHamiltonian, cfg: RunConfig | None = None) -> RunResult:
             deltas = [iteration_delta(rd, l) for l in range(partition.n_communities)]
             objectives = (community_objective(rd, l) for l in range(partition.n_communities))
             preference, build = cfg.optimizer_o2, build_reduced_iter
-        encodings, trace = _enumerate_and_encode(rd, objectives, deltas, preference, iterations, cfg)
+        encodings, trace = _enumerate_and_encode(rd, objectives, deltas, preference, level, cfg)
         rp = build(rd, encodings)
         chain.levels.append(ChainLevel(trace.membership, encodings))
         invocations.extend(trace.invocation_sizes)
         levels.append(trace)
 
-        partition = louvain(rp.contracted_graph(), seed=_sub_seed(cfg.seed, 10 + iterations))
+        partition = louvain(rp.contracted_graph(), seed=_sub_seed(cfg.seed, 10 + level))
         criterion = should_recombine(rp.total_qubits, max(invocations), partition)
-        if criterion is not None:
-            break
 
     # -- recombined solve ---------------------------------------------------
+    # level 0's objective takes Python-int keys, so it anneals past 62 variables
     final_objective = rp.full_objective()
     invocations.append(final_objective.n_vars)
-    bits_int, reduced_energy = _solve_objective(final_objective, cfg, cfg.optimizer_o2, 1000)
-    return _finish(
-        h, chain.decode_full(bits_int), reduced_energy,
-        invocations, iterations, criterion, cfg, levels, chain,
+    bits_int, reduced_energy = _solve_objective(final_objective, cfg)
+    config = chain.decode_full(bits_int)
+    best_energy = h.evaluate(config)
+    expected = reduced_energy + h.constant
+    if abs(best_energy - expected) > 1e-6 * max(1.0, abs(best_energy)):
+        raise InternalError(f"decoded energy {best_energy} disagrees with reduced energy {expected}")
+    n_q = max(invocations)
+    trace = RunTrace(
+        n_original=h.n_vars,
+        constant=h.constant,
+        quadratic=h.is_pure_quadratic(),
+        levels=tuple(levels),
+        invocations=tuple(invocations),
+        final_reduced_energy=reduced_energy,
+    )
+    return RunResult(
+        best_config=config,
+        best_energy=best_energy,
+        n_q=n_q,
+        iterations_used=len(levels),
+        r=1.0 - n_q / h.n_vars,
+        criterion=criterion,
+        eta=cfg.eta,
+        seed=cfg.seed,
+        n_vars=h.n_vars,
+        trace=trace,
+        chain=chain,
     )
 
 
@@ -326,47 +331,15 @@ def _enumerate_and_encode(rd, objectives, deltas, preference, level, cfg):
     return encodings, trace
 
 
-def _solve_objective(objective, cfg, preference, key):
-    """The recombined solve: a scan or annealing, as ``_pick_backend`` says;
-    only annealing derives its seed, ``_sub_seed(cfg.seed, key)``."""
-    if _pick_backend(preference, objective.n_vars, cfg.brute_force_ceiling) == "exhaustive":
+def _solve_objective(objective, cfg):
+    """The recombined solve: a scan or annealing, as ``_pick_backend`` says of
+    ``cfg.optimizer_o2``; only annealing derives its seed, ``_sub_seed(cfg.seed, 1000)``."""
+    if _pick_backend(cfg.optimizer_o2, objective.n_vars, cfg.brute_force_ceiling) == "exhaustive":
         try:
             return scan_minimum(objective)
         except ResourceError as exc:
             raise ResourceError(f"recombined solve: {exc}") from exc
-    return solve_ground_objective(objective, _sub_seed(cfg.seed, key))
-
-
-def _finish(h, config, reduced_energy, invocations, iterations, criterion, cfg, levels, chain):
-    best_energy = h.evaluate(config)
-    expected = reduced_energy + h.constant
-    if abs(best_energy - expected) > 1e-6 * max(1.0, abs(best_energy)):
-        raise InternalError(
-            f"decoded energy {best_energy} disagrees with reduced energy {expected}"
-        )
-    n_q = max(invocations)
-    r = 1.0 - n_q / h.n_vars
-    trace = RunTrace(
-        n_original=h.n_vars,
-        constant=h.constant,
-        quadratic=h.is_pure_quadratic(),
-        levels=tuple(levels),
-        invocations=tuple(invocations),
-        final_reduced_energy=reduced_energy,
-    )
-    return RunResult(
-        best_config=config,
-        best_energy=best_energy,
-        n_q=n_q,
-        iterations_used=iterations,
-        r=r,
-        criterion=criterion,
-        eta=cfg.eta,
-        seed=cfg.seed,
-        n_vars=h.n_vars,
-        trace=trace,
-        chain=chain,
-    )
+    return solve_ground_objective(objective, _sub_seed(cfg.seed, 1000))
 
 
 # -- first-iteration shift diagnostics ------------------------------------------
@@ -392,7 +365,7 @@ def shift_diagnostics(h: PolyHamiltonian, result: RunResult) -> list[ShiftDiagno
     Communities without interactions (delta = 0) are excluded. ``ratio_b``
     is None when the window lower bound is zero.
     """
-    if result.chain is None:
+    if not result.trace.levels:
         return []  # one community: no interactions
     config = result.best_config
     level = result.trace.levels[0]

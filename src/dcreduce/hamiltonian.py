@@ -318,7 +318,10 @@ def parse_edge_list(text: str) -> PolyHamiltonian:
         stripped = line.strip()
         header = re.fullmatch(r"#\s*n\s*=\s*(\d+)", stripped)
         if header and n_vars is None:
-            n_vars = int(header[1])
+            try:
+                n_vars = int(header[1])
+            except ValueError as exc:  # more digits than int() converts
+                raise FormatError(f"line {lineno}: {exc}") from exc
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
@@ -368,7 +371,7 @@ def load_problem(path: str) -> PolyHamiltonian:
     if path.endswith(".json"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # bad JSON, or an integer of more digits than int() converts
+            raise FormatError(f"{path}: cannot parse JSON: {exc}") from exc
         return PolyHamiltonian.from_json_dict(data)
     return parse_edge_list(text)

@@ -816,30 +816,22 @@ class DecodeChain:
     n_vars: int
     levels: list[ChainLevel]
 
-    def total_qubits(self) -> int:
-        return sum(enc.m_tilde for enc in self.levels[-1].encodings)
-
     def decode_full(self, bits_int: int) -> SpinConfig:
         """Expand a packed final-level state into original variable bits.
 
         The final state packs the top level's registers as a decode entry
-        packs its members' registers (one bit per variable at the first
-        level), so each level is one ``_split_registers``.
+        packs its members' registers, so each level is one
+        ``_split_registers``. Below the first level the registers are the
+        1-bit original variables, so a chain without levels is the identity.
         """
-        if not self.levels:
-            raise InternalError("decode chain has no levels")
-        if bits_int >> self.total_qubits():
+        widths = [[1] * self.n_vars]
+        widths += [[enc.m_tilde for enc in level.encodings] for level in self.levels]
+        if bits_int >> sum(widths[-1]):
             raise InternalError("final configuration has bits beyond the last level's register")
-        top = self.levels[-1].encodings
-        idx = _split_registers([bits_int], [range(len(top))], [enc.m_tilde for enc in top])
-        for depth in range(len(self.levels) - 1, -1, -1):
-            level = self.levels[depth]
-            if depth:
-                widths = [enc.m_tilde for enc in self.levels[depth - 1].encodings]
-            else:
-                widths = [1] * self.n_vars
+        idx = _split_registers([bits_int], [range(len(widths[-1]))], widths[-1])
+        for level, below in zip(reversed(self.levels), reversed(widths[:-1])):
             states = [int(enc.decode[i]) for enc, i in zip(level.encodings, idx)]
-            idx = _split_registers(states, level.membership, widths)
+            idx = _split_registers(states, level.membership, below)
         return tuple(idx)
 
     def to_json_dict(self) -> dict:

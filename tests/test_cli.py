@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ class TestSolveCommand:
         assert main(["solve", str(problem)]) == 0
         energy = float(capsys.readouterr().out.splitlines()[0].split()[1])
         assert energy == pytest.approx(-0.7)
+
+    def test_one_community_trace_has_no_levels(self, tmp_path, capsys):
+        # a triangle is one community: criterion 3 before any level, and the
+        # chain that decodes its one solve holds no level either
+        instance = tmp_path / "triangle.txt"
+        instance.write_text("0 1 1.0\n1 2 1.0\n0 2 1.0\n", encoding="utf-8")
+        trace = tmp_path / "trace.json"
+        assert main(["solve", str(instance), "--out", str(trace)]) == 0
+        assert "n_it 0" in capsys.readouterr().out.splitlines()
+        data = json.loads(trace.read_text())
+        assert (data["criterion"], data["iterations_used"]) == (3, 0)
+        assert data["trace"]["levels"] == []
+        assert data["chain"] == {"n_vars": 3, "levels": []}
 
     def test_solve_edge_list_input(self, tmp_path, capsys):
         instance = tmp_path / "ring.txt"
@@ -274,6 +288,34 @@ class TestSweep:
         assert {r["kind"] for r in serial} == {"row", "error", "mean", "std"}
         assert strip(serial) == strip(pooled)
 
+    @pytest.mark.parametrize(("threads", "points", "pool_size"), [("2", 1, None), ("64", 2, 2), ("3", 5, 3)])
+    def test_pool_has_no_more_workers_than_points(self, threads, points, pool_size, monkeypatch):
+        # a forked pool starts every worker on its first submit, so it is
+        # sized by the points; one point runs serially, without a pool
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setenv("DC_REDUCE_THREADS", threads)
+        spec = SweepSpec(families=("ring_k2",), sizes=(8,), etas=(1.0,), instances=points)
+        rows = run_sweep(spec, log=lambda msg: None)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert sum(r["kind"] == "row" for r in rows) == points
+
     def test_alpha_past_the_scan_ceiling_is_against_eta_one(self):
         spec = SweepSpec(families=("3reg",), sizes=(32,), etas=(0.5,), instances=2)
         rows = [r for r in run_sweep(spec) if r["kind"] == "row"]
@@ -326,6 +368,9 @@ _BAD_FILES = {
     "terms-null.json": b'{"n": 3, "terms": null}',
     "huge-n.json": b'{"n": 1000000000000000000000000000000, "terms": []}',
     "huge-n.txt": b"# n=1000000000000000000000000000000\n0 1 1.0\n",
+    # more digits than Python's int() converts from a string by default
+    "digits-n.json": b'{"n": 1' + b"0" * 4999 + b', "terms": []}',
+    "digits-n.txt": b"# n=1" + b"0" * 4999 + b"\n0 1 1.0\n",
 }
 
 
@@ -351,6 +396,8 @@ _BAD_FILES = {
     ["solve", "terms-null.json"],
     ["solve", "huge-n.json"],
     ["solve", "huge-n.txt"],
+    ["solve", "digits-n.json"],
+    ["solve", "digits-n.txt"],
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     for name, data in _BAD_FILES.items():

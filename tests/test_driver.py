@@ -93,25 +93,27 @@ class TestRun:
         assert result.best_energy == pytest.approx(brute_min(h), abs=1e-9)
 
     def test_single_community_outcome(self):
-        # a triangle clusters into one community: one solve on all variables
+        # a triangle clusters into one community: criterion 3 before any
+        # level, then one solve on all variables
         h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
         result = run(h, RunConfig(eta=1.0, seed=0))
         assert result.criterion == 3
         assert result.n_q == 3
-        assert result.iterations_used == 1
+        assert result.iterations_used == 0
         assert result.best_energy == pytest.approx(-1.0)
 
     def test_one_community_past_62_variables(self):
         # a 64-vertex star is one Louvain community too wide for int64
         # states: its one solve anneals the level-0 objective on Python-int
-        # keys and sets every leaf against the centre; like every level's,
-        # its e0s leave out the constant
+        # keys, decodes them through a chain without levels and sets every
+        # leaf against the centre; the reduced energy leaves out the constant
         leaves = {(0, v): 0.5 + (v % 50) / 100 for v in range(1, 64)}
         h = PolyHamiltonian(64, {(): 2.0, **leaves})
         result = run(h, RunConfig(eta=1.0, seed=0))
-        assert (result.criterion, result.n_q, result.chain) == (3, 64, None)
+        assert (result.criterion, result.n_q, result.iterations_used) == (3, 64, 0)
+        assert (result.chain.n_vars, result.chain.levels, result.trace.levels) == (64, [], ())
+        assert result.trace.invocations == (64,)
         assert result.best_energy == pytest.approx(2.0 - sum(leaves.values()), abs=1e-9)
-        assert result.trace.levels[0].e0s == (result.trace.final_reduced_energy,)
         assert result.trace.final_reduced_energy == pytest.approx(result.best_energy - 2.0, abs=1e-9)
 
     def test_metrics_ranges(self):
@@ -174,8 +176,8 @@ class TestRun:
     @pytest.mark.parametrize("backend", ["auto", "annealing"])
     @pytest.mark.parametrize("one_community", [False, True])
     def test_solve_seed_is_derived_only_to_anneal(self, monkeypatch, backend, one_community):
-        # the recombined solve reads key 1000, and the one-community solve
-        # key 999, only when it anneals; auto scans both of these problems
+        # the recombined solve reads key 1000 only when it anneals, one
+        # community or not; auto scans both of these problems
         keys = []
         sub_seed = driver_module._sub_seed
 
@@ -188,9 +190,8 @@ class TestRun:
         if one_community:
             h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
         result = run(h, RunConfig(eta=1.0, seed=5, optimizer_o2=backend))
-        assert (result.chain is None) == one_community
-        key = (999,) if one_community else (1000,)
-        assert keys.count(key) == (backend == "annealing")
+        assert (result.chain.levels == []) == one_community
+        assert keys.count((1000,)) == (backend == "annealing")
         assert keys[0] == (0,)
 
     def test_chi_bound_run(self, monkeypatch):
@@ -363,6 +364,13 @@ class TestShiftDiagnostics:
             for diag in shift_diagnostics(h, result):
                 assert abs(diag.ratio_a) <= 1.0 + 1e-9
                 assert diag.delta > 0.0
+
+    def test_one_community_has_no_diagnostics(self):
+        # no level ran, so there is no level-1 community to diagnose
+        h = PolyHamiltonian(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
+        result = run(h, RunConfig(eta=0.5, seed=0))
+        assert result.trace.levels == ()
+        assert shift_diagnostics(h, result) == []
 
     def test_no_interaction_community_excluded(self):
         # two disconnected cliques cluster apart; no straddling terms at all

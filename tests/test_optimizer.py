@@ -185,7 +185,7 @@ class TestScanCeiling:
     def test_recombined_solve_adds_context(self):
         # the exhaustive backend scans whatever it is given, up to the ceiling
         def solve(objective):
-            return _solve_objective(objective, RunConfig(), "exhaustive", 0)
+            return _solve_objective(objective, RunConfig(optimizer_o2="exhaustive"))
 
         assert solve(_FixedScan(SCAN_CEILING, [(0, np.array([0.5, -0.5]))])) == (1, -0.5)
         with pytest.raises(ResourceError, match="^recombined solve: exhaustive scan over 31"):

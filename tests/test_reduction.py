@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcreduce.clustering import Partition
-from dcreduce.errors import ResourceError
+from dcreduce.errors import InternalError, ResourceError
 from dcreduce.hamiltonian import MAX_PACKED_VARS, PolyHamiltonian, bits_to_int, int_to_bits
 from dcreduce.optimizer import LocalSpectrum, Window, _check_packable, _freeze, enumerate_low_exhaustive
 import dcreduce.reduction as reduction_module
@@ -116,6 +116,16 @@ class TestPackedStates:
         for array in (spec.packed, spec.energies, enc.decode, enc.energies):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_chain_without_levels_is_the_identity(self, n):
+        # a one-community run decodes its level-0 state through no level,
+        # Python ints past 62 bits included
+        chain = DecodeChain(n, [])
+        for state in (0, (1 << n) - 1, 0b101 << (n - 3)):
+            assert chain.decode_full(state) == int_to_bits(state, n)
+        with pytest.raises(InternalError, match="bits beyond"):
+            chain.decode_full(1 << n)
 
     def test_bit_61_through_gathers_and_decode(self):
         # 31 two-qubit registers under one super-community fill all 62
