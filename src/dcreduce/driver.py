@@ -362,40 +362,39 @@ class ShiftDiagnostics:
 def shift_diagnostics(h: PolyHamiltonian, result: RunResult) -> list[ShiftDiagnostics]:
     """Per-community interaction shifts of the returned configuration.
 
-    Communities without interactions (delta = 0) are excluded. ``ratio_b``
-    is None when the window lower bound is zero.
+    One pass over ``sorted(h.terms)``, the order ``evaluate`` adds in, adds
+    each term's signed value at the returned configuration to the local
+    energy of the first-level community that holds it, or else to the
+    interaction energy of every community it reaches; the constant is in
+    neither. Communities without interactions (delta = 0) are excluded.
+    ``ratio_b`` is None when the window lower bound is zero.
     """
     if not result.trace.levels:
         return []  # one community: no interactions
     config = result.best_config
     level = result.trace.levels[0]
-    rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(level.partition))
+    local = [0.0] * len(level.deltas)
+    interaction = [0.0] * len(level.deltas)
+    for subset in sorted(h.terms):
+        if not subset:
+            continue
+        value = -h.terms[subset] if sum(config[v] for v in subset) & 1 else h.terms[subset]
+        reached = {level.partition[v] for v in subset}
+        if len(reached) == 1:
+            local[reached.pop()] += value
+        else:
+            for c in reached:
+                interaction[c] += value
     out: list[ShiftDiagnostics] = []
-    for i, (members, local) in enumerate(zip(rd.members, h.split(rd.members))):
-        delta = level.deltas[i]
+    for i, (delta, e0) in enumerate(zip(level.deltas, level.e0s)):
         if delta <= 0.0:
             continue
-        local_energy = local.evaluate(tuple(config[v] for v in members))
-        interaction = PolyHamiltonian(
-            h.n_vars, {s: h.terms[s] for s in rd.straddle_by_super[i]}
-        ).evaluate(config)
-        e0 = level.e0s[i]
         eta_bound = e0 + (result.eta - 1.0) * delta
-        ratio_b = None
-        if eta_bound != 0.0:
-            ratio_b = (local_energy + interaction) / eta_bound
-        out.append(
-            ShiftDiagnostics(
-                community=i,
-                interaction_energy=interaction,
-                local_energy=local_energy,
-                delta=delta,
-                e0=e0,
-                eta_bound=eta_bound,
-                ratio_a=interaction / delta,
-                ratio_b=ratio_b,
-            )
-        )
+        ratio_b = None if eta_bound == 0.0 else (local[i] + interaction[i]) / eta_bound
+        out.append(ShiftDiagnostics(
+            community=i, interaction_energy=interaction[i], local_energy=local[i], delta=delta,
+            e0=e0, eta_bound=eta_bound, ratio_a=interaction[i] / delta, ratio_b=ratio_b,
+        ))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Diagonal cost Hamiltonians over binary variables and encoding conversions.
+"""Diagonal cost Hamiltonians over binary variables and their file formats.
 
 The package-wide sign convention ties bit values to Z eigenvalues as
 ``bit b -> spin 1 - 2*b``, i.e. bit 0 is spin +1 and bit 1 is spin -1.
@@ -21,12 +21,6 @@ from .errors import DimensionError, DomainError, FormatError, ResourceError
 
 Subset = tuple[int, ...]
 SpinConfig = tuple[int, ...]
-
-# Fourier coefficients at or below this magnitude are dropped.
-COEFF_PRUNE = 1e-12
-
-# Truth-table conversions allocate 2^n floats; desk-scale cap.
-MAX_TABLE_VARS = 24
 
 # States pack into int64 integers, variable j on bit j, up to this many.
 MAX_PACKED_VARS = 62
@@ -208,58 +202,15 @@ class PolyHamiltonian:
             stop = min(start + SLAB_ENTRIES, total)
             yield start, self.energies(np.arange(start, stop, dtype=np.int64))
 
-    # -- conversions ------------------------------------------------------
-
-    @classmethod
-    def from_boolean_table(cls, values) -> "PolyHamiltonian":
-        """Parity-basis expansion of a real-valued truth table.
-
-        ``values[x]`` is the function value on the configuration whose bit j
-        is bit j of the row index x. The returned Hamiltonian reproduces the
-        table exactly up to the coefficients at or below ``COEFF_PRUNE``,
-        which are dropped. Refuses more than ``MAX_TABLE_VARS`` variables.
-        """
-        vals = np.asarray(values, dtype=np.float64)
-        size = vals.size
-        if size < 2 or size & (size - 1):
-            raise FormatError("truth table size must be a power of two (>= 2)")
-        n = size.bit_length() - 1
-        if n > MAX_TABLE_VARS:
-            raise ResourceError(f"truth table over {n} variables exceeds the {MAX_TABLE_VARS}-variable cap")
-        spectrum = vals.copy()
-        step = 1
-        while step < size:
-            spectrum = spectrum.reshape(-1, 2 * step)
-            left = spectrum[:, :step].copy()
-            right = spectrum[:, step:].copy()
-            spectrum[:, :step] = left + right
-            spectrum[:, step:] = left - right
-            spectrum = spectrum.reshape(-1)
-            step *= 2
-        spectrum /= size
-        terms: dict[Subset, float] = {}
-        for mask in range(size):
-            coeff = float(spectrum[mask])
-            if abs(coeff) > COEFF_PRUNE:
-                terms[tuple(j for j in range(n) if (mask >> j) & 1)] = coeff
-        return cls(n, terms)
-
     # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_vars,
-            "terms": [
-                {"vars": list(s), "coeff": self.terms[s]} for s in sorted(self.terms)
-            ],
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolyHamiltonian":
-        """Inverse of ``to_json_dict``. ``n`` and every ``vars`` entry must
-        be integral numbers and every ``coeff`` a number, none of them a
-        boolean or a string; anything else raises FormatError naming the
-        field or the term entry."""
+        """Build from a parsed problem JSON object, ``{"n": ..., "terms":
+        [{"vars": [...], "coeff": ...}, ...]}``. ``n`` and every ``vars``
+        entry must be integral numbers and every ``coeff`` a number, none of
+        them a boolean or a string; anything else raises FormatError naming
+        the field or the term entry."""
         try:
             n = _json_int(data["n"])
             raw = data["terms"]
@@ -309,14 +260,18 @@ def parse_edge_list(text: str) -> PolyHamiltonian:
     only explicit variable count, so vertices without edges above the
     largest index are kept. The first header counts. Without one the count
     is the largest index plus one. A vertex at or above the count, and a
-    duplicate pair, are rejected.
+    duplicate pair, are rejected. Numbers, the header's included, are ASCII:
+    a line whose number holds an underscore or a non-ASCII digit, both of
+    which ``int()`` and ``float()`` accept, is rejected.
     """
     terms: dict[Subset, float] = {}
     seen: set[Subset] = set()
     n_vars, max_index, max_line = None, -1, 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        header = re.fullmatch(r"#\s*n\s*=\s*(\d+)", stripped)
+        header = re.fullmatch(r"#\s*n\s*=\s*([\d_]+)", stripped)
+        if header:
+            _require_ascii(lineno, [header[1]])
         if header and n_vars is None:
             try:
                 n_vars = int(header[1])
@@ -327,6 +282,7 @@ def parse_edge_list(text: str) -> PolyHamiltonian:
         parts = stripped.split()
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected 'u v w', got {stripped!r}")
+        _require_ascii(lineno, parts)
         try:
             u, v = int(parts[0]), int(parts[1])
             w = float(parts[2])
@@ -351,6 +307,14 @@ def parse_edge_list(text: str) -> PolyHamiltonian:
     return PolyHamiltonian(n_vars, terms)
 
 
+def _require_ascii(lineno: int, numbers) -> None:
+    """Refuse the numbers ``int()`` and ``float()`` read but the format does
+    not: one with an underscore or a non-ASCII digit."""
+    for token in numbers:
+        if not token.isascii() or "_" in token:
+            raise FormatError(f"line {lineno}: number {token!r} must be ASCII, without underscores")
+
+
 def format_edge_list(h: PolyHamiltonian) -> str:
     """Render a pure-quadratic Hamiltonian in the ``u v w`` text format."""
     if not h.is_pure_quadratic() or () in h.terms:
@@ -371,7 +335,7 @@ def load_problem(path: str) -> PolyHamiltonian:
     if path.endswith(".json"):
         try:
             data = json.loads(text)
-        except ValueError as exc:  # bad JSON, or an integer of more digits than int() converts
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, or too deep
             raise FormatError(f"{path}: cannot parse JSON: {exc}") from exc
         return PolyHamiltonian.from_json_dict(data)
     return parse_edge_list(text)

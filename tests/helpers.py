@@ -13,7 +13,9 @@ the package's candidate count, and ``reference_louvain`` is Louvain with a
 dict-and-``sorted`` move sweep, which reads the package's tolerances.
 ``twin_states`` and ``without_aliases`` read the packed layout and the
 encodings of a ``ReducedDecomposition``, and ``coupling_rows`` reads its
-couplings through ``Coupling.values``.
+couplings through ``Coupling.values``. ``reference_shift_diagnostics``
+reads a run's first level through the package's decomposition and
+``PolyHamiltonian.split``.
 """
 
 import math
@@ -24,9 +26,10 @@ import dcreduce.clustering as clustering_module
 import dcreduce.optimizer as optimizer_module
 import dcreduce.reduction as reduction_module
 from dcreduce.clustering import Partition, WeightedGraph, louvain
+from dcreduce.driver import ShiftDiagnostics
 from dcreduce.errors import InternalError
 from dcreduce.hamiltonian import PolyHamiltonian, SpinConfig
-from dcreduce.reduction import Coupling, ReducedProblem
+from dcreduce.reduction import Coupling, ReducedProblem, decompose
 
 
 def level1_partition(h: PolyHamiltonian, seed: int) -> Partition:
@@ -125,6 +128,55 @@ def brute_argmin(h: PolyHamiltonian):
     energies = spin_energies(h)
     state = int(np.argmin(energies))
     return tuple((state >> j) & 1 for j in range(h.n_vars)), float(energies[state])
+
+
+def walsh_polynomial(values) -> PolyHamiltonian:
+    """The parity-basis expansion of a truth table of 2^n reals, by a fast
+    Walsh-Hadamard transform: ``values[x]`` is the value on the state whose
+    bit j is bit j of x, and every nonzero coefficient is kept."""
+    spectrum = np.array(values, dtype=np.float64)
+    size = spectrum.size
+    n = size.bit_length() - 1
+    assert size >= 2 and size == 1 << n
+    step = 1
+    while step < size:
+        pairs = spectrum.reshape(-1, 2, step)
+        pairs[:] = pairs[:, :1] + pairs[:, 1:] * np.array([[1.0], [-1.0]])
+        step *= 2
+    spectrum /= size
+    return PolyHamiltonian(n, {
+        tuple(j for j in range(n) if (mask >> j) & 1): float(c)
+        for mask, c in enumerate(spectrum) if c != 0.0
+    })
+
+
+def reference_shift_diagnostics(h: PolyHamiltonian, result) -> list[ShiftDiagnostics]:
+    """The reference for ``driver.shift_diagnostics``: the run's first-level
+    partition decomposes the level-0 reduced problem again, each
+    community's local energy is its ``split`` sub-Hamiltonian evaluated on
+    its members' bits, and its interaction energy is a Hamiltonian of its
+    straddling terms evaluated on the whole configuration."""
+    if not result.trace.levels:
+        return []
+    config = result.best_config
+    level = result.trace.levels[0]
+    rd = decompose(ReducedProblem.from_hamiltonian(h), Partition.from_labels(level.partition))
+    out = []
+    for i, (members, local) in enumerate(zip(rd.members, h.split(rd.members))):
+        delta = level.deltas[i]
+        if delta <= 0.0:
+            continue
+        local_energy = local.evaluate(tuple(config[v] for v in members))
+        interaction = PolyHamiltonian(
+            h.n_vars, {s: h.terms[s] for s in rd.straddle_by_super[i]}
+        ).evaluate(config)
+        e0 = level.e0s[i]
+        eta_bound = e0 + (result.eta - 1.0) * delta
+        ratio_b = None if eta_bound == 0.0 else (local_energy + interaction) / eta_bound
+        out.append(ShiftDiagnostics(
+            i, interaction, local_energy, delta, e0, eta_bound, interaction / delta, ratio_b,
+        ))
+    return out
 
 
 def random_quadratic(n: int, n_edges: int, seed: int) -> PolyHamiltonian:

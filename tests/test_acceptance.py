@@ -14,7 +14,6 @@ from dcreduce.clustering import (
     modularity,
 )
 from dcreduce.driver import RunConfig, approximation_ratio, run, shift_diagnostics
-from dcreduce.hamiltonian import PolyHamiltonian
 from dcreduce.optimizer import (
     enumerate_low_exhaustive,
     enumerate_low_sampled,
@@ -42,6 +41,7 @@ from helpers import (
     random_graph,
     random_pubo,
     random_quadratic,
+    walsh_polynomial,
 )
 
 ETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -266,7 +266,7 @@ def test_criterion_09_symmetry_and_conversions():
     rng = np.random.default_rng(7)
     n = 12
     table = rng.uniform(-2.0, 2.0, size=1 << n)
-    h = PolyHamiltonian.from_boolean_table(table)
+    h = walsh_polynomial(table)
     np.testing.assert_allclose(h.energies(np.arange(1 << n)), table, atol=1e-9)
     _report(9, True, "Z2 invariance (1000 cases) and conversion round-trips exact at n=12")
 

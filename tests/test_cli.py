@@ -21,7 +21,7 @@ from dcreduce.cli import (
 )
 from dcreduce.driver import RunConfig, run, shift_diagnostics
 from dcreduce.errors import ParameterError
-from dcreduce.hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, load_problem
+from dcreduce.hamiltonian import PolyHamiltonian, load_problem
 from helpers import brute_min
 
 
@@ -103,7 +103,8 @@ class TestSolveCommand:
         assert len(config_line.split()[1]) == 16
 
     def test_term_past_the_truth_table_cap_solves(self, tmp_path, capsys):
-        n = MAX_TABLE_VARS + 1
+        # one term on 25 variables, whose 2^25-entry table is never built
+        n = 25
         problem = tmp_path / "wide.json"
         problem.write_text(json.dumps({"n": n, "terms": [{"vars": list(range(n)), "coeff": 0.7}]}))
         assert main(["solve", str(problem)]) == 0
@@ -371,6 +372,11 @@ _BAD_FILES = {
     # more digits than Python's int() converts from a string by default
     "digits-n.json": b'{"n": 1' + b"0" * 4999 + b', "terms": []}',
     "digits-n.txt": b"# n=1" + b"0" * 4999 + b"\n0 1 1.0\n",
+    # nested past the recursion limit
+    "deep.json": b"[" * 100_000,
+    # int() reads these as 10 and 1
+    "underscore.txt": b"0 1_0 1.0\n",
+    "arabic-digit.txt": "0 \u0661 1.0\n".encode(),
 }
 
 
@@ -398,6 +404,9 @@ _BAD_FILES = {
     ["solve", "huge-n.txt"],
     ["solve", "digits-n.json"],
     ["solve", "digits-n.txt"],
+    ["solve", "deep.json"],
+    ["solve", "underscore.txt"],
+    ["solve", "arabic-digit.txt"],
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     for name, data in _BAD_FILES.items():

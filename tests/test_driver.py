@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dcreduce.benchgen import GraphSpec, generate
+from dcreduce.benchgen import GraphSpec, family_matrix, generate
 from dcreduce.clustering import Partition
 from dcreduce.driver import (
     RunConfig,
@@ -18,11 +18,11 @@ from dcreduce.driver import (
     write_trace,
 )
 from dcreduce.errors import DomainError, ParameterError
-from dcreduce.hamiltonian import MAX_TABLE_VARS, PolyHamiltonian, int_to_bits
+from dcreduce.hamiltonian import PolyHamiltonian, int_to_bits
 from dcreduce.optimizer import SCAN_CEILING
 import dcreduce.driver as driver_module
 import dcreduce.reduction as reduction_module
-from helpers import brute_min, random_pubo, random_quadratic
+from helpers import brute_min, random_pubo, random_quadratic, reference_shift_diagnostics
 
 
 PUBLIC_API = [
@@ -153,7 +153,8 @@ class TestRun:
             assert len(result.best_config) == n
 
     def test_term_at_the_truth_table_cap_runs(self):
-        n = MAX_TABLE_VARS
+        # one term on 24 variables, past the 2^22-entry table cap
+        n = 24
         result = run(PolyHamiltonian(n, {tuple(range(n)): 0.7}), RunConfig(eta=1.0, seed=0))
         assert result.criterion == 3
         assert result.best_energy == pytest.approx(-0.7)
@@ -162,7 +163,7 @@ class TestRun:
     def test_term_past_the_truth_table_cap_runs(self, extra, energy):
         # a level-0 coupling wider than the table cap stays lazy, so no
         # term width is refused
-        n = MAX_TABLE_VARS + 1
+        n = 25
         h = PolyHamiltonian(n, {tuple(range(n)): 0.7, **extra})
         result = run(h, RunConfig(eta=1.0, seed=0))
         assert result.best_energy == pytest.approx(energy)
@@ -381,6 +382,27 @@ class TestShiftDiagnostics:
             diags = shift_diagnostics(h, result)
             for diag in diags:
                 assert diag.delta > 0.0
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    def test_equals_the_decomposition_reference(self, eta):
+        # one pass over the sorted terms adds what the reference's
+        # sub-Hamiltonians add, in the same order, so every field is equal
+        problems = [
+            (generate(entry.spec_for(n, seed)), seed)
+            for entry in family_matrix() for n in (12, 24) for seed in range(3)
+        ]
+        for seed in range(12):
+            h = random_pubo(14, 30, seed, max_arity=3)
+            problems.append((PolyHamiltonian(h.n_vars, {**h.terms, (): 0.75}), seed))
+        compared = 0
+        for h, seed in problems:
+            if not h.terms:
+                continue
+            result = run(h, RunConfig(eta=eta, seed=seed))
+            diags = shift_diagnostics(h, result)
+            assert diags == reference_shift_diagnostics(h, result)
+            compared += len(diags)
+        assert compared > 100
 
     def test_interaction_energy_definition(self):
         h = random_quadratic(12, 22, 13)

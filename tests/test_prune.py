@@ -380,3 +380,51 @@ def test_rows_over_the_cap_leave_the_community_unpruned(monkeypatch):
     for l in range(len(rd2.members)):
         spectrum = enumerate_low_exhaustive(community_objective(rd2, l), iteration_delta(rd2, l), 1.0)
         assert prune_dominated(rd2, l, spectrum) is spectrum
+
+
+def _register_configs(result):
+    """Per level, per register: whether its window was complete, and its
+    retained states decoded to the bits of its original variables, in
+    membership order. A register index past d repeats index ``mu % d``."""
+    below = [[(b,) for b in (0, 1)] for _ in range(result.n_vars)]
+    widths = [1] * result.n_vars
+    out = []
+    for trace, level in zip(result.trace.levels, result.chain.levels):
+        registers = []
+        for members, enc in zip(level.membership, level.encodings):
+            configs = []
+            for state in enc.decode[:enc.d].tolist():
+                bits = ()
+                for c in members:
+                    idx = state & ((1 << widths[c]) - 1)
+                    bits += below[c][idx % len(below[c])]
+                    state >>= widths[c]
+                configs.append(bits)
+            registers.append(configs)
+        out.append(list(zip(trace.complete, registers)))
+        below, widths = registers, [enc.m_tilde for enc in level.encodings]
+    return out
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+def test_complete_registers_are_flip_closed_after_pruning(eta):
+    # ROADMAP item 10(b): the two-body cut-off at level >= 2 takes half the
+    # interaction's range, which holds when every complete register that
+    # pruning leaves also keeps the all-spins flip of each retained state
+    cases = [(dc.GraphSpec("k_regular", 40, seed, k=3), seed) for seed in range(32)]
+    cases += [(entry.spec_for(n, seed), seed) for entry in dc.family_matrix() for n in (24, 32) for seed in range(6)]
+    checked = 0
+    for spec, seed in cases:
+        h = dc.generate(spec)
+        if not h.terms:
+            continue
+        assert h.is_pure_quadratic()
+        result = dc.run(h, dc.RunConfig(eta=eta, seed=seed))
+        for depth, registers in enumerate(_register_configs(result), start=1):
+            for c, (complete, configs) in enumerate(registers):
+                if not complete:
+                    continue
+                retained = set(configs)
+                assert {tuple(1 - b for b in x) for x in retained} == retained, (spec, eta, depth, c)
+                checked += 1
+    assert checked > 500
